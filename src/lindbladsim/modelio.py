@@ -24,7 +24,7 @@ from .errors import ModelError
 from .linalg import dag, spectral_norm
 from .models import Lindbladian
 from .pauli import PauliSumExpr, materialize, parse_pauli_sum, serialize_pauli_sum
-from .timedep import TimeDependentLindbladian
+from .timedep import TimeDependentLindbladian, from_static
 
 
 def matrix_from_json(obj, dim: int, what: str) -> np.ndarray:
@@ -118,10 +118,7 @@ class ParsedModel:
     def to_time_dependent(self) -> TimeDependentLindbladian:
         tb = self.table
         if tb is None:
-            lind = self.to_lindbladian()
-            H, Ls = lind.hamiltonian, lind.jumps
-            return TimeDependentLindbladian(lambda t: (H, Ls), lind.alpha0,
-                                            lind.alphas, 0.0)
+            return from_static(self.to_lindbladian())
         H0 = self.hamiltonian.matrix()
         Ls0 = [j.matrix() for j in self.jumps]
 

@@ -94,16 +94,31 @@ def be_norm(lind: Lindbladian) -> float:
     return lind.alpha0 + 0.5 * sum(a * a for a in lind.alphas)
 
 
+def _drift_generator(H: np.ndarray, Ls) -> np.ndarray:
+    """J = -iH - (1/2) sum_j L_j^dag L_j for one H and jump list."""
+    J = -1j * np.asarray(H, dtype=complex)
+    for L in Ls:
+        J = J - 0.5 * (dag(L) @ L)
+    return J
+
+
+def _liouvillian(H: np.ndarray, Ls) -> np.ndarray:
+    """Vectorized generator: drift part J rho + rho J^dag plus sum_j conj(L_j) kron L_j."""
+    J = _drift_generator(H, Ls)
+    d = J.shape[0]
+    S = np.zeros((d * d, d * d), dtype=complex)
+    for L in Ls:
+        S += kraus_superop(L)
+    return left_mult(J) + right_mult(dag(J)) + S
+
+
 def effective_generator(lind: Lindbladian) -> np.ndarray:
     """Drift matrix J = -iH - (1/2) sum_j L_j^dag L_j.
 
     Dissipative: every eigenvalue of J has nonpositive real part, so
     ||exp(J s)|| <= 1 for s >= 0.
     """
-    J = -1j * lind.hamiltonian.astype(complex)
-    for L in lind.jumps:
-        J = J - 0.5 * (dag(L) @ L)
-    return J
+    return _drift_generator(lind.hamiltonian, lind.jumps)
 
 
 def jump_superoperator(lind: Lindbladian) -> np.ndarray:
@@ -123,7 +138,7 @@ def drift_generator_matrix(lind: Lindbladian) -> np.ndarray:
 
 def liouvillian_matrix(lind: Lindbladian) -> np.ndarray:
     """Vectorized full generator; equals drift + jump parts by construction."""
-    return drift_generator_matrix(lind) + jump_superoperator(lind)
+    return _liouvillian(lind.hamiltonian, lind.jumps)
 
 
 def exact_channel(lind: Lindbladian, t: float) -> np.ndarray:

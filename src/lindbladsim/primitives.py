@@ -25,15 +25,6 @@ from .linalg import dag, spectral_norm
 from .series import CPMapApprox
 
 
-def _sqrt_psd(mat: np.ndarray) -> np.ndarray:
-    """Hermitian square root with eigenvalue clamping of O(eps) negatives."""
-    vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2)
-    if vals.min() < -1e-10:
-        raise ArgumentError(f"matrix is not positive semidefinite (min eig {vals.min():.3e})")
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
 @dataclass(frozen=True, eq=False)
 class BlockEncoding:
     """Unitary on ancilla kron system whose top-left block is target / alpha.
@@ -70,6 +61,10 @@ def dilate(A: np.ndarray, alpha: float) -> BlockEncoding:
 
     U = [[A/alpha, sqrt(I - A A^dag / alpha^2)],
          [sqrt(I - A^dag A / alpha^2), -A^dag / alpha]].
+
+    Both square roots come from one SVD A / alpha = W S V^dag, as
+    W sqrt(1 - S^2) W^dag and V sqrt(1 - S^2) V^dag, so they complete a unitary
+    even when ||A|| = alpha makes I - A A^dag / alpha^2 singular.
     """
     A = np.asarray(A, dtype=complex)
     if alpha <= 0:
@@ -77,10 +72,11 @@ def dilate(A: np.ndarray, alpha: float) -> BlockEncoding:
     if spectral_norm(A) > alpha * (1 + 1e-12):
         raise ArgumentError(
             f"cannot encode: ||A|| = {spectral_norm(A):.6g} exceeds alpha = {alpha:.6g}")
-    d = A.shape[0]
     B = A / alpha
-    S_top = _sqrt_psd(np.eye(d) - B @ dag(B))
-    S_bot = _sqrt_psd(np.eye(d) - dag(B) @ B)
+    Wl, sv, Vh = np.linalg.svd(B)
+    c = np.sqrt(np.clip(1.0 - sv * sv, 0.0, None))
+    S_top = (Wl * c) @ dag(Wl)
+    S_bot = (dag(Vh) * c) @ Vh
     U = np.block([[B, S_top], [S_bot, -dag(B)]])
     return BlockEncoding(unitary=U, alpha=float(alpha), ancilla_dim=2,
                          target=A, epsilon=0.0)

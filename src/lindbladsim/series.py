@@ -14,9 +14,15 @@ whose map rho -> sum c^2 A rho A^dag is completely positive by construction.
 Every truncation knob carries a closed-form error bound, and the normalizer
 sum over the family admits a closed form that drives the segment-length budget
 (success probability of the amplified channel application stays >= 1/4).
+
+The superoperator of the family is never built chain by chain: series_superop
+evaluates it as a recursion over quadrature-index multisets, shared with the
+time-dependent extension. The chains themselves are enumerated only by
+CPMapApprox.iter_terms, which reads the family out term by term.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterator
@@ -29,10 +35,9 @@ from .linalg import batched_kraus_sum, kraus_superop, spectral_norm, unvec, vec
 from .metrics import diamond_sandwich
 from .models import (Lindbladian, be_norm, effective_generator, exact_channel,
                      jump_superoperator)
-from .quadrature import TERM_GUARDRAIL, canonical_rule
+from .quadrature import TERM_GUARDRAIL, NestedGrid, QuadratureRule, canonical_rule
 
 MAX_SEARCH_ORDER = 40
-_CHUNK = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +201,11 @@ def taylor_drift(lind: Lindbladian, s: float, Kp: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# chain enumeration engine
+# memoized series engine
+
+MAX_SUPEROP_BYTES = 2 ** 30
+_WORK_BYTES = 2 ** 23
+
 
 def _chain_count(m: int, q: int, K: int) -> int:
     return sum((m * q) ** k for k in range(1, K + 1))
@@ -209,66 +218,97 @@ def _check_guardrail(m: int, q: int, K: int):
             f"chain enumeration would visit {n} > {TERM_GUARDRAIL} terms")
 
 
-def _decode_chain(flat: np.ndarray, k: int, m: int, q: int, rule):
-    """Decode flat ids into (ell_idx, j_idx, nodes, weights), outermost first.
+def series_superop(propagate, jumps, rule: QuadratureRule, K: int, m: int,
+                   d: int) -> np.ndarray:
+    """Superoperator of the order-K series on [0, t], t = rule.interval_length.
 
-    Canonical enumeration order: the (l_k..l_1) digits are the major block, the
-    (j_k..j_1) digits the minor block, both lexicographic with the outermost
-    index most significant.
+    The nested grid scales the rule into [0, u] below every node u, at the
+    nodes u x_j with x_j = shat_j / t, so the series is the recursion
+
+        G_r(u) = K[T(0, u)]
+                 + sum_j (u w_j / t) sum_l K[T(u x_j, u) L_l(u x_j)] G_{r-1}(u x_j),
+
+    G_0(u) = K[T(0, u)], evaluated as G_K(t). A node is fixed by the multiset
+    of its quadrature indices, so depth i has C(q+i-1, i) distinct nodes and
+    each is built once, deepest level first. Depth K-1 is closed in Kraus form,
+    so leaves are never stored; a node at depth i+1 is freed once its last
+    parent is built, its parent count being the number of distinct indices in
+    its multiset. propagate(s, u) returns T(s_b, u_b) as a (B, d, d) array and
+    jumps(u) returns L_l(u_b) as a (B, m, d, d) array; both are called once per
+    level.
     """
-    qk = q ** k
-    ell_block = flat // qk
-    j_block = flat % qk
-    B = flat.size
-    ell_idx = np.empty((B, k), dtype=np.int64)
-    j_idx = np.empty((B, k), dtype=np.int64)
-    rem = ell_block
-    for pos in range(k - 1, -1, -1):
-        ell_idx[:, pos] = rem % m
-        rem = rem // m
-    rem = j_block
-    for pos in range(k - 1, -1, -1):
-        j_idx[:, pos] = rem % q
-        rem = rem // q
-    t = rule.interval_length
-    nodes = np.empty((B, k))
-    weights = np.empty((B, k))
-    nodes[:, 0] = rule.nodes[j_idx[:, 0]]
-    weights[:, 0] = rule.weights[j_idx[:, 0]]
-    for pos in range(1, k):
-        weights[:, pos] = nodes[:, pos - 1] * rule.weights[j_idx[:, pos]] / t
-        nodes[:, pos] = nodes[:, pos - 1] * rule.nodes[j_idx[:, pos]] / t
-    return ell_idx, j_idx, nodes, weights
+    t, q = rule.interval_length, rule.order
+    if K < 1:
+        raise ArgumentError(f"series_superop needs K >= 1, got {K}")
+    # at most the widest stored level, C(q+K-2, K-1) nodes, plus one chunk of
+    # parents with their gathered children and products is held at once
+    chunk = max(1, _WORK_BYTES // ((1 + q * (m + 1)) * 16 * d ** 4))
+    held_bytes = (math.comb(q + K - 2, K - 1) + chunk * (1 + q * (m + 1))) * 16 * d ** 4
+    if held_bytes > MAX_SUPEROP_BYTES:
+        raise ResourceLimitError(
+            f"series engine would hold {held_bytes} > {MAX_SUPEROP_BYTES} bytes "
+            "of superoperators at once")
+
+    # node multisets as sorted index tuples, their times and child indices
+    levels = [list(itertools.combinations_with_replacement(range(q), i)) for i in range(K + 1)]
+    u = [t * np.prod(rule.nodes[np.array(level, dtype=np.int64).reshape(len(level), i)] / t,
+                     axis=1) for i, level in enumerate(levels)]
+    children = []
+    for i in range(K):
+        pos = {c: n for n, c in enumerate(levels[i + 1])}
+        children.append(np.array([[pos[tuple(sorted(p + (j,)))] for j in range(q)]
+                                  for p in levels[i]], dtype=np.int64))
+
+    G = None
+    for i in range(K - 1, -1, -1):
+        up, uc, ch = u[i], u[i + 1], children[i]
+        n_p = up.size
+        lo = np.concatenate([np.zeros(n_p), uc[ch].ravel()])
+        hi = np.concatenate([up, np.repeat(up, q)])
+        if i == K - 1:
+            lo = np.concatenate([lo, np.zeros(uc.size)])
+            hi = np.concatenate([hi, uc])
+        T = propagate(lo, hi)
+        close = T[:n_p]
+        B = T[n_p:n_p * (q + 1)].reshape(n_p, q, 1, d, d) @ jumps(uc)[ch]
+        W = up[:, None] * rule.weights[None, :] / t
+        parents = []
+        if i == K - 1:
+            # depth-K leaves close in Kraus form: T(u x_j, u) L_l T(0, u x_j)
+            A = B @ T[n_p * (q + 1):][ch][:, :, None]
+            wts = np.repeat(W, m, axis=1)
+            for p in range(n_p):
+                parents.append(batched_kraus_sum(
+                    np.concatenate([[1.0], wts[p]]),
+                    np.concatenate([close[p:p + 1], A[p].reshape(q * m, d, d)])))
+        else:
+            remaining = np.array([len(set(c)) for c in levels[i + 1]])
+            for start in range(0, n_p, chunk):
+                sl = slice(start, min(start + chunk, n_p))
+                P = sl.stop - start
+                X = np.stack([G[c] for c in ch[sl].ravel()]).reshape(P, q, 1, d, d, d * d)
+                # K[B] X as two d x d contractions per column: B on the ket index,
+                # then conj(B), weighted, on the bra index summed over (j, l)
+                Y = (B[sl][:, :, :, None] @ X).reshape(P, q * m, d, d, d * d)
+                Wc = (W[sl][:, :, None, None, None] * B[sl].conj()).reshape(P, q * m, d, d)
+                Z = (Wc.transpose(0, 2, 1, 3).reshape(P, d, q * m * d)
+                     @ Y.reshape(P, q * m * d, d ** 3))
+                for r in range(P):
+                    parents.append(Z[r].reshape(d * d, d * d) + kraus_superop(close[start + r]))
+                for c in ch[sl].ravel():
+                    remaining[c] -= 1
+                    if remaining[c] == 0:
+                        G[c] = None
+        G = parents
+    return G[0]
 
 
-def _chain_matrices(lind: Lindbladian, t: float, k: int, rule, propagator,
-                    flat: np.ndarray):
-    """Kraus matrices (without sqrt-weight coefficients) and weight products."""
-    m = lind.num_jumps
-    ell_idx, j_idx, nodes, weights = _decode_chain(flat, k, m, rule.order, rule)
+def _static_superop(lind: Lindbladian, rule: QuadratureRule, K: int, propagator) -> np.ndarray:
+    """series_superop with a static drift propagator and constant jumps."""
     Ls = np.stack(lind.jumps)
-    A = propagator.batch(t - nodes[:, 0])
-    for pos in range(k):
-        A = A @ Ls[ell_idx[:, pos]]
-        nxt = nodes[:, pos + 1] if pos + 1 < k else np.zeros(flat.size)
-        A = A @ propagator.batch(nodes[:, pos] - nxt)
-    return ell_idx, j_idx, nodes, weights, A
-
-
-def _chain_superop(lind: Lindbladian, t: float, k: int, q: int, propagator) -> np.ndarray:
-    """Sum over all depth-k index tuples of wprod * K[A(tuple)]."""
-    d = lind.dim
-    m = lind.num_jumps
-    S = np.zeros((d * d, d * d), dtype=complex)
-    if m == 0:
-        return S
-    rule = canonical_rule(q, t)
-    total = (m ** k) * (q ** k)
-    for start in range(0, total, _CHUNK):
-        flat = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        _, _, _, weights, A = _chain_matrices(lind, t, k, rule, propagator, flat)
-        S += batched_kraus_sum(np.prod(weights, axis=1), A)
-    return S
+    return series_superop(lambda s, u: propagator.batch(u - s),
+                          lambda u: np.broadcast_to(Ls, (u.size,) + Ls.shape),
+                          rule, K, lind.num_jumps, lind.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +342,10 @@ def g_K_quadrature(lind: Lindbladian, t: float, K: int, q: int) -> np.ndarray:
     if K < 0:
         raise ArgumentError(f"series order must be nonnegative, got {K}")
     J = effective_generator(lind)
-    S = kraus_superop(expm(J * t))
     if K == 0 or lind.num_jumps == 0 or t == 0.0:
-        return S
+        return kraus_superop(expm(J * t))
     _check_guardrail(lind.num_jumps, q, K)
-    prop = _ExactPropagator(J, t)
-    for k in range(1, K + 1):
-        S += _chain_superop(lind, t, k, q, prop)
-    return S
+    return _static_superop(lind, canonical_rule(q, t), K, _ExactPropagator(J, t))
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +365,9 @@ class TruncationConfig:
     def __post_init__(self):
         if self.series_order < 0 or self.taylor_order < 0:
             raise ArgumentError("truncation orders must be nonnegative")
-        if self.quadrature_order < 1:
-            raise ArgumentError("quadrature order must be >= 1")
+        if self.quadrature_order < max(1, math.ceil(self.series_order / 2)):
+            # below this floor the nested weights no longer total t^k / k!
+            raise ArgumentError("quadrature order must be >= max(1, ceil(K / 2))")
         if not self.segment_time >= 0:
             raise ArgumentError("segment_time must be nonnegative")
         if self.num_segments < 1:
@@ -396,6 +433,13 @@ def choose_orders(lind: Lindbladian, seg_t: float, eps: float,
 # the Kraus family
 
 
+def _normalizer_sum(beta: float, alpha_sq: float, tau: float, K: int) -> float:
+    """e^{2 beta tau} sum_{k<=K} (sum alpha^2)^k tau^k / k!, the sum of squared
+    term normalizers: the depth-k chain weights total tau^k / k! for q >= ceil(k/2)."""
+    return math.exp(2 * beta * tau) * math.fsum(
+        alpha_sq ** k * tau ** k / math.factorial(k) for k in range(K + 1))
+
+
 @dataclass(frozen=True, eq=False)
 class KrausTerm:
     """One Kraus operator: index (k, (l_1..l_k), (j_1..j_k)), its sqrt-weight
@@ -412,10 +456,11 @@ class KrausTerm:
 
 
 class CPMapApprox:
-    """Lazily enumerated completely positive Kraus approximation of exp(L t).
+    """Completely positive Kraus approximation of exp(L t), enumerated lazily.
 
-    Kraus matrices are materialized per index chunk during application, never
-    held all at once; the superoperator is assembled on demand and cached.
+    iter_terms yields the Kraus family one term at a time, never holding it all
+    at once; the superoperator comes from series_superop on demand and is
+    cached, and the normalizer sum has a closed form.
     """
 
     def __init__(self, lind: Lindbladian, t: float, config: TruncationConfig):
@@ -429,7 +474,6 @@ class CPMapApprox:
         self.config = config
         self._series_order = K
         self._superop: np.ndarray | None = None
-        self._norm_sq: float | None = None
         J = effective_generator(lind)
         self._prop = _TaylorPropagator(J, config.taylor_order)
         self._rule = (canonical_rule(config.quadrature_order, t) if K > 0 else None)
@@ -449,31 +493,30 @@ class CPMapApprox:
         e_bt = math.exp(beta * self.t)
         yield KrausTerm(index=(0, (), ()), coefficient=1.0,
                         matrix=self.zero_jump_term, normalizer=e_bt)
-        m = self.lind.num_jumps
-        alphas = np.asarray(self.lind.alphas)
         for k in range(1, self._series_order + 1):
-            total = (m ** k) * (self._rule.order ** k)
-            for start in range(0, total, _CHUNK):
-                flat = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-                ell_idx, j_idx, _, weights, A = _chain_matrices(
-                    self.lind, self.t, k, self._rule, self._prop, flat)
-                coeff = np.sqrt(np.prod(weights, axis=1))
-                alpha_prod = np.prod(alphas[ell_idx], axis=1)
-                for r in range(flat.size):
-                    ells = tuple(int(x) for x in ell_idx[r, ::-1])
-                    js = tuple(int(x) for x in j_idx[r, ::-1])
-                    yield KrausTerm(index=(k, ells, js),
-                                    coefficient=float(coeff[r]),
-                                    matrix=A[r],
-                                    normalizer=float(coeff[r] * e_bt * alpha_prod[r]))
+            grid = NestedGrid(self._rule, k)
+            for ells in itertools.product(range(self.lind.num_jumps), repeat=k):
+                alpha_prod = math.prod(self.lind.alphas[ell] for ell in ells)
+                path = tuple(reversed(ells))
+                for idx, nodes, weights in grid.chunks():
+                    A = self._prop.batch(self.t - nodes[:, 0])
+                    for pos in range(k):
+                        nxt = nodes[:, pos + 1] if pos + 1 < k else 0.0
+                        A = A @ self.lind.jumps[ells[pos]] @ self._prop.batch(nodes[:, pos] - nxt)
+                    coeff = np.sqrt(np.prod(weights, axis=1))
+                    for r in range(idx.shape[0]):
+                        yield KrausTerm(index=(k, path, tuple(int(j) for j in idx[r, ::-1])),
+                                        coefficient=float(coeff[r]),
+                                        matrix=A[r],
+                                        normalizer=float(coeff[r] * e_bt * alpha_prod))
 
     def as_superoperator(self) -> np.ndarray:
         if self._superop is None:
-            S = kraus_superop(self.zero_jump_term)
-            for k in range(1, self._series_order + 1):
-                S += _chain_superop(self.lind, self.t, k,
-                                    self.config.quadrature_order, self._prop)
-            self._superop = S
+            if self._series_order == 0:
+                self._superop = kraus_superop(self.zero_jump_term)
+            else:
+                self._superop = _static_superop(self.lind, self._rule,
+                                                self._series_order, self._prop)
         return self._superop
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -481,22 +524,8 @@ class CPMapApprox:
 
     def normalizer_sum_squares(self) -> float:
         """sum_j s_j^2 over the family, s_j = coeff * e^{beta t} * prod alpha."""
-        if self._norm_sq is None:
-            beta = be_norm(self.lind)
-            alphas_sq = np.asarray(self.lind.alphas) ** 2
-            partials = [1.0]
-            m = self.lind.num_jumps
-            for k in range(1, self._series_order + 1):
-                total = (m ** k) * (self._rule.order ** k)
-                for start in range(0, total, _CHUNK):
-                    flat = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-                    ell_idx, _, _, weights = _decode_chain(
-                        flat, k, m, self._rule.order, self._rule)
-                    wprod = np.prod(weights, axis=1)
-                    aprod = np.prod(alphas_sq[ell_idx], axis=1)
-                    partials.append(math.fsum((wprod * aprod).tolist()))
-            self._norm_sq = math.exp(2 * beta * self.t) * math.fsum(partials)
-        return self._norm_sq
+        return _normalizer_sum(be_norm(self.lind), sum(a * a for a in self.lind.alphas),
+                               self.t, self._series_order)
 
 
 def enumerate_kraus(lind: Lindbladian, t: float, config: TruncationConfig) -> CPMapApprox:
@@ -536,6 +565,15 @@ class SimulationReport:
         return out
 
 
+def _zero_time_report(eps: float) -> SimulationReport:
+    return SimulationReport(total_time=0.0, eps=eps, segments=0, segment_time=0.0,
+                            series_order=0, taylor_order=0, quadrature_order=1,
+                            kraus_terms=1, normalizer_sum_squares=1.0,
+                            bound_duhamel=0.0, bound_quadrature=0.0,
+                            bound_taylor_total=0.0, per_segment_eps=eps,
+                            trace_deviation=0.0)
+
+
 def _validate_rho0(rho0: np.ndarray, dim: int) -> np.ndarray:
     rho = np.asarray(rho0, dtype=complex)
     if rho.shape != (dim, dim):
@@ -566,13 +604,7 @@ def simulate(lind: Lindbladian, rho0: np.ndarray, t: float, eps: float,
     rho = _validate_rho0(rho0, lind.dim)
     beta = be_norm(lind)
     if t == 0.0:
-        report = SimulationReport(total_time=0.0, eps=eps, segments=0, segment_time=0.0,
-                                  series_order=0, taylor_order=0, quadrature_order=1,
-                                  kraus_terms=1, normalizer_sum_squares=1.0,
-                                  bound_duhamel=0.0, bound_quadrature=0.0,
-                                  bound_taylor_total=0.0, per_segment_eps=eps,
-                                  trace_deviation=0.0)
-        return rho, report
+        return rho, _zero_time_report(eps)
 
     tstar = segment_time(lind, cap=t, weight_model=weight_model)
     n_seg = max(1, math.ceil(t / tstar - 1e-12))

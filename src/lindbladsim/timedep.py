@@ -28,13 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, ModelError, ResourceLimitError
-from .linalg import batched_kraus_sum, dag, kraus_superop, left_mult, right_mult, spectral_norm, unvec, vec
-from .models import Lindbladian
+from .errors import ArgumentError, InfeasiblePrecisionError, ModelError, ResourceLimitError
+from .linalg import kraus_superop, spectral_norm, unvec, vec
+from .models import Lindbladian, _drift_generator, _liouvillian
 from .quadrature import canonical_rule
-from .series import (SimulationReport, _chain_count, _check_guardrail, _validate_rho0,
-                     bound_duhamel, bound_quadrature, choose_orders_from_bounds,
-                     segment_time_from_bounds, taylor_total_bound)
+from .series import (SimulationReport, _chain_count, _check_guardrail, _normalizer_sum,
+                     _validate_rho0, _zero_time_report, bound_duhamel, bound_quadrature,
+                     choose_orders_from_bounds, segment_time_from_bounds, series_superop,
+                     taylor_total_bound)
 
 
 @dataclass(frozen=True)
@@ -102,28 +103,13 @@ class TimeDependentLindbladian:
         return H, Ls
 
     def _generator_raw(self, t: float) -> np.ndarray:
-        H, Ls = self._sample_raw(t)
-        J = -1j * H
-        for L in Ls:
-            J = J - 0.5 * (dag(L) @ L)
-        return J
+        return _drift_generator(*self._sample_raw(t))
 
     def effective_generator_at(self, t: float) -> np.ndarray:
-        H, Ls = self.sample(t)
-        J = -1j * H
-        for L in Ls:
-            J = J - 0.5 * (dag(L) @ L)
-        return J
+        return _drift_generator(*self.sample(t))
 
     def liouvillian_at(self, t: float) -> np.ndarray:
-        H, Ls = self._sample_raw(t)
-        J = -1j * H
-        d = H.shape[0]
-        S = np.zeros((d * d, d * d), dtype=complex)
-        for L in Ls:
-            J = J - 0.5 * (dag(L) @ L)
-            S += np.kron(L.conj(), L)
-        return left_mult(J) + right_mult(dag(J)) + S
+        return _liouvillian(*self._sample_raw(t))
 
 
 def from_static(lind: Lindbladian) -> TimeDependentLindbladian:
@@ -182,42 +168,19 @@ def dyson_contract(tl: TimeDependentLindbladian, delta: float, cfg: DysonConfig)
 
 def _segment_superop(tl: TimeDependentLindbladian, a: float, delta: float,
                      K: int, q: int, cfg: DysonConfig) -> np.ndarray:
-    """Superoperator for one segment: jump-free term plus depth 1..K chains.
+    """Superoperator for the segment [a, a + delta]: the jump-free term plus depth
+    1..K chains, from the static pipeline's series engine run on segment-relative
+    times with ordered propagators and jumps sampled at the nodes."""
+    def propagate(s, u):
+        return _batched_propagator(tl, a + s, a + u, cfg)
 
-    Chains are expanded level by level; each level carries the batch of
-    partial products V(x_i -> upper) L(x_i) ... over all node tuples so far,
-    closes the depth-i chains with V(a -> a + x_i), and recurses. Weight
-    recursions match the nested static grid.
-    """
-    d = tl.dim
-    m = tl.num_jumps
-    a0 = np.array([a])
-    S = batched_kraus_sum(np.array([1.0]),
-                          _batched_propagator(tl, a0, np.array([a + delta]), cfg))
-    if K == 0 or m == 0:
-        return S
-    rule = canonical_rule(q, delta)
-    P = np.broadcast_to(np.eye(d, dtype=complex), (1, d, d))
-    upper = np.array([delta])
-    wts = np.array([1.0])
-    for level in range(K):
-        B = P.shape[0]
-        if level == 0:
-            x = np.tile(rule.nodes, B)
-            w = np.tile(rule.weights, B) * np.repeat(wts, q)
-        else:
-            x = np.repeat(upper, q) * np.tile(rule.nodes, B) / delta
-            w = np.repeat(upper * wts, q) * np.tile(rule.weights, B) / delta
-        Pv = np.repeat(P, q, axis=0) @ _batched_propagator(tl, a + x, a + np.repeat(upper, q), cfg)
-        Ls = [tl._sample_raw(float(a + xb))[1] for xb in x]
-        stacked = np.stack([np.stack([Ls[b][ell] for ell in range(m)]) for b in range(B * q)])
-        P = np.einsum("bij,bljk->blik", Pv, stacked).reshape(B * q * m, d, d)
-        x = np.repeat(x, m)
-        w = np.repeat(w, m)
-        A = P @ _batched_propagator(tl, np.full(B * q * m, a), a + x, cfg)
-        S += batched_kraus_sum(w, A)
-        upper, wts = x, w
-    return S
+    def jumps(u):
+        return np.stack([np.stack(tl._sample_raw(float(a + x))[1]) for x in u])
+
+    if K == 0 or tl.num_jumps == 0:
+        return kraus_superop(propagate(np.zeros(1), np.array([delta]))[0])
+    return series_superop(propagate, jumps, canonical_rule(q, delta), K,
+                          tl.num_jumps, tl.dim)
 
 
 def rk4_reference(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float,
@@ -256,7 +219,7 @@ def _segment_search(tl: TimeDependentLindbladian, t: float, eps: float):
         n = n0 * (2 ** i)
         try:
             orders = choose_orders_from_bounds(beta, alpha_sq, t / n, eps / n)
-        except Exception:
+        except InfeasiblePrecisionError:
             continue
         work = n * _chain_count(max(tl.num_jumps, 1), orders.quadrature_order,
                                 orders.series_order)
@@ -286,13 +249,7 @@ def td_simulate(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float, eps: f
         raise ArgumentError(f"target precision must be positive, got {eps}")
     rho = _validate_rho0(rho0, tl.dim)
     if t == 0.0:
-        report = SimulationReport(total_time=0.0, eps=eps, segments=0, segment_time=0.0,
-                                  series_order=0, taylor_order=0, quadrature_order=1,
-                                  kraus_terms=1, normalizer_sum_squares=1.0,
-                                  bound_duhamel=0.0, bound_quadrature=0.0,
-                                  bound_taylor_total=0.0, per_segment_eps=eps,
-                                  trace_deviation=0.0)
-        return rho, report, cfg or DysonConfig(0, 1)
+        return rho, _zero_time_report(eps), cfg or DysonConfig(0, 1)
 
     beta, alpha_sq = tl.be_norm, tl.alpha_sq
     if segments is None:
@@ -306,7 +263,7 @@ def td_simulate(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float, eps: f
     seg_eps = eps / n_seg
     K, q = orders.series_order, orders.quadrature_order
     _check_guardrail(tl.num_jumps, q, K)
-    # the level-synchronous expansion holds whole levels in memory
+    # caps the (m q)^K chains each segment's superoperator stands for
     if tl.num_jumps and (tl.num_jumps * q) ** K > 4_000_000:
         raise ResourceLimitError(
             "time-ordered chain tree too wide; raise segments or lower precision")
@@ -331,10 +288,7 @@ def td_simulate(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float, eps: f
     terms = 1 + (_chain_count(tl.num_jumps, q, K) if tl.num_jumps else 0)
     bq = (sum(bound_quadrature(k, q, delta, beta) for k in range(1, K + 1))
           if (K > 0 and tl.num_jumps > 0) else 0.0)
-    # weight-product sums telescope to delta^k / k!, so the normalizer budget
-    # has the same closed form as the static pipeline
-    ssq = math.exp(2 * beta * delta) * math.fsum(
-        alpha_sq ** k * delta ** k / math.factorial(k) for k in range(K + 1))
+    ssq = _normalizer_sum(beta, alpha_sq, delta, K)
     report = SimulationReport(
         total_time=float(t), eps=float(eps), segments=n_seg, segment_time=delta,
         series_order=K, taylor_order=cfg.order, quadrature_order=q,

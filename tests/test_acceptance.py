@@ -114,9 +114,9 @@ def _close_innermost(P, x, w, lam, T, nodes, weights, t, chunk=4096):
         wfac = xs[:, None] * weights[None, :] / t
         A = np.exp(gaps[:, :, None] * lam[None, None, :])
         B = np.exp(inner[:, :, None] * lam[None, None, :])
-        M = np.einsum("bj,bju,bjv->buv", wfac, A, B)
+        M = np.einsum("bj,bju,bjv->buv", wfac, A, B, optimize=True)
         wP = P[lo:lo + chunk] * ws[:, None, None]
-        out += np.einsum("buv,bvw->uw", wP, T[None, :, :] * M)
+        out += np.einsum("buv,bvw->uw", wP, T[None, :, :] * M, optimize=True)
     return out
 
 

@@ -332,8 +332,9 @@ def test_dilution_rejects_out_of_range():
         dilute(1.2)
 
 
-def test_verification_matrix_all_pass():
-    out = verification_matrix(seed=0)
+@pytest.mark.parametrize("seed", range(20))
+def test_verification_matrix_all_pass(seed):
+    out = verification_matrix(seed=seed)
     assert out, "empty verification matrix"
     for name, row in out.items():
         assert row["pass"], f"{name}: {row}"

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lindbladsim import (
     ArgumentError,
@@ -238,6 +240,43 @@ def test_chain_guardrail():
                            segment_time=0.1)
     with pytest.raises(ResourceLimitError):
         CPMapApprox(lind, 0.1, cfg)
+
+
+def test_truncation_config_quadrature_floor():
+    with pytest.raises(ArgumentError):
+        TruncationConfig(series_order=5, taylor_order=4, quadrature_order=2,
+                         segment_time=0.1)
+    TruncationConfig(series_order=5, taylor_order=4, quadrature_order=3,
+                     segment_time=0.1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_qubits=st.integers(1, 2), m=st.integers(1, 2), K=st.integers(0, 4),
+       seed=st.integers(0, 2**16), t=st.floats(0.05, 0.8), data=st.data())
+def test_series_engine_matches_kraus_enumeration(n_qubits, m, K, seed, t, data):
+    q = data.draw(st.integers(max(1, math.ceil(K / 2)), 4), label="q")
+    lind = random_lindbladian(n_qubits, num_jumps=m, seed=seed)
+    cfg = TruncationConfig(series_order=K, taylor_order=4, quadrature_order=q,
+                           segment_time=t)
+    cp = enumerate_kraus(lind, t, cfg)
+    d = lind.dim
+    S = np.zeros((d * d, d * d), dtype=complex)
+    for term in cp.iter_terms():
+        S += term.coefficient ** 2 * kraus_superop(term.matrix)
+    assert np.abs(cp.as_superoperator() - S).max() <= 1e-12
+
+
+def test_series_engine_memory_guard():
+    # 266,304 chains pass the term guardrail, but the 2,080 depth-2 nodes at
+    # d = 16 would take about 2 GB of superoperators
+    lind = random_lindbladian(4, num_jumps=1, seed=8)
+    cfg = TruncationConfig(series_order=3, taylor_order=4, quadrature_order=64,
+                           segment_time=0.1)
+    cp = CPMapApprox(lind, 0.1, cfg)
+    with pytest.raises(ResourceLimitError):
+        cp.as_superoperator()
+    with pytest.raises(ResourceLimitError):
+        g_K_quadrature(lind, 0.1, 3, 64)
 
 
 def test_approximant_is_completely_positive():

@@ -10,16 +10,20 @@ from lindbladsim import (
     ModelError,
     ResourceLimitError,
     TimeDependentLindbladian,
+    TruncationConfig,
     amplitude_damping,
     dyson_contract,
+    enumerate_kraus,
     exact_channel,
     from_static,
     ordered_propagator,
+    random_lindbladian,
     rk4_reference,
     simulate,
     taylor_drift,
     td_simulate,
 )
+from lindbladsim.timedep import _segment_superop
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -148,6 +152,17 @@ def test_td_simulate_degenerates_to_static_pipeline():
     assert rep_t.series_order == rep_s.series_order
     assert rep_t.quadrature_order == rep_s.quadrature_order
     assert np.abs(rho_t - rho_s).max() <= 1e-10
+
+
+def test_segment_superop_shares_the_static_engine():
+    # a constant sampler with one grid point gives the Taylor drift exactly, so a
+    # segment's superoperator is the static approximant's, wherever it starts
+    lind = random_lindbladian(1, num_jumps=2, seed=21)
+    cfg = TruncationConfig(series_order=3, taylor_order=5, quadrature_order=2,
+                           segment_time=0.3)
+    static = enumerate_kraus(lind, 0.3, cfg).as_superoperator()
+    seg = _segment_superop(from_static(lind), 0.6, 0.3, 3, 2, DysonConfig(5, 1))
+    assert np.abs(seg - static).max() <= 1e-14
 
 
 def test_td_simulate_unitary_family_stays_pure():
