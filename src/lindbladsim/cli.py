@@ -192,11 +192,8 @@ def _cmd_kraus_dump(args) -> int:
     if pm.is_time_dependent:
         raise ModelError("model declares time dependence; use td-simulate")
     lind = pm.to_lindbladian()
-    tstar = series.segment_time(lind, cap=args.time)
-    n_seg = max(1, math.ceil(args.time / tstar - 1e-12))
-    seg_t = args.time / n_seg
-    cfg = series.choose_orders(lind, seg_t, args.eps / n_seg)
-    cp = series.enumerate_kraus(lind, seg_t, cfg)
+    cfg = series._static_plan(lind, args.time, args.eps)
+    cp = series.enumerate_kraus(lind, cfg.segment_time, cfg)
     rows = []
     for i, term in enumerate(cp.iter_terms()):
         k, ells, js = term.index

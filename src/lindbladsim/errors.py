@@ -14,7 +14,9 @@ class ArgumentError(LindbladSimError, ValueError):
 
 
 class ResourceLimitError(LindbladSimError):
-    """Requested enumeration exceeds the desk-scale guardrails."""
+    """The requested work exceeds a desk-scale guard: series nodes or superoperator
+    bytes in the engine, Kraus terms or grid tuples read out, or sampler calls of
+    a time-ordered run."""
 
 
 class InfeasiblePrecisionError(LindbladSimError):

@@ -387,9 +387,8 @@ def verification_matrix(seed: int = 0) -> dict:
     half = 1.0 / math.sqrt(2.0)
     tp_encs = [dilate(half * np.eye(2, dtype=complex), half), dilate(half * X, half)]
     tp_app = lcu_channel(tp_encs, psi)
-    theta, _ = dilute(tp_app.success_amplitude)
+    _, Wd = dilute(tp_app.success_amplitude, tp_app.select)
     P0, P1 = channel_projectors(tp_app)
-    Wd = np.kron(tp_app.select, _rotation(theta))
     P0d = extend_with_ancilla(P0)
     P1d = extend_with_ancilla(P1)
     psi_hat_d = extend_with_ancilla(tp_app.psi_hat, state=True)
@@ -418,8 +417,3 @@ def verification_matrix(seed: int = 0) -> dict:
     out["mu_factorization"] = _check(resid, 1e-12)
 
     return out
-
-
-def _rotation(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])

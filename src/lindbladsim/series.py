@@ -19,6 +19,12 @@ The superoperator of the family is never built chain by chain: series_superop
 evaluates it as a recursion over quadrature-index multisets, shared with the
 time-dependent extension. The chains themselves are enumerated only by
 CPMapApprox.iter_terms, which reads the family out term by term.
+
+Each resource guard counts the work of the function that checks it, before
+that work starts: series_superop its nodes (MAX_SERIES_NODES) and held bytes
+(MAX_SUPEROP_BYTES), iter_terms its terms (quadrature.TERM_GUARDRAIL), and
+timedep.td_simulate its sampler calls (MAX_SAMPLER_CALLS). The (m q)^k chain
+count sizes only the read-out, so it bounds no superoperator path.
 """
 from __future__ import annotations
 
@@ -135,43 +141,6 @@ def segment_time(lind: Lindbladian, cap: float | None = None,
 # drift propagators
 
 
-class _ExactPropagator:
-    """Batched exp(J delta): eigendecomposition fast path, expm fallback.
-
-    The fast path is accepted only if it reproduces expm at the full interval
-    to 1e-11, which keeps assembled superoperators well inside every tolerance
-    used by the bound checks.
-    """
-
-    def __init__(self, J: np.ndarray, t_check: float):
-        self.J = J
-        self._cache: dict[float, np.ndarray] = {}
-        self._eig = None
-        try:
-            lam, V = np.linalg.eig(J)
-            Vinv = np.linalg.inv(V)
-            ref = expm(J * t_check)
-            fast = (V * np.exp(lam * t_check)) @ Vinv
-            if np.abs(fast - ref).max() <= 1e-11 * max(1.0, np.abs(ref).max()):
-                self._eig = (lam, V, Vinv)
-        except np.linalg.LinAlgError:
-            pass
-
-    def batch(self, deltas: np.ndarray) -> np.ndarray:
-        deltas = np.asarray(deltas, dtype=float)
-        if self._eig is not None:
-            lam, V, Vinv = self._eig
-            phases = np.exp(np.multiply.outer(deltas, lam))
-            return np.einsum("ij,bj,jk->bik", V, phases, Vinv, optimize=True)
-        out = np.empty(deltas.shape + self.J.shape, dtype=complex)
-        for b, dt in enumerate(deltas):
-            key = float(dt)
-            if key not in self._cache:
-                self._cache[key] = expm(self.J * key)
-            out[b] = self._cache[key]
-        return out
-
-
 class _TaylorPropagator:
     """Batched order-Kp Taylor polynomial of exp(J delta)."""
 
@@ -203,19 +172,17 @@ def taylor_drift(lind: Lindbladian, s: float, Kp: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # memoized series engine
 
+# Guard limits (see the module docstring). At about 100 us per node (d <= 4)
+# and 30 us per sampler call (2 vCPUs, one BLAS thread), the node and sampler
+# caps are each about 30 s of work.
+MAX_SERIES_NODES = 2 ** 18
 MAX_SUPEROP_BYTES = 2 ** 30
+MAX_SAMPLER_CALLS = 10 ** 6
 _WORK_BYTES = 2 ** 23
 
 
 def _chain_count(m: int, q: int, K: int) -> int:
     return sum((m * q) ** k for k in range(1, K + 1))
-
-
-def _check_guardrail(m: int, q: int, K: int):
-    n = _chain_count(m, q, K)
-    if n > TERM_GUARDRAIL:
-        raise ResourceLimitError(
-            f"chain enumeration would visit {n} > {TERM_GUARDRAIL} terms")
 
 
 def series_superop(propagate, jumps, rule: QuadratureRule, K: int, m: int,
@@ -236,10 +203,18 @@ def series_superop(propagate, jumps, rule: QuadratureRule, K: int, m: int,
     its multiset. propagate(s, u) returns T(s_b, u_b) as a (B, d, d) array and
     jumps(u) returns L_l(u_b) as a (B, m, d, d) array; both are called once per
     level.
+
+    Raises ResourceLimitError before building anything when the C(q+K-1, K-1)
+    nodes of depths 0..K-1 exceed MAX_SERIES_NODES, or when the superoperators
+    held at once would exceed MAX_SUPEROP_BYTES.
     """
     t, q = rule.interval_length, rule.order
     if K < 1:
         raise ArgumentError(f"series_superop needs K >= 1, got {K}")
+    nodes = math.comb(q + K - 1, K - 1)
+    if nodes > MAX_SERIES_NODES:
+        raise ResourceLimitError(
+            f"series engine would build {nodes} > {MAX_SERIES_NODES} nodes")
     # at most the widest stored level, C(q+K-2, K-1) nodes, plus one chunk of
     # parents with their gathered children and products is held at once
     chunk = max(1, _WORK_BYTES // ((1 + q * (m + 1)) * 16 * d ** 4))
@@ -303,11 +278,10 @@ def series_superop(propagate, jumps, rule: QuadratureRule, K: int, m: int,
     return G[0]
 
 
-def _static_superop(lind: Lindbladian, rule: QuadratureRule, K: int, propagator) -> np.ndarray:
+def _static_superop(lind: Lindbladian, rule: QuadratureRule, K: int, propagate) -> np.ndarray:
     """series_superop with a static drift propagator and constant jumps."""
     Ls = np.stack(lind.jumps)
-    return series_superop(lambda s, u: propagator.batch(u - s),
-                          lambda u: np.broadcast_to(Ls, (u.size,) + Ls.shape),
+    return series_superop(propagate, lambda u: np.broadcast_to(Ls, (u.size,) + Ls.shape),
                           rule, K, lind.num_jumps, lind.dim)
 
 
@@ -344,8 +318,8 @@ def g_K_quadrature(lind: Lindbladian, t: float, K: int, q: int) -> np.ndarray:
     J = effective_generator(lind)
     if K == 0 or lind.num_jumps == 0 or t == 0.0:
         return kraus_superop(expm(J * t))
-    _check_guardrail(lind.num_jumps, q, K)
-    return _static_superop(lind, canonical_rule(q, t), K, _ExactPropagator(J, t))
+    return _static_superop(lind, canonical_rule(q, t), K,
+                           lambda s, u: expm((u - s)[:, None, None] * J))
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +440,7 @@ class CPMapApprox:
     def __init__(self, lind: Lindbladian, t: float, config: TruncationConfig):
         if t < 0:
             raise ArgumentError(f"evolution time must be nonnegative, got {t}")
-        m = lind.num_jumps
-        K = config.series_order if (m > 0 and t > 0) else 0
-        _check_guardrail(max(m, 1), config.quadrature_order, K)
+        K = config.series_order if (lind.num_jumps > 0 and t > 0) else 0
         self.lind = lind
         self.t = float(t)
         self.config = config
@@ -488,7 +460,14 @@ class CPMapApprox:
         return self._prop.batch(np.array([self.t]))[0]
 
     def iter_terms(self) -> Iterator[KrausTerm]:
-        """Terms in canonical order: k ascending, then (l_k..l_1), then (j_k..j_1)."""
+        """Terms in canonical order: k ascending, then (l_k..l_1), then (j_k..j_1).
+
+        Raises ResourceLimitError before the first term when term_count exceeds
+        TERM_GUARDRAIL.
+        """
+        if self.term_count > TERM_GUARDRAIL:
+            raise ResourceLimitError(
+                f"Kraus read-out would yield {self.term_count} > {TERM_GUARDRAIL} terms")
         beta = be_norm(self.lind)
         e_bt = math.exp(beta * self.t)
         yield KrausTerm(index=(0, (), ()), coefficient=1.0,
@@ -515,8 +494,8 @@ class CPMapApprox:
             if self._series_order == 0:
                 self._superop = kraus_superop(self.zero_jump_term)
             else:
-                self._superop = _static_superop(self.lind, self._rule,
-                                                self._series_order, self._prop)
+                self._superop = _static_superop(self.lind, self._rule, self._series_order,
+                                                lambda s, u: self._prop.batch(u - s))
         return self._superop
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -574,6 +553,30 @@ def _zero_time_report(eps: float) -> SimulationReport:
                             trace_deviation=0.0)
 
 
+def _report(t: float, eps: float, n_seg: int, K: int, Kp: int, q: int, m: int,
+            beta: float, alpha_sq: float, rho_out: np.ndarray,
+            measured=(None, None)) -> SimulationReport:
+    """Report of a run over n_seg equal segments with series order K, drift
+    order Kp, quadrature order q and m jumps; measured is the Choi (lower,
+    upper) pair when verified."""
+    seg_t = t / n_seg
+    bq = (sum(bound_quadrature(k, q, seg_t, beta) for k in range(1, K + 1))
+          if (K > 0 and m > 0) else 0.0)
+    return SimulationReport(
+        total_time=float(t), eps=float(eps), segments=n_seg, segment_time=seg_t,
+        series_order=K, taylor_order=Kp, quadrature_order=q,
+        kraus_terms=1 + _chain_count(m, q, K),
+        normalizer_sum_squares=_normalizer_sum(beta, alpha_sq, seg_t, K),
+        bound_duhamel=bound_duhamel(K, seg_t, beta) if m else 0.0,
+        bound_quadrature=bq,
+        bound_taylor_total=taylor_total_bound(Kp, seg_t, beta),
+        per_segment_eps=eps / n_seg,
+        trace_deviation=float(abs(np.trace(rho_out).real - 1.0)),
+        measured_choi_lower=measured[0],
+        measured_choi_upper=measured[1],
+    )
+
+
 def _validate_rho0(rho0: np.ndarray, dim: int) -> np.ndarray:
     rho = np.asarray(rho0, dtype=complex)
     if rho.shape != (dim, dim):
@@ -589,6 +592,15 @@ def _validate_rho0(rho0: np.ndarray, dim: int) -> np.ndarray:
     return rho
 
 
+def _static_plan(lind: Lindbladian, t: float, eps: float,
+                 weight_model: str = "conservative") -> TruncationConfig:
+    """Equal segments no longer than the normalizer budget allows, with orders
+    chosen per segment at precision eps / num_segments; needs t > 0."""
+    tstar = segment_time(lind, cap=t, weight_model=weight_model)
+    n_seg = max(1, math.ceil(t / tstar - 1e-12))
+    return replace(choose_orders(lind, t / n_seg, eps / n_seg), num_segments=n_seg)
+
+
 def simulate(lind: Lindbladian, rho0: np.ndarray, t: float, eps: float,
              verify: bool = False, weight_model: str = "conservative"):
     """Evolve rho0 for time t within diamond-norm error eps; returns (rho, report).
@@ -602,42 +614,20 @@ def simulate(lind: Lindbladian, rho0: np.ndarray, t: float, eps: float,
     if eps <= 0:
         raise ArgumentError(f"target precision must be positive, got {eps}")
     rho = _validate_rho0(rho0, lind.dim)
-    beta = be_norm(lind)
     if t == 0.0:
         return rho, _zero_time_report(eps)
 
-    tstar = segment_time(lind, cap=t, weight_model=weight_model)
-    n_seg = max(1, math.ceil(t / tstar - 1e-12))
-    seg_t = t / n_seg
-    seg_eps = eps / n_seg
-    cfg = replace(choose_orders(lind, seg_t, seg_eps),
-                  segment_time=seg_t, num_segments=n_seg)
-    cp = enumerate_kraus(lind, seg_t, cfg)
-    S = cp.as_superoperator()
+    cfg = _static_plan(lind, t, eps, weight_model)
+    n_seg = cfg.num_segments
+    S = enumerate_kraus(lind, cfg.segment_time, cfg).as_superoperator()
     v = vec(rho)
     for _ in range(n_seg):
         v = S @ v
     rho_out = unvec(v)
 
-    measured_lower = measured_upper = None
+    measured = (None, None)
     if verify:
-        total = np.linalg.matrix_power(S, n_seg)
-        measured_lower, measured_upper = diamond_sandwich(total, exact_channel(lind, t))
-
-    K, Kp, q = cfg.series_order, cfg.taylor_order, cfg.quadrature_order
-    bq = (sum(bound_quadrature(k, q, seg_t, beta) for k in range(1, K + 1))
-          if (K > 0 and lind.num_jumps > 0) else 0.0)
-    report = SimulationReport(
-        total_time=float(t), eps=float(eps), segments=n_seg, segment_time=seg_t,
-        series_order=K, taylor_order=Kp, quadrature_order=q,
-        kraus_terms=cp.term_count,
-        normalizer_sum_squares=cp.normalizer_sum_squares(),
-        bound_duhamel=bound_duhamel(K, seg_t, beta) if lind.num_jumps else 0.0,
-        bound_quadrature=bq,
-        bound_taylor_total=taylor_total_bound(Kp, seg_t, beta),
-        per_segment_eps=seg_eps,
-        trace_deviation=float(abs(np.trace(rho_out).real - 1.0)),
-        measured_choi_lower=measured_lower,
-        measured_choi_upper=measured_upper,
-    )
-    return rho_out, report
+        measured = diamond_sandwich(np.linalg.matrix_power(S, n_seg), exact_channel(lind, t))
+    return rho_out, _report(t, eps, n_seg, cfg.series_order, cfg.taylor_order,
+                            cfg.quadrature_order, lind.num_jumps, be_norm(lind),
+                            sum(a * a for a in lind.alphas), rho_out, measured)

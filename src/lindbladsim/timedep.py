@@ -32,10 +32,9 @@ from .errors import ArgumentError, InfeasiblePrecisionError, ModelError, Resourc
 from .linalg import kraus_superop, spectral_norm, unvec, vec
 from .models import Lindbladian, _drift_generator, _liouvillian
 from .quadrature import canonical_rule
-from .series import (SimulationReport, _chain_count, _check_guardrail, _normalizer_sum,
-                     _validate_rho0, _zero_time_report, bound_duhamel, bound_quadrature,
-                     choose_orders_from_bounds, segment_time_from_bounds, series_superop,
-                     taylor_total_bound)
+from .series import (MAX_SAMPLER_CALLS, _chain_count, _report, _validate_rho0,
+                     _zero_time_report, choose_orders_from_bounds, segment_time_from_bounds,
+                     series_superop)
 
 
 @dataclass(frozen=True)
@@ -183,6 +182,20 @@ def _segment_superop(tl: TimeDependentLindbladian, a: float, delta: float,
                           tl.num_jumps, tl.dim)
 
 
+_PROBES = 17  # validating samples per segment
+
+
+def _segment_sampler_calls(K: int, q: int, m: int, M: int) -> int:
+    """Sampler calls td_simulate makes per segment: the probes, M per propagator
+    interval and one per jump node. series_superop asks for (q+1) C(q+K-1, K-1)
+    intervals over depths 0..K-1 plus C(q+K-1, K) for the leaves, and for the
+    jumps at the C(q+K, K) - 1 nodes of depths 1..K."""
+    if K == 0 or m == 0:
+        return _PROBES + M
+    return (_PROBES + M * ((q + 1) * math.comb(q + K - 1, K - 1) + math.comb(q + K - 1, K))
+            + math.comb(q + K, K) - 1)
+
+
 def rk4_reference(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float,
                   step: float) -> np.ndarray:
     """Dense classical Runge-Kutta integration of the vectorized master equation."""
@@ -191,13 +204,16 @@ def rk4_reference(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float,
     n = max(1, math.ceil(t / step - 1e-12))
     h = t / n
     v = vec(np.asarray(rho0, dtype=complex))
+    L_start = tl.liouvillian_at(0.0)
     for i in range(n):
         tau = i * h
-        k1 = tl.liouvillian_at(tau) @ v
+        k1 = L_start @ v
         Lmid = tl.liouvillian_at(tau + h / 2)
         k2 = Lmid @ (v + h / 2 * k1)
         k3 = Lmid @ (v + h / 2 * k2)
-        k4 = tl.liouvillian_at(tau + h) @ (v + h * k3)
+        # the step-end Liouvillian starts the next step
+        L_start = tl.liouvillian_at(tau + h)
+        k4 = L_start @ (v + h * k3)
         v = v + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     return unvec(v)
 
@@ -242,6 +258,10 @@ def td_simulate(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float, eps: f
     Taylor-order criterion and the grid count to a heuristic calibrated to the
     midpoint product's measured quadratic convergence (the reported contract
     uses the declared first-order rate). Pass cfg or segments to override.
+
+    Sampling is the run's cost, so before the first probe it raises
+    ResourceLimitError when the run would make more than MAX_SAMPLER_CALLS
+    sampler calls; the series engine's own node and byte caps still apply.
     """
     if t < 0:
         raise ArgumentError(f"evolution time must be nonnegative, got {t}")
@@ -260,43 +280,27 @@ def td_simulate(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float, eps: f
         n_seg = segments
         orders = choose_orders_from_bounds(beta, alpha_sq, t / segments, eps / segments)
     delta = t / n_seg
-    seg_eps = eps / n_seg
     K, q = orders.series_order, orders.quadrature_order
-    _check_guardrail(tl.num_jumps, q, K)
-    # caps the (m q)^K chains each segment's superoperator stands for
-    if tl.num_jumps and (tl.num_jumps * q) ** K > 4_000_000:
-        raise ResourceLimitError(
-            "time-ordered chain tree too wide; raise segments or lower precision")
-
     if cfg is None:
         if tl.jdot_bound == 0.0:
             grid = 1
         else:
-            first_order = delta ** 2 * tl.jdot_bound / seg_eps
+            first_order = delta ** 2 * tl.jdot_bound / (eps / n_seg)
             grid = int(min(256, max(16, math.ceil(math.sqrt(first_order)))))
         cfg = DysonConfig(order=orders.taylor_order, grid_points=grid)
+    calls = n_seg * _segment_sampler_calls(K, q, tl.num_jumps, cfg.grid_points)
+    if calls > MAX_SAMPLER_CALLS:
+        raise ResourceLimitError(
+            f"time-ordered run would make {calls} > {MAX_SAMPLER_CALLS} sampler calls; "
+            "lower the precision or the horizon")
 
     v = vec(rho)
     for i in range(n_seg):
         a = i * delta
-        for tau in np.linspace(a, a + delta, 17):
+        for tau in np.linspace(a, a + delta, _PROBES):
             tl.sample(float(tau))
         S = _segment_superop(tl, a, delta, K, q, cfg)
         v = S @ v
     rho_out = unvec(v)
-
-    terms = 1 + (_chain_count(tl.num_jumps, q, K) if tl.num_jumps else 0)
-    bq = (sum(bound_quadrature(k, q, delta, beta) for k in range(1, K + 1))
-          if (K > 0 and tl.num_jumps > 0) else 0.0)
-    ssq = _normalizer_sum(beta, alpha_sq, delta, K)
-    report = SimulationReport(
-        total_time=float(t), eps=float(eps), segments=n_seg, segment_time=delta,
-        series_order=K, taylor_order=cfg.order, quadrature_order=q,
-        kraus_terms=terms, normalizer_sum_squares=ssq,
-        bound_duhamel=bound_duhamel(K, delta, beta) if tl.num_jumps else 0.0,
-        bound_quadrature=bq,
-        bound_taylor_total=taylor_total_bound(cfg.order, delta, beta),
-        per_segment_eps=seg_eps,
-        trace_deviation=float(abs(np.trace(rho_out).real - 1.0)),
-    )
-    return rho_out, report, cfg
+    return rho_out, _report(t, eps, n_seg, K, cfg.order, q, tl.num_jumps, beta, alpha_sq,
+                            rho_out), cfg

@@ -115,6 +115,18 @@ def test_exit_code_infeasible_precision(capsys):
     assert "error:" in cap.err
 
 
+def test_exit_code_resource_limits(capsys):
+    # K = 18, q = 9: 3,124,550 series nodes; then 8,532,192 sampler calls
+    code, cap = run_cli(["simulate", "--model", "models/amplitude_damping.json",
+                         "--time", "1.0", "--eps", "1e-26"], capsys)
+    assert code == 3
+    assert "nodes" in cap.err
+    code, cap = run_cli(["td-simulate", "--model", "models/driven_damped_qubit.json",
+                         "--time", "10", "--eps", "1e-6"], capsys)
+    assert code == 3
+    assert "sampler calls" in cap.err
+
+
 def test_exit_code_static_model_mismatch(capsys):
     code, _ = run_cli(["simulate", "--model", "models/driven_damped_qubit.json",
                        "--time", "0.5", "--eps", "1e-4"], capsys)

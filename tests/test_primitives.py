@@ -27,7 +27,6 @@ from lindbladsim import (
     taylor_drift,
     verification_matrix,
 )
-from lindbladsim.primitives import _rotation
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -292,9 +291,8 @@ def test_oaa_on_diluted_channel():
         encs = [dilate(half * np.eye(2, dtype=complex), declared),
                 dilate(half * X, declared)]
         app = lcu_channel(encs, psi)
-        theta, _ = dilute(app.success_amplitude)
+        _, W = dilute(app.success_amplitude, app.select)
         P0, P1 = channel_projectors(app)
-        W = np.kron(app.select, _rotation(theta))
         out = oaa_step(W, extend_with_ancilla(P0), extend_with_ancilla(P1),
                        extend_with_ancilla(app.psi_hat, state=True))
         good = extend_with_ancilla(P0) @ (W @ extend_with_ancilla(app.psi_hat, state=True))
@@ -317,9 +315,8 @@ def test_dilution_hits_half_exactly():
             dilate(half * X, 0.8)]
     app = lcu_channel(encs, psi)
     assert 0.5 < app.success_amplitude <= 1.0
-    theta, _ = dilute(app.success_amplitude)
+    _, W = dilute(app.success_amplitude, app.select)
     P0, _ = channel_projectors(app)
-    W = np.kron(app.select, _rotation(theta))
     amp = np.linalg.norm(extend_with_ancilla(P0)
                          @ (W @ extend_with_ancilla(app.psi_hat, state=True)))
     assert amp == pytest.approx(0.5, abs=1e-12)

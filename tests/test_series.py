@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -235,11 +236,13 @@ def test_kraus_term_coefficients_and_normalizers():
 
 
 def test_chain_guardrail():
+    # 20^9 chains: only the term-by-term read-out enumerates them
     lind = random_lindbladian(1, num_jumps=2, seed=8)
     cfg = TruncationConfig(series_order=9, taylor_order=4, quadrature_order=10,
                            segment_time=0.1)
+    cp = CPMapApprox(lind, 0.1, cfg)
     with pytest.raises(ResourceLimitError):
-        CPMapApprox(lind, 0.1, cfg)
+        next(cp.iter_terms())
 
 
 def test_truncation_config_quadrature_floor():
@@ -277,6 +280,18 @@ def test_series_engine_memory_guard():
         cp.as_superoperator()
     with pytest.raises(ResourceLimitError):
         g_K_quadrature(lind, 0.1, 3, 64)
+
+
+def test_series_engine_node_guard():
+    # C(26, 17) = 3,124,550 nodes at d = 2 fit the byte guard but not the node cap
+    lind = random_lindbladian(1, num_jumps=1, seed=1)
+    cfg = TruncationConfig(series_order=18, taylor_order=4, quadrature_order=9,
+                           segment_time=0.1)
+    cp = CPMapApprox(lind, 0.1, cfg)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        cp.as_superoperator()
+    assert time.perf_counter() - start < 1.0
 
 
 def test_approximant_is_completely_positive():
@@ -550,6 +565,16 @@ def test_simulate_amplitude_damping_closed_form():
     assert abs(rho[1, 1] - math.exp(-3.0) * rho0[1, 1]) <= 1e-6
     assert report.trace_deviation <= (report.bound_duhamel + report.bound_quadrature
                                       + report.bound_taylor_total) * report.segments
+
+
+def test_simulate_tight_precision_within_node_cap():
+    # K = 11, q = 6: 435,356,466 Kraus chains but only 8,008 series nodes
+    lind = random_lindbladian(1, num_jumps=1, seed=1)
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    rho, report = simulate(lind, rho0, 1.0, 1e-10)
+    assert (report.series_order, report.quadrature_order) == (11, 6)
+    ref = unvec(exact_channel(lind, 1.0) @ vec(rho0))
+    assert np.abs(rho - ref).max() <= 1e-10
 
 
 def test_simulate_rejects_bad_density():

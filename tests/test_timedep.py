@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from lindbladsim import (
     taylor_drift,
     td_simulate,
 )
-from lindbladsim.timedep import _segment_superop
+from lindbladsim.timedep import _segment_sampler_calls, _segment_superop
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -215,6 +216,33 @@ def test_td_simulate_rejects_wide_chain_trees():
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(ResourceLimitError):
         td_simulate(tl, rho0, 4.0, 1e-12, segments=1)
+
+
+def test_td_simulate_sampler_guard():
+    # 544 segments and 4,891,104 sampler calls, rejected before the first probe
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        td_simulate(driven_damped(), rho0, 10.0, 1e-6)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("make, t, eps", [(phase_modulated, 1.0, 1e-4),
+                                          (driven_damped, 0.5, 1e-3),
+                                          (driven_damped, 1.0, 1e-4)])
+def test_segment_sampler_calls_match_a_counting_sampler(make, t, eps):
+    tl = make()
+    sampler, calls = tl.sampler, [0]
+
+    def counting(tau):
+        calls[0] += 1
+        return sampler(tau)
+
+    tl.sampler = counting
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    _, report, cfg = td_simulate(tl, rho0, t, eps)
+    assert calls[0] == report.segments * _segment_sampler_calls(
+        report.series_order, report.quadrature_order, tl.num_jumps, cfg.grid_points)
 
 
 def test_td_simulate_argument_validation():
