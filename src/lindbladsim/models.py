@@ -94,22 +94,40 @@ def be_norm(lind: Lindbladian) -> float:
     return lind.alpha0 + 0.5 * sum(a * a for a in lind.alphas)
 
 
+def _jump_stack(H: np.ndarray, Ls) -> np.ndarray:
+    """Jump operators as a (..., m, d, d) array over H's leading batch axes."""
+    return np.asarray(Ls, dtype=complex).reshape(H.shape[:-2] + (-1,) + H.shape[-2:])
+
+
 def _drift_generator(H: np.ndarray, Ls) -> np.ndarray:
-    """J = -iH - (1/2) sum_j L_j^dag L_j for one H and jump list."""
-    J = -1j * np.asarray(H, dtype=complex)
-    for L in Ls:
-        J = J - 0.5 * (dag(L) @ L)
+    """J = -iH - (1/2) sum_j L_j^dag L_j for H (..., d, d) and jumps (..., m, d, d)
+    or a list of m matrices; the sum runs over j in order."""
+    H = np.asarray(H, dtype=complex)
+    L = _jump_stack(H, Ls)
+    LdL = L.conj().swapaxes(-1, -2) @ L
+    J = -1j * H
+    for j in range(L.shape[-3]):
+        J = J - 0.5 * LdL[..., j, :, :]
     return J
 
 
 def _liouvillian(H: np.ndarray, Ls) -> np.ndarray:
-    """Vectorized generator: drift part J rho + rho J^dag plus sum_j conj(L_j) kron L_j."""
+    """Vectorized generator I kron J + conj(J) kron I + sum_j conj(L_j) kron L_j,
+    batched over H's leading axes like _drift_generator."""
     J = _drift_generator(H, Ls)
-    d = J.shape[0]
-    S = np.zeros((d * d, d * d), dtype=complex)
-    for L in Ls:
-        S += kraus_superop(L)
-    return left_mult(J) + right_mult(dag(J)) + S
+    L = _jump_stack(J, Ls)
+    d = J.shape[-1]
+    eye = np.eye(d)
+
+    def kron(A, B):
+        # kron(A, B)[a d + i, b d + k] = A[a, b] B[i, k], as (..., a, i, b, k); a
+        # broadcast product, which rounds as np.kron does (einsum's does not)
+        return A[..., :, None, :, None] * B[..., None, :, None, :]
+
+    S = np.zeros(J.shape[:-2] + (d, d, d, d), dtype=complex)
+    for j in range(L.shape[-3]):
+        S += kron(L[..., j, :, :].conj(), L[..., j, :, :])
+    return (kron(eye, J) + kron(J.conj(), eye) + S).reshape(J.shape[:-2] + (d * d, d * d))
 
 
 def effective_generator(lind: Lindbladian) -> np.ndarray:

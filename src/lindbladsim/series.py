@@ -173,8 +173,8 @@ def taylor_drift(lind: Lindbladian, s: float, Kp: int) -> np.ndarray:
 # memoized series engine
 
 # Guard limits (see the module docstring). At about 100 us per node (d <= 4)
-# and 30 us per sampler call (2 vCPUs, one BLAS thread), the node and sampler
-# caps are each about 30 s of work.
+# and 10 us of td_simulate per sampler call (2 vCPUs, one BLAS thread), the
+# node cap is about 30 s of work and the sampler cap about 10 s.
 MAX_SERIES_NODES = 2 ** 18
 MAX_SUPEROP_BYTES = 2 ** 30
 MAX_SAMPLER_CALLS = 10 ** 6
@@ -595,7 +595,10 @@ def _validate_rho0(rho0: np.ndarray, dim: int) -> np.ndarray:
 def _static_plan(lind: Lindbladian, t: float, eps: float,
                  weight_model: str = "conservative") -> TruncationConfig:
     """Equal segments no longer than the normalizer budget allows, with orders
-    chosen per segment at precision eps / num_segments; needs t > 0."""
+    chosen per segment at precision eps / num_segments. At t = 0 this is one
+    zero-length segment with K = 0."""
+    if t == 0.0:
+        return choose_orders(lind, 0.0, eps)
     tstar = segment_time(lind, cap=t, weight_model=weight_model)
     n_seg = max(1, math.ceil(t / tstar - 1e-12))
     return replace(choose_orders(lind, t / n_seg, eps / n_seg), num_segments=n_seg)

@@ -7,19 +7,25 @@ grid on [s, t],
 
     sum_{k<=Kd} (delta^k / (M^k k!)) sum_tuples T[J(t_{j_k}) ... J(t_{j_1})],
 
-which is computed as a product of per-midpoint Taylor factors truncated at
-total order Kd (the two forms agree term by term). For constant J this
-reproduces the order-Kd Taylor polynomial of exp(J delta) exactly, and the
-per-interval error contract is
+which is computed as the product over midpoints of the graded factors
+F_r = (J(t_j) delta / M)^r / r!, r <= Kd, later midpoints on the left,
+truncated at total grade Kd (the two forms agree term by term). Truncation
+keeps the product associative, so it is reduced pairwise as a tree rather than
+one midpoint at a time. For constant J this reproduces the order-Kd Taylor
+polynomial of exp(J delta) exactly, and the per-interval error contract is
 
     O(||J||_max^{Kd+1} delta^{Kd+1} / (Kd+1)! + delta^2 ||dJ/dt||_max / M).
 
 Norm bounds and the generator derivative bound are declared by the caller,
-never estimated from samples. Validation policy: sample() always checks
-hermiticity and the declared norm bounds; the inner integration loops use an
-unchecked fast path for speed, and td_simulate spot-checks a per-segment probe
-grid through the validating path so declared-bound violations surface as model
-errors.
+never estimated from samples. Sampling is batched: every time a step needs
+(the midpoints of all its intervals, the jump nodes of a series level, a
+segment's probes, a chunk of RK4 half-steps) is sampled by one helper, one
+sampler call per time, into stacked H and L arrays, from which J and the
+Liouvillian are built in one call. Validation policy: sample() checks
+hermiticity and the declared norm bounds; propagators, jumps and RK4 use the
+samples unchecked, and td_simulate checks each segment's probe grid as one
+stack with the same validator, so declared-bound violations surface as model
+errors naming the first failing time.
 """
 from __future__ import annotations
 
@@ -29,10 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, InfeasiblePrecisionError, ModelError, ResourceLimitError
-from .linalg import kraus_superop, spectral_norm, unvec, vec
+from .linalg import kraus_superop, unvec, vec
 from .models import Lindbladian, _drift_generator, _liouvillian
 from .quadrature import canonical_rule
-from .series import (MAX_SAMPLER_CALLS, _chain_count, _report, _validate_rho0,
+from .series import (MAX_SAMPLER_CALLS, _WORK_BYTES, _chain_count, _report, _validate_rho0,
                      _zero_time_report, choose_orders_from_bounds, segment_time_from_bounds,
                      series_superop)
 
@@ -65,10 +71,7 @@ class TimeDependentLindbladian:
         self.jdot_bound = float(jdot_bound)
         if self.alpha0 < 0 or any(a < 0 for a in self.alphas) or self.jdot_bound < 0:
             raise ModelError("declared bounds must be nonnegative")
-        H0, Ls0 = self.sample(0.0)
-        self.dim = H0.shape[0]
-        if len(Ls0) != len(self.alphas):
-            raise ModelError("sampler jump count must match declared alphas")
+        self.dim = self.sample(0.0)[0].shape[0]
 
     @property
     def num_jumps(self) -> int:
@@ -82,33 +85,52 @@ class TimeDependentLindbladian:
     def alpha_sq(self) -> float:
         return sum(a * a for a in self.alphas)
 
-    def _sample_raw(self, t: float):
-        H, Ls = self.sampler(t)
-        return np.asarray(H, dtype=complex), [np.asarray(L, dtype=complex) for L in Ls]
+    def _check(self, times: np.ndarray, H: np.ndarray, L: np.ndarray) -> np.ndarray:
+        """Validate stacked samples in time order; returns the symmetrized H.
+
+        Raises ModelError at the first time whose H is not Hermitian or whose H or
+        a jump exceeds its declared bound, naming that time."""
+        if L.shape[1] != len(self.alphas):
+            raise ModelError("sampler jump count must match declared alphas")
+        Hd = H.conj().swapaxes(-1, -2)
+        scale = np.maximum(1.0, np.abs(H).max(axis=(-2, -1)))
+        skew = np.abs(H - Hd).max(axis=(-2, -1)) > 1e-12 * scale
+        H = (H + Hd) / 2
+        norms = np.linalg.svd(np.concatenate([H[:, None], L], axis=1), compute_uv=False)[..., 0]
+        bounds = np.array((self.alpha0,) + self.alphas)
+        over = norms > bounds * (1 + 1e-9) + 1e-12
+        bad = np.flatnonzero(skew | over.any(axis=1))
+        if bad.size:
+            b = bad[0]
+            t = float(times[b])
+            if skew[b]:
+                raise ModelError(f"sampled Hamiltonian at t={t} is not Hermitian")
+            if over[b, 0]:
+                raise ModelError(f"||H({t})|| exceeds the declared bound {self.alpha0}")
+            raise ModelError(f"a sampled jump norm at t={t} exceeds its declared bound")
+        return H
 
     def sample(self, t: float):
         """Sample H(t), [L_j(t)] and enforce the declared invariants."""
-        H, Ls = self._sample_raw(t)
-        scale = max(1.0, float(np.abs(H).max()))
-        if np.abs(H - H.conj().T).max() > 1e-12 * scale:
-            raise ModelError(f"sampled Hamiltonian at t={t} is not Hermitian")
-        H = (H + H.conj().T) / 2
-        slack = 1 + 1e-9
-        if spectral_norm(H) > self.alpha0 * slack + 1e-12:
-            raise ModelError(f"||H({t})|| exceeds the declared bound {self.alpha0}")
-        for L, a in zip(Ls, self.alphas):
-            if spectral_norm(L) > a * slack + 1e-12:
-                raise ModelError(f"a sampled jump norm at t={t} exceeds its declared bound")
-        return H, Ls
-
-    def _generator_raw(self, t: float) -> np.ndarray:
-        return _drift_generator(*self._sample_raw(t))
+        times = np.array([float(t)])
+        H, L = _sample_stack(self, times)
+        return self._check(times, H, L)[0], list(L[0])
 
     def effective_generator_at(self, t: float) -> np.ndarray:
         return _drift_generator(*self.sample(t))
 
-    def liouvillian_at(self, t: float) -> np.ndarray:
-        return _liouvillian(*self._sample_raw(t))
+
+def _sample_stack(tl: TimeDependentLindbladian, times: np.ndarray):
+    """Unchecked samples at each time, in order, one sampler call per time:
+    H as (B, d, d) and the jumps as (B, m, d, d)."""
+    times = np.asarray(times, dtype=float).ravel()
+    H, L = [], []
+    for tau in times.tolist():
+        Hb, Ls = tl.sampler(tau)
+        H.append(Hb)
+        L.append(Ls)
+    H, L = np.array(H, dtype=complex), np.array(L, dtype=complex)
+    return H, L if L.size else np.empty(H.shape[:1] + (0,) + H.shape[1:], dtype=complex)
 
 
 def from_static(lind: Lindbladian) -> TimeDependentLindbladian:
@@ -120,32 +142,47 @@ def from_static(lind: Lindbladian) -> TimeDependentLindbladian:
 
 def _batched_propagator(tl: TimeDependentLindbladian, s: np.ndarray, t: np.ndarray,
                         cfg: DysonConfig) -> np.ndarray:
-    """Order-truncated midpoint-product propagators over a batch of intervals."""
-    d = tl.dim
-    B = s.shape[0]
+    """Order-truncated midpoint-product propagators over a batch of intervals,
+    taken in chunks of intervals whose (Kd+1, M, B, d, d) factor stack stays
+    under _WORK_BYTES."""
+    d, B = tl.dim, s.shape[0]
     M, Kd = cfg.grid_points, cfg.order
+    chunk = max(1, _WORK_BYTES // (16 * (Kd + 1) * M * d * d))
+    out = np.empty((B, d, d), dtype=complex)
+    for start in range(0, B, chunk):
+        sl = slice(start, min(start + chunk, B))
+        out[sl] = _midpoint_product(tl, s[sl], t[sl], M, Kd)
+    return out
+
+
+def _midpoint_product(tl: TimeDependentLindbladian, s: np.ndarray, t: np.ndarray,
+                      M: int, Kd: int) -> np.ndarray:
+    """Product over the M midpoints of their graded factors F_r = (J delta)^r / r!,
+    later midpoints on the left, truncated at total grade Kd and summed.
+
+    The truncated graded product is associative, so it is reduced pairwise: A
+    (later) times B has grades C_p = A_p + B_p + [A_1 ... A_{p-1}] [B_{p-1} ... B_1],
+    one matmul over the stacked inner dimension per grade."""
+    d, B = tl.dim, s.shape[0]
     step = (t - s) / M
-    eye = np.broadcast_to(np.eye(d, dtype=complex), (B, d, d)).copy()
-    terms = [eye] + [np.zeros((B, d, d), complex) for _ in range(Kd)]
-    inv_fact = [1.0 / math.factorial(r) for r in range(Kd + 1)]
-    for i in range(M):
-        taus = s + (i + 0.5) * step
-        Jstep = np.stack([tl._generator_raw(float(tau)) for tau in taus])
-        Jstep *= step[:, None, None]
-        Jpow = [eye]
-        for _ in range(Kd):
-            Jpow.append(Jpow[-1] @ Jstep)
-        new = [terms[0]]
-        for p in range(1, Kd + 1):
-            acc = terms[p].copy()
-            for r in range(1, p + 1):
-                acc += inv_fact[r] * (Jpow[r] @ terms[p - r])
-            new.append(acc)
-        terms = new
-    total = terms[0].copy()
-    for p in range(1, Kd + 1):
-        total += terms[p]
-    return total
+    taus = s + (np.arange(M)[:, None] + 0.5) * step
+    J = _drift_generator(*_sample_stack(tl, taus)).reshape(M, B, d, d)
+    J *= step[:, None, None]
+    F = np.empty((M, B, Kd, d, d), dtype=complex)  # grades 1..Kd; grade 0 is I
+    if Kd:
+        F[:, :, 0] = J
+    for r in range(1, Kd):
+        F[:, :, r] = (F[:, :, r - 1] @ J) / (r + 1)
+    while F.shape[0] > 1:
+        n = F.shape[0]
+        A, Bf = F[1::2], F[0:n - 1:2]
+        C = A + Bf
+        for p in range(2, Kd + 1):
+            left = A[:, :, :p - 1].transpose(0, 1, 3, 2, 4).reshape(n // 2, B, d, (p - 1) * d)
+            right = Bf[:, :, p - 2::-1].reshape(n // 2, B, (p - 1) * d, d)
+            C[:, :, p - 1] += left @ right
+        F = np.concatenate([C, F[n - 1:]]) if n % 2 else C
+    return np.eye(d) + F[0].sum(axis=1)
 
 
 def ordered_propagator(tl: TimeDependentLindbladian, s: float, t: float,
@@ -174,7 +211,7 @@ def _segment_superop(tl: TimeDependentLindbladian, a: float, delta: float,
         return _batched_propagator(tl, a + s, a + u, cfg)
 
     def jumps(u):
-        return np.stack([np.stack(tl._sample_raw(float(a + x))[1]) for x in u])
+        return _sample_stack(tl, a + u)[1]
 
     if K == 0 or tl.num_jumps == 0:
         return kraus_superop(propagate(np.zeros(1), np.array([delta]))[0])
@@ -183,6 +220,7 @@ def _segment_superop(tl: TimeDependentLindbladian, a: float, delta: float,
 
 
 _PROBES = 17  # validating samples per segment
+_RK4_STEPS = 256  # RK4 steps whose Liouvillians are built in one stacked call
 
 
 def _segment_sampler_calls(K: int, q: int, m: int, M: int) -> int:
@@ -204,17 +242,21 @@ def rk4_reference(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float,
     n = max(1, math.ceil(t / step - 1e-12))
     h = t / n
     v = vec(np.asarray(rho0, dtype=complex))
-    L_start = tl.liouvillian_at(0.0)
-    for i in range(n):
-        tau = i * h
-        k1 = L_start @ v
-        Lmid = tl.liouvillian_at(tau + h / 2)
-        k2 = Lmid @ (v + h / 2 * k1)
-        k3 = Lmid @ (v + h / 2 * k2)
-        # the step-end Liouvillian starts the next step
-        L_start = tl.liouvillian_at(tau + h)
-        k4 = L_start @ (v + h * k3)
-        v = v + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    d2 = tl.dim ** 2
+    # Liouvillians at the 2n+1 half-step times, built a chunk of steps at a time;
+    # each step's end starts the next step, across chunks too
+    chunk = max(1, min(_RK4_STEPS, _WORK_BYTES // (2 * 16 * d2 * d2)))
+    L_start = _liouvillian(*_sample_stack(tl, np.zeros(1)))[0]
+    for i0 in range(0, n, chunk):
+        tau = np.arange(i0, min(i0 + chunk, n)) * h
+        times = np.stack([tau + h / 2, tau + h], axis=1)
+        for Lmid, L_end in _liouvillian(*_sample_stack(tl, times)).reshape(-1, 2, d2, d2):
+            k1 = L_start @ v
+            k2 = Lmid @ (v + h / 2 * k1)
+            k3 = Lmid @ (v + h / 2 * k2)
+            k4 = L_end @ (v + h * k3)
+            v = v + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            L_start = L_end
     return unvec(v)
 
 
@@ -297,8 +339,8 @@ def td_simulate(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float, eps: f
     v = vec(rho)
     for i in range(n_seg):
         a = i * delta
-        for tau in np.linspace(a, a + delta, _PROBES):
-            tl.sample(float(tau))
+        probes = np.linspace(a, a + delta, _PROBES)
+        tl._check(probes, *_sample_stack(tl, probes))
         S = _segment_superop(tl, a, delta, K, q, cfg)
         v = S @ v
     rho_out = unvec(v)

@@ -204,6 +204,20 @@ def test_kraus_dump_table(tmp_path, capsys):
     assert depth_one and all(r[2] == "0" for r in depth_one)
 
 
+def test_kraus_dump_zero_time(tmp_path, capsys):
+    # one zero-length segment: only the k = 0 term, the identity, as simulate's
+    # zero-time report (kraus_terms = 1) has it
+    out = tmp_path / "terms.csv"
+    argv = ["kraus-dump", "--model", "models/amplitude_damping.json", "--eps", "1e-4",
+            "--out", str(out)]
+    code, _ = run_cli(argv + ["--time", "0"], capsys)
+    assert code == 0
+    _, rows = read_csv(out)
+    assert rows == [["0", "0", "", "", "1.0", "1.0"]]
+    code, _ = run_cli(argv + ["--time", "-0.5"], capsys)
+    assert code == 2
+
+
 def test_primitives_verify_passes(capsys):
     code, cap = run_cli(["primitives-verify"], capsys)
     assert code == 0

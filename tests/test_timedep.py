@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lindbladsim import (
     ArgumentError,
@@ -24,7 +26,9 @@ from lindbladsim import (
     taylor_drift,
     td_simulate,
 )
-from lindbladsim.timedep import _segment_sampler_calls, _segment_superop
+from lindbladsim.series import _WORK_BYTES
+from lindbladsim.timedep import (_RK4_STEPS, _batched_propagator, _segment_sampler_calls,
+                                 _segment_superop)
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -60,6 +64,44 @@ def generator_rk4(tl, s, t, step):
         k4 = tl.effective_generator_at(tau + h) @ (V + h * k3)
         V = V + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     return V
+
+
+def rotating_model(d, m, seed):
+    # H(t) and L_j(t) rotate between two random matrices each; bounds are the sums
+    rng = np.random.default_rng(seed)
+
+    def mat(norm, herm=False):
+        A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        A = (A + A.conj().T) / 2 if herm else A
+        return A * (norm / np.linalg.norm(A, 2))
+
+    H0, H1 = mat(0.6, True), mat(0.4, True)
+    Ls = [(mat(0.5), mat(0.3)) for _ in range(m)]
+
+    def sampler(t):
+        c, s = math.cos(2 * t), math.sin(2 * t)
+        return c * H0 + s * H1, [c * A + s * B for A, B in Ls]
+
+    return TimeDependentLindbladian(sampler, 1.0, [0.8] * m, 4.0)
+
+
+def sequential_propagator(tl, s, t, cfg):
+    # the midpoint product one midpoint at a time, later factors on the left
+    d, B = tl.dim, s.shape[0]
+    M, Kd = cfg.grid_points, cfg.order
+    step = (t - s) / M
+    eye = np.broadcast_to(np.eye(d, dtype=complex), (B, d, d))
+    terms = [eye] + [np.zeros((B, d, d), complex) for _ in range(Kd)]
+    for i in range(M):
+        Jstep = np.stack([tl.effective_generator_at(float(tau))
+                          for tau in s + (i + 0.5) * step]) * step[:, None, None]
+        Jpow = [eye]
+        for _ in range(Kd):
+            Jpow.append(Jpow[-1] @ Jstep)
+        terms = [terms[0]] + [terms[p] + sum(Jpow[r] @ terms[p - r] / math.factorial(r)
+                                             for r in range(1, p + 1))
+                              for p in range(1, Kd + 1)]
+    return sum(terms)
 
 
 def random_density(rng, d):
@@ -113,6 +155,34 @@ def test_propagator_composition():
     budget = (dyson_contract(tl, t - s, cfg) + dyson_contract(tl, u - s, cfg)
               + dyson_contract(tl, t - u, cfg))
     assert np.abs(direct - composed).max() <= budget
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([2, 4]), m=st.integers(0, 2), Kd=st.integers(0, 6),
+       M=st.one_of(st.integers(1, 33), st.sampled_from([1, 2, 4, 8, 16, 32])),
+       B=st.integers(1, 5), seed=st.integers(0, 2**16))
+@example(d=2, m=1, Kd=6, M=33, B=5, seed=0)
+@example(d=4, m=2, Kd=5, M=32, B=3, seed=1)
+def test_tree_product_matches_sequential_product(d, m, Kd, M, B, seed):
+    tl = rotating_model(d, m, seed)
+    rng = np.random.default_rng(seed)
+    s = rng.uniform(0.0, 0.5, size=B)
+    t = s + rng.uniform(0.0, 0.6, size=B)
+    cfg = DysonConfig(order=Kd, grid_points=M)
+    ref = sequential_propagator(tl, s, t, cfg)
+    assert np.abs(_batched_propagator(tl, s, t, cfg) - ref).max() <= 1e-13
+
+
+def test_tree_product_across_interval_chunks():
+    d, Kd, M, B = 4, 8, 64, 60
+    # intervals are taken in chunks whose factor stack stays under _WORK_BYTES
+    assert B > _WORK_BYTES // (16 * (Kd + 1) * M * d * d)
+    tl = rotating_model(d, 2, 7)
+    s = np.linspace(0.0, 0.3, B)
+    t = s + np.linspace(0.05, 0.4, B)
+    cfg = DysonConfig(order=Kd, grid_points=M)
+    ref = sequential_propagator(tl, s, t, cfg)
+    assert np.abs(_batched_propagator(tl, s, t, cfg) - ref).max() <= 1e-13
 
 
 def test_propagator_interval_edge_cases():
@@ -207,6 +277,19 @@ def test_td_simulate_flags_declared_bound_violation():
         td_simulate(tl, rho0, 1.0, 1e-4)
 
 
+def test_td_simulate_names_the_first_failing_probe():
+    # H is Hermitian except on [0.4, 0.45]; the segment [0, 1] probes 0, 1/16, ...
+    # so the first failing probe is 7/16
+    def sampler(t):
+        skew = 0.5 * SM if 0.4 <= t <= 0.45 else 0.0 * SM
+        return 0.5 * SZ + skew, []
+
+    tl = TimeDependentLindbladian(sampler, 1.0, [], 1.0)
+    rho0 = np.diag([0.5, 0.5]).astype(complex)
+    with pytest.raises(ModelError, match=r"at t=0\.4375 is not Hermitian"):
+        td_simulate(tl, rho0, 1.0, 1e-4, segments=1)
+
+
 def test_td_simulate_rejects_wide_chain_trees():
     def sampler(t):
         return np.zeros((2, 2)), [math.sqrt(0.5) * SM, math.sqrt(0.5) * SX]
@@ -282,6 +365,41 @@ def test_sampler_validation():
     H, Ls = tl.sample(0.3)
     np.testing.assert_array_equal(H, SZ)
     assert Ls == []
+
+
+def test_rk4_reference_chunks_match_per_step_liouvillians():
+    # n = 2 chunks + 1 steps: two full chunks and a one-step tail, against RK4
+    # with each step's Liouvillians built on their own
+    tl = driven_damped()
+    sampler, calls = tl.sampler, [0]
+
+    def counting(tau):
+        calls[0] += 1
+        return sampler(tau)
+
+    def liouvillian(tau):
+        H, Ls = sampler(tau)
+        J = -1j * H - 0.5 * sum(L.conj().T @ L for L in Ls)
+        eye = np.eye(2)
+        return (np.kron(eye, J) + np.kron(J.conj(), eye)
+                + sum(np.kron(L.conj(), L) for L in Ls))
+
+    tl.sampler = counting
+    n, t = 2 * _RK4_STEPS + 1, 0.8
+    h = t / n
+    rho0 = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
+    v = rho0.reshape(-1, order="F").astype(complex)
+    for i in range(n):
+        tau = i * h
+        L0, Lm, L1 = liouvillian(tau), liouvillian(tau + h / 2), liouvillian(tau + h)
+        k1 = L0 @ v
+        k2 = Lm @ (v + h / 2 * k1)
+        k3 = Lm @ (v + h / 2 * k2)
+        k4 = L1 @ (v + h * k3)
+        v = v + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    rho = rk4_reference(tl, rho0, t, h)
+    assert calls[0] == 2 * n + 1
+    assert np.abs(rho - v.reshape(2, 2, order="F")).max() <= 1e-14
 
 
 def test_rk4_reference_matches_exact_channel():
