@@ -193,17 +193,13 @@ def _cmd_kraus_dump(args) -> int:
         raise ModelError("model declares time dependence; use td-simulate")
     lind = pm.to_lindbladian()
     cfg = series._static_plan(lind, args.time, args.eps)
-    cp = series.enumerate_kraus(lind, cfg.segment_time, cfg)
-    rows = []
-    for i, term in enumerate(cp.iter_terms()):
-        k, ells, js = term.index
-        rows.append((i, k,
-                     "-".join(str(e) for e in ells) if ells else "",
-                     "-".join(str(j) for j in js) if js else "",
-                     float(term.coefficient), float(term.normalizer)))
+    blocks = series.enumerate_kraus(lind, cfg.segment_time, cfg).term_blocks()
+    rows = ((k, "-".join(map(str, path)), "-".join(map(str, js)), c, s)
+            for k, path, idx, _, coeff, norms in blocks
+            for js, c, s in zip(idx[:, ::-1].tolist(), coeff.tolist(), norms.tolist()))
     _write_csv(args.out,
                ["term", "k", "jump_path", "node_path", "coefficient", "normalizer"],
-               rows)
+               ((i,) + row for i, row in enumerate(rows)))
     return 0
 
 

@@ -50,11 +50,6 @@ def spectral_norm(mat: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(mat), 2))
 
 
-def herm_residual(mat: np.ndarray) -> float:
-    mat = np.asarray(mat)
-    return float(np.abs(mat - mat.conj().T).max())
-
-
 def batched_kraus_sum(weights: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """Sum_b weights[b] * conj(mats[b]) kron mats[b], accumulated in batch order."""
     d = mats.shape[-1]

@@ -168,7 +168,7 @@ def mu_coefficients(cp: CPMapApprox) -> MuState:
     For depth k the unnormalized amplitude factorizes per register:
     t^{-k(k-1)/4} * prod_i alpha_{l_i} * prod_i sqrt(w_{j_i} shat_{j_i}^{i-1}).
     """
-    s_vals = np.array([term.normalizer for term in cp.iter_terms()])
+    s_vals = np.concatenate([norms for *_, norms in cp.term_blocks()])
     total = float(np.sum(s_vals ** 2))
     factors = {}
     t = cp.t
@@ -403,7 +403,7 @@ def verification_matrix(seed: int = 0) -> dict:
     mu = mu_coefficients(cp)
     beta = lind.alpha0 + 0.5 * sum(a * a for a in lind.alphas)
     resid = 0.0
-    for term in cp.iter_terms():
+    for term in terms:
         k, ells, js = term.index
         f = 1.0
         if k > 0:

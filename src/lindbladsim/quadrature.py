@@ -27,6 +27,7 @@ from .errors import ArgumentError, ResourceLimitError
 
 MAX_ORDER = 64
 TERM_GUARDRAIL = 10 ** 8
+CHUNK_SIZE = 8192
 NEWTON_TOL = 1e-15
 NEWTON_MAX_ITER = 100
 
@@ -118,7 +119,7 @@ class NestedGrid:
                 yield NestedPoint(tuple(int(j) for j in idx[r]),
                                   nodes[r].copy(), weights[r].copy())
 
-    def chunks(self, chunk_size: int = 8192):
+    def chunks(self):
         """Yield (indices, nodes, weights) arrays of shape (B, k) in enumeration order.
 
         Enumeration is lexicographic over (j_k, ..., j_1); axis 1 runs outermost
@@ -128,8 +129,8 @@ class NestedGrid:
         t = self.rule.interval_length
         shat, what = self.rule.nodes, self.rule.weights
         total = self.count
-        for start in range(0, total, chunk_size):
-            stop = min(start + chunk_size, total)
+        for start in range(0, total, CHUNK_SIZE):
+            stop = min(start + CHUNK_SIZE, total)
             flat = np.arange(start, stop, dtype=np.int64)
             idx = np.empty((stop - start, k), dtype=np.int64)
             rem = flat

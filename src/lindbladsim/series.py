@@ -17,12 +17,14 @@ sum over the family admits a closed form that drives the segment-length budget
 
 The superoperator of the family is never built chain by chain: series_superop
 evaluates it as a recursion over quadrature-index multisets, shared with the
-time-dependent extension. The chains themselves are enumerated only by
-CPMapApprox.iter_terms, which reads the family out term by term.
+time-dependent extension. The term index set is enumerated in one place,
+CPMapApprox.term_blocks, which yields indices, coefficients and normalizers
+block by block without matrices; iter_terms attaches the chain products to
+those blocks where the operators themselves are needed.
 
 Each resource guard counts the work of the function that checks it, before
 that work starts: series_superop its nodes (MAX_SERIES_NODES) and held bytes
-(MAX_SUPEROP_BYTES), iter_terms its terms (quadrature.TERM_GUARDRAIL), and
+(MAX_SUPEROP_BYTES), term_blocks its terms (quadrature.TERM_GUARDRAIL), and
 timedep.td_simulate its sampler calls (MAX_SAMPLER_CALLS). The (m q)^k chain
 count sizes only the read-out, so it bounds no superoperator path.
 """
@@ -97,16 +99,11 @@ def taylor_total_bound(Kp: int, t: float, beta: float) -> float:
 # segment budget
 
 
-def _budget_expression(t: float, beta: float, alpha_sq: float, weight_model: str) -> float:
-    if weight_model == "conservative":
-        return math.exp(2 * beta * t) + t * alpha_sq * math.exp(2 * beta * t) * math.exp(t * alpha_sq)
-    if weight_model == "rederived":
-        return math.exp(2 * beta * t) * math.exp(t * alpha_sq)
-    raise ArgumentError(f"unknown weight_model {weight_model!r}")
+def _budget_expression(t: float, beta: float, alpha_sq: float) -> float:
+    return math.exp(2 * beta * t) + t * alpha_sq * math.exp(2 * beta * t) * math.exp(t * alpha_sq)
 
 
-def segment_time_from_bounds(beta: float, alpha_sq: float, cap: float | None = None,
-                             weight_model: str = "conservative") -> float:
+def segment_time_from_bounds(beta: float, alpha_sq: float, cap: float | None = None) -> float:
     """Largest segment length keeping the normalizer budget expression <= 2.
 
     With beta = 0 the dynamics are trivial and the requested cap (or infinity)
@@ -116,11 +113,11 @@ def segment_time_from_bounds(beta: float, alpha_sq: float, cap: float | None = N
     if beta == 0.0:
         return float(cap) if cap is not None else math.inf
     lo, hi = 0.0, 1.0 / beta
-    while _budget_expression(hi, beta, alpha_sq, weight_model) <= 2.0:
+    while _budget_expression(hi, beta, alpha_sq) <= 2.0:
         lo, hi = hi, 2.0 * hi
     while hi - lo > 1e-12:
         mid = (lo + hi) / 2
-        if _budget_expression(mid, beta, alpha_sq, weight_model) <= 2.0:
+        if _budget_expression(mid, beta, alpha_sq) <= 2.0:
             lo = mid
         else:
             hi = mid
@@ -130,11 +127,9 @@ def segment_time_from_bounds(beta: float, alpha_sq: float, cap: float | None = N
     return tstar
 
 
-def segment_time(lind: Lindbladian, cap: float | None = None,
-                 weight_model: str = "conservative") -> float:
+def segment_time(lind: Lindbladian, cap: float | None = None) -> float:
     """Segment budget for a static model; see segment_time_from_bounds."""
-    return segment_time_from_bounds(be_norm(lind), sum(a * a for a in lind.alphas),
-                                    cap, weight_model)
+    return segment_time_from_bounds(be_norm(lind), sum(a * a for a in lind.alphas), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +343,8 @@ class TruncationConfig:
             raise ArgumentError("num_segments must be >= 1")
 
 
-def choose_orders_from_bounds(beta: float, alpha_sq: float, seg_t: float, eps: float,
-                              max_order: int = MAX_SEARCH_ORDER) -> TruncationConfig:
+def choose_orders_from_bounds(beta: float, alpha_sq: float, seg_t: float,
+                              eps: float) -> TruncationConfig:
     """Smallest (K, Kp, q) whose closed-form bounds each stay below eps/3.
 
     The three error sources (series truncation, quadrature transfer, Taylor
@@ -369,38 +364,37 @@ def choose_orders_from_bounds(beta: float, alpha_sq: float, seg_t: float, eps: f
     if alpha_sq == 0.0:
         K = 0
     else:
-        K = next((k for k in range(0, max_order + 1)
+        K = next((k for k in range(0, MAX_SEARCH_ORDER + 1)
                   if bound_duhamel(k, seg_t, beta) <= budget), None)
         if K is None:
             raise InfeasiblePrecisionError(
-                f"no series order <= {max_order} reaches eps = {eps}")
+                f"no series order <= {MAX_SEARCH_ORDER} reaches eps = {eps}")
 
     if K == 0:
         q = 1
     else:
         q_floor = max(1, math.ceil(K / 2))
-        q = next((qq for qq in range(q_floor, max_order + 1)
+        q = next((qq for qq in range(q_floor, MAX_SEARCH_ORDER + 1)
                   if sum(bound_quadrature(k, qq, seg_t, beta)
                          for k in range(1, K + 1)) <= budget), None)
         if q is None:
             raise InfeasiblePrecisionError(
-                f"no quadrature order <= {max_order} reaches eps = {eps}")
+                f"no quadrature order <= {MAX_SEARCH_ORDER} reaches eps = {eps}")
 
-    Kp = next((kp for kp in range(0, max_order + 1)
+    Kp = next((kp for kp in range(0, MAX_SEARCH_ORDER + 1)
                if taylor_premise_holds(kp, seg_t, beta)
                and taylor_total_bound(kp, seg_t, beta) <= budget), None)
     if Kp is None:
         raise InfeasiblePrecisionError(
-            f"no Taylor order <= {max_order} reaches eps = {eps}")
+            f"no Taylor order <= {MAX_SEARCH_ORDER} reaches eps = {eps}")
 
     return TruncationConfig(K, Kp, q, seg_t)
 
 
-def choose_orders(lind: Lindbladian, seg_t: float, eps: float,
-                  max_order: int = MAX_SEARCH_ORDER) -> TruncationConfig:
+def choose_orders(lind: Lindbladian, seg_t: float, eps: float) -> TruncationConfig:
     """Order selection for a static model; see choose_orders_from_bounds."""
     return choose_orders_from_bounds(be_norm(lind), sum(a * a for a in lind.alphas),
-                                     seg_t, eps, max_order)
+                                     seg_t, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -430,11 +424,13 @@ class KrausTerm:
 
 
 class CPMapApprox:
-    """Completely positive Kraus approximation of exp(L t), enumerated lazily.
+    """Completely positive Kraus approximation of exp(L t), read out lazily.
 
-    iter_terms yields the Kraus family one term at a time, never holding it all
-    at once; the superoperator comes from series_superop on demand and is
-    cached, and the normalizer sum has a closed form.
+    term_blocks yields the family's indices, coefficients and normalizers block
+    by block without matrices; it is the one enumeration of the index set, and
+    iter_terms only attaches the chain products to its blocks. The
+    superoperator comes from series_superop on demand and is cached, and the
+    normalizer sum has a closed form.
     """
 
     def __init__(self, lind: Lindbladian, t: float, config: TruncationConfig):
@@ -455,44 +451,44 @@ class CPMapApprox:
         m, q = self.lind.num_jumps, self.config.quadrature_order
         return 1 + _chain_count(m, q, self._series_order)
 
-    @property
-    def zero_jump_term(self) -> np.ndarray:
-        return self._prop.batch(np.array([self.t]))[0]
+    def term_blocks(self):
+        """Blocks (k, (l_k..l_1), indices, nodes, sqrt(prod w), normalizers), k
+        ascending, then the jump path, then a (B, k) NestedGrid chunk (outermost
+        first; one empty row at k = 0); normalizer = coeff * e^{beta t} * prod alpha.
 
-    def iter_terms(self) -> Iterator[KrausTerm]:
-        """Terms in canonical order: k ascending, then (l_k..l_1), then (j_k..j_1).
-
-        Raises ResourceLimitError before the first term when term_count exceeds
-        TERM_GUARDRAIL.
-        """
+        Raises ResourceLimitError on the call, before the first block, when
+        term_count exceeds TERM_GUARDRAIL."""
         if self.term_count > TERM_GUARDRAIL:
             raise ResourceLimitError(
                 f"Kraus read-out would yield {self.term_count} > {TERM_GUARDRAIL} terms")
-        beta = be_norm(self.lind)
-        e_bt = math.exp(beta * self.t)
-        yield KrausTerm(index=(0, (), ()), coefficient=1.0,
-                        matrix=self.zero_jump_term, normalizer=e_bt)
-        for k in range(1, self._series_order + 1):
-            grid = NestedGrid(self._rule, k)
+        return self._blocks()
+
+    def _blocks(self):
+        e_bt = math.exp(be_norm(self.lind) * self.t)
+        empty = [(np.empty((1, 0), dtype=np.int64), np.empty((1, 0)), np.empty((1, 0)))]
+        for k in range(self._series_order + 1):
             for ells in itertools.product(range(self.lind.num_jumps), repeat=k):
                 alpha_prod = math.prod(self.lind.alphas[ell] for ell in ells)
-                path = tuple(reversed(ells))
-                for idx, nodes, weights in grid.chunks():
-                    A = self._prop.batch(self.t - nodes[:, 0])
-                    for pos in range(k):
-                        nxt = nodes[:, pos + 1] if pos + 1 < k else 0.0
-                        A = A @ self.lind.jumps[ells[pos]] @ self._prop.batch(nodes[:, pos] - nxt)
+                for idx, nodes, weights in (NestedGrid(self._rule, k).chunks() if k else empty):
                     coeff = np.sqrt(np.prod(weights, axis=1))
-                    for r in range(idx.shape[0]):
-                        yield KrausTerm(index=(k, path, tuple(int(j) for j in idx[r, ::-1])),
-                                        coefficient=float(coeff[r]),
-                                        matrix=A[r],
-                                        normalizer=float(coeff[r] * e_bt * alpha_prod))
+                    yield k, ells[::-1], idx, nodes, coeff, coeff * e_bt * alpha_prod
+
+    def iter_terms(self) -> Iterator[KrausTerm]:
+        """term_blocks one term at a time, with the chain product
+        T(t - s_k) L_{l_k} ... L_{l_1} T(s_1) of each term attached."""
+        for k, path, idx, nodes, coeff, norms in self.term_blocks():
+            ends = np.column_stack([np.full(len(idx), self.t), nodes, np.zeros(len(idx))])
+            A = self._prop.batch(ends[:, 0] - ends[:, 1])
+            for pos, ell in enumerate(path[::-1]):
+                A = A @ self.lind.jumps[ell] @ self._prop.batch(ends[:, pos + 1] - ends[:, pos + 2])
+            for r, js in enumerate(idx[:, ::-1].tolist()):
+                yield KrausTerm(index=(k, path, tuple(js)), coefficient=float(coeff[r]),
+                                matrix=A[r], normalizer=float(norms[r]))
 
     def as_superoperator(self) -> np.ndarray:
         if self._superop is None:
             if self._series_order == 0:
-                self._superop = kraus_superop(self.zero_jump_term)
+                self._superop = kraus_superop(self._prop.batch(np.array([self.t]))[0])
             else:
                 self._superop = _static_superop(self.lind, self._rule, self._series_order,
                                                 lambda s, u: self._prop.batch(u - s))
@@ -592,20 +588,21 @@ def _validate_rho0(rho0: np.ndarray, dim: int) -> np.ndarray:
     return rho
 
 
-def _static_plan(lind: Lindbladian, t: float, eps: float,
-                 weight_model: str = "conservative") -> TruncationConfig:
+def _static_plan(lind: Lindbladian, t: float, eps: float) -> TruncationConfig:
     """Equal segments no longer than the normalizer budget allows, with orders
     chosen per segment at precision eps / num_segments. At t = 0 this is one
     zero-length segment with K = 0."""
+    if t < 0:
+        raise ArgumentError(f"evolution time must be nonnegative, got {t}")
     if t == 0.0:
         return choose_orders(lind, 0.0, eps)
-    tstar = segment_time(lind, cap=t, weight_model=weight_model)
+    tstar = segment_time(lind, cap=t)
     n_seg = max(1, math.ceil(t / tstar - 1e-12))
     return replace(choose_orders(lind, t / n_seg, eps / n_seg), num_segments=n_seg)
 
 
 def simulate(lind: Lindbladian, rho0: np.ndarray, t: float, eps: float,
-             verify: bool = False, weight_model: str = "conservative"):
+             verify: bool = False):
     """Evolve rho0 for time t within diamond-norm error eps; returns (rho, report).
 
     The interval is split into equal segments no longer than the normalizer
@@ -620,7 +617,7 @@ def simulate(lind: Lindbladian, rho0: np.ndarray, t: float, eps: float,
     if t == 0.0:
         return rho, _zero_time_report(eps)
 
-    cfg = _static_plan(lind, t, eps, weight_model)
+    cfg = _static_plan(lind, t, eps)
     n_seg = cfg.num_segments
     S = enumerate_kraus(lind, cfg.segment_time, cfg).as_superoperator()
     v = vec(rho)

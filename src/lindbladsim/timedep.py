@@ -122,14 +122,20 @@ class TimeDependentLindbladian:
 
 def _sample_stack(tl: TimeDependentLindbladian, times: np.ndarray):
     """Unchecked samples at each time, in order, one sampler call per time:
-    H as (B, d, d) and the jumps as (B, m, d, d)."""
+    H as (B, d, d) and the jumps, which must be d x d too, as (B, m, d, d)."""
     times = np.asarray(times, dtype=float).ravel()
     H, L = [], []
     for tau in times.tolist():
         Hb, Ls = tl.sampler(tau)
         H.append(Hb)
         L.append(Ls)
-    H, L = np.array(H, dtype=complex), np.array(L, dtype=complex)
+    H = np.array(H, dtype=complex)
+    try:
+        L = np.array(L, dtype=complex)
+    except ValueError as ex:
+        raise ModelError(f"sampler jumps must all have shape {H.shape[1:]}") from ex
+    if L.size and L.shape[2:] != H.shape[1:]:
+        raise ModelError(f"sampler jumps must all have shape {H.shape[1:]}, got {L.shape[2:]}")
     return H, L if L.size else np.empty(H.shape[:1] + (0,) + H.shape[1:], dtype=complex)
 
 

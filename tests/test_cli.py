@@ -218,6 +218,23 @@ def test_kraus_dump_zero_time(tmp_path, capsys):
     assert code == 2
 
 
+def test_kraus_dump_negative_time_names_the_evolution_time(capsys):
+    code, cap = run_cli(["kraus-dump", "--model", "models/amplitude_damping.json",
+                         "--time", "-1", "--eps", "1e-4"], capsys)
+    assert code == 2
+    assert "evolution time must be nonnegative" in cap.err
+
+
+def test_kraus_dump_guard_fires_before_the_file_is_opened(tmp_path, capsys):
+    # 1,111,111,111 terms: over TERM_GUARDRAIL, so no partial file is left behind
+    out = tmp_path / "terms.csv"
+    code, cap = run_cli(["kraus-dump", "--model", "models/heisenberg_pair.json",
+                         "--time", "1", "--eps", "1e-8", "--out", str(out)], capsys)
+    assert code == 3
+    assert "terms" in cap.err
+    assert not out.exists()
+
+
 def test_primitives_verify_passes(capsys):
     code, cap = run_cli(["primitives-verify"], capsys)
     assert code == 0

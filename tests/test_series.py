@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 
@@ -34,6 +35,7 @@ from lindbladsim import (
     g_K_quadrature,
     jump_superoperator,
     kraus_superop,
+    mu_coefficients,
     nested_grid,
     normalizer_sum_squares,
     random_lindbladian,
@@ -269,6 +271,44 @@ def test_series_engine_matches_kraus_enumeration(n_qubits, m, K, seed, t, data):
     assert np.abs(cp.as_superoperator() - S).max() <= 1e-12
 
 
+def _per_term_rows(lind, t, K, q):
+    """(index, coefficient, normalizer) of every term, by the term-by-term loop
+    the read-out used before it was factored into blocks."""
+    e_bt = math.exp(be_norm(lind) * t)
+    rows = [((0, (), ()), 1.0, e_bt)]
+    for k in range(1, K + 1):
+        grid = nested_grid(k, q, t)
+        for ells in itertools.product(range(lind.num_jumps), repeat=k):
+            alpha_prod = math.prod(lind.alphas[ell] for ell in ells)
+            path = tuple(reversed(ells))
+            for idx, _, weights in grid.chunks():
+                coeff = np.sqrt(np.prod(weights, axis=1))
+                for r in range(idx.shape[0]):
+                    rows.append(((k, path, tuple(int(j) for j in idx[r, ::-1])),
+                                 float(coeff[r]), float(coeff[r] * e_bt * alpha_prod)))
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_qubits=st.integers(1, 2), m=st.integers(1, 2), K=st.integers(0, 4),
+       seed=st.integers(0, 2**16), t=st.floats(0.05, 0.8), data=st.data())
+def test_term_blocks_match_the_per_term_loop(n_qubits, m, K, seed, t, data):
+    q = data.draw(st.integers(max(1, math.ceil(K / 2)), 4), label="q")
+    lind = random_lindbladian(n_qubits, num_jumps=m, seed=seed)
+    cfg = TruncationConfig(series_order=K, taylor_order=4, quadrature_order=q,
+                           segment_time=t)
+    cp = enumerate_kraus(lind, t, cfg)
+    rows = [((k, path, tuple(js)), c, s)
+            for k, path, idx, _, coeff, norms in cp.term_blocks()
+            for js, c, s in zip(idx[:, ::-1].tolist(), coeff.tolist(), norms.tolist())]
+    expected = _per_term_rows(lind, t, K, q)
+    assert len(rows) == cp.term_count
+    assert rows == expected
+    s_vals = np.array([row[2] for row in expected])
+    assert np.array_equal(mu_coefficients(cp).amplitudes,
+                          s_vals / math.sqrt(float(np.sum(s_vals ** 2))))
+
+
 def test_series_engine_memory_guard():
     # 266,304 chains pass the term guardrail, but the 2,080 depth-2 nodes at
     # d = 16 would take about 2 GB of superoperators
@@ -370,7 +410,7 @@ def test_budgeted_segment_stays_under_two():
 def test_segment_time_expression_value():
     for beta, asq in ((1.5, 1.0), (0.7, 0.3), (3.0, 2.2)):
         tstar = segment_time_from_bounds(beta, asq)
-        val = _budget_expression(tstar, beta, asq, "conservative")
+        val = _budget_expression(tstar, beta, asq)
         assert 2.0 - 1e-9 <= val <= 2.0
 
 
@@ -383,12 +423,6 @@ def test_segment_time_worked_example():
 def test_segment_time_trivial_model_caps():
     assert segment_time_from_bounds(0.0, 0.0, cap=7.5) == 7.5
     assert segment_time_from_bounds(0.0, 0.0) == math.inf
-
-
-def test_segment_time_rederived_is_longer():
-    t_cons = segment_time_from_bounds(1.0, 1.0, weight_model="conservative")
-    t_red = segment_time_from_bounds(1.0, 1.0, weight_model="rederived")
-    assert t_red >= t_cons
 
 
 # ---------------------------------------------------------------------------

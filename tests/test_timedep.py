@@ -362,6 +362,12 @@ def test_sampler_validation():
         TimeDependentLindbladian(lambda t: (SZ, [SM]), 1.0, [], 0.0)
     with pytest.raises(ModelError):
         TimeDependentLindbladian(lambda t: (SZ, []), -1.0, [], 0.0)
+    # a jump of the wrong shape, and a ragged jump list, fail at construction
+    with pytest.raises(ModelError, match=r"\(2, 2\)"):
+        TimeDependentLindbladian(lambda t: (np.eye(2), [np.zeros((4, 4))]), 1.0, [1.0], 0.0)
+    with pytest.raises(ModelError, match=r"\(2, 2\)"):
+        TimeDependentLindbladian(lambda t: (np.eye(2), [SM, np.zeros((4, 4))]),
+                                 1.0, [1.0, 1.0], 0.0)
     H, Ls = tl.sample(0.3)
     np.testing.assert_array_equal(H, SZ)
     assert Ls == []

@@ -1,0 +1,58 @@
+"""Write a fixed set of CLI artifacts into OUTDIR, running the CLI in-process.
+
+    PYTHONPATH=src python tools/cli_artifacts.py OUTDIR
+
+Artifacts are bitwise deterministic, so two checkouts can be compared with
+one `diff -r` of their output directories. lindbladsim is imported from the
+path, so point PYTHONPATH at the checkout under test; model files are read
+from this checkout's `models/`.
+"""
+from __future__ import annotations
+
+import os
+import sys
+
+from lindbladsim import cli
+
+MODELS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "models")
+
+RUNS = [
+    ("kraus-amplitude-t0.5-eps1e-4.csv",
+     ["kraus-dump", "--model", "amplitude_damping.json", "--time", "0.5", "--eps", "1e-4"]),
+    ("kraus-amplitude-t3-eps1e-6.csv",
+     ["kraus-dump", "--model", "amplitude_damping.json", "--time", "3", "--eps", "1e-6"]),
+    ("kraus-amplitude-t0.csv",
+     ["kraus-dump", "--model", "amplitude_damping.json", "--time", "0", "--eps", "1e-4"]),
+    ("kraus-heisenberg-t0.5-eps1e-3.csv",
+     ["kraus-dump", "--model", "heisenberg_pair.json", "--time", "0.5", "--eps", "1e-3"]),
+    ("simulate-verify.json",
+     ["simulate", "--model", "amplitude_damping.json", "--time", "1", "--eps", "1e-4",
+      "--verify"]),
+    ("analyze-error.csv",
+     ["analyze-error", "--random-models", "2", "--seed", "7", "--time", "0.3",
+      "--max-order", "3"]),
+    ("quadrature.csv", ["quadrature", "--max-q", "8"]),
+] + [
+    (f"primitives-seed{seed}.json", ["primitives-verify", "--seed", str(seed)])
+    for seed in range(6)
+] + [
+    ("td-simulate-driven.json",
+     ["td-simulate", "--model", "driven_damped_qubit.json", "--time", "0.3", "--eps", "1e-4"]),
+]
+
+
+def main(outdir: str) -> int:
+    os.makedirs(outdir, exist_ok=True)
+    failed = 0
+    for name, argv in RUNS:
+        argv = [os.path.join(MODELS, a) if a.endswith(".json") else a for a in argv]
+        code = cli.main(argv + ["--out", os.path.join(outdir, name)])
+        print(f"{name}: exit {code}")
+        failed += code != 0
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    sys.exit(main(sys.argv[1]))
