@@ -23,18 +23,12 @@ from .errors import (ArgumentError, ContractError, InfeasiblePrecisionError, Mod
 from .quadrature import canonical_rule
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(float(x))
-    return str(x)
-
-
 def _write_csv(path, header, rows):
+    # csv writes each cell with str, which for a float is its round-trip repr
     def emit(fh):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(c) for c in row])
+        writer.writerows(rows)
 
     if path is None:
         emit(sys.stdout)

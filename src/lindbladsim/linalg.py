@@ -3,6 +3,8 @@
 Density matrices are vectorized by column stacking: ``vec(rho)[j*d + i] = rho[i, j]``.
 Under this convention ``vec(A rho B) = (B^T kron A) vec(rho)``, so the conjugation map
 ``rho -> A rho A^dag`` has the superoperator matrix ``conj(A) kron A``.
+
+This module is the one place that builds Kronecker products and weighted Kraus sums.
 """
 from __future__ import annotations
 
@@ -28,22 +30,26 @@ def dag(mat: np.ndarray) -> np.ndarray:
     return np.asarray(mat).conj().T
 
 
+def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Kronecker product of the last two axes, batched over the leading axes; one
+    broadcast product per entry, so it rounds exactly as NumPy's kron does."""
+    out = np.asarray(A)[..., :, None, :, None] * np.asarray(B)[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (out.shape[-4] * out.shape[-3], -1))
+
+
 def kraus_superop(A: np.ndarray) -> np.ndarray:
-    """Superoperator matrix of rho -> A rho A^dag."""
-    A = np.asarray(A)
-    return np.kron(A.conj(), A)
+    """Superoperator matrix of rho -> A rho A^dag, batched over leading axes."""
+    return kron(np.conj(A), A)
 
 
 def left_mult(A: np.ndarray) -> np.ndarray:
     """Superoperator matrix of rho -> A rho."""
-    A = np.asarray(A)
-    return np.kron(np.eye(A.shape[0]), A)
+    return kron(np.eye(np.shape(A)[0]), A)
 
 
 def right_mult(B: np.ndarray) -> np.ndarray:
     """Superoperator matrix of rho -> rho B."""
-    B = np.asarray(B)
-    return np.kron(B.T, np.eye(B.shape[0]))
+    return kron(np.transpose(B), np.eye(np.shape(B)[0]))
 
 
 def spectral_norm(mat: np.ndarray) -> float:
@@ -51,7 +57,12 @@ def spectral_norm(mat: np.ndarray) -> float:
 
 
 def batched_kraus_sum(weights: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Sum_b weights[b] * conj(mats[b]) kron mats[b], accumulated in batch order."""
-    d = mats.shape[-1]
-    out = np.einsum("b,bij,bkl->ikjl", weights, mats.conj(), mats, optimize=True)
-    return out.reshape(d * d, d * d)
+    """Sum_b weights[..., b] conj(mats[..., b]) kron mats[..., b] for mats (..., b, d, d):
+    one matrix product (w conj A)^T @ A over the flattened d^2 axis and an index swap.
+    tests/test_linalg.py pins its bits, for 2 to 9 matrices of side 2 to 8, against
+    the optimized einsum "b,bij,bkl->ikjl"."""
+    *lead, b, d, _ = np.shape(mats)
+    A = np.reshape(mats, (*lead, b, d * d))
+    wA = np.asarray(weights)[..., None] * A.conj()
+    out = (wA.swapaxes(-1, -2) @ A).reshape(*lead, d, d, d, d)
+    return out.swapaxes(-3, -2).reshape(*lead, d * d, d * d)

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import ArgumentError, ModelError
-from .linalg import dag, kraus_superop, left_mult, right_mult, spectral_norm
+from .linalg import dag, kraus_superop, kron, left_mult, right_mult, spectral_norm
 
 HERM_TOL = 1e-12
 
@@ -118,16 +118,10 @@ def _liouvillian(H: np.ndarray, Ls) -> np.ndarray:
     L = _jump_stack(J, Ls)
     d = J.shape[-1]
     eye = np.eye(d)
-
-    def kron(A, B):
-        # kron(A, B)[a d + i, b d + k] = A[a, b] B[i, k], as (..., a, i, b, k); a
-        # broadcast product, which rounds as np.kron does (einsum's does not)
-        return A[..., :, None, :, None] * B[..., None, :, None, :]
-
-    S = np.zeros(J.shape[:-2] + (d, d, d, d), dtype=complex)
+    S = np.zeros(J.shape[:-2] + (d * d, d * d), dtype=complex)
     for j in range(L.shape[-3]):
-        S += kron(L[..., j, :, :].conj(), L[..., j, :, :])
-    return (kron(eye, J) + kron(J.conj(), eye) + S).reshape(J.shape[:-2] + (d * d, d * d))
+        S += kraus_superop(L[..., j, :, :])
+    return kron(eye, J) + kron(J.conj(), eye) + S
 
 
 def effective_generator(lind: Lindbladian) -> np.ndarray:

@@ -151,7 +151,7 @@ class _TaylorPropagator:
         deltas = np.asarray(deltas, dtype=float)
         Kp = self.powers.shape[0] - 1
         coeff = deltas[:, None] ** np.arange(Kp + 1)[None, :] * self.inv_fact[None, :]
-        return np.einsum("bl,lij->bij", coeff, self.powers, optimize=True)
+        return (coeff @ self.powers.reshape(Kp + 1, -1)).reshape(-1, *self.powers.shape[1:])
 
 
 def taylor_drift(lind: Lindbladian, s: float, Kp: int) -> np.ndarray:
@@ -242,33 +242,32 @@ def series_superop(propagate, jumps, rule: QuadratureRule, K: int, m: int,
         close = T[:n_p]
         B = T[n_p:n_p * (q + 1)].reshape(n_p, q, 1, d, d) @ jumps(uc)[ch]
         W = up[:, None] * rule.weights[None, :] / t
-        parents = []
         if i == K - 1:
-            # depth-K leaves close in Kraus form: T(u x_j, u) L_l T(0, u x_j)
-            A = B @ T[n_p * (q + 1):][ch][:, :, None]
-            wts = np.repeat(W, m, axis=1)
-            for p in range(n_p):
-                parents.append(batched_kraus_sum(
-                    np.concatenate([[1.0], wts[p]]),
-                    np.concatenate([close[p:p + 1], A[p].reshape(q * m, d, d)])))
+            # depth-K leaves in Kraus form: close at weight 1, then T(u x_j, u) L_l T(0, u x_j)
+            A = np.concatenate([close[:, None], (B @ T[n_p * (q + 1):][ch][:, :, None])
+                                .reshape(n_p, q * m, d, d)], axis=1)
+            wts = np.concatenate([np.ones((n_p, 1)), np.repeat(W, m, axis=1)], axis=1)
         else:
             remaining = np.array([len(set(c)) for c in levels[i + 1]])
-            for start in range(0, n_p, chunk):
-                sl = slice(start, min(start + chunk, n_p))
-                P = sl.stop - start
-                X = np.stack([G[c] for c in ch[sl].ravel()]).reshape(P, q, 1, d, d, d * d)
-                # K[B] X as two d x d contractions per column: B on the ket index,
-                # then conj(B), weighted, on the bra index summed over (j, l)
-                Y = (B[sl][:, :, :, None] @ X).reshape(P, q * m, d, d, d * d)
-                Wc = (W[sl][:, :, None, None, None] * B[sl].conj()).reshape(P, q * m, d, d)
-                Z = (Wc.transpose(0, 2, 1, 3).reshape(P, d, q * m * d)
-                     @ Y.reshape(P, q * m * d, d ** 3))
-                for r in range(P):
-                    parents.append(Z[r].reshape(d * d, d * d) + kraus_superop(close[start + r]))
-                for c in ch[sl].ravel():
-                    remaining[c] -= 1
-                    if remaining[c] == 0:
-                        G[c] = None
+        parents = []
+        for start in range(0, n_p, chunk):
+            sl = slice(start, min(start + chunk, n_p))
+            if i == K - 1:
+                parents.extend(batched_kraus_sum(wts[sl], A[sl]))
+                continue
+            P = sl.stop - start
+            X = np.stack([G[c] for c in ch[sl].ravel()]).reshape(P, q, 1, d, d, d * d)
+            # K[B] X as two d x d contractions per column: B on the ket index,
+            # then conj(B), weighted, on the bra index summed over (j, l)
+            Y = (B[sl][:, :, :, None] @ X).reshape(P, q * m, d, d, d * d)
+            Wc = (W[sl][:, :, None, None, None] * B[sl].conj()).reshape(P, q * m, d, d)
+            Z = (Wc.transpose(0, 2, 1, 3).reshape(P, d, q * m * d)
+                 @ Y.reshape(P, q * m * d, d ** 3))
+            parents.extend(Z.reshape(P, d * d, d * d) + kraus_superop(close[sl]))
+            for c in ch[sl].ravel():
+                remaining[c] -= 1
+                if remaining[c] == 0:
+                    G[c] = None
         G = parents
     return G[0]
 
@@ -353,7 +352,7 @@ def choose_orders_from_bounds(beta: float, alpha_sq: float, seg_t: float,
     identities exact), then Kp against the total substituted-drift budget.
     Monotone in eps: halving eps never decreases any order.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ArgumentError(f"target precision must be positive, got {eps}")
     if seg_t < 0:
         raise ArgumentError(f"segment time must be nonnegative, got {seg_t}")
@@ -592,8 +591,8 @@ def _static_plan(lind: Lindbladian, t: float, eps: float) -> TruncationConfig:
     """Equal segments no longer than the normalizer budget allows, with orders
     chosen per segment at precision eps / num_segments. At t = 0 this is one
     zero-length segment with K = 0."""
-    if t < 0:
-        raise ArgumentError(f"evolution time must be nonnegative, got {t}")
+    if not 0 <= t < math.inf:
+        raise ArgumentError(f"evolution time must be nonnegative and finite, got {t}")
     if t == 0.0:
         return choose_orders(lind, 0.0, eps)
     tstar = segment_time(lind, cap=t)
@@ -609,9 +608,9 @@ def simulate(lind: Lindbladian, rho0: np.ndarray, t: float, eps: float,
     budget allows, orders are chosen per segment at precision eps/num_segments,
     and the same segment superoperator is applied num_segments times.
     """
-    if t < 0:
-        raise ArgumentError(f"evolution time must be nonnegative, got {t}")
-    if eps <= 0:
+    if not 0 <= t < math.inf:
+        raise ArgumentError(f"evolution time must be nonnegative and finite, got {t}")
+    if not eps > 0:
         raise ArgumentError(f"target precision must be positive, got {eps}")
     rho = _validate_rho0(rho0, lind.dim)
     if t == 0.0:

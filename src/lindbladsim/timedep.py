@@ -311,9 +311,9 @@ def td_simulate(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float, eps: f
     ResourceLimitError when the run would make more than MAX_SAMPLER_CALLS
     sampler calls; the series engine's own node and byte caps still apply.
     """
-    if t < 0:
-        raise ArgumentError(f"evolution time must be nonnegative, got {t}")
-    if eps <= 0:
+    if not 0 <= t < math.inf:
+        raise ArgumentError(f"evolution time must be nonnegative and finite, got {t}")
+    if not eps > 0:
         raise ArgumentError(f"target precision must be positive, got {eps}")
     rho = _validate_rho0(rho0, tl.dim)
     if t == 0.0:

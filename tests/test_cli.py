@@ -106,6 +106,17 @@ def test_exit_code_bad_arguments(capsys):
     code, _ = run_cli(["td-simulate", "--model", "models/driven_damped_qubit.json",
                        "--time", "0.5", "--eps", "1e-4", "--order", "3"], capsys)
     assert code == 2
+    # non-finite times and precisions: typed errors, not a traceback or exit 3
+    for command, model in [("simulate", "amplitude_damping"), ("kraus-dump", "amplitude_damping"),
+                           ("td-simulate", "driven_damped_qubit")]:
+        code, cap = run_cli([command, "--model", f"models/{model}.json",
+                             "--time", "inf", "--eps", "1e-4"], capsys)
+        assert code == 2
+        assert "evolution time must be nonnegative and finite, got inf" in cap.err
+    for time, eps in [("nan", "1e-4"), ("1.0", "nan")]:
+        code, _ = run_cli(["simulate", "--model", "models/amplitude_damping.json",
+                           "--time", time, "--eps", eps], capsys)
+        assert code == 2
 
 
 def test_exit_code_infeasible_precision(capsys):

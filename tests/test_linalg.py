@@ -1,0 +1,54 @@
+"""The linalg primitives against np.kron and the einsum forms they replaced, bit for bit."""
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lindbladsim.linalg import batched_kraus_sum, kraus_superop, kron, left_mult, right_mult
+from lindbladsim.series import _TaylorPropagator
+
+
+def _complex(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _einsum_kraus_sum(weights, mats):
+    # the form batched_kraus_sum replaced; at b = 1 einsum skips the matrix
+    # product, so its bits differ there, and the series engine always passes
+    # b = 1 + q m >= 2 matrices
+    d = mats.shape[-1]
+    out = np.einsum("b,bij,bkl->ikjl", weights, mats.conj(), mats, optimize=True)
+    return out.reshape(d * d, d * d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([2, 4, 8]), b=st.integers(2, 9), P=st.none() | st.integers(1, 5),
+       seed=st.integers(0, 2**16))
+def test_kron_and_kraus_sum_are_bitwise_the_reference(d, b, P, seed):
+    rng = np.random.default_rng(seed)
+    lead = () if P is None else (P,)
+    A, C = _complex(rng, lead + (d, d)), _complex(rng, lead + (d, d))
+    mats, weights = _complex(rng, lead + (b, d, d)), rng.uniform(0.0, 2.0, lead + (b,))
+    got = batched_kraus_sum(weights, mats)
+    assert got.shape == lead + (d * d, d * d)
+    for n in np.ndindex(lead):
+        assert np.array_equal(kron(A, C)[n], np.kron(A[n], C[n]))
+        assert np.array_equal(kraus_superop(A)[n], np.kron(A[n].conj(), A[n]))
+        assert np.array_equal(got[n], _einsum_kraus_sum(weights[n], mats[n]))
+    if P is None:
+        assert np.array_equal(left_mult(A), np.kron(np.eye(d), A))
+        assert np.array_equal(right_mult(A), np.kron(A.T, np.eye(d)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.sampled_from([2, 4, 16]), Kp=st.sampled_from([3, 8, 14]), B=st.integers(1, 300),
+       seed=st.integers(0, 2**16))
+def test_taylor_batch_is_bitwise_the_einsum(d, Kp, B, seed):
+    rng = np.random.default_rng(seed)
+    prop = _TaylorPropagator(_complex(rng, (d, d)) / d, Kp)
+    deltas = rng.uniform(0.0, 1.0, B)
+    coeff = deltas[:, None] ** np.arange(Kp + 1)[None, :] * np.array(
+        [1.0 / math.factorial(ell) for ell in range(Kp + 1)])[None, :]
+    ref = np.einsum("bl,lij->bij", coeff, prop.powers, optimize=True)
+    assert np.array_equal(prop.batch(deltas), ref)

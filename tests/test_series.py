@@ -621,6 +621,9 @@ def test_simulate_rejects_bad_density():
         simulate(lind, np.diag([1.0, 0.0]), -1.0, 1e-4)
     with pytest.raises(ArgumentError):
         simulate(lind, np.diag([1.0, 0.0]), 1.0, 0.0)
+    for t, eps in [(math.inf, 1e-4), (math.nan, 1e-4), (1.0, math.nan)]:
+        with pytest.raises(ArgumentError):
+            simulate(lind, np.diag([1.0, 0.0]), t, eps)
 
 
 def test_simulate_report_is_serializable():

@@ -335,6 +335,9 @@ def test_td_simulate_argument_validation():
         td_simulate(tl, rho0, -1.0, 1e-4)
     with pytest.raises(ArgumentError):
         td_simulate(tl, rho0, 1.0, 0.0)
+    for t, eps in [(math.inf, 1e-4), (math.nan, 1e-4), (1.0, math.nan)]:
+        with pytest.raises(ArgumentError):
+            td_simulate(tl, rho0, t, eps)
     with pytest.raises(ModelError):
         td_simulate(tl, np.eye(2, dtype=complex), 1.0, 1e-4)
 
