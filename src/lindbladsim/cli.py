@@ -19,7 +19,7 @@ import numpy as np
 
 from . import metrics, modelio, models, series, timedep
 from .errors import (ArgumentError, ContractError, InfeasiblePrecisionError, ModelError,
-                     PauliParseError, ResourceLimitError)
+                     PauliParseError, ResourceLimitError, check_time)
 from .quadrature import canonical_rule
 
 
@@ -131,13 +131,14 @@ def _analyze_row(name, lind, t, K, Kp, q, timing):
     E = models.exact_channel(lind, t)
     lower, upper = metrics.diamond_sandwich(E, S)
     beta = models.be_norm(lind)
-    bq = sum(series.bound_quadrature(k, q, t, beta) for k in range(1, K + 1))
     runtime = (time.perf_counter() - t0) * 1000.0 if timing else 0.0
-    return (name, t, K, Kp, q, series.bound_duhamel(K, t, beta), bq,
+    return (name, t, K, Kp, q, series.bound_duhamel(K, t, beta),
+            series.quadrature_total_bound(K, q, t, beta),
             series.taylor_total_bound(Kp, t, beta), lower, upper, runtime)
 
 
 def _cmd_analyze_error(args) -> int:
+    check_time(args.time)
     named = _sweep_models(args)
     jobs = []
     for name, lind in named:
@@ -186,7 +187,7 @@ def _cmd_kraus_dump(args) -> int:
     if pm.is_time_dependent:
         raise ModelError("model declares time dependence; use td-simulate")
     lind = pm.to_lindbladian()
-    cfg = series._static_plan(lind, args.time, args.eps)
+    cfg = series._plan(lind, args.time, args.eps)
     blocks = series.enumerate_kraus(lind, cfg.segment_time, cfg).term_blocks()
     rows = ((k, "-".join(map(str, path)), "-".join(map(str, js)), c, s)
             for k, path, idx, _, coeff, norms in blocks

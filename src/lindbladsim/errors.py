@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check on times."""
+
+import math
 
 
 class LindbladSimError(Exception):
@@ -37,3 +39,10 @@ class ContractError(LindbladSimError):
     def __init__(self, message: str, measured: float | None = None):
         super().__init__(message)
         self.measured = measured
+
+
+def check_time(t: float, name: str = "evolution time", positive: bool = False) -> None:
+    """Raise ArgumentError unless t is finite and nonnegative (positive if asked)."""
+    if not (math.isfinite(t) and (t > 0 if positive else t >= 0)):
+        sign = "positive" if positive else "nonnegative"
+        raise ArgumentError(f"{name} must be {sign} and finite, got {t}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import ArgumentError, ModelError
+from .errors import ArgumentError, ModelError, check_time
 from .linalg import dag, kraus_superop, kron, left_mult, right_mult, spectral_norm
 
 HERM_TOL = 1e-12
@@ -89,9 +89,10 @@ class Lindbladian:
                 f"alpha0={self.alpha0:.6g}, alphas={[f'{a:.6g}' for a in self.alphas]})")
 
 
-def be_norm(lind: Lindbladian) -> float:
-    """Block-encoding norm beta = alpha0 + (1/2) sum_j alphas[j]^2."""
-    return lind.alpha0 + 0.5 * sum(a * a for a in lind.alphas)
+def be_norm(model) -> float:
+    """Block-encoding norm beta = alpha0 + (1/2) sum_j alphas[j]^2 from the declared
+    bounds of a Lindbladian or a timedep.TimeDependentLindbladian."""
+    return model.alpha0 + 0.5 * sum(a * a for a in model.alphas)
 
 
 def _jump_stack(H: np.ndarray, Ls) -> np.ndarray:
@@ -155,15 +156,13 @@ def liouvillian_matrix(lind: Lindbladian) -> np.ndarray:
 
 def exact_channel(lind: Lindbladian, t: float) -> np.ndarray:
     """Superoperator matrix of exp(L t), the exact channel at time t."""
-    if t < 0:
-        raise ArgumentError(f"evolution time must be nonnegative, got {t}")
+    check_time(t)
     return expm(liouvillian_matrix(lind) * t)
 
 
 def drift_semigroup(lind: Lindbladian, t: float) -> np.ndarray:
     """Superoperator of rho -> exp(Jt) rho exp(Jt)^dag (the no-jump semigroup)."""
-    if t < 0:
-        raise ArgumentError(f"evolution time must be nonnegative, got {t}")
+    check_time(t)
     return kraus_superop(expm(effective_generator(lind) * t))
 
 

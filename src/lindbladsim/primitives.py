@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import ArgumentError, ContractError
 from .linalg import dag, spectral_norm
+from .models import be_norm
 from .series import CPMapApprox
 
 
@@ -41,10 +42,6 @@ class BlockEncoding:
     @property
     def dim(self) -> int:
         return self.target.shape[0]
-
-    @property
-    def ancilla_qubits(self) -> int:
-        return max(1, math.ceil(math.log2(self.ancilla_dim)))
 
     def block(self) -> np.ndarray:
         """alpha times the encoded top-left block."""
@@ -191,7 +188,6 @@ class ChannelApplication:
 
     select: np.ndarray
     mu: np.ndarray
-    s_values: np.ndarray
     sum_s_squares: float
     index_dim: int
     ancilla_dim: int
@@ -242,7 +238,7 @@ def lcu_channel(encodings, psi) -> ChannelApplication:
     residual = float(np.linalg.norm(branch - target))
     eps_max = max(e.epsilon for e in encodings)
     return ChannelApplication(
-        select=sel, mu=mu, s_values=s_vals, sum_s_squares=total,
+        select=sel, mu=mu, sum_s_squares=total,
         index_dim=Mp, ancilla_dim=a, dim=d, psi_hat=psi_hat, branch=branch,
         residual=residual,
         residual_bound=M * eps_max / math.sqrt(total),
@@ -401,7 +397,7 @@ def verification_matrix(seed: int = 0) -> dict:
     out["dilution_angle"] = _check(abs(th1 - math.pi / 3), 1e-12)
 
     mu = mu_coefficients(cp)
-    beta = lind.alpha0 + 0.5 * sum(a * a for a in lind.alphas)
+    beta = be_norm(lind)
     resid = 0.0
     for term in terms:
         k, ells, js = term.index

@@ -23,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ArgumentError, ResourceLimitError
+from .errors import ArgumentError, ResourceLimitError, check_time
 
 MAX_ORDER = 64
 TERM_GUARDRAIL = 10 ** 8
@@ -79,8 +79,7 @@ class QuadratureRule:
 
 def canonical_rule(q: int, t: float) -> QuadratureRule:
     """q-point rule on [0, t]: shat = t(x+1)/2, what = t v / 2."""
-    if not t > 0:
-        raise ArgumentError(f"interval length must be positive, got {t}")
+    check_time(t, "interval length", positive=True)
     x, v = legendre_rule(q)
     return QuadratureRule(order=int(q), interval_length=float(t),
                           nodes=t * (x + 1.0) / 2.0, weights=t * v / 2.0)

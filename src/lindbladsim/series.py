@@ -14,6 +14,8 @@ whose map rho -> sum c^2 A rho A^dag is completely positive by construction.
 Every truncation knob carries a closed-form error bound, and the normalizer
 sum over the family admits a closed form that drives the segment-length budget
 (success probability of the amplified channel application stays >= 1/4).
+One planner, _plan, picks the segment count and orders of every run, static or
+time-dependent, from the model's declared bounds.
 
 The superoperator of the family is never built chain by chain: series_superop
 evaluates it as a recursion over quadrature-index multisets, shared with the
@@ -38,7 +40,8 @@ from typing import Iterator
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import ArgumentError, InfeasiblePrecisionError, ModelError, ResourceLimitError
+from .errors import (ArgumentError, InfeasiblePrecisionError, ModelError, ResourceLimitError,
+                     check_time)
 from .linalg import batched_kraus_sum, kraus_superop, spectral_norm, unvec, vec
 from .metrics import diamond_sandwich
 from .models import (Lindbladian, be_norm, effective_generator, exact_channel,
@@ -89,6 +92,11 @@ def bound_quadrature(k: int, q: int, t: float, beta: float) -> float:
             / (math.factorial(k - 1) * math.factorial(2 * q)))
 
 
+def quadrature_total_bound(K: int, q: int, t: float, beta: float) -> float:
+    """bound_quadrature summed over the chain depths 1..K; 0.0 at K = 0."""
+    return sum((bound_quadrature(k, q, t, beta) for k in range(1, K + 1)), 0.0)
+
+
 def taylor_total_bound(Kp: int, t: float, beta: float) -> float:
     """Total Taylor-substitution error across all chain depths, plus the k=0 term."""
     tail = 32.0 * math.exp(5.0 * beta * t) * (beta * t) ** (Kp + 2) / math.factorial(Kp + 1)
@@ -103,13 +111,19 @@ def _budget_expression(t: float, beta: float, alpha_sq: float) -> float:
     return math.exp(2 * beta * t) + t * alpha_sq * math.exp(2 * beta * t) * math.exp(t * alpha_sq)
 
 
-def segment_time_from_bounds(beta: float, alpha_sq: float, cap: float | None = None) -> float:
-    """Largest segment length keeping the normalizer budget expression <= 2.
+def _alpha_sq(model) -> float:
+    return sum(a * a for a in model.alphas)
+
+
+def segment_time(model, cap: float | None = None) -> float:
+    """Largest segment length keeping the normalizer budget expression <= 2, from
+    the declared bounds of a Lindbladian or a TimeDependentLindbladian.
 
     With beta = 0 the dynamics are trivial and the requested cap (or infinity)
     is returned. Bisection runs to absolute tolerance 1e-12, returning the
     inner endpoint, so the expression value lands in [2 - 1e-9, 2].
     """
+    beta, alpha_sq = be_norm(model), _alpha_sq(model)
     if beta == 0.0:
         return float(cap) if cap is not None else math.inf
     lo, hi = 0.0, 1.0 / beta
@@ -125,11 +139,6 @@ def segment_time_from_bounds(beta: float, alpha_sq: float, cap: float | None = N
     if cap is not None:
         tstar = min(tstar, float(cap))
     return tstar
-
-
-def segment_time(lind: Lindbladian, cap: float | None = None) -> float:
-    """Segment budget for a static model; see segment_time_from_bounds."""
-    return segment_time_from_bounds(be_norm(lind), sum(a * a for a in lind.alphas), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +165,7 @@ class _TaylorPropagator:
 
 def taylor_drift(lind: Lindbladian, s: float, Kp: int) -> np.ndarray:
     """Matrix sum_{ell<=Kp} (J s)^ell / ell!."""
-    if s < 0:
-        raise ArgumentError(f"duration must be nonnegative, got {s}")
+    check_time(s, "duration")
     if Kp < 0:
         raise ArgumentError(f"Taylor order must be nonnegative, got {Kp}")
     J = effective_generator(lind)
@@ -290,8 +298,7 @@ def f_k(lind: Lindbladian, t: float, s) -> np.ndarray:
     An empty s gives the drift semigroup conjugation.
     """
     s = np.asarray(s, dtype=float).reshape(-1)
-    if t < 0:
-        raise ArgumentError(f"evolution time must be nonnegative, got {t}")
+    check_time(t)
     if s.size and (np.any(np.diff(s) < 0) or s[0] < 0 or s[-1] > t):
         raise ArgumentError("jump times must satisfy 0 <= s_1 <= ... <= s_k <= t")
     J = effective_generator(lind)
@@ -305,8 +312,7 @@ def f_k(lind: Lindbladian, t: float, s) -> np.ndarray:
 
 def g_K_quadrature(lind: Lindbladian, t: float, K: int, q: int) -> np.ndarray:
     """Order-K series superoperator with exact drifts and nested quadrature sums."""
-    if t < 0:
-        raise ArgumentError(f"evolution time must be nonnegative, got {t}")
+    check_time(t)
     if K < 0:
         raise ArgumentError(f"series order must be nonnegative, got {K}")
     J = effective_generator(lind)
@@ -336,15 +342,14 @@ class TruncationConfig:
         if self.quadrature_order < max(1, math.ceil(self.series_order / 2)):
             # below this floor the nested weights no longer total t^k / k!
             raise ArgumentError("quadrature order must be >= max(1, ceil(K / 2))")
-        if not self.segment_time >= 0:
-            raise ArgumentError("segment_time must be nonnegative")
+        check_time(self.segment_time, "segment_time")
         if self.num_segments < 1:
             raise ArgumentError("num_segments must be >= 1")
 
 
-def choose_orders_from_bounds(beta: float, alpha_sq: float, seg_t: float,
-                              eps: float) -> TruncationConfig:
-    """Smallest (K, Kp, q) whose closed-form bounds each stay below eps/3.
+def choose_orders(model, seg_t: float, eps: float) -> TruncationConfig:
+    """Smallest (K, Kp, q) whose closed-form bounds each stay below eps/3, from
+    the declared bounds of a Lindbladian or a TimeDependentLindbladian.
 
     The three error sources (series truncation, quadrature transfer, Taylor
     substitution) get an even eps/3 split. Selection is sequential: K first,
@@ -354,8 +359,8 @@ def choose_orders_from_bounds(beta: float, alpha_sq: float, seg_t: float,
     """
     if not eps > 0:
         raise ArgumentError(f"target precision must be positive, got {eps}")
-    if seg_t < 0:
-        raise ArgumentError(f"segment time must be nonnegative, got {seg_t}")
+    check_time(seg_t, "segment time")
+    beta, alpha_sq = be_norm(model), _alpha_sq(model)
     budget = eps / 3.0
     if beta == 0.0 or seg_t == 0.0:
         return TruncationConfig(0, 0, 1, seg_t)
@@ -374,8 +379,7 @@ def choose_orders_from_bounds(beta: float, alpha_sq: float, seg_t: float,
     else:
         q_floor = max(1, math.ceil(K / 2))
         q = next((qq for qq in range(q_floor, MAX_SEARCH_ORDER + 1)
-                  if sum(bound_quadrature(k, qq, seg_t, beta)
-                         for k in range(1, K + 1)) <= budget), None)
+                  if quadrature_total_bound(K, qq, seg_t, beta) <= budget), None)
         if q is None:
             raise InfeasiblePrecisionError(
                 f"no quadrature order <= {MAX_SEARCH_ORDER} reaches eps = {eps}")
@@ -388,12 +392,6 @@ def choose_orders_from_bounds(beta: float, alpha_sq: float, seg_t: float,
             f"no Taylor order <= {MAX_SEARCH_ORDER} reaches eps = {eps}")
 
     return TruncationConfig(K, Kp, q, seg_t)
-
-
-def choose_orders(lind: Lindbladian, seg_t: float, eps: float) -> TruncationConfig:
-    """Order selection for a static model; see choose_orders_from_bounds."""
-    return choose_orders_from_bounds(be_norm(lind), sum(a * a for a in lind.alphas),
-                                     seg_t, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +431,7 @@ class CPMapApprox:
     """
 
     def __init__(self, lind: Lindbladian, t: float, config: TruncationConfig):
-        if t < 0:
-            raise ArgumentError(f"evolution time must be nonnegative, got {t}")
+        check_time(t)
         K = config.series_order if (lind.num_jumps > 0 and t > 0) else 0
         self.lind = lind
         self.t = float(t)
@@ -498,8 +495,8 @@ class CPMapApprox:
 
     def normalizer_sum_squares(self) -> float:
         """sum_j s_j^2 over the family, s_j = coeff * e^{beta t} * prod alpha."""
-        return _normalizer_sum(be_norm(self.lind), sum(a * a for a in self.lind.alphas),
-                               self.t, self._series_order)
+        return _normalizer_sum(be_norm(self.lind), _alpha_sq(self.lind), self.t,
+                               self._series_order)
 
 
 def enumerate_kraus(lind: Lindbladian, t: float, config: TruncationConfig) -> CPMapApprox:
@@ -548,23 +545,20 @@ def _zero_time_report(eps: float) -> SimulationReport:
                             trace_deviation=0.0)
 
 
-def _report(t: float, eps: float, n_seg: int, K: int, Kp: int, q: int, m: int,
-            beta: float, alpha_sq: float, rho_out: np.ndarray,
+def _report(model, t: float, eps: float, cfg: TruncationConfig, rho_out: np.ndarray,
             measured=(None, None)) -> SimulationReport:
-    """Report of a run over n_seg equal segments with series order K, drift
-    order Kp, quadrature order q and m jumps; measured is the Choi (lower,
-    upper) pair when verified."""
-    seg_t = t / n_seg
-    bq = (sum(bound_quadrature(k, q, seg_t, beta) for k in range(1, K + 1))
-          if (K > 0 and m > 0) else 0.0)
+    """Report of a run of model over cfg's equal segments; measured is the Choi
+    (lower, upper) pair when verified."""
+    n_seg, seg_t, m, beta = cfg.num_segments, cfg.segment_time, model.num_jumps, be_norm(model)
+    K, q = cfg.series_order, cfg.quadrature_order
     return SimulationReport(
         total_time=float(t), eps=float(eps), segments=n_seg, segment_time=seg_t,
-        series_order=K, taylor_order=Kp, quadrature_order=q,
+        series_order=K, taylor_order=cfg.taylor_order, quadrature_order=q,
         kraus_terms=1 + _chain_count(m, q, K),
-        normalizer_sum_squares=_normalizer_sum(beta, alpha_sq, seg_t, K),
+        normalizer_sum_squares=_normalizer_sum(beta, _alpha_sq(model), seg_t, K),
         bound_duhamel=bound_duhamel(K, seg_t, beta) if m else 0.0,
-        bound_quadrature=bq,
-        bound_taylor_total=taylor_total_bound(Kp, seg_t, beta),
+        bound_quadrature=quadrature_total_bound(K, q, seg_t, beta),
+        bound_taylor_total=taylor_total_bound(cfg.taylor_order, seg_t, beta),
         per_segment_eps=eps / n_seg,
         trace_deviation=float(abs(np.trace(rho_out).real - 1.0)),
         measured_choi_lower=measured[0],
@@ -587,17 +581,31 @@ def _validate_rho0(rho0: np.ndarray, dim: int) -> np.ndarray:
     return rho
 
 
-def _static_plan(lind: Lindbladian, t: float, eps: float) -> TruncationConfig:
-    """Equal segments no longer than the normalizer budget allows, with orders
-    chosen per segment at precision eps / num_segments. At t = 0 this is one
-    zero-length segment with K = 0."""
-    if not 0 <= t < math.inf:
-        raise ArgumentError(f"evolution time must be nonnegative and finite, got {t}")
-    if t == 0.0:
-        return choose_orders(lind, 0.0, eps)
-    tstar = segment_time(lind, cap=t)
-    n_seg = max(1, math.ceil(t / tstar - 1e-12))
-    return replace(choose_orders(lind, t / n_seg, eps / n_seg), num_segments=n_seg)
+def _plan(model, t: float, eps: float, counts=lambda n0: (n0,)) -> TruncationConfig:
+    """Equal segments and their orders for a run of model over [0, t] at precision eps.
+
+    n0 is the fewest equal segments no longer than segment_time allows (1 at
+    t = 0); every count at or above it keeps the normalizer budget. Each count
+    n in counts(n0) gets orders at precision eps / n, and the feasible count
+    with the least n times chain count wins, the first on ties. When no count
+    is feasible, the first count's InfeasiblePrecisionError is raised.
+    """
+    check_time(t)
+    n0 = max(1, math.ceil(t / segment_time(model, cap=t) - 1e-12)) if t > 0 else 1
+    best, first_error = None, None
+    for n in counts(n0):
+        try:
+            cfg = choose_orders(model, t / n, eps / n)
+        except InfeasiblePrecisionError as ex:
+            first_error = first_error or ex
+            continue
+        work = n * _chain_count(max(model.num_jumps, 1), cfg.quadrature_order,
+                                cfg.series_order)
+        if best is None or work < best[0]:
+            best = (work, replace(cfg, num_segments=n))
+    if best is None:
+        raise first_error
+    return best[1]
 
 
 def simulate(lind: Lindbladian, rho0: np.ndarray, t: float, eps: float,
@@ -608,15 +616,14 @@ def simulate(lind: Lindbladian, rho0: np.ndarray, t: float, eps: float,
     budget allows, orders are chosen per segment at precision eps/num_segments,
     and the same segment superoperator is applied num_segments times.
     """
-    if not 0 <= t < math.inf:
-        raise ArgumentError(f"evolution time must be nonnegative and finite, got {t}")
+    check_time(t)
     if not eps > 0:
         raise ArgumentError(f"target precision must be positive, got {eps}")
     rho = _validate_rho0(rho0, lind.dim)
     if t == 0.0:
         return rho, _zero_time_report(eps)
 
-    cfg = _static_plan(lind, t, eps)
+    cfg = _plan(lind, t, eps)
     n_seg = cfg.num_segments
     S = enumerate_kraus(lind, cfg.segment_time, cfg).as_superoperator()
     v = vec(rho)
@@ -627,6 +634,4 @@ def simulate(lind: Lindbladian, rho0: np.ndarray, t: float, eps: float,
     measured = (None, None)
     if verify:
         measured = diamond_sandwich(np.linalg.matrix_power(S, n_seg), exact_channel(lind, t))
-    return rho_out, _report(t, eps, n_seg, cfg.series_order, cfg.taylor_order,
-                            cfg.quadrature_order, lind.num_jumps, be_norm(lind),
-                            sum(a * a for a in lind.alphas), rho_out, measured)
+    return rho_out, _report(lind, t, eps, cfg, rho_out, measured)

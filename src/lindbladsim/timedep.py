@@ -30,17 +30,16 @@ errors naming the first failing time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ArgumentError, InfeasiblePrecisionError, ModelError, ResourceLimitError
+from .errors import ArgumentError, ModelError, ResourceLimitError, check_time
 from .linalg import kraus_superop, unvec, vec
-from .models import Lindbladian, _drift_generator, _liouvillian
+from .models import Lindbladian, _drift_generator, _liouvillian, be_norm
 from .quadrature import canonical_rule
-from .series import (MAX_SAMPLER_CALLS, _WORK_BYTES, _chain_count, _report, _validate_rho0,
-                     _zero_time_report, choose_orders_from_bounds, segment_time_from_bounds,
-                     series_superop)
+from .series import (MAX_SAMPLER_CALLS, _WORK_BYTES, _plan, _report, _validate_rho0,
+                     _zero_time_report, series_superop)
 
 
 @dataclass(frozen=True)
@@ -76,14 +75,6 @@ class TimeDependentLindbladian:
     @property
     def num_jumps(self) -> int:
         return len(self.alphas)
-
-    @property
-    def be_norm(self) -> float:
-        return self.alpha0 + 0.5 * sum(a * a for a in self.alphas)
-
-    @property
-    def alpha_sq(self) -> float:
-        return sum(a * a for a in self.alphas)
 
     def _check(self, times: np.ndarray, H: np.ndarray, L: np.ndarray) -> np.ndarray:
         """Validate stacked samples in time order; returns the symmetrized H.
@@ -203,7 +194,7 @@ def ordered_propagator(tl: TimeDependentLindbladian, s: float, t: float,
 
 def dyson_contract(tl: TimeDependentLindbladian, delta: float, cfg: DysonConfig) -> float:
     """Stated per-interval error contract of ordered_propagator."""
-    beta = tl.be_norm
+    beta = be_norm(tl)
     return ((beta * delta) ** (cfg.order + 1) / math.factorial(cfg.order + 1)
             + delta ** 2 * tl.jdot_bound / cfg.grid_points)
 
@@ -243,6 +234,7 @@ def _segment_sampler_calls(K: int, q: int, m: int, M: int) -> int:
 def rk4_reference(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float,
                   step: float) -> np.ndarray:
     """Dense classical Runge-Kutta integration of the vectorized master equation."""
+    check_time(t)
     if step <= 0:
         raise ArgumentError("step must be positive")
     n = max(1, math.ceil(t / step - 1e-12))
@@ -266,43 +258,15 @@ def rk4_reference(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float,
     return unvec(v)
 
 
-def _segment_search(tl: TimeDependentLindbladian, t: float, eps: float):
-    """Pick a segment count minimizing estimated chain work.
-
-    Any count at or above the budget-derived minimum keeps the normalizer
-    budget valid; more, shorter segments shrink the chain tree exponentially,
-    which dominates total cost because time-ordered segments cannot share one
-    superoperator. Returns (n_seg, orders) for the cheapest power-of-two
-    multiple of the minimum.
-    """
-    beta, alpha_sq = tl.be_norm, tl.alpha_sq
-    tstar = segment_time_from_bounds(beta, alpha_sq, cap=t)
-    n0 = max(1, math.ceil(t / tstar - 1e-12))
-    best = None
-    for i in range(9):
-        n = n0 * (2 ** i)
-        try:
-            orders = choose_orders_from_bounds(beta, alpha_sq, t / n, eps / n)
-        except InfeasiblePrecisionError:
-            continue
-        work = n * _chain_count(max(tl.num_jumps, 1), orders.quadrature_order,
-                                orders.series_order)
-        if best is None or work < best[0]:
-            best = (work, n, orders)
-    if best is None:
-        orders = choose_orders_from_bounds(beta, alpha_sq, t / n0, eps / n0)
-        best = (0, n0, orders)
-    return best[1], best[2]
-
-
 def td_simulate(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float, eps: float,
                 cfg: DysonConfig | None = None, segments: int | None = None):
     """Time-ordered analogue of simulate; returns (rho, report, dyson_config).
 
-    Segmentation and (K, q) come from the same be-norm budget machinery as the
-    static pipeline, with declared bounds standing in for exact norms; the
-    segment count is raised above the budget minimum when that lowers the total
-    chain work. The propagator truncation order defaults to the static
+    Segmentation and (K, q) come from the static pipeline's planner, which reads
+    the declared bounds. It takes the multiple n0 2^i (i <= 8) of the budget
+    minimum n0 with the least total chain work, since more, shorter segments
+    shrink the chain tree exponentially and time-ordered segments cannot share
+    one superoperator. The propagator truncation order defaults to the static
     Taylor-order criterion and the grid count to a heuristic calibrated to the
     midpoint product's measured quadratic convergence (the reported contract
     uses the declared first-order rate). Pass cfg or segments to override.
@@ -311,23 +275,18 @@ def td_simulate(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float, eps: f
     ResourceLimitError when the run would make more than MAX_SAMPLER_CALLS
     sampler calls; the series engine's own node and byte caps still apply.
     """
-    if not 0 <= t < math.inf:
-        raise ArgumentError(f"evolution time must be nonnegative and finite, got {t}")
+    check_time(t)
     if not eps > 0:
         raise ArgumentError(f"target precision must be positive, got {eps}")
     rho = _validate_rho0(rho0, tl.dim)
     if t == 0.0:
         return rho, _zero_time_report(eps), cfg or DysonConfig(0, 1)
 
-    beta, alpha_sq = tl.be_norm, tl.alpha_sq
-    if segments is None:
-        n_seg, orders = _segment_search(tl, t, eps)
-    else:
-        if segments < 1:
-            raise ArgumentError("segment count must be >= 1")
-        n_seg = segments
-        orders = choose_orders_from_bounds(beta, alpha_sq, t / segments, eps / segments)
-    delta = t / n_seg
+    if segments is not None and segments < 1:
+        raise ArgumentError("segment count must be >= 1")
+    counts = (lambda n0: (segments,)) if segments else (lambda n0: [n0 * 2 ** i for i in range(9)])
+    orders = _plan(tl, t, eps, counts)
+    n_seg, delta = orders.num_segments, orders.segment_time
     K, q = orders.series_order, orders.quadrature_order
     if cfg is None:
         if tl.jdot_bound == 0.0:
@@ -350,5 +309,4 @@ def td_simulate(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float, eps: f
         S = _segment_superop(tl, a, delta, K, q, cfg)
         v = S @ v
     rho_out = unvec(v)
-    return rho_out, _report(t, eps, n_seg, K, cfg.order, q, tl.num_jumps, beta, alpha_sq,
-                            rho_out), cfg
+    return rho_out, _report(tl, t, eps, replace(orders, taylor_order=cfg.order), rho_out), cfg

@@ -117,6 +117,14 @@ def test_exit_code_bad_arguments(capsys):
         code, _ = run_cli(["simulate", "--model", "models/amplitude_damping.json",
                            "--time", time, "--eps", eps], capsys)
         assert code == 2
+    for argv, err in [(["quadrature", "--times", "inf"], "interval length"),
+                      (["analyze-error", "--random-models", "1", "--time", "inf"],
+                       "evolution time"),
+                      (["analyze-error", "--random-models", "1", "--time", "nan"],
+                       "evolution time")]:
+        code, cap = run_cli(argv, capsys)
+        assert code == 2
+        assert f"{err} must be" in cap.err and "and finite, got" in cap.err
 
 
 def test_exit_code_infeasible_precision(capsys):

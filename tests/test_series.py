@@ -22,6 +22,7 @@ from lindbladsim import (
     bound_duhamel,
     bound_quadrature,
     bound_taylor,
+    canonical_rule,
     choi,
     choose_orders,
     dag,
@@ -32,6 +33,7 @@ from lindbladsim import (
     enumerate_kraus,
     exact_channel,
     f_k,
+    from_static,
     g_K_quadrature,
     jump_superoperator,
     kraus_superop,
@@ -39,8 +41,8 @@ from lindbladsim import (
     nested_grid,
     normalizer_sum_squares,
     random_lindbladian,
+    rk4_reference,
     segment_time,
-    segment_time_from_bounds,
     simulate,
     spectral_norm,
     taylor_drift,
@@ -407,22 +409,29 @@ def test_budgeted_segment_stays_under_two():
 # segment budget
 
 
+def declared(alpha0, alphas):
+    """A qubit model whose budget reads only the declared bounds alpha0, alphas."""
+    return Lindbladian(np.zeros((2, 2)), [np.zeros((2, 2))] * len(alphas),
+                       alpha0=alpha0, alphas=alphas)
+
+
 def test_segment_time_expression_value():
     for beta, asq in ((1.5, 1.0), (0.7, 0.3), (3.0, 2.2)):
-        tstar = segment_time_from_bounds(beta, asq)
-        val = _budget_expression(tstar, beta, asq)
+        lind = declared(beta - asq / 2, [math.sqrt(asq)])
+        tstar = segment_time(lind)
+        val = _budget_expression(tstar, be_norm(lind), sum(a * a for a in lind.alphas))
         assert 2.0 - 1e-9 <= val <= 2.0
 
 
 def test_segment_time_worked_example():
     # alpha0=1, alphas=[1]: beta=1.5, and t* solves e^{3t} + t e^{4t} = 2
-    tstar = segment_time_from_bounds(1.5, 1.0)
+    tstar = segment_time(declared(1.0, [1.0]))
     assert abs(math.exp(3 * tstar) + tstar * math.exp(4 * tstar) - 2.0) <= 1e-8
 
 
 def test_segment_time_trivial_model_caps():
-    assert segment_time_from_bounds(0.0, 0.0, cap=7.5) == 7.5
-    assert segment_time_from_bounds(0.0, 0.0) == math.inf
+    assert segment_time(declared(0.0, []), cap=7.5) == 7.5
+    assert segment_time(declared(0.0, [])) == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -624,6 +633,26 @@ def test_simulate_rejects_bad_density():
     for t, eps in [(math.inf, 1e-4), (math.nan, 1e-4), (1.0, math.nan)]:
         with pytest.raises(ArgumentError):
             simulate(lind, np.diag([1.0, 0.0]), t, eps)
+
+
+AD = amplitude_damping()
+TIMED_CALLS = {
+    "exact_channel": lambda t: exact_channel(AD, t),
+    "drift_semigroup": lambda t: drift_semigroup(AD, t),
+    "f_k": lambda t: f_k(AD, t, []),
+    "g_K_quadrature": lambda t: g_K_quadrature(AD, t, 2, 1),
+    "taylor_drift": lambda t: taylor_drift(AD, t, 3),
+    "CPMapApprox": lambda t: CPMapApprox(AD, t, TruncationConfig(2, 3, 1, 1.0)),
+    "rk4_reference": lambda t: rk4_reference(from_static(AD), np.diag([1.0, 0.0]), t, 1e-2),
+    "canonical_rule": lambda t: canonical_rule(2, t),
+}
+
+
+@pytest.mark.parametrize("t", [-1.0, math.inf, math.nan])
+@pytest.mark.parametrize("name", list(TIMED_CALLS))
+def test_times_must_be_finite_and_nonnegative(name, t):
+    with pytest.raises(ArgumentError, match=r"must be (nonnegative|positive) and finite"):
+        TIMED_CALLS[name](t)
 
 
 def test_simulate_report_is_serializable():

@@ -15,13 +15,17 @@ from lindbladsim import (
     TimeDependentLindbladian,
     TruncationConfig,
     amplitude_damping,
+    be_norm,
+    choose_orders,
     dyson_contract,
     enumerate_kraus,
     exact_channel,
     from_static,
+    load_model,
     ordered_propagator,
     random_lindbladian,
     rk4_reference,
+    segment_time,
     simulate,
     taylor_drift,
     td_simulate,
@@ -202,7 +206,7 @@ def test_dyson_config_validation():
 
 def test_dyson_contract_plugin():
     tl = driven_damped(omega=1.0, freq=2.0, gamma=1.0)
-    beta = tl.be_norm
+    beta = be_norm(tl)
     cfg = DysonConfig(order=2, grid_points=4)
     expected = (beta * 0.5) ** 3 / 6 + 0.25 * tl.jdot_bound / 4
     assert dyson_contract(tl, 0.5, cfg) == pytest.approx(expected, rel=1e-12)
@@ -348,6 +352,36 @@ def test_td_simulate_time_zero():
     rho, report, _ = td_simulate(tl, rho0, 0.0, 1e-4)
     np.testing.assert_array_equal(rho, rho0)
     assert report.segments == 0
+
+
+@pytest.mark.parametrize("t, eps, n0, chosen", [(0.3, 1e-4, 2, 16), (1.0, 1e-6, 7, 56)])
+def test_td_simulate_picks_the_least_work_segment_count(t, eps, n0, chosen):
+    # the budget minimum n0, then the multiple n0 2^i (i <= 8) whose segments
+    # hold the fewest Kraus terms in all, the first on ties
+    tl = load_model("models/driven_damped_qubit.json").to_time_dependent()
+    assert math.ceil(t / segment_time(tl, cap=t) - 1e-12) == n0
+    work = {}
+    for n in (n0 * 2 ** i for i in range(9)):
+        cfg = choose_orders(tl, t / n, eps / n)
+        mq = tl.num_jumps * cfg.quadrature_order
+        work[n] = n * (1 + sum(mq ** k for k in range(1, cfg.series_order + 1)))
+    assert min(work, key=work.get) == chosen
+    _, report, _ = td_simulate(tl, np.diag([1.0, 0.0]).astype(complex), t, eps)
+    assert report.segments == chosen
+
+
+def test_plan_overrides_and_static_models():
+    tl = load_model("models/driven_damped_qubit.json").to_time_dependent()
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    assert td_simulate(tl, rho0, 0.3, 1e-4, segments=4)[1].segments == 4
+    # simulate keeps the budget minimum, where the time-ordered search takes 80
+    lind, t, eps = amplitude_damping(1.0), 3.0, 1e-6
+    n0 = math.ceil(t / segment_time(lind, cap=t) - 1e-12)
+    assert simulate(lind, rho0, t, eps)[1].segments == n0 == 10
+    # both model kinds plan from the same declared bounds
+    wrapped = from_static(lind)
+    assert segment_time(wrapped, cap=t) == segment_time(lind, cap=t)
+    assert choose_orders(wrapped, t / n0, eps / n0) == choose_orders(lind, t / n0, eps / n0)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,9 @@ RUNS = [
 ] + [
     ("td-simulate-driven.json",
      ["td-simulate", "--model", "driven_damped_qubit.json", "--time", "0.3", "--eps", "1e-4"]),
+    ("td-simulate-driven-segments4.json",
+     ["td-simulate", "--model", "driven_damped_qubit.json", "--time", "0.3", "--eps", "1e-4",
+      "--segments", "4", "--order", "3", "--grid", "8"]),
 ]
 
 
