@@ -4,10 +4,16 @@ Density matrices are vectorized by column stacking: ``vec(rho)[j*d + i] = rho[i,
 Under this convention ``vec(A rho B) = (B^T kron A) vec(rho)``, so the conjugation map
 ``rho -> A rho A^dag`` has the superoperator matrix ``conj(A) kron A``.
 
+A map rho -> sum c^2 A rho A^dag preserves Hermiticity, G(E_ba) = G(E_ab)^dag, so its
+superoperator is fixed by the d(d+1)/2 columns vec(E_ab) with a <= b, its half
+columns. kraus_superop and batched_kraus_sum build those columns alone when asked
+for half=True, and expand_half fills in the rest.
+
 This module is the one place that builds Kronecker products and weighted Kraus sums.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -37,9 +43,35 @@ def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (out.shape[-4] * out.shape[-3], -1))
 
 
-def kraus_superop(A: np.ndarray) -> np.ndarray:
-    """Superoperator matrix of rho -> A rho A^dag, batched over leading axes."""
-    return kron(np.conj(A), A)
+@functools.lru_cache(maxsize=8)
+def _half_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) of the half columns vec(E_ab), a <= b, b-major, so the columns of one b
+    are adjacent and their vec indices b*d + a ascend; read-only, cached per d."""
+    b, a = np.tril_indices(d)
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
+
+
+def expand_half(H: np.ndarray) -> np.ndarray:
+    """The (d^2, d^2) superoperator of a Hermiticity-preserving map from its half
+    columns H (d^2, d(d+1)/2): the column of E_ba is vec(G(E_ab)^dag)."""
+    d = math.isqrt(H.shape[0])
+    a, b = _half_pairs(d)
+    V = H.reshape(d, d, -1)
+    S = np.empty((d, d, d, d), dtype=complex)
+    S[:, :, a, b] = V.conj().swapaxes(0, 1)
+    S[:, :, b, a] = V
+    return S.reshape(d * d, d * d)
+
+
+def kraus_superop(A: np.ndarray, half: bool = False) -> np.ndarray:
+    """Superoperator matrix of rho -> A rho A^dag, batched over leading axes; with
+    half, only its half columns, from the same products conj(A)[y, b] A[x, a]."""
+    if not half:
+        return kron(np.conj(A), A)
+    a, b = _half_pairs(np.shape(A)[-1])
+    out = np.conj(A)[..., :, None, b] * np.asarray(A)[..., None, :, a]
+    return out.reshape(out.shape[:-3] + (-1, a.size))
 
 
 def left_mult(A: np.ndarray) -> np.ndarray:
@@ -56,13 +88,24 @@ def spectral_norm(mat: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(mat), 2))
 
 
-def batched_kraus_sum(weights: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Sum_b weights[..., b] conj(mats[..., b]) kron mats[..., b] for mats (..., b, d, d):
+def batched_kraus_sum(weights: np.ndarray, mats: np.ndarray, half: bool = False) -> np.ndarray:
+    """Sum_n weights[..., n] conj(mats[..., n]) kron mats[..., n] for mats (..., n, d, d):
     one matrix product (w conj A)^T @ A over the flattened d^2 axis and an index swap.
     tests/test_linalg.py pins its bits, for 2 to 9 matrices of side 2 to 8, against
-    the optimized einsum "b,bij,bkl->ikjl"."""
-    *lead, b, d, _ = np.shape(mats)
-    A = np.reshape(mats, (*lead, b, d * d))
+    the optimized einsum "b,bij,bkl->ikjl". With half, only the half columns: for
+    each b one product of (w conj A)[:, :, b]^T with A[:, :, :b+1]."""
+    mats = np.asarray(mats)
+    *lead, n, d, _ = mats.shape
+    if half:
+        wA = np.asarray(weights)[..., None, None] * mats.conj()
+        out = np.empty((*lead, d, d, d * (d + 1) // 2), dtype=complex)
+        for b in range(d):
+            h = b * (b + 1) // 2
+            right = mats[..., :b + 1].reshape(*lead, n, d * (b + 1))
+            out[..., h:h + b + 1] = (wA[..., b].swapaxes(-1, -2) @ right).reshape(
+                *lead, d, d, b + 1)
+        return out.reshape(*lead, d * d, -1)
+    A = mats.reshape(*lead, n, d * d)
     wA = np.asarray(weights)[..., None] * A.conj()
     out = (wA.swapaxes(-1, -2) @ A).reshape(*lead, d, d, d, d)
     return out.swapaxes(-3, -2).reshape(*lead, d * d, d * d)

@@ -19,7 +19,10 @@ time-dependent, from the model's declared bounds.
 
 The superoperator of the family is never built chain by chain: series_superop
 evaluates it as a recursion over quadrature-index multisets, shared with the
-time-dependent extension. The term index set is enumerated in one place,
+time-dependent extension. Every node of the recursion is a Kraus map and so
+preserves Hermiticity, G(E_ba) = G(E_ab)^dag; a node holds only the half
+columns vec(E_ab), a <= b, and only the root is expanded to d^2 columns by
+that mirror. The term index set is enumerated in one place,
 CPMapApprox.term_blocks, which yields indices, coefficients and normalizers
 block by block without matrices; iter_terms attaches the chain products to
 those blocks where the operators themselves are needed.
@@ -42,7 +45,7 @@ from scipy.linalg import expm
 
 from .errors import (ArgumentError, InfeasiblePrecisionError, ModelError, ResourceLimitError,
                      check_time)
-from .linalg import batched_kraus_sum, kraus_superop, spectral_norm, unvec, vec
+from .linalg import batched_kraus_sum, expand_half, kraus_superop, spectral_norm, unvec, vec
 from .metrics import diamond_sandwich
 from .models import (Lindbladian, be_norm, effective_generator, exact_channel,
                      jump_superoperator)
@@ -175,9 +178,10 @@ def taylor_drift(lind: Lindbladian, s: float, Kp: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # memoized series engine
 
-# Guard limits (see the module docstring). At about 100 us per node (d <= 4)
-# and 10 us of td_simulate per sampler call (2 vCPUs, one BLAS thread), the
-# node cap is about 30 s of work and the sampler cap about 10 s.
+# Guard limits (see the module docstring). At 20-50 us per node (d <= 4, one
+# or two jumps, up to 203,490 nodes) and 10 us of td_simulate per sampler call
+# (2 vCPUs, one BLAS thread), the node cap is at most about 13 s of work and
+# the sampler cap about 10 s.
 MAX_SERIES_NODES = 2 ** 18
 MAX_SUPEROP_BYTES = 2 ** 30
 MAX_SAMPLER_CALLS = 10 ** 6
@@ -201,15 +205,21 @@ def series_superop(propagate, jumps, rule: QuadratureRule, K: int, m: int,
     G_0(u) = K[T(0, u)], evaluated as G_K(t). A node is fixed by the multiset
     of its quadrature indices, so depth i has C(q+i-1, i) distinct nodes and
     each is built once, deepest level first. Depth K-1 is closed in Kraus form,
-    so leaves are never stored; a node at depth i+1 is freed once its last
-    parent is built, its parent count being the number of distinct indices in
-    its multiset. propagate(s, u) returns T(s_b, u_b) as a (B, d, d) array and
-    jumps(u) returns L_l(u_b) as a (B, m, d, d) array; both are called once per
-    level.
+    so leaves are never stored; each stored level is one array, from which a
+    chunk of parents takes its children with one indexed gather.
+    propagate(s, u) returns T(s_b, u_b) as a (B, d, d) array and jumps(u)
+    returns L_l(u_b) as a (B, m, d, d) array; both are called once per level.
+
+    Every node is a Kraus map and so preserves Hermiticity, G(E_ba) =
+    G(E_ab)^dag, and each column of G_r is fixed by the same column of its
+    children. So a node holds only its d(d+1)/2 half columns vec(E_ab), a <= b,
+    b-major, a (d^2, d(d+1)/2) block, and only the root is expanded
+    (linalg.expand_half): its column for E_ba is vec(G(E_ab)^dag), a bitwise
+    mirror.
 
     Raises ResourceLimitError before building anything when the C(q+K-1, K-1)
-    nodes of depths 0..K-1 exceed MAX_SERIES_NODES, or when the superoperators
-    held at once would exceed MAX_SUPEROP_BYTES.
+    nodes of depths 0..K-1 exceed MAX_SERIES_NODES, or when the half-column
+    blocks held at once would exceed MAX_SUPEROP_BYTES.
     """
     t, q = rule.interval_length, rule.order
     if K < 1:
@@ -218,10 +228,13 @@ def series_superop(propagate, jumps, rule: QuadratureRule, K: int, m: int,
     if nodes > MAX_SERIES_NODES:
         raise ResourceLimitError(
             f"series engine would build {nodes} > {MAX_SERIES_NODES} nodes")
-    # at most the widest stored level, C(q+K-2, K-1) nodes, plus one chunk of
-    # parents with their gathered children and products is held at once
-    chunk = max(1, _WORK_BYTES // ((1 + q * (m + 1)) * 16 * d ** 4))
-    held_bytes = (math.comb(q + K - 2, K - 1) + chunk * (1 + q * (m + 1))) * 16 * d ** 4
+    nh = d * (d + 1) // 2
+    node_bytes = 16 * d * d * nh
+    # the two widest stored levels, depths K-1 and K-2, are held at once while
+    # the second is built, with one chunk of parents' gathered children and products
+    chunk = max(1, _WORK_BYTES // ((1 + q * (m + 1)) * node_bytes))
+    stored = math.comb(q + K - 2, K - 1) + (math.comb(q + K - 3, K - 2) if K > 1 else 0)
+    held_bytes = (stored + chunk * (1 + q * (m + 1))) * node_bytes
     if held_bytes > MAX_SUPEROP_BYTES:
         raise ResourceLimitError(
             f"series engine would hold {held_bytes} > {MAX_SUPEROP_BYTES} bytes "
@@ -255,29 +268,23 @@ def series_superop(propagate, jumps, rule: QuadratureRule, K: int, m: int,
             A = np.concatenate([close[:, None], (B @ T[n_p * (q + 1):][ch][:, :, None])
                                 .reshape(n_p, q * m, d, d)], axis=1)
             wts = np.concatenate([np.ones((n_p, 1)), np.repeat(W, m, axis=1)], axis=1)
-        else:
-            remaining = np.array([len(set(c)) for c in levels[i + 1]])
-        parents = []
+        level = np.empty((n_p, d * d, nh), dtype=complex)
         for start in range(0, n_p, chunk):
             sl = slice(start, min(start + chunk, n_p))
             if i == K - 1:
-                parents.extend(batched_kraus_sum(wts[sl], A[sl]))
+                level[sl] = batched_kraus_sum(wts[sl], A[sl], half=True)
                 continue
             P = sl.stop - start
-            X = np.stack([G[c] for c in ch[sl].ravel()]).reshape(P, q, 1, d, d, d * d)
+            X = G[ch[sl]].reshape(P, q, 1, d, d, nh)
             # K[B] X as two d x d contractions per column: B on the ket index,
             # then conj(B), weighted, on the bra index summed over (j, l)
-            Y = (B[sl][:, :, :, None] @ X).reshape(P, q * m, d, d, d * d)
+            Y = (B[sl][:, :, :, None] @ X).reshape(P, q * m, d, d, nh)
             Wc = (W[sl][:, :, None, None, None] * B[sl].conj()).reshape(P, q * m, d, d)
             Z = (Wc.transpose(0, 2, 1, 3).reshape(P, d, q * m * d)
-                 @ Y.reshape(P, q * m * d, d ** 3))
-            parents.extend(Z.reshape(P, d * d, d * d) + kraus_superop(close[sl]))
-            for c in ch[sl].ravel():
-                remaining[c] -= 1
-                if remaining[c] == 0:
-                    G[c] = None
-        G = parents
-    return G[0]
+                 @ Y.reshape(P, q * m * d, d * nh))
+            np.add(Z.reshape(P, d * d, nh), kraus_superop(close[sl], half=True), out=level[sl])
+        G = level
+    return expand_half(G[0])
 
 
 def _static_superop(lind: Lindbladian, rule: QuadratureRule, K: int, propagate) -> np.ndarray:
@@ -299,6 +306,8 @@ def f_k(lind: Lindbladian, t: float, s) -> np.ndarray:
     """
     s = np.asarray(s, dtype=float).reshape(-1)
     check_time(t)
+    if not np.all(np.isfinite(s)):
+        raise ArgumentError(f"jump times must be finite, got {s.tolist()}")
     if s.size and (np.any(np.diff(s) < 0) or s[0] < 0 or s[-1] > t):
         raise ArgumentError("jump times must satisfy 0 <= s_1 <= ... <= s_k <= t")
     J = effective_generator(lind)
@@ -585,15 +594,20 @@ def _plan(model, t: float, eps: float, counts=lambda n0: (n0,)) -> TruncationCon
     """Equal segments and their orders for a run of model over [0, t] at precision eps.
 
     n0 is the fewest equal segments no longer than segment_time allows (1 at
-    t = 0); every count at or above it keeps the normalizer budget. Each count
-    n in counts(n0) gets orders at precision eps / n, and the feasible count
-    with the least n times chain count wins, the first on ties. When no count
-    is feasible, the first count's InfeasiblePrecisionError is raised.
+    t = 0); every count at or above it keeps the normalizer budget, and a count
+    in counts(n0) below it raises ArgumentError. Each count n gets orders at
+    precision eps / n, and the feasible count with the least n times chain
+    count wins, the first on ties. When no count is feasible, the first
+    count's InfeasiblePrecisionError is raised.
     """
     check_time(t)
     n0 = max(1, math.ceil(t / segment_time(model, cap=t) - 1e-12)) if t > 0 else 1
     best, first_error = None, None
     for n in counts(n0):
+        if n < n0:
+            raise ArgumentError(
+                f"{n} segments are fewer than the budget minimum n0 = {n0}; longer "
+                "segments break the normalizer budget")
         try:
             cfg = choose_orders(model, t / n, eps / n)
         except InfeasiblePrecisionError as ex:

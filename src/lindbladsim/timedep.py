@@ -269,7 +269,8 @@ def td_simulate(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float, eps: f
     one superoperator. The propagator truncation order defaults to the static
     Taylor-order criterion and the grid count to a heuristic calibrated to the
     midpoint product's measured quadratic convergence (the reported contract
-    uses the declared first-order rate). Pass cfg or segments to override.
+    uses the declared first-order rate). Pass cfg or segments to override; a
+    segments count below the budget minimum n0 raises ArgumentError.
 
     Sampling is the run's cost, so before the first probe it raises
     ResourceLimitError when the run would make more than MAX_SAMPLER_CALLS

@@ -106,6 +106,10 @@ def test_exit_code_bad_arguments(capsys):
     code, _ = run_cli(["td-simulate", "--model", "models/driven_damped_qubit.json",
                        "--time", "0.5", "--eps", "1e-4", "--order", "3"], capsys)
     assert code == 2
+    code, cap = run_cli(["td-simulate", "--model", "models/driven_damped_qubit.json",
+                         "--time", "0.6", "--eps", "1e-2", "--segments", "1"], capsys)
+    assert code == 2
+    assert "budget minimum n0 = 4" in cap.err
     # non-finite times and precisions: typed errors, not a traceback or exit 3
     for command, model in [("simulate", "amplitude_damping"), ("kraus-dump", "amplitude_damping"),
                            ("td-simulate", "driven_damped_qubit")]:

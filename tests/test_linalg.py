@@ -5,7 +5,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lindbladsim.linalg import batched_kraus_sum, kraus_superop, kron, left_mult, right_mult
+from lindbladsim.linalg import (batched_kraus_sum, expand_half, kraus_superop, kron, left_mult,
+                               right_mult)
 from lindbladsim.series import _TaylorPropagator
 
 
@@ -39,6 +40,30 @@ def test_kron_and_kraus_sum_are_bitwise_the_reference(d, b, P, seed):
     if P is None:
         assert np.array_equal(left_mult(A), np.kron(np.eye(d), A))
         assert np.array_equal(right_mult(A), np.kron(A.T, np.eye(d)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([2, 4, 8]), b=st.integers(2, 9), P=st.none() | st.integers(1, 5),
+       seed=st.integers(0, 2**16))
+def test_half_columns_match_the_full_superoperators(d, b, P, seed):
+    # the half columns are vec(E_ab), a <= b, b-major; kraus_superop forms the
+    # same products either way, while the Kraus sum's matrix products change
+    # shape, and the mirrored columns of expand_half are conjugates, so both
+    # agree to rounding only
+    rng = np.random.default_rng(seed)
+    lead = () if P is None else (P,)
+    A = _complex(rng, lead + (d, d))
+    mats, weights = _complex(rng, lead + (b, d, d)), rng.uniform(0.0, 2.0, lead + (b,))
+    bi, ai = np.tril_indices(d)
+    half_cols = bi * d + ai
+    assert np.array_equal(kraus_superop(A, half=True), kraus_superop(A)[..., half_cols])
+    full = batched_kraus_sum(weights, mats)
+    half = batched_kraus_sum(weights, mats, half=True)
+    tol = 1e-14 * np.abs(full).max()
+    assert half.shape == lead + (d * d, d * (d + 1) // 2)
+    assert np.abs(half - full[..., half_cols]).max() <= tol
+    for n in np.ndindex(lead):
+        assert np.abs(expand_half(half[n]) - full[n]).max() <= tol
 
 
 @settings(max_examples=30, deadline=None)

@@ -29,6 +29,8 @@ from lindbladsim import (
     simulate,
     taylor_drift,
     td_simulate,
+    unvec,
+    vec,
 )
 from lindbladsim.series import _WORK_BYTES
 from lindbladsim.timedep import (_RK4_STEPS, _batched_propagator, _segment_sampler_calls,
@@ -240,6 +242,26 @@ def test_segment_superop_shares_the_static_engine():
     assert np.abs(seg - static).max() <= 1e-14
 
 
+@pytest.mark.parametrize("d", [2, 4, 8])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("path", ["static", "timedep"])
+def test_series_engine_columns_are_conjugate_mirrors(path, d, m):
+    # the engine builds the columns of E_ab, a <= b, and fills those of E_ba as
+    # vec(G(E_ab)^dag), so the mirror holds bit for bit
+    if path == "static":
+        lind = random_lindbladian(int(math.log2(d)), num_jumps=m, seed=d + m)
+        cfg = TruncationConfig(series_order=3, taylor_order=5, quadrature_order=2,
+                               segment_time=0.3)
+        S = enumerate_kraus(lind, 0.3, cfg).as_superoperator()
+    else:
+        S = _segment_superop(rotating_model(d, m, seed=d + m), 0.2, 0.3, 3, 2,
+                             DysonConfig(4, 3))
+    for a in range(d):
+        for b in range(a + 1, d):
+            mirror = vec(unvec(S[:, b * d + a]).conj().T)
+            assert np.array_equal(S[:, a * d + b], mirror)
+
+
 def test_td_simulate_unitary_family_stays_pure():
     tl = phase_modulated()
     rho0 = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
@@ -282,16 +304,18 @@ def test_td_simulate_flags_declared_bound_violation():
 
 
 def test_td_simulate_names_the_first_failing_probe():
-    # H is Hermitian except on [0.4, 0.45]; the segment [0, 1] probes 0, 1/16, ...
-    # so the first failing probe is 7/16
+    # H is Hermitian except on [0.4, 0.45]; of the budget minimum's 3 segments
+    # the test takes 4, and the second, [0.25, 0.5], probes 0.25, 0.25 + 1/64, ...
+    # so the first failing probe is 0.25 + 10/64
     def sampler(t):
         skew = 0.5 * SM if 0.4 <= t <= 0.45 else 0.0 * SM
         return 0.5 * SZ + skew, []
 
     tl = TimeDependentLindbladian(sampler, 1.0, [], 1.0)
+    assert math.ceil(1.0 / segment_time(tl, cap=1.0) - 1e-12) == 3
     rho0 = np.diag([0.5, 0.5]).astype(complex)
-    with pytest.raises(ModelError, match=r"at t=0\.4375 is not Hermitian"):
-        td_simulate(tl, rho0, 1.0, 1e-4, segments=1)
+    with pytest.raises(ModelError, match=r"at t=0\.40625 is not Hermitian"):
+        td_simulate(tl, rho0, 1.0, 1e-4, segments=4)
 
 
 def test_td_simulate_rejects_wide_chain_trees():
@@ -300,9 +324,23 @@ def test_td_simulate_rejects_wide_chain_trees():
 
     tl = TimeDependentLindbladian(sampler, 0.0,
                                   [math.sqrt(0.5), math.sqrt(0.5)], 0.0)
+    assert math.ceil(4.0 / segment_time(tl, cap=4.0) - 1e-12) == 13
     rho0 = np.diag([1.0, 0.0]).astype(complex)
+    # the budget minimum's 13 segments at eps 1e-15 need K = 13, q = 7 and
+    # 6,601,036 sampler calls in all
     with pytest.raises(ResourceLimitError):
-        td_simulate(tl, rho0, 4.0, 1e-12, segments=1)
+        td_simulate(tl, rho0, 4.0, 1e-15, segments=13)
+
+
+def test_td_simulate_rejects_segments_below_the_budget_minimum():
+    # 0.6 / segment_time gives n0 = 4; one segment would report a normalizer
+    # sum of squares of 11.6, far over the budget of 2
+    tl = load_model("models/driven_damped_qubit.json").to_time_dependent()
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    for n in (1, 3):
+        with pytest.raises(ArgumentError, match=r"budget minimum n0 = 4"):
+            td_simulate(tl, rho0, 0.6, 1e-2, segments=n)
+    assert td_simulate(tl, rho0, 0.6, 1e-2, segments=4)[1].normalizer_sum_squares <= 2.0
 
 
 def test_td_simulate_sampler_guard():
