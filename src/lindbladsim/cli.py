@@ -166,8 +166,14 @@ def _cmd_quadrature(args) -> int:
         for t in args.times:
             rule = canonical_rule(q, t)
             for ell in range(2 * q):
+                try:
+                    rhs = t ** (ell + 1) / (ell + 1)
+                except OverflowError:
+                    rhs = math.inf
+                if not 0 < rhs < math.inf:
+                    raise ArgumentError(
+                        f"time {t}: the moment t^{ell + 1} / {ell + 1} is outside the float range")
                 lhs = math.fsum(w * s ** ell for w, s in zip(rule.weights, rule.nodes))
-                rhs = t ** (ell + 1) / (ell + 1)
                 rows.append((q, t, ell, lhs, rhs, abs(lhs - rhs) / abs(rhs)))
     _write_csv(args.out,
                ["q", "t", "ell", "moment_lhs", "moment_rhs", "residual"], rows)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one check on times."""
+"""Exception types shared across the package, and the one check on times and precisions."""
 
 import math
 
@@ -42,7 +42,8 @@ class ContractError(LindbladSimError):
 
 
 def check_time(t: float, name: str = "evolution time", positive: bool = False) -> None:
-    """Raise ArgumentError unless t is finite and nonnegative (positive if asked)."""
+    """Raise ArgumentError unless t is finite and nonnegative (positive if asked); also
+    checks a target precision eps, with positive=True."""
     if not (math.isfinite(t) and (t > 0 if positive else t >= 0)):
         sign = "positive" if positive else "nonnegative"
         raise ArgumentError(f"{name} must be {sign} and finite, got {t}")

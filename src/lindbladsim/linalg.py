@@ -74,16 +74,6 @@ def kraus_superop(A: np.ndarray, half: bool = False) -> np.ndarray:
     return out.reshape(out.shape[:-3] + (-1, a.size))
 
 
-def left_mult(A: np.ndarray) -> np.ndarray:
-    """Superoperator matrix of rho -> A rho."""
-    return kron(np.eye(np.shape(A)[0]), A)
-
-
-def right_mult(B: np.ndarray) -> np.ndarray:
-    """Superoperator matrix of rho -> rho B."""
-    return kron(np.transpose(B), np.eye(np.shape(B)[0]))
-
-
 def spectral_norm(mat: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(mat), 2))
 

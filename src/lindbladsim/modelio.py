@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,8 @@ def matrix_from_json(obj, dim: int, what: str) -> np.ndarray:
             if (not isinstance(cell, list) or len(cell) != 2
                     or not all(isinstance(x, (int, float)) for x in cell)):
                 raise ModelError(f"{what}: entry ({i},{j}) must be a [re, im] pair")
+            if not all(math.isfinite(x) for x in cell):
+                raise ModelError(f"{what}: entry ({i},{j}) is not finite, got {cell}")
             out[i, j] = complex(cell[0], cell[1])
     return out
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import ArgumentError, ModelError, check_time
-from .linalg import dag, kraus_superop, kron, left_mult, right_mult, spectral_norm
+from .linalg import kraus_superop, kron, spectral_norm
 
 HERM_TOL = 1e-12
 
@@ -59,6 +59,8 @@ class Lindbladian:
         else:
             alphas = tuple(float(a) for a in alphas)
         alpha0 = float(alpha0)
+        if not np.all(np.isfinite((alpha0,) + alphas)):
+            raise ModelError("declared bounds must be finite")
         if len(alphas) != len(Ls):
             raise ModelError("alphas must have one entry per jump operator")
         slack = 1e-12
@@ -112,17 +114,27 @@ def _drift_generator(H: np.ndarray, Ls) -> np.ndarray:
     return J
 
 
-def _liouvillian(H: np.ndarray, Ls) -> np.ndarray:
-    """Vectorized generator I kron J + conj(J) kron I + sum_j conj(L_j) kron L_j,
-    batched over H's leading axes like _drift_generator."""
-    J = _drift_generator(H, Ls)
-    L = _jump_stack(J, Ls)
-    d = J.shape[-1]
-    eye = np.eye(d)
-    S = np.zeros(J.shape[:-2] + (d * d, d * d), dtype=complex)
+def _drift_part(J: np.ndarray) -> np.ndarray:
+    """Vectorized drift part I kron J + conj(J) kron I, batched over J's leading axes."""
+    eye = np.eye(J.shape[-1])
+    return kron(eye, J) + kron(J.conj(), eye)
+
+
+def _jump_part(L: np.ndarray) -> np.ndarray:
+    """Vectorized jump part sum_j conj(L_j) kron L_j for jumps L (..., m, d, d); the
+    sum runs over j in order."""
+    d = L.shape[-1]
+    S = np.zeros(L.shape[:-3] + (d * d, d * d), dtype=complex)
     for j in range(L.shape[-3]):
         S += kraus_superop(L[..., j, :, :])
-    return kron(eye, J) + kron(J.conj(), eye) + S
+    return S
+
+
+def _liouvillian(H: np.ndarray, Ls) -> np.ndarray:
+    """Vectorized generator: drift part plus jump part, batched over H's leading
+    axes like _drift_generator."""
+    J = _drift_generator(H, Ls)
+    return _drift_part(J) + _jump_part(_jump_stack(J, Ls))
 
 
 def effective_generator(lind: Lindbladian) -> np.ndarray:
@@ -136,17 +148,12 @@ def effective_generator(lind: Lindbladian) -> np.ndarray:
 
 def jump_superoperator(lind: Lindbladian) -> np.ndarray:
     """Vectorized jump part: sum_j conj(L_j) kron L_j."""
-    d = lind.dim
-    S = np.zeros((d * d, d * d), dtype=complex)
-    for L in lind.jumps:
-        S += kraus_superop(L)
-    return S
+    return _jump_part(_jump_stack(lind.hamiltonian, lind.jumps))
 
 
 def drift_generator_matrix(lind: Lindbladian) -> np.ndarray:
     """Vectorized drift part: rho -> J rho + rho J^dag."""
-    J = effective_generator(lind)
-    return left_mult(J) + right_mult(dag(J))
+    return _drift_part(effective_generator(lind))
 
 
 def liouvillian_matrix(lind: Lindbladian) -> np.ndarray:

@@ -7,16 +7,28 @@ w_i = 2 / ((1 - x_i^2) P_q'(x_i)^2). canonical_rule rescales [-1, 1] to [0, t].
 The nested grid at depth k scales a single rule into the ordered simplex
 0 <= s_1 <= ... <= s_k <= t by the recursion
 
-    node(j_k)            = shat[j_k]
-    node(prefix, j)      = node(prefix) * shat[j] / t
+    node(())             = t
+    node(prefix + (j,))  = node(prefix) * shat[j] / t
     weight(prefix, j)    = node(prefix) * w[j] / t
 
 so every deeper node multiplies by shat[j]/t < 1 and the chain is ordered by
 construction. The product of the chain weights summed over all q^k index
 tuples equals t^k / k! whenever q >= ceil(k / 2).
+
+A node depends only on the multiset of its indices, so NestedGrid.table holds
+one entry per sorted multiset: depth i has C(q+i-1, i) of them, in
+combinations_with_replacement order. Each node time is rounded as
+t * prod(shat / t) over its sorted multiset, each weight as u * w[j] / t from
+its parent's time u, and each parent lists the positions of its q children.
+The table is the one place that turns rule nodes into nested node times and
+weights: the series engine (series.series_superop) reads its levels, and
+NestedGrid.chunks walks it along each ordered index tuple, so the Kraus
+read-out sees the engine's numbers bit for bit.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -112,6 +124,24 @@ class NestedGrid:
     def count(self) -> int:
         return self.rule.order ** self.depth
 
+    @functools.cached_property
+    def table(self):
+        """(u, weights, children): the index-multiset table of depths 0..k, built once.
+
+        u[i] holds the times of the C(q+i-1, i) sorted multisets of depth i in
+        combinations_with_replacement order, weights[i][p, j] = u[i][p] w_j / t
+        and children[i][p, j] is the position of sorted(p + (j,)) in depth i+1.
+        """
+        q, k, t = self.rule.order, self.depth, self.rule.interval_length
+        levels = [list(itertools.combinations_with_replacement(range(q), i)) for i in range(k + 1)]
+        u = [t * np.prod(self.rule.nodes[np.array(level, dtype=np.int64)] / t, axis=1)
+             for level in levels]
+        weights = [up[:, None] * self.rule.weights[None, :] / t for up in u[:k]]
+        pos = {c: n for level in levels for n, c in enumerate(level)}
+        children = [np.array([[pos[tuple(sorted(p + (j,)))] for j in range(q)] for p in level],
+                             dtype=np.int64) for level in levels[:k]]
+        return u, weights, children
+
     def __iter__(self) -> Iterator[NestedPoint]:
         for idx, nodes, weights in self.chunks():
             for r in range(idx.shape[0]):
@@ -122,27 +152,21 @@ class NestedGrid:
         """Yield (indices, nodes, weights) arrays of shape (B, k) in enumeration order.
 
         Enumeration is lexicographic over (j_k, ..., j_1); axis 1 runs outermost
-        (s_k) to innermost (s_1). Chunking never changes the enumeration order.
+        (s_k) to innermost (s_1), each entry read from the table along the
+        tuple's prefixes. Chunking never changes the enumeration order.
         """
-        q, k = self.rule.order, self.depth
-        t = self.rule.interval_length
-        shat, what = self.rule.nodes, self.rule.weights
+        u, weights_of, children = self.table
         total = self.count
         for start in range(0, total, CHUNK_SIZE):
-            stop = min(start + CHUNK_SIZE, total)
-            flat = np.arange(start, stop, dtype=np.int64)
-            idx = np.empty((stop - start, k), dtype=np.int64)
-            rem = flat
-            for pos in range(k - 1, -1, -1):
-                idx[:, pos] = rem % q
-                rem = rem // q
-            nodes = np.empty((stop - start, k))
-            weights = np.empty((stop - start, k))
-            nodes[:, 0] = shat[idx[:, 0]]
-            weights[:, 0] = what[idx[:, 0]]
-            for pos in range(1, k):
-                weights[:, pos] = nodes[:, pos - 1] * what[idx[:, pos]] / t
-                nodes[:, pos] = nodes[:, pos - 1] * shat[idx[:, pos]] / t
+            idx = np.stack(np.unravel_index(np.arange(start, min(start + CHUNK_SIZE, total)),
+                                            (self.rule.order,) * self.depth), axis=1)
+            nodes, weights = np.empty((2,) + idx.shape)
+            p = np.zeros(len(idx), dtype=np.int64)
+            for pos, j in enumerate(idx.T):
+                flat = p * self.rule.order + j
+                weights[:, pos] = weights_of[pos].ravel()[flat]
+                p = children[pos].ravel()[flat]
+                nodes[:, pos] = u[pos + 1][p]
             yield idx, nodes, weights
 
 

@@ -17,12 +17,13 @@ sum over the family admits a closed form that drives the segment-length budget
 One planner, _plan, picks the segment count and orders of every run, static or
 time-dependent, from the model's declared bounds.
 
-The superoperator of the family is never built chain by chain: series_superop
-evaluates it as a recursion over quadrature-index multisets, shared with the
-time-dependent extension. Every node of the recursion is a Kraus map and so
-preserves Hermiticity, G(E_ba) = G(E_ab)^dag; a node holds only the half
-columns vec(E_ab), a <= b, and only the root is expanded to d^2 columns by
-that mirror. The term index set is enumerated in one place,
+The superoperator of the family is never built chain by chain: series_superop,
+shared with the time-dependent extension, evaluates it as a recursion over the
+quadrature-index multisets of quadrature.NestedGrid.table, the table that also
+gives the read-out its node times and weights. Every node of the recursion is
+a Kraus map and so preserves Hermiticity, G(E_ba) = G(E_ab)^dag; a node holds
+only the half columns vec(E_ab), a <= b, and only the root is expanded to d^2
+columns by that mirror. The term index set is enumerated in one place,
 CPMapApprox.term_blocks, which yields indices, coefficients and normalizers
 block by block without matrices; iter_terms attaches the chain products to
 those blocks where the operators themselves are needed.
@@ -202,11 +203,12 @@ def series_superop(propagate, jumps, rule: QuadratureRule, K: int, m: int,
         G_r(u) = K[T(0, u)]
                  + sum_j (u w_j / t) sum_l K[T(u x_j, u) L_l(u x_j)] G_{r-1}(u x_j),
 
-    G_0(u) = K[T(0, u)], evaluated as G_K(t). A node is fixed by the multiset
-    of its quadrature indices, so depth i has C(q+i-1, i) distinct nodes and
-    each is built once, deepest level first. Depth K-1 is closed in Kraus form,
-    so leaves are never stored; each stored level is one array, from which a
-    chunk of parents takes its children with one indexed gather.
+    G_0(u) = K[T(0, u)], evaluated as G_K(t). Its node times u, weights
+    u w_j / t and children come from NestedGrid(rule, K).table, one node per
+    index multiset, and each node is built once, deepest level first. Depth
+    K-1 is closed in Kraus form, so leaves are never stored; each stored level
+    is one array, from which a chunk of parents takes its children with one
+    indexed gather.
     propagate(s, u) returns T(s_b, u_b) as a (B, d, d) array and jumps(u)
     returns L_l(u_b) as a (B, m, d, d) array; both are called once per level.
 
@@ -221,7 +223,7 @@ def series_superop(propagate, jumps, rule: QuadratureRule, K: int, m: int,
     nodes of depths 0..K-1 exceed MAX_SERIES_NODES, or when the half-column
     blocks held at once would exceed MAX_SUPEROP_BYTES.
     """
-    t, q = rule.interval_length, rule.order
+    q = rule.order
     if K < 1:
         raise ArgumentError(f"series_superop needs K >= 1, got {K}")
     nodes = math.comb(q + K - 1, K - 1)
@@ -240,19 +242,10 @@ def series_superop(propagate, jumps, rule: QuadratureRule, K: int, m: int,
             f"series engine would hold {held_bytes} > {MAX_SUPEROP_BYTES} bytes "
             "of superoperators at once")
 
-    # node multisets as sorted index tuples, their times and child indices
-    levels = [list(itertools.combinations_with_replacement(range(q), i)) for i in range(K + 1)]
-    u = [t * np.prod(rule.nodes[np.array(level, dtype=np.int64).reshape(len(level), i)] / t,
-                     axis=1) for i, level in enumerate(levels)]
-    children = []
-    for i in range(K):
-        pos = {c: n for n, c in enumerate(levels[i + 1])}
-        children.append(np.array([[pos[tuple(sorted(p + (j,)))] for j in range(q)]
-                                  for p in levels[i]], dtype=np.int64))
-
+    u, weights, children = NestedGrid(rule, K).table
     G = None
     for i in range(K - 1, -1, -1):
-        up, uc, ch = u[i], u[i + 1], children[i]
+        up, uc, ch, W = u[i], u[i + 1], children[i], weights[i]
         n_p = up.size
         lo = np.concatenate([np.zeros(n_p), uc[ch].ravel()])
         hi = np.concatenate([up, np.repeat(up, q)])
@@ -262,7 +255,6 @@ def series_superop(propagate, jumps, rule: QuadratureRule, K: int, m: int,
         T = propagate(lo, hi)
         close = T[:n_p]
         B = T[n_p:n_p * (q + 1)].reshape(n_p, q, 1, d, d) @ jumps(uc)[ch]
-        W = up[:, None] * rule.weights[None, :] / t
         if i == K - 1:
             # depth-K leaves in Kraus form: close at weight 1, then T(u x_j, u) L_l T(0, u x_j)
             A = np.concatenate([close[:, None], (B @ T[n_p * (q + 1):][ch][:, :, None])
@@ -366,8 +358,7 @@ def choose_orders(model, seg_t: float, eps: float) -> TruncationConfig:
     identities exact), then Kp against the total substituted-drift budget.
     Monotone in eps: halving eps never decreases any order.
     """
-    if not eps > 0:
-        raise ArgumentError(f"target precision must be positive, got {eps}")
+    check_time(eps, "target precision", positive=True)
     check_time(seg_t, "segment time")
     beta, alpha_sq = be_norm(model), _alpha_sq(model)
     budget = eps / 3.0
@@ -472,9 +463,10 @@ class CPMapApprox:
         e_bt = math.exp(be_norm(self.lind) * self.t)
         empty = [(np.empty((1, 0), dtype=np.int64), np.empty((1, 0)), np.empty((1, 0)))]
         for k in range(self._series_order + 1):
+            grid = NestedGrid(self._rule, k)
             for ells in itertools.product(range(self.lind.num_jumps), repeat=k):
                 alpha_prod = math.prod(self.lind.alphas[ell] for ell in ells)
-                for idx, nodes, weights in (NestedGrid(self._rule, k).chunks() if k else empty):
+                for idx, nodes, weights in (grid.chunks() if k else empty):
                     coeff = np.sqrt(np.prod(weights, axis=1))
                     yield k, ells[::-1], idx, nodes, coeff, coeff * e_bt * alpha_prod
 
@@ -579,6 +571,8 @@ def _validate_rho0(rho0: np.ndarray, dim: int) -> np.ndarray:
     rho = np.asarray(rho0, dtype=complex)
     if rho.shape != (dim, dim):
         raise ModelError(f"rho0 must have shape {(dim, dim)}, got {rho.shape}")
+    if not np.all(np.isfinite(rho)):
+        raise ModelError("rho0 contains non-finite entries")
     scale = max(1.0, float(np.abs(rho).max()))
     if np.abs(rho - rho.conj().T).max() > 1e-10 * scale:
         raise ModelError("rho0 is not Hermitian")
@@ -631,8 +625,7 @@ def simulate(lind: Lindbladian, rho0: np.ndarray, t: float, eps: float,
     and the same segment superoperator is applied num_segments times.
     """
     check_time(t)
-    if not eps > 0:
-        raise ArgumentError(f"target precision must be positive, got {eps}")
+    check_time(eps, "target precision", positive=True)
     rho = _validate_rho0(rho0, lind.dim)
     if t == 0.0:
         return rho, _zero_time_report(eps)

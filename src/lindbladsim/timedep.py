@@ -68,8 +68,8 @@ class TimeDependentLindbladian:
         self.alpha0 = float(alpha0)
         self.alphas = tuple(float(a) for a in alphas)
         self.jdot_bound = float(jdot_bound)
-        if self.alpha0 < 0 or any(a < 0 for a in self.alphas) or self.jdot_bound < 0:
-            raise ModelError("declared bounds must be nonnegative")
+        if not all(0 <= b < math.inf for b in (self.alpha0, *self.alphas, self.jdot_bound)):
+            raise ModelError("declared bounds must be nonnegative and finite")
         self.dim = self.sample(0.0)[0].shape[0]
 
     @property
@@ -277,8 +277,7 @@ def td_simulate(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float, eps: f
     sampler calls; the series engine's own node and byte caps still apply.
     """
     check_time(t)
-    if not eps > 0:
-        raise ArgumentError(f"target precision must be positive, got {eps}")
+    check_time(eps, "target precision", positive=True)
     rho = _validate_rho0(rho0, tl.dim)
     if t == 0.0:
         return rho, _zero_time_report(eps), cfg or DysonConfig(0, 1)

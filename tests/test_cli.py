@@ -97,6 +97,30 @@ def test_exit_code_invalid_model(tmp_path, capsys):
     code, _ = run_cli(["simulate", "--model", str(bad),
                        "--time", "1.0", "--eps", "1e-4"], capsys)
     assert code == 2
+    # json reads NaN and Infinity: non-finite bounds, knots and states are model errors
+    with open("models/driven_damped_qubit.json") as fh:
+        driven = json.load(fh)
+    knot = json.loads(json.dumps(driven))
+    knot["time_dependence"]["hamiltonian"][1][0][0] = [math.nan, 0.0]
+    static = {"n_qubits": 1, "hamiltonian": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]}
+    for command, obj, err in [
+            ("simulate", dict(static, alphas={"hamiltonian": math.nan}), "declared bounds"),
+            ("simulate", dict(static, alphas={"hamiltonian": math.inf}), "declared bounds"),
+            ("td-simulate", dict(driven, time_dependence=dict(driven["time_dependence"],
+                                                              jdot_bound=math.nan)),
+             "declared bounds"),
+            ("td-simulate", knot, "time_dependence.hamiltonian[1]: entry (0,0) is not finite")]:
+        bad.write_text(json.dumps(obj))
+        code, cap = run_cli([command, "--model", str(bad), "--time", "0.5", "--eps", "1e-4"],
+                            capsys)
+        assert code == 2
+        assert err in cap.err
+    rho0 = tmp_path / "rho0.json"
+    rho0.write_text(json.dumps([[[math.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]))
+    code, cap = run_cli(["simulate", "--model", "models/amplitude_damping.json",
+                         "--rho0", str(rho0), "--time", "1.0", "--eps", "1e-4"], capsys)
+    assert code == 2
+    assert "rho0: entry (0,0) is not finite" in cap.err
 
 
 def test_exit_code_bad_arguments(capsys):
@@ -121,6 +145,17 @@ def test_exit_code_bad_arguments(capsys):
         code, _ = run_cli(["simulate", "--model", "models/amplitude_damping.json",
                            "--time", time, "--eps", eps], capsys)
         assert code == 2
+    for command, model in [("simulate", "amplitude_damping"),
+                           ("td-simulate", "driven_damped_qubit")]:
+        code, cap = run_cli([command, "--model", f"models/{model}.json",
+                             "--time", "1.0", "--eps", "inf"], capsys)
+        assert code == 2
+        assert "target precision must be positive and finite, got inf" in cap.err
+    # t^(ell+1) underflows to 0 or overflows: the moment table cannot be formed
+    for time in ("1e-300", "1e200"):
+        code, cap = run_cli(["quadrature", "--times", time], capsys)
+        assert code == 2
+        assert f"time {float(time)}:" in cap.err and "outside the float range" in cap.err
     for argv, err in [(["quadrature", "--times", "inf"], "interval length"),
                       (["analyze-error", "--random-models", "1", "--time", "inf"],
                        "evolution time"),

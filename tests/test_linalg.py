@@ -5,8 +5,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lindbladsim.linalg import (batched_kraus_sum, expand_half, kraus_superop, kron, left_mult,
-                               right_mult)
+from lindbladsim.linalg import batched_kraus_sum, expand_half, kraus_superop, kron
 from lindbladsim.series import _TaylorPropagator
 
 
@@ -37,9 +36,6 @@ def test_kron_and_kraus_sum_are_bitwise_the_reference(d, b, P, seed):
         assert np.array_equal(kron(A, C)[n], np.kron(A[n], C[n]))
         assert np.array_equal(kraus_superop(A)[n], np.kron(A[n].conj(), A[n]))
         assert np.array_equal(got[n], _einsum_kraus_sum(weights[n], mats[n]))
-    if P is None:
-        assert np.array_equal(left_mult(A), np.kron(np.eye(d), A))
-        assert np.array_equal(right_mult(A), np.kron(A.T, np.eye(d)))
 
 
 @settings(max_examples=40, deadline=None)

@@ -65,6 +65,9 @@ def test_matrix_from_json_validation():
         matrix_from_json([[[1.0], [0.0, 0.0]], good[1]], 2, "x")
     with pytest.raises(ModelError):
         matrix_from_json([[["a", 0.0], [0.0, 0.0]], good[1]], 2, "x")
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ModelError, match=r"x: entry \(1,0\) is not finite"):
+            matrix_from_json([good[0], [[0.0, bad], [0.0, 0.0]]], 2, "x")
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +149,10 @@ def test_table_validation():
     obj = driven_model_obj()
     obj["time_dependence"]["jdot_bound"] = -1.0
     with pytest.raises(ModelError):
+        parse_model(obj)
+    obj = driven_model_obj()
+    obj["time_dependence"]["jumps"][0][1][0][1] = [math.nan, 0.0]
+    with pytest.raises(ModelError, match=r"time_dependence.jumps\[0\]\[1\]: entry \(0,1\)"):
         parse_model(obj)
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -85,6 +87,12 @@ def test_rejects_undersized_declared_bounds():
         Lindbladian(SZ, alpha0=0.5)
     with pytest.raises(ModelError):
         Lindbladian(np.zeros((2, 2)), jumps=[SZ], alphas=[0.1])
+    # a non-finite bound passes every dominance comparison but bounds nothing
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ModelError, match="finite"):
+            Lindbladian(SZ, alpha0=bad)
+        with pytest.raises(ModelError, match="finite"):
+            Lindbladian(np.zeros((2, 2)), jumps=[SZ], alphas=[bad])
 
 
 def test_be_norm_plug_ins():

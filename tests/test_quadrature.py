@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from numpy.polynomial.legendre import leggauss
 
 from lindbladsim import (
     ArgumentError,
+    NestedGrid,
     ResourceLimitError,
     canonical_rule,
     legendre_rule,
@@ -146,6 +148,55 @@ def test_nested_grid_simplex_ordering():
         s = p.nodes
         assert 0 < s[2] <= s[1] <= s[0] <= t
         assert np.all(p.weights > 0)
+
+
+GRID_TIMES = (1e-3, 0.1, 0.37, 1.0, 2.9, 7.0)
+
+
+def _multiset_time(rule, js):
+    # t * prod(shat_j / t) over the sorted multiset, multiplied left to right
+    t = rule.interval_length
+    prod = np.ones(js.shape[0])
+    for c in range(js.shape[1]):
+        prod = prod * (rule.nodes[js[:, c]] / t)
+    return t * prod
+
+
+def test_nested_grid_nodes_and_weights_are_the_multiset_table():
+    # every node is t * prod(shat / t) over its sorted prefix and every weight
+    # u_parent * w / t, bit for bit, so the read-out sees the engine's numbers
+    for q in range(1, 9):
+        for k in range(1, 5):
+            for t in GRID_TIMES:
+                grid = nested_grid(k, q, t)
+                rule = grid.rule
+                for idx, nodes, weights in grid.chunks():
+                    parent = np.full(idx.shape[0], t)
+                    for pos in range(k):
+                        node = _multiset_time(rule, np.sort(idx[:, :pos + 1], axis=1))
+                        assert np.array_equal(nodes[:, pos], node)
+                        assert np.array_equal(weights[:, pos],
+                                              parent * rule.weights[idx[:, pos]] / t)
+                        parent = node
+
+
+def test_nested_grid_table_counts_and_children():
+    for q in range(1, 6):
+        for k in range(1, 5):
+            rule = canonical_rule(q, 0.7)
+            u, weights, children = NestedGrid(rule, k).table
+            levels = [list(itertools.combinations_with_replacement(range(q), i))
+                      for i in range(k + 1)]
+            for i, level in enumerate(levels):
+                assert u[i].shape == (math.comb(q + i - 1, i),) == (len(level),)
+                js = np.array(level, dtype=np.int64).reshape(len(level), i)
+                assert np.array_equal(u[i], _multiset_time(rule, js))
+            for i in range(k):
+                assert weights[i].shape == children[i].shape == (len(levels[i]), q)
+                for p, multiset in enumerate(levels[i]):
+                    for j in range(q):
+                        child = levels[i + 1][children[i][p, j]]
+                        assert child == tuple(sorted(multiset + (j,)))
 
 
 def test_nested_grid_guardrail():

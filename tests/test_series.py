@@ -587,6 +587,9 @@ def test_choose_orders_infeasible():
     lind = amplitude_damping()
     with pytest.raises(InfeasiblePrecisionError):
         choose_orders(lind, segment_time(lind), 1e-300)
+    for eps in (0.0, math.inf, math.nan):
+        with pytest.raises(ArgumentError, match="target precision"):
+            choose_orders(lind, segment_time(lind), eps)
 
 
 # ---------------------------------------------------------------------------
@@ -639,9 +642,11 @@ def test_simulate_rejects_bad_density():
         simulate(lind, np.diag([1.0, 0.0]), -1.0, 1e-4)
     with pytest.raises(ArgumentError):
         simulate(lind, np.diag([1.0, 0.0]), 1.0, 0.0)
-    for t, eps in [(math.inf, 1e-4), (math.nan, 1e-4), (1.0, math.nan)]:
+    for t, eps in [(math.inf, 1e-4), (math.nan, 1e-4), (1.0, math.nan), (1.0, math.inf)]:
         with pytest.raises(ArgumentError):
             simulate(lind, np.diag([1.0, 0.0]), t, eps)
+    with pytest.raises(ModelError, match="non-finite"):
+        simulate(lind, np.array([[math.nan, 0], [0, 1]], dtype=complex), 1.0, 1e-4)
 
 
 AD = amplitude_damping()

@@ -377,9 +377,14 @@ def test_td_simulate_argument_validation():
         td_simulate(tl, rho0, -1.0, 1e-4)
     with pytest.raises(ArgumentError):
         td_simulate(tl, rho0, 1.0, 0.0)
-    for t, eps in [(math.inf, 1e-4), (math.nan, 1e-4), (1.0, math.nan)]:
+    for t, eps in [(math.inf, 1e-4), (math.nan, 1e-4), (1.0, math.nan), (1.0, math.inf)]:
         with pytest.raises(ArgumentError):
             td_simulate(tl, rho0, t, eps)
+    for bounds in [(math.nan, tl.alphas, tl.jdot_bound), (math.inf, tl.alphas, tl.jdot_bound),
+                   (tl.alpha0, (math.nan,), tl.jdot_bound), (tl.alpha0, tl.alphas, math.nan),
+                   (tl.alpha0, tl.alphas, math.inf), (tl.alpha0, tl.alphas, -1.0)]:
+        with pytest.raises(ModelError, match="nonnegative and finite"):
+            TimeDependentLindbladian(tl.sampler, *bounds)
     with pytest.raises(ModelError):
         td_simulate(tl, np.eye(2, dtype=complex), 1.0, 1e-4)
 
