@@ -68,8 +68,8 @@ def _cmd_simulate(args) -> int:
         raise ModelError("model declares time dependence; use td-simulate")
     lind = pm.to_lindbladian()
     rho0 = _load_rho0(args, lind.dim)
-    if args.verify and pm.n_qubits > 3:
-        raise ArgumentError("--verify builds Choi matrices; limited to n_qubits <= 3")
+    if args.verify and pm.n_qubits > 4:
+        raise ArgumentError("--verify builds Choi matrices; limited to n_qubits <= 4")
     t0 = time.perf_counter()
     rho, report = series.simulate(lind, rho0, args.time, args.eps, verify=args.verify)
     out = {
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--out", default=None)
     sp.add_argument("--verify", action="store_true",
-                    help="compare against the exact channel (n_qubits <= 3)")
+                    help="compare against the exact channel (n_qubits <= 4)")
     sp.add_argument("--timing", action="store_true")
     sp.set_defaults(func=_cmd_simulate)
 

@@ -6,8 +6,8 @@ Under this convention ``vec(A rho B) = (B^T kron A) vec(rho)``, so the conjugati
 
 A map rho -> sum c^2 A rho A^dag preserves Hermiticity, G(E_ba) = G(E_ab)^dag, so its
 superoperator is fixed by the d(d+1)/2 columns vec(E_ab) with a <= b, its half
-columns. kraus_superop and batched_kraus_sum build those columns alone when asked
-for half=True, and expand_half fills in the rest.
+columns. kraus_superop builds those columns alone when asked for half=True,
+batched_kraus_sum builds only those columns, and expand_half fills in the rest.
 
 This module is the one place that builds Kronecker products and weighted Kraus sums.
 """
@@ -78,24 +78,18 @@ def spectral_norm(mat: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(mat), 2))
 
 
-def batched_kraus_sum(weights: np.ndarray, mats: np.ndarray, half: bool = False) -> np.ndarray:
-    """Sum_n weights[..., n] conj(mats[..., n]) kron mats[..., n] for mats (..., n, d, d):
-    one matrix product (w conj A)^T @ A over the flattened d^2 axis and an index swap.
-    tests/test_linalg.py pins its bits, for 2 to 9 matrices of side 2 to 8, against
-    the optimized einsum "b,bij,bkl->ikjl". With half, only the half columns: for
-    each b one product of (w conj A)[:, :, b]^T with A[:, :, :b+1]."""
+def batched_kraus_sum(weights: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Half columns of sum_n weights[..., n] conj(mats[..., n]) kron mats[..., n] for
+    mats (..., n, d, d), a (..., d^2, d(d+1)/2) array: for each b one matrix product
+    of (w conj A)[:, :, b]^T with A[:, :, :b+1]. expand_half gives the full
+    superoperator; tests/test_linalg.py holds it to an einsum reference."""
     mats = np.asarray(mats)
     *lead, n, d, _ = mats.shape
-    if half:
-        wA = np.asarray(weights)[..., None, None] * mats.conj()
-        out = np.empty((*lead, d, d, d * (d + 1) // 2), dtype=complex)
-        for b in range(d):
-            h = b * (b + 1) // 2
-            right = mats[..., :b + 1].reshape(*lead, n, d * (b + 1))
-            out[..., h:h + b + 1] = (wA[..., b].swapaxes(-1, -2) @ right).reshape(
-                *lead, d, d, b + 1)
-        return out.reshape(*lead, d * d, -1)
-    A = mats.reshape(*lead, n, d * d)
-    wA = np.asarray(weights)[..., None] * A.conj()
-    out = (wA.swapaxes(-1, -2) @ A).reshape(*lead, d, d, d, d)
-    return out.swapaxes(-3, -2).reshape(*lead, d * d, d * d)
+    wA = np.asarray(weights)[..., None, None] * mats.conj()
+    out = np.empty((*lead, d, d, d * (d + 1) // 2), dtype=complex)
+    for b in range(d):
+        h = b * (b + 1) // 2
+        right = mats[..., :b + 1].reshape(*lead, n, d * (b + 1))
+        out[..., h:h + b + 1] = (wA[..., b].swapaxes(-1, -2) @ right).reshape(
+            *lead, d, d, b + 1)
+    return out.reshape(*lead, d * d, -1)

@@ -22,10 +22,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError
-from .linalg import dag, spectral_norm
+from .linalg import spectral_norm
 from .models import Lindbladian
 from .pauli import PauliSumExpr, materialize, parse_pauli_sum, serialize_pauli_sum
 from .timedep import TimeDependentLindbladian, from_static
+
+
+def _float(x, what: str) -> float:
+    """float(x) for a number read from a file; ModelError naming what when x is
+    not a number or, like a huge JSON integer, does not fit in a float."""
+    try:
+        return float(x)
+    except (TypeError, ValueError, OverflowError):
+        raise ModelError(f"{what} must be a number within the float range") from None
 
 
 def matrix_from_json(obj, dim: int, what: str) -> np.ndarray:
@@ -39,9 +48,10 @@ def matrix_from_json(obj, dim: int, what: str) -> np.ndarray:
             if (not isinstance(cell, list) or len(cell) != 2
                     or not all(isinstance(x, (int, float)) for x in cell)):
                 raise ModelError(f"{what}: entry ({i},{j}) must be a [re, im] pair")
-            if not all(math.isfinite(x) for x in cell):
+            re_im = [_float(x, f"{what}: entry ({i},{j})") for x in cell]
+            if not all(math.isfinite(x) for x in re_im):
                 raise ModelError(f"{what}: entry ({i},{j}) is not finite, got {cell}")
-            out[i, j] = complex(cell[0], cell[1])
+            out[i, j] = complex(*re_im)
     return out
 
 
@@ -186,11 +196,11 @@ def parse_model(obj: dict) -> ParsedModel:
         if not isinstance(al, dict) or set(al) - {"hamiltonian", "jumps"}:
             raise ModelError("alphas must be {'hamiltonian': x, 'jumps': [...]}")
         if "hamiltonian" in al:
-            alpha0 = float(al["hamiltonian"])
+            alpha0 = _float(al["hamiltonian"], "alphas.hamiltonian")
         if "jumps" in al:
             if len(al["jumps"]) != len(jumps):
                 raise ModelError("alphas.jumps length must match jumps")
-            alphas = tuple(float(a) for a in al["jumps"])
+            alphas = tuple(_float(a, f"alphas.jumps[{i}]") for i, a in enumerate(al["jumps"]))
     table = None
     if "time_dependence" in obj:
         table = _parse_table(obj["time_dependence"], n, len(jumps))
@@ -209,7 +219,7 @@ def _parse_table(obj, n_qubits: int, num_jumps: int) -> TimeTable:
     if (not isinstance(times, list) or len(times) < 2
             or not all(isinstance(t, (int, float)) for t in times)):
         raise ModelError("time_dependence.times must list at least two numbers")
-    times = tuple(float(t) for t in times)
+    times = tuple(_float(t, f"time_dependence.times[{i}]") for i, t in enumerate(times))
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ModelError("time_dependence.times must be strictly increasing")
     hams = None
@@ -235,7 +245,7 @@ def _parse_table(obj, n_qubits: int, num_jumps: int) -> TimeTable:
         raise ModelError("time_dependence declares no varying operator")
     jdot = obj.get("jdot_bound")
     if jdot is not None:
-        jdot = float(jdot)
+        jdot = _float(jdot, "time_dependence.jdot_bound")
         if jdot < 0:
             raise ModelError("jdot_bound must be nonnegative")
     return TimeTable(times=times, hamiltonians=hams, jump_tables=jts, jdot_bound=jdot)

@@ -14,6 +14,7 @@ Hermitian by construction.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,10 @@ PAULI_MATRICES = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-_WORD_CHARS = set("IXYZ")
-_NUM_START = set("0123456789.")
+# One token after optional whitespace. bad takes only a non-space character, so
+# trailing whitespace matches nothing and no character is skipped.
+_TOKEN = re.compile(r"\s*(?:(?P<op>[-+*])|(?P<word>[IXYZ]+)"
+                    r"|(?P<num>[0-9.]+(?:[eE][+-]?\d+)?)|(?P<bad>\S))")
 
 
 @dataclass(frozen=True)
@@ -46,44 +49,21 @@ class PauliSumExpr:
 def _tokenize(text: str):
     """Full token list with positions; raises on any bad character."""
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "+-*":
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        if c in _WORD_CHARS:
-            start = i
-            while i < n and text[i] in _WORD_CHARS:
-                i += 1
-            tokens.append(("word", text[start:i], start))
-            continue
-        if c in _NUM_START:
-            start = i
-            while i < n and text[i] in _NUM_START:
-                i += 1
-            if i < n and text[i] in "eE":
-                j = i + 1
-                if j < n and text[j] in "+-":
-                    j += 1
-                if j < n and text[j].isdigit():
-                    i = j
-                    while i < n and text[i].isdigit():
-                        i += 1
-            lit = text[start:i]
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        lit, at = match.group(kind), match.start(kind)
+        if kind == "bad":
+            raise PauliParseError(f"unexpected character {lit!r}", at)
+        if kind == "num":
             try:
                 value = float(lit)
             except ValueError:
-                raise PauliParseError(f"malformed number {lit!r}", start)
+                raise PauliParseError(f"malformed number {lit!r}", at)
             if not math.isfinite(value):
-                raise PauliParseError(f"non-finite coefficient {lit!r}", start)
-            tokens.append(("num", value, start))
-            continue
-        raise PauliParseError(f"unexpected character {c!r}", i)
+                raise PauliParseError(f"non-finite coefficient {lit!r}", at)
+            tokens.append(("num", value, at))
+        else:
+            tokens.append((lit if kind == "op" else kind, lit, at))
     return tokens
 
 

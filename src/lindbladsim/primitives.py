@@ -16,9 +16,10 @@ amplification, after diluting the amplitude to exactly 1/2, lifts it to one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .errors import ArgumentError, ContractError
 from .linalg import dag, spectral_norm
@@ -99,14 +100,18 @@ def _pad_pow2(n: int) -> int:
 
 def _select_unitary(encodings, pad_to: int) -> np.ndarray:
     """sum_j |j><j| kron U_j, identity on padding slots."""
-    a = encodings[0].ancilla_dim
-    d = encodings[0].dim
-    blk = a * d
-    S = np.zeros((pad_to * blk, pad_to * blk), dtype=complex)
-    for j in range(pad_to):
-        U = encodings[j].unitary if j < len(encodings) else np.eye(blk)
-        S[j * blk:(j + 1) * blk, j * blk:(j + 1) * blk] = U
-    return S
+    pad = np.eye(encodings[0].ancilla_dim * encodings[0].dim, dtype=complex)
+    return block_diag(*[e.unitary for e in encodings], *[pad] * (pad_to - len(encodings)))
+
+
+def _shared_registers(encodings, caller: str) -> tuple[int, int]:
+    """(system, ancilla) dimensions of a non-empty list of encodings that share them."""
+    if not encodings:
+        raise ArgumentError(f"{caller} needs at least one encoding")
+    d, a = encodings[0].dim, encodings[0].ancilla_dim
+    if any(e.dim != d or e.ancilla_dim != a for e in encodings):
+        raise ArgumentError("encodings must share system and ancilla dimensions")
+    return d, a
 
 
 def lcu_sum(encodings, y) -> BlockEncoding:
@@ -118,16 +123,11 @@ def lcu_sum(encodings, y) -> BlockEncoding:
     """
     encodings = list(encodings)
     y = [float(c) for c in y]
-    if len(encodings) == 0:
-        raise ArgumentError("lcu_sum needs at least one encoding")
+    d, a = _shared_registers(encodings, "lcu_sum")
     if len(y) != len(encodings):
         raise ArgumentError("coefficient list must match encodings")
     if any(c < 0 for c in y):
         raise ArgumentError("coefficients must be nonnegative")
-    d = encodings[0].dim
-    a = encodings[0].ancilla_dim
-    if any(e.dim != d or e.ancilla_dim != a for e in encodings):
-        raise ArgumentError("encodings must share system and ancilla dimensions")
     s = sum(c * e.alpha for c, e in zip(y, encodings))
     if s <= 0:
         raise ArgumentError("total normalizer must be positive")
@@ -207,17 +207,12 @@ def lcu_channel(encodings, psi) -> ChannelApplication:
     up to m * eps / sqrt(sum s^2) for encodings with declared error eps.
     """
     encodings = list(encodings)
-    if not encodings:
-        raise ArgumentError("lcu_channel needs at least one encoding")
+    d, a = _shared_registers(encodings, "lcu_channel")
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ArgumentError("psi must be normalized")
-    d = encodings[0].dim
-    a = encodings[0].ancilla_dim
     if psi.size != d:
         raise ArgumentError(f"psi has dimension {psi.size}, expected {d}")
-    if any(e.dim != d or e.ancilla_dim != a for e in encodings):
-        raise ArgumentError("encodings must share system and ancilla dimensions")
     M = len(encodings)
     Mp = _pad_pow2(M)
     s_vals = np.array([e.alpha for e in encodings])
@@ -317,7 +312,7 @@ def _check(measured: float, threshold: float) -> dict:
 def verification_matrix(seed: int = 0) -> dict:
     """Run the primitive invariants on seeded instances; returns a pass/fail
     matrix keyed by invariant name. Deterministic given the seed."""
-    from .models import amplitude_damping, random_lindbladian
+    from .models import amplitude_damping
     from .series import choose_orders, enumerate_kraus, segment_time
 
     rng = np.random.default_rng(seed)
@@ -358,10 +353,7 @@ def verification_matrix(seed: int = 0) -> dict:
                 G *= eps / spectral_norm(G)
             else:
                 G = np.zeros((2, 2))
-            e = dilate(Aj + G, term.normalizer)
-            encs.append(BlockEncoding(unitary=e.unitary, alpha=e.alpha,
-                                      ancilla_dim=e.ancilla_dim, target=Aj,
-                                      epsilon=eps))
+            encs.append(replace(dilate(Aj + G, term.normalizer), target=Aj, epsilon=eps))
         app = lcu_channel(encs, psi)
         slack = app.residual - app.residual_bound
         worst = max(worst, slack)

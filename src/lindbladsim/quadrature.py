@@ -31,7 +31,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -98,24 +97,8 @@ def canonical_rule(q: int, t: float) -> QuadratureRule:
 
 
 @dataclass(frozen=True, eq=False)
-class NestedPoint:
-    """One simplex point: indices (j_k, ..., j_1), nodes and weights outermost first.
-
-    nodes[0] = s_k >= nodes[1] = s_{k-1} >= ... >= nodes[k-1] = s_1.
-    """
-
-    indices: tuple
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    @property
-    def weight_product(self) -> float:
-        return float(np.prod(self.weights))
-
-
-@dataclass(frozen=True, eq=False)
 class NestedGrid:
-    """Lazily iterable nested grid of depth k over a canonical rule."""
+    """Nested grid of depth k over a canonical rule, walked in chunks."""
 
     rule: QuadratureRule
     depth: int
@@ -141,12 +124,6 @@ class NestedGrid:
         children = [np.array([[pos[tuple(sorted(p + (j,)))] for j in range(q)] for p in level],
                              dtype=np.int64) for level in levels[:k]]
         return u, weights, children
-
-    def __iter__(self) -> Iterator[NestedPoint]:
-        for idx, nodes, weights in self.chunks():
-            for r in range(idx.shape[0]):
-                yield NestedPoint(tuple(int(j) for j in idx[r]),
-                                  nodes[r].copy(), weights[r].copy())
 
     def chunks(self):
         """Yield (indices, nodes, weights) arrays of shape (B, k) in enumeration order.

@@ -36,6 +36,7 @@ count sizes only the read-out, so it bounds no superoperator path.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -46,9 +47,9 @@ from scipy.linalg import expm
 
 from .errors import (ArgumentError, InfeasiblePrecisionError, ModelError, ResourceLimitError,
                      check_time)
-from .linalg import batched_kraus_sum, expand_half, kraus_superop, spectral_norm, unvec, vec
+from .linalg import batched_kraus_sum, expand_half, kraus_superop, unvec, vec
 from .metrics import diamond_sandwich
-from .models import (Lindbladian, be_norm, effective_generator, exact_channel,
+from .models import (Lindbladian, _jump_stack, be_norm, effective_generator, exact_channel,
                      jump_superoperator)
 from .quadrature import TERM_GUARDRAIL, NestedGrid, QuadratureRule, canonical_rule
 
@@ -193,11 +194,13 @@ def _chain_count(m: int, q: int, K: int) -> int:
     return sum((m * q) ** k for k in range(1, K + 1))
 
 
-def series_superop(propagate, jumps, rule: QuadratureRule, K: int, m: int,
+def series_superop(propagate, jumps, t: float, q: int, K: int, m: int,
                    d: int) -> np.ndarray:
-    """Superoperator of the order-K series on [0, t], t = rule.interval_length.
+    """Superoperator of the order-K series on [0, t] over the q-point rule.
 
-    The nested grid scales the rule into [0, u] below every node u, at the
+    When K = 0, m = 0 or t = 0 only the order-0 term is left: the drift
+    conjugation K[T(0, t)], from one propagator call. Otherwise the nested grid
+    scales canonical_rule(q, t) into [0, u] below every node u, at the
     nodes u x_j with x_j = shat_j / t, so the series is the recursion
 
         G_r(u) = K[T(0, u)]
@@ -219,13 +222,15 @@ def series_superop(propagate, jumps, rule: QuadratureRule, K: int, m: int,
     (linalg.expand_half): its column for E_ba is vec(G(E_ab)^dag), a bitwise
     mirror.
 
-    Raises ResourceLimitError before building anything when the C(q+K-1, K-1)
-    nodes of depths 0..K-1 exceed MAX_SERIES_NODES, or when the half-column
-    blocks held at once would exceed MAX_SUPEROP_BYTES.
+    Raises ArgumentError when K < 0, and ResourceLimitError before building
+    anything when the C(q+K-1, K-1) nodes of depths 0..K-1 exceed
+    MAX_SERIES_NODES, or when the half-column blocks held at once would exceed
+    MAX_SUPEROP_BYTES.
     """
-    q = rule.order
-    if K < 1:
-        raise ArgumentError(f"series_superop needs K >= 1, got {K}")
+    if K < 0:
+        raise ArgumentError(f"series order must be nonnegative, got {K}")
+    if K == 0 or m == 0 or t == 0.0:
+        return kraus_superop(propagate(np.zeros(1), np.array([t]))[0])
     nodes = math.comb(q + K - 1, K - 1)
     if nodes > MAX_SERIES_NODES:
         raise ResourceLimitError(
@@ -242,7 +247,7 @@ def series_superop(propagate, jumps, rule: QuadratureRule, K: int, m: int,
             f"series engine would hold {held_bytes} > {MAX_SUPEROP_BYTES} bytes "
             "of superoperators at once")
 
-    u, weights, children = NestedGrid(rule, K).table
+    u, weights, children = NestedGrid(canonical_rule(q, t), K).table
     G = None
     for i in range(K - 1, -1, -1):
         up, uc, ch, W = u[i], u[i + 1], children[i], weights[i]
@@ -264,7 +269,7 @@ def series_superop(propagate, jumps, rule: QuadratureRule, K: int, m: int,
         for start in range(0, n_p, chunk):
             sl = slice(start, min(start + chunk, n_p))
             if i == K - 1:
-                level[sl] = batched_kraus_sum(wts[sl], A[sl], half=True)
+                level[sl] = batched_kraus_sum(wts[sl], A[sl])
                 continue
             P = sl.stop - start
             X = G[ch[sl]].reshape(P, q, 1, d, d, nh)
@@ -279,11 +284,11 @@ def series_superop(propagate, jumps, rule: QuadratureRule, K: int, m: int,
     return expand_half(G[0])
 
 
-def _static_superop(lind: Lindbladian, rule: QuadratureRule, K: int, propagate) -> np.ndarray:
+def _static_superop(lind: Lindbladian, t: float, q: int, K: int, propagate) -> np.ndarray:
     """series_superop with a static drift propagator and constant jumps."""
-    Ls = np.stack(lind.jumps)
+    Ls = _jump_stack(lind.hamiltonian, lind.jumps)
     return series_superop(propagate, lambda u: np.broadcast_to(Ls, (u.size,) + Ls.shape),
-                          rule, K, lind.num_jumps, lind.dim)
+                          t, q, K, lind.num_jumps, lind.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -314,13 +319,8 @@ def f_k(lind: Lindbladian, t: float, s) -> np.ndarray:
 def g_K_quadrature(lind: Lindbladian, t: float, K: int, q: int) -> np.ndarray:
     """Order-K series superoperator with exact drifts and nested quadrature sums."""
     check_time(t)
-    if K < 0:
-        raise ArgumentError(f"series order must be nonnegative, got {K}")
     J = effective_generator(lind)
-    if K == 0 or lind.num_jumps == 0 or t == 0.0:
-        return kraus_superop(expm(J * t))
-    return _static_superop(lind, canonical_rule(q, t), K,
-                           lambda s, u: expm((u - s)[:, None, None] * J))
+    return _static_superop(lind, t, q, K, lambda s, u: expm((u - s)[:, None, None] * J))
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +440,13 @@ class CPMapApprox:
         self._superop: np.ndarray | None = None
         J = effective_generator(lind)
         self._prop = _TaylorPropagator(J, config.taylor_order)
-        self._rule = (canonical_rule(config.quadrature_order, t) if K > 0 else None)
+
+    @functools.cached_property
+    def _rule(self) -> QuadratureRule | None:
+        """The read-out's quadrature rule, built on first use; None at order 0."""
+        if self._series_order == 0:
+            return None
+        return canonical_rule(self.config.quadrature_order, self.t)
 
     @property
     def term_count(self) -> int:
@@ -484,11 +490,9 @@ class CPMapApprox:
 
     def as_superoperator(self) -> np.ndarray:
         if self._superop is None:
-            if self._series_order == 0:
-                self._superop = kraus_superop(self._prop.batch(np.array([self.t]))[0])
-            else:
-                self._superop = _static_superop(self.lind, self._rule, self._series_order,
-                                                lambda s, u: self._prop.batch(u - s))
+            cfg = self.config
+            self._superop = _static_superop(self.lind, self.t, cfg.quadrature_order,
+                                            cfg.series_order, lambda s, u: self._prop.batch(u - s))
         return self._superop
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -503,10 +507,6 @@ class CPMapApprox:
 def enumerate_kraus(lind: Lindbladian, t: float, config: TruncationConfig) -> CPMapApprox:
     """Build the CP Kraus approximant for one segment of length t."""
     return CPMapApprox(lind, t, config)
-
-
-def normalizer_sum_squares(cp: CPMapApprox) -> float:
-    return cp.normalizer_sum_squares()
 
 
 # ---------------------------------------------------------------------------

@@ -35,9 +35,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ArgumentError, ModelError, ResourceLimitError, check_time
-from .linalg import kraus_superop, unvec, vec
+from .linalg import unvec, vec
 from .models import Lindbladian, _drift_generator, _liouvillian, be_norm
-from .quadrature import canonical_rule
 from .series import (MAX_SAMPLER_CALLS, _WORK_BYTES, _plan, _report, _validate_rho0,
                      _zero_time_report, series_superop)
 
@@ -106,9 +105,6 @@ class TimeDependentLindbladian:
         times = np.array([float(t)])
         H, L = _sample_stack(self, times)
         return self._check(times, H, L)[0], list(L[0])
-
-    def effective_generator_at(self, t: float) -> np.ndarray:
-        return _drift_generator(*self.sample(t))
 
 
 def _sample_stack(tl: TimeDependentLindbladian, times: np.ndarray):
@@ -201,19 +197,16 @@ def dyson_contract(tl: TimeDependentLindbladian, delta: float, cfg: DysonConfig)
 
 def _segment_superop(tl: TimeDependentLindbladian, a: float, delta: float,
                      K: int, q: int, cfg: DysonConfig) -> np.ndarray:
-    """Superoperator for the segment [a, a + delta]: the jump-free term plus depth
-    1..K chains, from the static pipeline's series engine run on segment-relative
-    times with ordered propagators and jumps sampled at the nodes."""
+    """Superoperator for the segment [a, a + delta] at every order: the static
+    pipeline's series engine run on segment-relative times with ordered
+    propagators and jumps sampled at the nodes."""
     def propagate(s, u):
         return _batched_propagator(tl, a + s, a + u, cfg)
 
     def jumps(u):
         return _sample_stack(tl, a + u)[1]
 
-    if K == 0 or tl.num_jumps == 0:
-        return kraus_superop(propagate(np.zeros(1), np.array([delta]))[0])
-    return series_superop(propagate, jumps, canonical_rule(q, delta), K,
-                          tl.num_jumps, tl.dim)
+    return series_superop(propagate, jumps, delta, q, K, tl.num_jumps, tl.dim)
 
 
 _PROBES = 17  # validating samples per segment

@@ -60,10 +60,21 @@ def test_simulate_verify_reports_choi_gap(tmp_path, capsys):
     assert rep["measured_choi_lower"] <= rep["measured_choi_upper"]
 
 
+def test_simulate_verify_four_qubits(tmp_path, capsys):
+    model, out = tmp_path / "wide.json", tmp_path / "out.json"
+    model.write_text(json.dumps({"n_qubits": 4, "hamiltonian": {"pauli_sum": "0.5*ZIII"},
+                                 "jumps": [{"pauli_sum": "0.4*XIIY"}]}))
+    code, _ = run_cli(["simulate", "--model", str(model), "--time", "1", "--eps", "1e-3",
+                       "--verify", "--out", str(out)], capsys)
+    assert code == 0
+    rep = json.loads(out.read_text())["report"]
+    assert 0.0 <= rep["measured_choi_lower"] <= rep["measured_choi_upper"] <= 1e-3
+
+
 def test_simulate_verify_rejects_large_register(tmp_path, capsys):
     model = tmp_path / "wide.json"
-    model.write_text(json.dumps({"n_qubits": 4,
-                                 "hamiltonian": {"pauli_sum": "0.5*ZIII"}}))
+    model.write_text(json.dumps({"n_qubits": 5,
+                                 "hamiltonian": {"pauli_sum": "0.5*ZIIII"}}))
     code, cap = run_cli(["simulate", "--model", str(model), "--time", "0.1",
                          "--eps", "1e-4", "--verify"], capsys)
     assert code == 2
@@ -103,7 +114,19 @@ def test_exit_code_invalid_model(tmp_path, capsys):
     knot = json.loads(json.dumps(driven))
     knot["time_dependence"]["hamiltonian"][1][0][0] = [math.nan, 0.0]
     static = {"n_qubits": 1, "hamiltonian": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]}
+    # an integer too large for a float is a model error naming its field
+    huge = 10 ** 400
+    times = dict(driven["time_dependence"], times=[huge] + driven["time_dependence"]["times"][1:])
     for command, obj, err in [
+            ("simulate", dict(static, hamiltonian=[[[huge, 0], [0, 0]], [[0, 0], [0, 0]]]),
+             "hamiltonian: entry (0,0) must be a number within the float range"),
+            ("simulate", dict(static, alphas={"hamiltonian": huge}),
+             "alphas.hamiltonian must be a number within the float range"),
+            ("td-simulate", dict(driven, time_dependence=dict(driven["time_dependence"],
+                                                              jdot_bound=huge)),
+             "time_dependence.jdot_bound must be a number within the float range"),
+            ("td-simulate", dict(driven, time_dependence=times),
+             "time_dependence.times[0] must be a number within the float range"),
             ("simulate", dict(static, alphas={"hamiltonian": math.nan}), "declared bounds"),
             ("simulate", dict(static, alphas={"hamiltonian": math.inf}), "declared bounds"),
             ("td-simulate", dict(driven, time_dependence=dict(driven["time_dependence"],
@@ -121,6 +144,11 @@ def test_exit_code_invalid_model(tmp_path, capsys):
                          "--rho0", str(rho0), "--time", "1.0", "--eps", "1e-4"], capsys)
     assert code == 2
     assert "rho0: entry (0,0) is not finite" in cap.err
+    rho0.write_text(json.dumps([[[1, huge], [0, 0]], [[0, 0], [0, 0]]]))
+    code, cap = run_cli(["simulate", "--model", "models/amplitude_damping.json",
+                         "--rho0", str(rho0), "--time", "1.0", "--eps", "1e-4"], capsys)
+    assert code == 2
+    assert "rho0: entry (0,0) must be a number within the float range" in cap.err
 
 
 def test_exit_code_bad_arguments(capsys):

@@ -127,27 +127,25 @@ def test_nodes_interior_and_weights_positive_up_to_cap():
 
 def test_nested_grid_depth_one_matches_rule():
     rule = canonical_rule(4, 1.3)
-    grid = nested_grid(1, 4, 1.3)
-    pts = list(grid)
-    np.testing.assert_allclose([p.nodes[0] for p in pts], rule.nodes, atol=1e-15)
-    np.testing.assert_allclose([p.weights[0] for p in pts], rule.weights, atol=1e-15)
+    (_, nodes, weights), = nested_grid(1, 4, 1.3).chunks()
+    np.testing.assert_allclose(nodes[:, 0], rule.nodes, atol=1e-15)
+    np.testing.assert_allclose(weights[:, 0], rule.weights, atol=1e-15)
 
 
 def test_nested_grid_depth_two_product_nodes():
     t = 1.0
     rule = canonical_rule(2, t)
-    for p in nested_grid(2, 2, t):
-        j2, j1 = p.indices
-        expected = rule.nodes[j2] * rule.nodes[j1] / t
-        assert abs(p.nodes[1] - expected) <= 1e-15
+    for idx, nodes, _ in nested_grid(2, 2, t).chunks():
+        expected = rule.nodes[idx[:, 0]] * rule.nodes[idx[:, 1]] / t
+        assert np.abs(nodes[:, 1] - expected).max() <= 1e-15
 
 
 def test_nested_grid_simplex_ordering():
     t = 0.7
-    for p in nested_grid(3, 4, t):
-        s = p.nodes
-        assert 0 < s[2] <= s[1] <= s[0] <= t
-        assert np.all(p.weights > 0)
+    for _, s, weights in nested_grid(3, 4, t).chunks():
+        assert np.all((0 < s[:, 2]) & (s[:, 2] <= s[:, 1]) & (s[:, 1] <= s[:, 0])
+                      & (s[:, 0] <= t))
+        assert np.all(weights > 0)
 
 
 GRID_TIMES = (1e-3, 0.1, 0.37, 1.0, 2.9, 7.0)

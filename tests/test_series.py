@@ -39,7 +39,6 @@ from lindbladsim import (
     kraus_superop,
     mu_coefficients,
     nested_grid,
-    normalizer_sum_squares,
     random_lindbladian,
     rk4_reference,
     segment_time,
@@ -51,7 +50,7 @@ from lindbladsim import (
     unvec,
     vec,
 )
-from lindbladsim.series import _budget_expression
+from lindbladsim.series import _TaylorPropagator, _budget_expression, series_superop
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -203,8 +202,8 @@ def test_assembly_equivalence_with_manual_chains():
     ref = kraus_superop(taylor_drift(lind, t, Kp))
     m = lind.num_jumps
     for k in range(1, K + 1):
-        for point in nested_grid(k, q, t):
-            s_desc = list(point.nodes)  # s_k >= ... >= s_1
+        (_, nodes, weights), = nested_grid(k, q, t).chunks()
+        for s_desc, w in zip(nodes.tolist(), np.prod(weights, axis=1)):  # s_k >= ... >= s_1
             gaps = [t - s_desc[0]]
             gaps += [s_desc[i] - s_desc[i + 1] for i in range(k - 1)]
             gaps += [s_desc[-1]]
@@ -218,7 +217,7 @@ def test_assembly_equivalence_with_manual_chains():
                 for pos in range(k):
                     A = A @ lind.jumps[ells[pos]]
                     A = A @ taylor_drift(lind, gaps[pos + 1], Kp)
-                ref = ref + point.weight_product * kraus_superop(A)
+                ref = ref + w * kraus_superop(A)
     np.testing.assert_allclose(S, ref, atol=1e-12)
 
 
@@ -229,7 +228,10 @@ def test_kraus_term_coefficients_and_normalizers():
                            segment_time=t)
     cp = enumerate_kraus(lind, t, cfg)
     beta = be_norm(lind)
-    grids = {k: list(nested_grid(k, q, t)) for k in (1, 2)}
+    grids = {}
+    for k in (1, 2):
+        (idx, _, weights), = nested_grid(k, q, t).chunks()
+        grids[k] = dict(zip(map(tuple, idx.tolist()), np.prod(weights, axis=1)))
     for term in cp.iter_terms():
         k, ells, js = term.index
         if k == 0:
@@ -237,9 +239,7 @@ def test_kraus_term_coefficients_and_normalizers():
             assert term.normalizer == pytest.approx(math.exp(beta * t))
             continue
         # indices are stored innermost-first; grid points enumerate outermost-first
-        match = [p for p in grids[k] if p.indices == tuple(reversed(js))]
-        assert len(match) == 1
-        expected_coeff = math.sqrt(match[0].weight_product)
+        expected_coeff = math.sqrt(grids[k][tuple(reversed(js))])
         assert term.coefficient == pytest.approx(expected_coeff, rel=1e-12)
         alpha_prod = math.prod(lind.alphas[l] for l in ells)
         expected_norm = expected_coeff * math.exp(beta * t) * alpha_prod
@@ -345,6 +345,27 @@ def test_series_engine_node_guard():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("K, m, t", [(0, 2, 0.4), (3, 0, 0.4), (3, 2, 0.0)])
+def test_series_engine_order_zero_is_the_drift_conjugation(K, m, t):
+    # K = 0, m = 0 and t = 0 each leave only the jump-free term, one propagator
+    # call from 0 to t; jumps are never sampled
+    lind = random_lindbladian(1, num_jumps=m, seed=11)
+    prop = _TaylorPropagator(effective_generator(lind), 5)
+
+    def propagate(s, u):
+        return prop.batch(u - s)
+
+    S = series_superop(propagate, None, t, 2, K, m, lind.dim)
+    assert np.array_equal(S, kraus_superop(propagate(np.zeros(1), np.array([t]))[0]))
+
+
+def test_series_engine_order_zero_edges():
+    lind = random_lindbladian(1, num_jumps=1, seed=12)
+    assert np.array_equal(g_K_quadrature(lind, 0.0, 3, 2), np.eye(4))
+    with pytest.raises(ArgumentError, match="nonnegative"):
+        series_superop(lambda s, u: None, None, 0.4, 2, -1, 1, 2)
+
+
 def test_approximant_is_completely_positive():
     lind = random_lindbladian(2, num_jumps=1, seed=9)
     beta = be_norm(lind)
@@ -365,7 +386,7 @@ def test_normalizer_sum_zeroth_order():
     cfg = TruncationConfig(series_order=0, taylor_order=3, quadrature_order=1,
                            segment_time=0.5)
     cp = enumerate_kraus(lind, 0.5, cfg)
-    assert normalizer_sum_squares(cp) == pytest.approx(math.exp(2 * be_norm(lind) * 0.5))
+    assert cp.normalizer_sum_squares() == pytest.approx(math.exp(2 * be_norm(lind) * 0.5))
 
 
 def test_normalizer_sum_closed_form_single_jump():
@@ -377,7 +398,7 @@ def test_normalizer_sum_closed_form_single_jump():
                            segment_time=t)
     cp = enumerate_kraus(lind, t, cfg)
     beta = be_norm(lind)
-    assert normalizer_sum_squares(cp) == pytest.approx(
+    assert cp.normalizer_sum_squares() == pytest.approx(
         math.exp(2 * beta * t) * (1 + t), rel=1e-12)
 
 
@@ -388,7 +409,7 @@ def test_normalizer_sum_matches_closed_form_cross_check():
     K, q = 3, 2
     cfg = TruncationConfig(series_order=K, taylor_order=4, quadrature_order=q,
                            segment_time=t)
-    enumerated = normalizer_sum_squares(enumerate_kraus(lind, t, cfg))
+    enumerated = enumerate_kraus(lind, t, cfg).normalizer_sum_squares()
     asq = sum(a * a for a in lind.alphas)
     closed = math.exp(2 * beta * t) * math.fsum(
         asq**k * t**k / math.factorial(k) for k in range(K + 1))
@@ -401,7 +422,7 @@ def test_normalizer_sum_direct_from_terms():
                            segment_time=0.4)
     cp = enumerate_kraus(lind, 0.4, cfg)
     direct = math.fsum(term.normalizer**2 for term in cp.iter_terms())
-    assert normalizer_sum_squares(cp) == pytest.approx(direct, rel=1e-12)
+    assert cp.normalizer_sum_squares() == pytest.approx(direct, rel=1e-12)
 
 
 def test_budgeted_segment_stays_under_two():
@@ -411,7 +432,7 @@ def test_budgeted_segment_stays_under_two():
         cfg = TruncationConfig(series_order=4, taylor_order=6, quadrature_order=3,
                                segment_time=tstar)
         cp = enumerate_kraus(lind, tstar, cfg)
-        assert normalizer_sum_squares(cp) <= 2.0 + 1e-9
+        assert cp.normalizer_sum_squares() <= 2.0 + 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from lindbladsim import (
     unvec,
     vec,
 )
+from lindbladsim.models import _drift_generator
 from lindbladsim.series import _WORK_BYTES
 from lindbladsim.timedep import (_RK4_STEPS, _batched_propagator, _segment_sampler_calls,
                                  _segment_superop)
@@ -63,11 +64,11 @@ def generator_rk4(tl, s, t, step):
     V = np.eye(tl.dim, dtype=complex)
     for i in range(n):
         tau = s + i * h
-        k1 = tl.effective_generator_at(tau) @ V
-        Jm = tl.effective_generator_at(tau + h / 2)
+        k1 = _drift_generator(*tl.sample(tau)) @ V
+        Jm = _drift_generator(*tl.sample(tau + h / 2))
         k2 = Jm @ (V + h / 2 * k1)
         k3 = Jm @ (V + h / 2 * k2)
-        k4 = tl.effective_generator_at(tau + h) @ (V + h * k3)
+        k4 = _drift_generator(*tl.sample(tau + h)) @ (V + h * k3)
         V = V + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     return V
 
@@ -99,7 +100,7 @@ def sequential_propagator(tl, s, t, cfg):
     eye = np.broadcast_to(np.eye(d, dtype=complex), (B, d, d))
     terms = [eye] + [np.zeros((B, d, d), complex) for _ in range(Kd)]
     for i in range(M):
-        Jstep = np.stack([tl.effective_generator_at(float(tau))
+        Jstep = np.stack([_drift_generator(*tl.sample(float(tau)))
                           for tau in s + (i + 0.5) * step]) * step[:, None, None]
         Jpow = [eye]
         for _ in range(Kd):

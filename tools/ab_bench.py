@@ -1,0 +1,74 @@
+"""Benchmark a parent checkout against this one in alternating pairs of runs.
+
+    python tools/ab_bench.py PARENT_CHECKOUT --workload W --pairs N --seconds S
+
+Each pair runs `perfbench/run.py --trace 0` once from PARENT_CHECKOUT and once
+from this checkout, with the same seed, one after the other. The side that
+goes first alternates from pair to pair, and no two runs overlap. For each
+end-to-end metric in this checkout's BENCHMARK.json it prints both medians,
+their ratio (change / parent), the pairs the change won (ties count for
+neither), the interquartile range of the parent's runs and the metric's bound:
+the figures a no-regression or gain claim is read from. Each run also writes
+its usual record under its own checkout's perfbench-out/.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run(checkout: str, workload: str, seed: int, seconds: int) -> dict:
+    """The summary line of one benchmark run from checkout."""
+    cmd = [sys.executable, os.path.join(checkout, "perfbench", "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=checkout, check=True, stdout=subprocess.PIPE, text=True).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seconds", type=int, required=True)
+    args = ap.parse_args()
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2 for quartiles")
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        end_to_end = json.load(fh)["end_to_end"]
+
+    sides = {"parent": os.path.abspath(args.parent), "change": ROOT}
+    runs = {"parent": [], "change": []}
+    for pair in range(args.pairs):
+        for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
+            result = run(sides[side], args.workload, pair, args.seconds)
+            runs[side].append(result)
+            values = " ".join(f"{m['name']}={result['metrics'][m['name']]['value']:.6g}"
+                              for m in end_to_end)
+            print(f"pair {pair} {side}: {values} failed={result['failed']}", flush=True)
+
+    print(f"{args.workload}: {args.pairs} pairs of {args.seconds} s runs")
+    for side, results in runs.items():
+        print(f"  {side}: {sum(r['attempted'] for r in results)} operations attempted, "
+              f"{sum(r['failed'] for r in results)} failed")
+    for metric in end_to_end:
+        name = metric["name"]
+        parent = [r["metrics"][name]["value"] for r in runs["parent"]]
+        change = [r["metrics"][name]["value"] for r in runs["change"]]
+        sign = 1.0 if metric["better"] == "lower" else -1.0
+        wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+        q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+        p_med, c_med = statistics.median(parent), statistics.median(change)
+        print(f"  {name}: parent {p_med:.6g} change {c_med:.6g} ratio {c_med / p_med:.4f} "
+              f"wins {wins}/{args.pairs} parent_iqr {q3 - q1:.6g} bound {metric['bound']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
