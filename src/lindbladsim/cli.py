@@ -8,6 +8,7 @@ or resource limit.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -17,45 +18,41 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import metrics, modelio, models, series, timedep
-from .errors import (ArgumentError, ContractError, InfeasiblePrecisionError, ModelError,
-                     PauliParseError, ResourceLimitError, check_time)
+from . import metrics, modelio, models, primitives, series, timedep
+from .errors import (ArgumentError, InfeasiblePrecisionError, LindbladSimError,
+                     ResourceLimitError, check_time)
 from .quadrature import canonical_rule
+
+
+@contextlib.contextmanager
+def _sink(path):
+    """sys.stdout when path is None, else the file at path opened for writing."""
+    if path is None:
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as fh:
+            yield fh
 
 
 def _write_csv(path, header, rows):
     # csv writes each cell with str, which for a float is its round-trip repr
-    def emit(fh):
+    with _sink(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
-    if path is None:
-        emit(sys.stdout)
-    else:
-        with open(path, "w", newline="") as fh:
-            emit(fh)
-
 
 def _write_json(path, obj):
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
-
-
-def _default_rho0(dim: int) -> np.ndarray:
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[0, 0] = 1.0
-    return rho
+    with _sink(path) as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _load_rho0(args, dim: int) -> np.ndarray:
-    if args.rho0 is None:
-        return _default_rho0(dim)
-    return modelio.load_density(args.rho0, dim)
+    if args.rho0 is not None:
+        return modelio.load_density(args.rho0, dim)
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[0, 0] = 1.0
+    return rho
 
 
 def _elapsed_ms(args, t0: float) -> float:
@@ -63,12 +60,9 @@ def _elapsed_ms(args, t0: float) -> float:
 
 
 def _cmd_simulate(args) -> int:
-    pm = modelio.load_model(args.model)
-    if pm.is_time_dependent:
-        raise ModelError("model declares time dependence; use td-simulate")
-    lind = pm.to_lindbladian()
+    lind = modelio.load_model(args.model).to_lindbladian()
     rho0 = _load_rho0(args, lind.dim)
-    if args.verify and pm.n_qubits > 4:
+    if args.verify and lind.dim > 16:
         raise ArgumentError("--verify builds Choi matrices; limited to n_qubits <= 4")
     t0 = time.perf_counter()
     rho, report = series.simulate(lind, rho0, args.time, args.eps, verify=args.verify)
@@ -108,12 +102,9 @@ def _cmd_td_simulate(args) -> int:
 def _sweep_models(args):
     named = []
     for path in args.model or []:
-        pm = modelio.load_model(path)
-        if pm.is_time_dependent:
-            raise ModelError(f"{path}: time-dependent model not supported here")
         stem = path.rsplit("/", 1)[-1]
         stem = stem[:-5] if stem.endswith(".json") else stem
-        named.append((stem, pm.to_lindbladian()))
+        named.append((stem, modelio.load_model(path).to_lindbladian()))
     for i in range(args.random_models):
         name = f"random-{args.n_qubits}q-{args.seed}-{i}"
         named.append((name, models.random_lindbladian(
@@ -139,6 +130,8 @@ def _analyze_row(name, lind, t, K, Kp, q, timing):
 
 def _cmd_analyze_error(args) -> int:
     check_time(args.time)
+    if args.workers < 1:
+        raise ArgumentError(f"--workers must be at least 1, got {args.workers}")
     named = _sweep_models(args)
     jobs = []
     for name, lind in named:
@@ -147,11 +140,8 @@ def _cmd_analyze_error(args) -> int:
             for q in (qmin, qmin + 2):
                 for Kp in (K, 2 * K):
                     jobs.append((name, lind, args.time, K, Kp, q, args.timing))
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(lambda j: _analyze_row(*j), jobs))
-    else:
-        rows = [_analyze_row(*j) for j in jobs]
+    with ThreadPoolExecutor(max_workers=args.workers) as pool:
+        rows = list(pool.map(lambda j: _analyze_row(*j), jobs))
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[4]))
     _write_csv(args.out,
                ["model", "t", "K", "Kp", "q", "bound_duhamel", "bound_quadrature",
@@ -181,18 +171,14 @@ def _cmd_quadrature(args) -> int:
 
 
 def _cmd_primitives_verify(args) -> int:
-    from .primitives import verification_matrix
-    matrix = verification_matrix(seed=args.seed)
+    matrix = primitives.verification_matrix(seed=args.seed)
     ok = all(v["pass"] for v in matrix.values())
     _write_json(args.out, {"checks": matrix, "all_pass": ok})
     return 0 if ok else 1
 
 
 def _cmd_kraus_dump(args) -> int:
-    pm = modelio.load_model(args.model)
-    if pm.is_time_dependent:
-        raise ModelError("model declares time dependence; use td-simulate")
-    lind = pm.to_lindbladian()
+    lind = modelio.load_model(args.model).to_lindbladian()
     cfg = series._plan(lind, args.time, args.eps)
     blocks = series.enumerate_kraus(lind, cfg.segment_time, cfg).term_blocks()
     rows = ((k, "-".join(map(str, path)), "-".join(map(str, js)), c, s)
@@ -210,28 +196,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Desk-scale Lindblad simulation via a completely positive "
                     "series approximant with nested Gaussian quadrature.")
     sub = p.add_subparsers(dest="command", required=True)
+    # options shared by the model-file commands, and by the two that evolve a state
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--model", required=True)
+    run.add_argument("--time", type=float, required=True)
+    run.add_argument("--eps", type=float, required=True)
+    run.add_argument("--out", default=None)
+    state = argparse.ArgumentParser(add_help=False)
+    state.add_argument("--rho0", default=None)
+    state.add_argument("--timing", action="store_true")
 
-    sp = sub.add_parser("simulate", help="evolve a density matrix")
-    sp.add_argument("--model", required=True)
-    sp.add_argument("--rho0", default=None)
-    sp.add_argument("--time", type=float, required=True)
-    sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--out", default=None)
+    sp = sub.add_parser("simulate", parents=[run, state], help="evolve a density matrix")
     sp.add_argument("--verify", action="store_true",
                     help="compare against the exact channel (n_qubits <= 4)")
-    sp.add_argument("--timing", action="store_true")
     sp.set_defaults(func=_cmd_simulate)
 
-    sp = sub.add_parser("td-simulate", help="evolve under a time-dependent model")
-    sp.add_argument("--model", required=True)
-    sp.add_argument("--rho0", default=None)
-    sp.add_argument("--time", type=float, required=True)
-    sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--out", default=None)
+    sp = sub.add_parser("td-simulate", parents=[run, state],
+                        help="evolve under a time-dependent model")
     sp.add_argument("--order", type=int, default=None)
     sp.add_argument("--grid", type=int, default=None)
     sp.add_argument("--segments", type=int, default=None)
-    sp.add_argument("--timing", action="store_true")
     sp.set_defaults(func=_cmd_td_simulate)
 
     sp = sub.add_parser("analyze-error", help="sweep truncation orders, emit CSV")
@@ -257,11 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_primitives_verify)
 
-    sp = sub.add_parser("kraus-dump", help="per-term coefficient table")
-    sp.add_argument("--model", required=True)
-    sp.add_argument("--time", type=float, required=True)
-    sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--out", default=None)
+    sp = sub.add_parser("kraus-dump", parents=[run], help="per-term coefficient table")
     sp.set_defaults(func=_cmd_kraus_dump)
 
     return p
@@ -275,8 +255,7 @@ def main(argv=None) -> int:
     except (InfeasiblePrecisionError, ResourceLimitError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 3
-    except (ModelError, ArgumentError, PauliParseError, ContractError,
-            OSError, ValueError) as ex:
+    except (LindbladSimError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
 

@@ -30,11 +30,14 @@ from .timedep import TimeDependentLindbladian, from_static
 
 def _float(x, what: str) -> float:
     """float(x) for a number read from a file; ModelError naming what when x is
-    not a number or, like a huge JSON integer, does not fit in a float."""
-    try:
-        return float(x)
-    except (TypeError, ValueError, OverflowError):
-        raise ModelError(f"{what} must be a number within the float range") from None
+    not a number (strings and booleans included) or, like a huge JSON integer,
+    does not fit in a float."""
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        try:
+            return float(x)
+        except OverflowError:
+            pass
+    raise ModelError(f"{what} must be a number within the float range")
 
 
 def matrix_from_json(obj, dim: int, what: str) -> np.ndarray:
@@ -123,7 +126,8 @@ class ParsedModel:
 
     def to_lindbladian(self) -> Lindbladian:
         if self.is_time_dependent:
-            raise ModelError("model declares time dependence; use to_time_dependent")
+            raise ModelError("model declares time dependence; "
+                             "use td-simulate or to_time_dependent")
         return Lindbladian(self.hamiltonian.matrix(),
                            [j.matrix() for j in self.jumps],
                            alpha0=self.alpha0, alphas=self.alphas)
@@ -177,9 +181,9 @@ def _table_bounds(tb: TimeTable, H0, Ls0):
 def parse_model(obj: dict) -> ParsedModel:
     if not isinstance(obj, dict):
         raise ModelError("model file must contain a JSON object")
-    if "n_qubits" not in obj or not isinstance(obj["n_qubits"], int) or obj["n_qubits"] < 1:
+    n = obj.get("n_qubits")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ModelError("n_qubits must be a positive integer")
-    n = obj["n_qubits"]
     known = {"n_qubits", "hamiltonian", "jumps", "alphas", "time_dependence"}
     extra = set(obj.keys()) - known
     if extra:
@@ -187,6 +191,8 @@ def parse_model(obj: dict) -> ParsedModel:
     if "hamiltonian" not in obj:
         raise ModelError("model needs a hamiltonian")
     ham = _parse_operator(obj["hamiltonian"], n, "hamiltonian")
+    if not isinstance(obj.get("jumps", []), list):
+        raise ModelError("jumps must be a list of operators")
     jumps = tuple(_parse_operator(j, n, f"jumps[{i}]")
                   for i, j in enumerate(obj.get("jumps", [])))
     alpha0 = None
@@ -198,8 +204,8 @@ def parse_model(obj: dict) -> ParsedModel:
         if "hamiltonian" in al:
             alpha0 = _float(al["hamiltonian"], "alphas.hamiltonian")
         if "jumps" in al:
-            if len(al["jumps"]) != len(jumps):
-                raise ModelError("alphas.jumps length must match jumps")
+            if not isinstance(al["jumps"], list) or len(al["jumps"]) != len(jumps):
+                raise ModelError("alphas.jumps must be a list as long as jumps")
             alphas = tuple(_float(a, f"alphas.jumps[{i}]") for i, a in enumerate(al["jumps"]))
     table = None
     if "time_dependence" in obj:
@@ -275,13 +281,18 @@ def serialize_model(pm: ParsedModel) -> dict:
     return out
 
 
-def load_model(path) -> ParsedModel:
-    with open(path) as fh:
+def _read_json(path):
+    """The JSON value in the file at path; ModelError naming the file when its
+    bytes are not UTF-8 JSON."""
+    with open(path, encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as ex:
-            raise ModelError(f"{path}: invalid JSON: {ex}")
-    return parse_model(obj)
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as ex:
+            raise ModelError(f"{path}: invalid JSON: {ex}") from None
+
+
+def load_model(path) -> ParsedModel:
+    return parse_model(_read_json(path))
 
 
 def save_model(pm: ParsedModel, path):
@@ -292,11 +303,7 @@ def save_model(pm: ParsedModel, path):
 
 def load_density(path, dim: int) -> np.ndarray:
     """Density matrix from JSON: a bare matrix or {'rho0': matrix}."""
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as ex:
-            raise ModelError(f"{path}: invalid JSON: {ex}")
+    obj = _read_json(path)
     if isinstance(obj, dict):
         if "rho0" not in obj:
             raise ModelError(f"{path}: expected a matrix or {{'rho0': matrix}}")

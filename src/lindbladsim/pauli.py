@@ -73,47 +73,34 @@ def parse_pauli_sum(text: str, n: int) -> PauliSumExpr:
         raise PauliParseError("qubit count must be >= 1", 0)
     if not text or text.isspace():
         raise PauliParseError("empty expression", 0)
-    tokens = _tokenize(text)
-    pos = 0
-    collected = {}
-
-    def term_error_at():
-        return tokens[pos][2] if pos < len(tokens) else len(text)
-
-    def parse_term(sign: float):
-        nonlocal pos
-        if pos >= len(tokens):
-            raise PauliParseError("empty term", term_error_at())
+    tokens = _tokenize(text) + [("end", "", len(text))]
+    pos, sign, collected = 0, 1.0, {}
+    if tokens[0][0] in "+-":
+        sign, pos = (-1.0 if tokens[0][0] == "-" else 1.0), 1
+    while True:
+        # a term at tokens[pos]: [coeff '*'] word
         kind, value, at = tokens[pos]
         coeff = 1.0
         if kind == "num":
             coeff = value
-            pos += 1
-            if pos >= len(tokens) or tokens[pos][0] != "*":
-                raise PauliParseError("expected '*' after coefficient", term_error_at())
-            pos += 1
-            if pos >= len(tokens) or tokens[pos][0] != "word":
-                raise PauliParseError("expected Pauli word", term_error_at())
+            if tokens[pos + 1][0] != "*":
+                raise PauliParseError("expected '*' after coefficient", tokens[pos + 1][2])
+            pos += 2
             kind, value, at = tokens[pos]
+            if kind != "word":
+                raise PauliParseError("expected Pauli word", at)
         if kind != "word":
             raise PauliParseError("empty term", at)
         if len(value) != n:
             raise PauliParseError(
                 f"word {value!r} has length {len(value)}, expected {n}", at)
-        pos += 1
         collected[value] = collected.get(value, 0.0) + sign * coeff
-
-    sign = 1.0
-    if tokens and tokens[0][0] in "+-":
-        sign = -1.0 if tokens[0][0] == "-" else 1.0
-        pos = 1
-    parse_term(sign)
-    while pos < len(tokens):
-        kind, _, at = tokens[pos]
+        kind, _, at = tokens[pos + 1]
+        if kind == "end":
+            break
         if kind not in "+-":
             raise PauliParseError("expected '+' or '-' between terms", at)
-        pos += 1
-        parse_term(-1.0 if kind == "-" else 1.0)
+        sign, pos = (-1.0 if kind == "-" else 1.0), pos + 2
 
     terms = tuple((c, w) for w, c in sorted(collected.items()) if c != 0.0)
     return PauliSumExpr(n=n, terms=terms)

@@ -23,8 +23,8 @@ from scipy.linalg import block_diag
 
 from .errors import ArgumentError, ContractError
 from .linalg import dag, spectral_norm
-from .models import be_norm
-from .series import CPMapApprox
+from .models import amplitude_damping, be_norm
+from .series import CPMapApprox, choose_orders, enumerate_kraus, segment_time
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,9 +312,6 @@ def _check(measured: float, threshold: float) -> dict:
 def verification_matrix(seed: int = 0) -> dict:
     """Run the primitive invariants on seeded instances; returns a pass/fail
     matrix keyed by invariant name. Deterministic given the seed."""
-    from .models import amplitude_damping
-    from .series import choose_orders, enumerate_kraus, segment_time
-
     rng = np.random.default_rng(seed)
     out = {}
 

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import ArgumentError, ResourceLimitError, check_time
 
 MAX_ORDER = 64
-TERM_GUARDRAIL = 10 ** 8
+TERM_GUARDRAIL = 2 ** 20
 CHUNK_SIZE = 8192
 NEWTON_TOL = 1e-15
 NEWTON_MAX_ITER = 100
@@ -58,8 +58,6 @@ def legendre_rule(q: int):
     if not isinstance(q, (int, np.integer)) or q < 1 or q > MAX_ORDER:
         raise ArgumentError(f"quadrature order must be an integer in [1, {MAX_ORDER}], got {q}")
     q = int(q)
-    if q == 1:
-        return np.array([0.0]), np.array([2.0])
     i = np.arange(1, q + 1)
     x = np.cos(np.pi * (i - 0.25) / (q + 0.5))
     for _ in range(NEWTON_MAX_ITER):

@@ -365,32 +365,19 @@ def choose_orders(model, seg_t: float, eps: float) -> TruncationConfig:
     if beta == 0.0 or seg_t == 0.0:
         return TruncationConfig(0, 0, 1, seg_t)
 
-    if alpha_sq == 0.0:
-        K = 0
-    else:
-        K = next((k for k in range(0, MAX_SEARCH_ORDER + 1)
-                  if bound_duhamel(k, seg_t, beta) <= budget), None)
-        if K is None:
-            raise InfeasiblePrecisionError(
-                f"no series order <= {MAX_SEARCH_ORDER} reaches eps = {eps}")
+    def least(lo, meets, what):
+        for order in range(lo, MAX_SEARCH_ORDER + 1):
+            if meets(order):
+                return order
+        raise InfeasiblePrecisionError(f"no {what} order <= {MAX_SEARCH_ORDER} reaches eps = {eps}")
 
-    if K == 0:
-        q = 1
-    else:
-        q_floor = max(1, math.ceil(K / 2))
-        q = next((qq for qq in range(q_floor, MAX_SEARCH_ORDER + 1)
-                  if quadrature_total_bound(K, qq, seg_t, beta) <= budget), None)
-        if q is None:
-            raise InfeasiblePrecisionError(
-                f"no quadrature order <= {MAX_SEARCH_ORDER} reaches eps = {eps}")
-
-    Kp = next((kp for kp in range(0, MAX_SEARCH_ORDER + 1)
-               if taylor_premise_holds(kp, seg_t, beta)
-               and taylor_total_bound(kp, seg_t, beta) <= budget), None)
-    if Kp is None:
-        raise InfeasiblePrecisionError(
-            f"no Taylor order <= {MAX_SEARCH_ORDER} reaches eps = {eps}")
-
+    K = 0 if alpha_sq == 0.0 else least(
+        0, lambda k: bound_duhamel(k, seg_t, beta) <= budget, "series")
+    q = 1 if K == 0 else least(
+        max(1, math.ceil(K / 2)),
+        lambda qq: quadrature_total_bound(K, qq, seg_t, beta) <= budget, "quadrature")
+    Kp = least(0, lambda kp: taylor_premise_holds(kp, seg_t, beta)
+               and taylor_total_bound(kp, seg_t, beta) <= budget, "Taylor")
     return TruncationConfig(K, Kp, q, seg_t)
 
 
@@ -533,8 +520,7 @@ class SimulationReport:
     measured_choi_upper: float | None = None
 
     def as_dict(self) -> dict:
-        out = {k: v for k, v in self.__dict__.items()}
-        return out
+        return dict(self.__dict__)
 
 
 def _zero_time_report(eps: float) -> SimulationReport:

@@ -78,21 +78,27 @@ class TimeDependentLindbladian:
     def _check(self, times: np.ndarray, H: np.ndarray, L: np.ndarray) -> np.ndarray:
         """Validate stacked samples in time order; returns the symmetrized H.
 
-        Raises ModelError at the first time whose H is not Hermitian or whose H or
-        a jump exceeds its declared bound, naming that time."""
+        Raises ModelError at the first time whose H or a jump is not finite, whose
+        H is not Hermitian or whose H or a jump exceeds its declared bound, naming
+        that time."""
         if L.shape[1] != len(self.alphas):
             raise ModelError("sampler jump count must match declared alphas")
+        finite = np.isfinite(H).all(axis=(1, 2)) & np.isfinite(L).all(axis=(1, 2, 3))
         Hd = H.conj().swapaxes(-1, -2)
         scale = np.maximum(1.0, np.abs(H).max(axis=(-2, -1)))
         skew = np.abs(H - Hd).max(axis=(-2, -1)) > 1e-12 * scale
         H = (H + Hd) / 2
-        norms = np.linalg.svd(np.concatenate([H[:, None], L], axis=1), compute_uv=False)[..., 0]
+        stack = np.concatenate([H[:, None], L], axis=1)
+        stack[~finite] = 0.0  # the SVD cannot take NaN or inf; those times fail below
+        norms = np.linalg.svd(stack, compute_uv=False)[..., 0]
         bounds = np.array((self.alpha0,) + self.alphas)
         over = norms > bounds * (1 + 1e-9) + 1e-12
-        bad = np.flatnonzero(skew | over.any(axis=1))
+        bad = np.flatnonzero(~finite | skew | over.any(axis=1))
         if bad.size:
             b = bad[0]
             t = float(times[b])
+            if not finite[b]:
+                raise ModelError(f"sampled H or jump at t={t} is not finite")
             if skew[b]:
                 raise ModelError(f"sampled Hamiltonian at t={t} is not Hermitian")
             if over[b, 0]:

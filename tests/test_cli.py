@@ -132,7 +132,22 @@ def test_exit_code_invalid_model(tmp_path, capsys):
             ("td-simulate", dict(driven, time_dependence=dict(driven["time_dependence"],
                                                               jdot_bound=math.nan)),
              "declared bounds"),
-            ("td-simulate", knot, "time_dependence.hamiltonian[1]: entry (0,0) is not finite")]:
+            ("td-simulate", knot, "time_dependence.hamiltonian[1]: entry (0,0) is not finite"),
+            # jumps and their bounds must be lists, not a bare number
+            ("simulate", dict(static, jumps=5), "jumps must be a list"),
+            ("simulate", dict(static, alphas={"jumps": 5}), "alphas.jumps must be a list"),
+            # numbers in strings and booleans are not numbers
+            ("simulate", dict(static, jumps=[static["hamiltonian"]],
+                              alphas={"hamiltonian": "0.5", "jumps": ["1"]}),
+             "alphas.hamiltonian must be a number within the float range"),
+            ("simulate", dict(static, jumps=[static["hamiltonian"]], alphas={"jumps": ["1"]}),
+             "alphas.jumps[0] must be a number within the float range"),
+            ("simulate", {"n_qubits": True, "hamiltonian": [[[True, False], [False, False]],
+                                                            [[False, False], [True, False]]]},
+             "n_qubits must be a positive integer"),
+            ("simulate", dict(static, hamiltonian=[[[True, False], [False, False]],
+                                                   [[False, False], [True, False]]]),
+             "hamiltonian: entry (0,0) must be a number within the float range")]:
         bad.write_text(json.dumps(obj))
         code, cap = run_cli([command, "--model", str(bad), "--time", "0.5", "--eps", "1e-4"],
                             capsys)
@@ -149,6 +164,12 @@ def test_exit_code_invalid_model(tmp_path, capsys):
                          "--rho0", str(rho0), "--time", "1.0", "--eps", "1e-4"], capsys)
     assert code == 2
     assert "rho0: entry (0,0) must be a number within the float range" in cap.err
+    # bytes that are not UTF-8 are a model error naming the file
+    bad.write_bytes(b'{"n_qubits": 1, "hamiltonian": "\xff"}')
+    code, cap = run_cli(["simulate", "--model", str(bad), "--time", "1.0", "--eps", "1e-4"],
+                        capsys)
+    assert code == 2
+    assert f"{bad}: invalid JSON" in cap.err
 
 
 def test_exit_code_bad_arguments(capsys):
@@ -162,6 +183,9 @@ def test_exit_code_bad_arguments(capsys):
                          "--time", "0.6", "--eps", "1e-2", "--segments", "1"], capsys)
     assert code == 2
     assert "budget minimum n0 = 4" in cap.err
+    code, cap = run_cli(["analyze-error", "--random-models", "1", "--workers", "0"], capsys)
+    assert code == 2
+    assert "--workers must be at least 1, got 0" in cap.err
     # non-finite times and precisions: typed errors, not a traceback or exit 3
     for command, model in [("simulate", "amplitude_damping"), ("kraus-dump", "amplitude_damping"),
                            ("td-simulate", "driven_damped_qubit")]:
@@ -214,12 +238,13 @@ def test_exit_code_resource_limits(capsys):
 
 
 def test_exit_code_static_model_mismatch(capsys):
-    code, _ = run_cli(["simulate", "--model", "models/driven_damped_qubit.json",
-                       "--time", "0.5", "--eps", "1e-4"], capsys)
-    assert code == 2
-    code, _ = run_cli(["analyze-error", "--model",
-                       "models/driven_damped_qubit.json"], capsys)
-    assert code == 2
+    driven = ["--model", "models/driven_damped_qubit.json"]
+    for argv in (["simulate"] + driven + ["--time", "0.5", "--eps", "1e-4"],
+                 ["kraus-dump"] + driven + ["--time", "0.5", "--eps", "1e-4"],
+                 ["analyze-error"] + driven):
+        code, cap = run_cli(argv, capsys)
+        assert code == 2
+        assert "use td-simulate" in cap.err
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +337,15 @@ def test_kraus_dump_negative_time_names_the_evolution_time(capsys):
 
 
 def test_kraus_dump_guard_fires_before_the_file_is_opened(tmp_path, capsys):
-    # 1,111,111,111 terms: over TERM_GUARDRAIL, so no partial file is left behind
+    # over TERM_GUARDRAIL = 2^20, so no partial file is left behind; at about
+    # 12 us a row, the 2,396,745 terms would be half a minute of CSV
     out = tmp_path / "terms.csv"
-    code, cap = run_cli(["kraus-dump", "--model", "models/heisenberg_pair.json",
-                         "--time", "1", "--eps", "1e-8", "--out", str(out)], capsys)
-    assert code == 3
-    assert "terms" in cap.err
-    assert not out.exists()
+    for time, eps, terms in [("1", "1e-8", 1111111111), ("0.5", "1e-5", 2396745)]:
+        code, cap = run_cli(["kraus-dump", "--model", "models/heisenberg_pair.json",
+                             "--time", time, "--eps", eps, "--out", str(out)], capsys)
+        assert code == 3
+        assert f"{terms} > 1048576 terms" in cap.err
+        assert not out.exists()
 
 
 def test_primitives_verify_passes(capsys):

@@ -199,3 +199,72 @@ def test_tokenize_matches_the_reference_scanner(text):
         assert got[0] == want[0] == "error"
     else:
         assert got == want
+
+
+def _reference_parse(text, n):
+    # the recursive-descent parser (a nested term parser with end-of-input
+    # checks) that the one flat loop of parse_pauli_sum replaced
+    if n < 1:
+        raise PauliParseError("qubit count must be >= 1", 0)
+    if not text or text.isspace():
+        raise PauliParseError("empty expression", 0)
+    tokens = _tokenize(text)
+    pos = 0
+    collected = {}
+
+    def term_error_at():
+        return tokens[pos][2] if pos < len(tokens) else len(text)
+
+    def parse_term(sign):
+        nonlocal pos
+        if pos >= len(tokens):
+            raise PauliParseError("empty term", term_error_at())
+        kind, value, at = tokens[pos]
+        coeff = 1.0
+        if kind == "num":
+            coeff = value
+            pos += 1
+            if pos >= len(tokens) or tokens[pos][0] != "*":
+                raise PauliParseError("expected '*' after coefficient", term_error_at())
+            pos += 1
+            if pos >= len(tokens) or tokens[pos][0] != "word":
+                raise PauliParseError("expected Pauli word", term_error_at())
+            kind, value, at = tokens[pos]
+        if kind != "word":
+            raise PauliParseError("empty term", at)
+        if len(value) != n:
+            raise PauliParseError(f"word {value!r} has length {len(value)}, expected {n}", at)
+        pos += 1
+        collected[value] = collected.get(value, 0.0) + sign * coeff
+
+    sign = 1.0
+    if tokens and tokens[0][0] in "+-":
+        sign = -1.0 if tokens[0][0] == "-" else 1.0
+        pos = 1
+    parse_term(sign)
+    while pos < len(tokens):
+        kind, _, at = tokens[pos]
+        if kind not in "+-":
+            raise PauliParseError("expected '+' or '-' between terms", at)
+        pos += 1
+        parse_term(-1.0 if kind == "-" else 1.0)
+    terms = tuple((c, w) for w, c in sorted(collected.items()) if c != 0.0)
+    return PauliSumExpr(n=n, terms=terms)
+
+
+def _parse(parse, text, n):
+    try:
+        return parse(text, n)
+    except PauliParseError as ex:
+        return ("error", str(ex), ex.position)
+
+
+_PIECES = ["I", "X", "Y", "Z", "XX", "ZI", "IXY", "+", "-", "*", "0.5", "2", "1e-3",
+           "2.5E+2", "3.", ".", "e", " ", "\t", "\n", "\xa0", "　"]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=12), st.integers(1, 3))
+def test_parse_matches_the_reference_parser(pieces, n):
+    text = "".join(pieces)
+    assert _parse(parse_pauli_sum, text, n) == _parse(_reference_parse, text, n)

@@ -319,6 +319,21 @@ def test_td_simulate_names_the_first_failing_probe():
         td_simulate(tl, rho0, 1.0, 1e-4, segments=4)
 
 
+def test_non_finite_samples_are_model_errors_naming_the_time():
+    # a NaN at t=0 fails at construction; an inf jump after t=0.5 fails at the
+    # first probe past it, not in the SVD of the norm check
+    with pytest.raises(ModelError, match=r"at t=0\.0 is not finite"):
+        TimeDependentLindbladian(lambda t: (math.nan * SZ, []), 1.0, [], 1.0)
+
+    def sampler(t):
+        return 0.5 * SZ, [np.array([[0.0, math.inf if t > 0.5 else 0.5], [0.0, 0.0]])]
+
+    tl = TimeDependentLindbladian(sampler, 0.5, [0.5], 1.0)
+    rho0 = np.diag([0.5, 0.5]).astype(complex)
+    with pytest.raises(ModelError, match=r"at t=0\.5\d* is not finite"):
+        td_simulate(tl, rho0, 1.0, 1e-4)
+
+
 def test_td_simulate_rejects_wide_chain_trees():
     def sampler(t):
         return np.zeros((2, 2)), [math.sqrt(0.5) * SM, math.sqrt(0.5) * SX]
