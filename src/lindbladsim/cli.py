@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import json
 import math
 import sys
@@ -181,12 +182,28 @@ def _cmd_kraus_dump(args) -> int:
     lind = modelio.load_model(args.model).to_lindbladian()
     cfg = series._plan(lind, args.time, args.eps)
     blocks = series.enumerate_kraus(lind, cfg.segment_time, cfg).term_blocks()
-    rows = ((k, "-".join(map(str, path)), "-".join(map(str, js)), c, s)
-            for k, path, idx, _, coeff, norms in blocks
-            for js, c, s in zip(idx[:, ::-1].tolist(), coeff.tolist(), norms.tolist()))
-    _write_csv(args.out,
-               ["term", "k", "jump_path", "node_path", "coefficient", "normalizer"],
-               ((i,) + row for i, row in enumerate(rows)))
+    # Every field is an int, a digit-dash string or a float repr, none of which
+    # csv would quote, so each block goes out as one write of ready-made lines.
+    # A row's "node_path,coefficient," tail depends only on its depth and chunk,
+    # so it is formed once per chunk and kept for the depth's other jump paths.
+    digits = [str(j) for j in range(cfg.quadrature_order)]
+    term = 0
+    with _sink(args.out) as fh:
+        fh.write("term,k,jump_path,node_path,coefficient,normalizer\n")
+        for k, depth in itertools.groupby(blocks, key=lambda b: b[0]):
+            shared = {}
+            for path, chunks in itertools.groupby(depth, key=lambda b: b[1]):
+                head = f",{k},{'-'.join(map(str, path))},"
+                for pos, (_, _, idx, _, coeff, norms) in enumerate(chunks):
+                    tails = shared.get(pos)
+                    if tails is None:
+                        tails = [f"{'-'.join([digits[j] for j in js])},{c!r},"
+                                 for js, c in zip(idx[:, ::-1].tolist(), coeff.tolist())]
+                        if lind.num_jumps > 1:
+                            shared[pos] = tails
+                    fh.write("".join([f"{i}{head}{tail}{s!r}\n" for i, tail, s in
+                                      zip(range(term, term + len(tails)), tails, norms.tolist())]))
+                    term += len(tails)
     return 0
 
 

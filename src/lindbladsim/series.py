@@ -31,8 +31,9 @@ those blocks where the operators themselves are needed.
 Each resource guard counts the work of the function that checks it, before
 that work starts: series_superop its nodes (MAX_SERIES_NODES) and held bytes
 (MAX_SUPEROP_BYTES), term_blocks its terms (quadrature.TERM_GUARDRAIL), and
-timedep.td_simulate its sampler calls (MAX_SAMPLER_CALLS). The (m q)^k chain
-count sizes only the read-out, so it bounds no superoperator path.
+timedep.td_simulate and timedep.rk4_reference their sampler calls
+(MAX_SAMPLER_CALLS). The (m q)^k chain count sizes only the read-out, so it
+bounds no superoperator path.
 """
 from __future__ import annotations
 
@@ -125,17 +126,21 @@ def segment_time(model, cap: float | None = None) -> float:
     the declared bounds of a Lindbladian or a TimeDependentLindbladian.
 
     With beta = 0 the dynamics are trivial and the requested cap (or infinity)
-    is returned. Bisection runs to absolute tolerance 1e-12, returning the
+    is returned, as it is when the bracket [0, 1/beta] overflows (beta below
+    about 5.6e-309). Bisection runs to absolute tolerance 1e-12, or until the
+    endpoints are adjacent floats (roots above 2^13), returning the
     inner endpoint, so the expression value lands in [2 - 1e-9, 2].
     """
     beta, alpha_sq = be_norm(model), _alpha_sq(model)
-    if beta == 0.0:
+    lo, hi = 0.0, 1.0 / beta if beta else math.inf
+    if hi == math.inf:
         return float(cap) if cap is not None else math.inf
-    lo, hi = 0.0, 1.0 / beta
     while _budget_expression(hi, beta, alpha_sq) <= 2.0:
         lo, hi = hi, 2.0 * hi
     while hi - lo > 1e-12:
         mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            break
         if _budget_expression(mid, beta, alpha_sq) <= 2.0:
             lo = mid
         else:
@@ -444,6 +449,8 @@ class CPMapApprox:
         """Blocks (k, (l_k..l_1), indices, nodes, sqrt(prod w), normalizers), k
         ascending, then the jump path, then a (B, k) NestedGrid chunk (outermost
         first; one empty row at k = 0); normalizer = coeff * e^{beta t} * prod alpha.
+        With more than one jump, the jump paths of a depth share its index, node
+        and coefficient arrays, so they are read-only to the caller.
 
         Raises ResourceLimitError on the call, before the first block, when
         term_count exceeds TERM_GUARDRAIL."""
@@ -454,13 +461,17 @@ class CPMapApprox:
 
     def _blocks(self):
         e_bt = math.exp(be_norm(self.lind) * self.t)
+        m = self.lind.num_jumps
         empty = [(np.empty((1, 0), dtype=np.int64), np.empty((1, 0)), np.empty((1, 0)))]
         for k in range(self._series_order + 1):
-            grid = NestedGrid(self._rule, k)
-            for ells in itertools.product(range(self.lind.num_jumps), repeat=k):
+            chunks = ((idx, nodes, np.sqrt(np.prod(weights, axis=1))) for idx, nodes, weights
+                      in (NestedGrid(self._rule, k).chunks() if k else empty))
+            if m > 1:
+                # every one of the m^k jump paths reads the depth's chunks
+                chunks = list(chunks)
+            for ells in itertools.product(range(m), repeat=k):
                 alpha_prod = math.prod(self.lind.alphas[ell] for ell in ells)
-                for idx, nodes, weights in (grid.chunks() if k else empty):
-                    coeff = np.sqrt(np.prod(weights, axis=1))
+                for idx, nodes, coeff in chunks:
                     yield k, ells[::-1], idx, nodes, coeff, coeff * e_bt * alpha_prod
 
     def iter_terms(self) -> Iterator[KrausTerm]:

@@ -232,11 +232,17 @@ def _segment_sampler_calls(K: int, q: int, m: int, M: int) -> int:
 
 def rk4_reference(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float,
                   step: float) -> np.ndarray:
-    """Dense classical Runge-Kutta integration of the vectorized master equation."""
+    """Dense classical Runge-Kutta integration of the vectorized master equation.
+
+    Raises ResourceLimitError before the first sample when its 2n + 1 sampler
+    calls, n = ceil(t / step), would exceed MAX_SAMPLER_CALLS."""
     check_time(t)
-    if step <= 0:
-        raise ArgumentError("step must be positive")
-    n = max(1, math.ceil(t / step - 1e-12))
+    check_time(step, "step", positive=True)
+    ratio = t / step  # inf when a tiny step overflows it
+    n = max(1, math.ceil(ratio - 1e-12)) if ratio < math.inf else math.inf
+    if 2 * n + 1 > MAX_SAMPLER_CALLS:
+        raise ResourceLimitError(f"RK4 reference at step {step} would make {2 * n + 1:.9g} > "
+                                 f"{MAX_SAMPLER_CALLS} sampler calls")
     h = t / n
     v = vec(np.asarray(rho0, dtype=complex))
     d2 = tl.dim ** 2

@@ -1,12 +1,16 @@
 import csv
+import io
+import itertools
 import json
 import math
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
+from lindbladsim import be_norm, load_model, quadrature, series
 from lindbladsim.cli import main
 
 
@@ -31,6 +35,16 @@ def read_csv(path):
         reader = csv.reader(fh)
         header = next(reader)
         return header, list(reader)
+
+
+def returns_within(fn, seconds):
+    """fn(), failing the test instead of hanging when it has not returned in time."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn()), daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), f"no return within {seconds} s"
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +351,8 @@ def test_kraus_dump_negative_time_names_the_evolution_time(capsys):
 
 
 def test_kraus_dump_guard_fires_before_the_file_is_opened(tmp_path, capsys):
-    # over TERM_GUARDRAIL = 2^20, so no partial file is left behind; at about
-    # 12 us a row, the 2,396,745 terms would be half a minute of CSV
+    # over TERM_GUARDRAIL = 2^20, so no partial file is left behind; at 2 to
+    # 5 us a row, the 2,396,745 terms would be 5 to 12 s of CSV
     out = tmp_path / "terms.csv"
     for time, eps, terms in [("1", "1e-8", 1111111111), ("0.5", "1e-5", 2396745)]:
         code, cap = run_cli(["kraus-dump", "--model", "models/heisenberg_pair.json",
@@ -346,6 +360,79 @@ def test_kraus_dump_guard_fires_before_the_file_is_opened(tmp_path, capsys):
         assert code == 3
         assert f"{terms} > 1048576 terms" in cap.err
         assert not out.exists()
+
+
+THREE_JUMPS = {"n_qubits": 1, "hamiltonian": {"pauli_sum": "0.5*Z"},
+               "jumps": [{"pauli_sum": "0.3*X"}, {"pauli_sum": "0.2*Z"}, {"pauli_sum": "0.1*Y"}]}
+
+
+def reference_kraus_csv(model, t, eps):
+    """kraus-dump's table written row by row through csv.writer, every jump path
+    walking its depth's grid afresh."""
+    lind = load_model(model).to_lindbladian()
+    cfg = series._plan(lind, t, eps)
+    cp = series.enumerate_kraus(lind, cfg.segment_time, cfg)
+    e_bt = math.exp(be_norm(lind) * cp.t)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["term", "k", "jump_path", "node_path", "coefficient", "normalizer"])
+    term = 0
+    for k in range(cp._series_order + 1):
+        for ells in itertools.product(range(lind.num_jumps), repeat=k):
+            alpha_prod = math.prod(lind.alphas[ell] for ell in ells)
+            chunks = (quadrature.NestedGrid(cp._rule, k).chunks() if k
+                      else [(np.empty((1, 0), dtype=np.int64), None, np.empty((1, 0)))])
+            for idx, _, weights in chunks:
+                coeff = np.sqrt(np.prod(weights, axis=1))
+                for js, c, s in zip(idx[:, ::-1].tolist(), coeff.tolist(),
+                                    (coeff * e_bt * alpha_prod).tolist()):
+                    writer.writerow([term, k, "-".join(map(str, ells[::-1])),
+                                     "-".join(map(str, js)), c, s])
+                    term += 1
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("chunk_size", [quadrature.CHUNK_SIZE, 5])
+@pytest.mark.parametrize("model, time, eps", [
+    ("models/amplitude_damping.json", 0.5, 1e-4),
+    ("models/heisenberg_pair.json", 0.5, 1e-3),
+    ("three-jumps", 0.2, 1e-3),
+    ("models/heisenberg_pair.json", 0.0, 1e-3),
+])
+@pytest.mark.parametrize("to_file", [True, False])
+def test_kraus_dump_matches_a_csv_writer_reference(tmp_path, capsys, monkeypatch, chunk_size,
+                                                    model, time, eps, to_file):
+    # a chunk size of 5 splits each depth into ragged chunks shared by its jump paths
+    monkeypatch.setattr(quadrature, "CHUNK_SIZE", chunk_size)
+    if model == "three-jumps":
+        model = tmp_path / "three.json"
+        model.write_text(json.dumps(THREE_JUMPS))
+    argv = ["kraus-dump", "--model", str(model), "--time", str(time), "--eps", str(eps)]
+    out = tmp_path / "terms.csv"
+    code, cap = run_cli(argv + (["--out", str(out)] if to_file else []), capsys)
+    assert code == 0
+    written = out.read_bytes().decode() if to_file else cap.out
+    assert written == reference_kraus_csv(str(model), time, eps)
+
+
+@pytest.mark.parametrize("alpha0, jumps", [(1e-5, []), (1e-8, []), (1e-310, []),
+                                           (1e-6, [1e-4])])
+def test_weakly_coupled_models_run(tmp_path, capsys, alpha0, jumps):
+    # a budget root above 2^13, or a bracket 1/beta that overflows, once made
+    # the segment-time bisection loop forever
+    zero = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    model = tmp_path / "weak.json"
+    model.write_text(json.dumps({
+        "n_qubits": 1, "hamiltonian": zero,
+        "jumps": [[[[0.0, 0.0], [0.0, 0.0]], [[a, 0.0], [0.0, 0.0]]] for a in jumps],
+        "alphas": {"hamiltonian": alpha0, "jumps": jumps}}))
+    argv = ["--model", str(model), "--time", "1", "--eps", "1e-3"]
+    assert returns_within(lambda: main(["simulate"] + argv), 60) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["segments"] == 1 and report["segment_time"] == 1.0
+    assert returns_within(lambda: main(["kraus-dump"] + argv), 60) == 0
+    assert capsys.readouterr().out.startswith("term,k,jump_path,node_path,coefficient,normalizer\n"
+                                              "0,0,,,1.0,")
 
 
 def test_primitives_verify_passes(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import threading
 import time
 
 import numpy as np
@@ -462,6 +463,25 @@ def test_segment_time_worked_example():
 def test_segment_time_trivial_model_caps():
     assert segment_time(declared(0.0, []), cap=7.5) == 7.5
     assert segment_time(declared(0.0, [])) == math.inf
+
+
+@pytest.mark.parametrize("alpha0", [1e-5, 1e-8, 1e-310])
+def test_segment_time_ends_for_weak_coupling(alpha0):
+    # roots above 2^13 sit between floats further apart than the 1e-12
+    # tolerance, and below about 5.6e-309 the bracket 1/beta overflows to inf
+    lind = declared(alpha0, [])
+    out = []
+    worker = threading.Thread(
+        target=lambda: out.extend([segment_time(lind), segment_time(lind, cap=1.0)]), daemon=True)
+    worker.start()
+    worker.join(10.0)
+    assert not worker.is_alive(), "segment_time did not return within 10 s"
+    tstar, capped = out
+    assert capped == 1.0 and _budget_expression(capped, be_norm(lind), 0.0) <= 2.0
+    if alpha0 < 1e-308:
+        assert tstar == math.inf
+    else:
+        assert 2.0 - 1e-9 <= _budget_expression(tstar, be_norm(lind), 0.0) <= 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -514,3 +515,22 @@ def test_rk4_reference_matches_exact_channel():
     assert np.abs(ref - expected).max() <= 1e-9
     with pytest.raises(ArgumentError):
         rk4_reference(tl, rho0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("step", [math.nan, math.inf, -1e-3])
+def test_rk4_reference_rejects_bad_steps(step):
+    with pytest.raises(ArgumentError, match="step must be positive and finite"):
+        rk4_reference(from_static(amplitude_damping()), np.diag([1.0, 0.0]), 1.0, step)
+
+
+@pytest.mark.parametrize("step, calls", [(2e-6, "1000001"), (1e-300, "2e+300"), (1e-320, "inf")])
+def test_rk4_reference_guard_fires_before_the_first_sample(step, calls):
+    # 2n + 1 sampler calls, n = ceil(t / step); t / step overflows at 1e-320
+    tl = driven_damped()
+
+    def sampler(tau):
+        raise AssertionError(f"sampled at t={tau} before the guard")
+
+    tl.sampler = sampler
+    with pytest.raises(ResourceLimitError, match=f"would make {re.escape(calls)} > 1000000"):
+        rk4_reference(tl, np.diag([1.0, 0.0]), 1.0, step)

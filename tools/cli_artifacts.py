@@ -25,6 +25,9 @@ RUNS = [
      ["kraus-dump", "--model", "amplitude_damping.json", "--time", "0", "--eps", "1e-4"]),
     ("kraus-heisenberg-t0.5-eps1e-3.csv",
      ["kraus-dump", "--model", "heisenberg_pair.json", "--time", "0.5", "--eps", "1e-3"]),
+    # 55,987 rows over 2 jumps, the shape of the benchmark's read-out
+    ("kraus-heisenberg-t0.5-eps1e-4.csv",
+     ["kraus-dump", "--model", "heisenberg_pair.json", "--time", "0.5", "--eps", "1e-4"]),
     ("simulate-verify.json",
      ["simulate", "--model", "amplitude_damping.json", "--time", "1", "--eps", "1e-4",
       "--verify"]),
