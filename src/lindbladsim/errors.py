@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the one check on times and precisions."""
+"""Exception types shared across the package, and the argument checks on times,
+precisions, rates and counts."""
 
 import math
+import numbers
 
 
 class LindbladSimError(Exception):
@@ -43,7 +45,15 @@ class ContractError(LindbladSimError):
 
 def check_time(t: float, name: str = "evolution time", positive: bool = False) -> None:
     """Raise ArgumentError unless t is finite and nonnegative (positive if asked); also
-    checks a target precision eps, with positive=True."""
+    checks a target precision eps, with positive=True, and a rate or derivative bound
+    such as beta."""
     if not (math.isfinite(t) and (t > 0 if positive else t >= 0)):
         sign = "positive" if positive else "nonnegative"
         raise ArgumentError(f"{name} must be {sign} and finite, got {t}")
+
+
+def check_count(n, name: str, minimum: int) -> None:
+    """Raise ArgumentError unless n is an integer, Python or NumPy, and n >= minimum:
+    an order, a grid or segment count, a seed."""
+    if not isinstance(n, numbers.Integral) or n < minimum:
+        raise ArgumentError(f"{name} must be an integer >= {minimum}, got {n}")

@@ -11,72 +11,100 @@ column-stacking convention from :mod:`lindbladsim.linalg`.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import ArgumentError, ModelError, check_time
+from .errors import ArgumentError, ModelError, check_count, check_time
 from .linalg import kraus_superop, kron, spectral_norm
 
 HERM_TOL = 1e-12
+NORM_SLACK = 1e-12  # a norm may exceed its declared bound by this, relative plus absolute
 
 
 def _as_complex_matrix(mat, name: str) -> np.ndarray:
     arr = np.asarray(mat, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ModelError(f"{name} must be a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.view(float))):
-        raise ModelError(f"{name} contains non-finite entries")
     return arr
+
+
+def _check_bounds(*bounds: float) -> None:
+    """Raise ModelError unless every declared bound is nonnegative and finite."""
+    if not all(0 <= b < math.inf for b in bounds):
+        raise ModelError("declared bounds must be nonnegative and finite")
+
+
+def _check_stack(H: np.ndarray, L: np.ndarray, bounds, times=None) -> np.ndarray:
+    """The model contract on stacked operators, H (B, d, d) and jumps L (B, m, d, d),
+    with the declared bounds (alpha0, alpha_1, ..., alpha_m); returns H symmetrized.
+
+    Raises ModelError unless there is one bound per jump, and otherwise at the
+    first entry whose H or a jump is not finite, whose H is not Hermitian within
+    HERM_TOL of max(1, max|H|), or whose H or a jump has a spectral norm over its
+    bound by more than NORM_SLACK relative plus NORM_SLACK absolute. The message
+    names that entry's time when times are given."""
+    if len(bounds) != 1 + L.shape[1]:
+        raise ModelError(f"{L.shape[1]} jump operators but {len(bounds) - 1} declared jump bounds")
+    finite = np.isfinite(H).all(axis=(1, 2)) & np.isfinite(L).all(axis=(1, 2, 3))
+    Hd = H.conj().swapaxes(-1, -2)
+    gap = np.abs(H - Hd).max(axis=(-2, -1))
+    skew = gap > HERM_TOL * np.maximum(1.0, np.abs(H).max(axis=(-2, -1)))
+    H = (H + Hd) / 2
+    stack = np.concatenate([H[:, None], L], axis=1)
+    stack[~finite] = 0.0  # the SVD cannot take NaN or inf; those entries fail below
+    norms = np.linalg.svd(stack, compute_uv=False)[..., 0]
+    over = norms * (1 - NORM_SLACK) - NORM_SLACK > np.asarray(bounds)
+    bad = np.flatnonzero(~finite | skew | over.any(axis=1))
+    if bad.size:
+        b = bad[0]
+        at = "" if times is None else f" at t={float(times[b])}"
+        if not finite[b]:
+            raise ModelError(f"hamiltonian or a jump{at} is not finite")
+        if skew[b]:
+            raise ModelError(f"hamiltonian{at} is not Hermitian (residual {gap[b]:.3e})")
+        j = np.flatnonzero(over[b])[0]
+        raise ModelError(f"||{'H' if j == 0 else f'L_{j - 1}'}|| = {float(norms[b, j])!r}{at} "
+                         f"exceeds its declared bound {float(bounds[j])!r}")
+    return H
 
 
 class Lindbladian:
     """Validated, immutable bundle of H, jump operators and their norm bounds.
 
     alpha0 bounds the spectral norm of H and each alphas[j] bounds the spectral
-    norm of L_j; defaults are the exact norms. A Hamiltonian within 1e-12 of
-    Hermitian is symmetrized on ingest, anything worse is rejected.
+    norm of L_j; defaults are the exact norms of the symmetrized H and of each
+    jump. The model contract is the one time-dependent models are held to:
+    _check_bounds on the declared bounds and _check_stack on the operators, so
+    a Hamiltonian within HERM_TOL of Hermitian is symmetrized on ingest and
+    anything worse is rejected.
     """
 
     def __init__(self, hamiltonian, jumps=(), alpha0: float | None = None,
                  alphas=None):
         H = _as_complex_matrix(hamiltonian, "hamiltonian")
-        herm_gap = np.abs(H - H.conj().T).max()
-        scale = max(1.0, np.abs(H).max())
-        if herm_gap > HERM_TOL * scale:
-            raise ModelError(f"hamiltonian is not Hermitian (residual {herm_gap:.3e})")
-        H = (H + H.conj().T) / 2
         d = H.shape[0]
-
         Ls = tuple(_as_complex_matrix(L, f"jumps[{i}]") for i, L in enumerate(jumps))
         for i, L in enumerate(Ls):
             if L.shape != (d, d):
                 raise ModelError(f"jumps[{i}] has shape {L.shape}, expected {(d, d)}")
 
-        if alpha0 is None:
-            alpha0 = spectral_norm(H)
-        if alphas is None:
-            alphas = tuple(spectral_norm(L) for L in Ls)
-        else:
-            alphas = tuple(float(a) for a in alphas)
-        alpha0 = float(alpha0)
-        if not np.all(np.isfinite((alpha0,) + alphas)):
-            raise ModelError("declared bounds must be finite")
-        if len(alphas) != len(Ls):
-            raise ModelError("alphas must have one entry per jump operator")
-        slack = 1e-12
-        if alpha0 < spectral_norm(H) * (1 - slack) - slack:
-            raise ModelError("alpha0 does not dominate ||H||")
-        for a, L in zip(alphas, Ls):
-            if a < spectral_norm(L) * (1 - slack) - slack:
-                raise ModelError("declared jump bound does not dominate ||L_j||")
+        declared = [None if a is None else float(a)
+                    for a in (alpha0, *((None,) * len(Ls) if alphas is None else alphas))]
+        _check_bounds(*(a for a in declared if a is not None))
+        # an undeclared bound defaults to the exact norm, which passes the norm check
+        bounds = [math.inf if a is None else a for a in declared]
+        H = _check_stack(H[None], _jump_stack(H, Ls)[None], bounds)[0]
 
         H.setflags(write=False)
         for L in Ls:
             L.setflags(write=False)
         self.hamiltonian = H
         self.jumps = Ls
-        self.alpha0 = alpha0
-        self.alphas = alphas
+        self.alpha0 = spectral_norm(H) if alpha0 is None else declared[0]
+        self.alphas = (tuple(spectral_norm(L) for L in Ls) if alphas is None
+                       else tuple(declared[1:]))
 
     @property
     def dim(self) -> int:
@@ -187,6 +215,8 @@ def random_lindbladian(n_qubits: int, num_jumps: int = 1, seed=None,
     """Seeded random model: Hermitian H and dense jump operators with O(1) norms."""
     if n_qubits < 1:
         raise ArgumentError("n_qubits must be >= 1")
+    if seed is not None:
+        check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     d = 2 ** n_qubits
     G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))

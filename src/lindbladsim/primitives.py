@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import block_diag
 
-from .errors import ArgumentError, ContractError
+from .errors import ArgumentError, ContractError, check_count
 from .linalg import dag, spectral_norm
 from .models import amplitude_damping, be_norm
 from .series import CPMapApprox, choose_orders, enumerate_kraus, segment_time
@@ -311,7 +311,9 @@ def _check(measured: float, threshold: float) -> dict:
 
 def verification_matrix(seed: int = 0) -> dict:
     """Run the primitive invariants on seeded instances; returns a pass/fail
-    matrix keyed by invariant name. Deterministic given the seed."""
+    matrix keyed by invariant name. Deterministic given the seed, a nonnegative
+    integer."""
+    check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     out = {}
 

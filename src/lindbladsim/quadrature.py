@@ -171,8 +171,6 @@ def quadrature_error_bound(q: int, t: float, f2q_bound: float) -> float:
     """|E_q[f]| <= f2q_bound * t^(2q+1) * q / ((2q)! * 2^(4q-1)) on [0, t]."""
     if q < 1:
         raise ArgumentError(f"quadrature order must be >= 1, got {q}")
-    if t < 0:
-        raise ArgumentError(f"interval length must be nonnegative, got {t}")
-    if f2q_bound < 0:
-        raise ArgumentError("derivative bound must be nonnegative")
+    check_time(t, "interval length")
+    check_time(f2q_bound, "derivative bound")
     return f2q_bound * t ** (2 * q + 1) * q / (math.factorial(2 * q) * 2.0 ** (4 * q - 1))

@@ -47,7 +47,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import (ArgumentError, InfeasiblePrecisionError, ModelError, ResourceLimitError,
-                     check_time)
+                     check_count, check_time)
 from .linalg import batched_kraus_sum, expand_half, kraus_superop, unvec, vec
 from .metrics import diamond_sandwich
 from .models import (Lindbladian, _jump_stack, be_norm, effective_generator, exact_channel,
@@ -61,17 +61,24 @@ MAX_SEARCH_ORDER = 40
 # closed-form error bounds
 
 
+def _check_bound_args(t: float, beta: float) -> None:
+    check_time(t, "time")
+    check_time(beta, "beta")
+
+
 def bound_duhamel(K: int, t: float, beta: float) -> float:
     """Diamond-norm error of the K-fold Duhamel truncation with exact integrals."""
-    if K < 0 or t < 0 or beta < 0:
-        raise ArgumentError("bound_duhamel needs K >= 0, t >= 0, beta >= 0")
+    if K < 0:
+        raise ArgumentError("bound_duhamel needs K >= 0")
+    _check_bound_args(t, beta)
     return (2.0 * beta * t) ** (K + 1) / math.factorial(K + 1)
 
 
 def bound_taylor(Kp: int, t: float, beta: float) -> float:
     """Diamond-norm error of replacing the drift conjugation by its Taylor map."""
-    if Kp < 0 or t < 0 or beta < 0:
-        raise ArgumentError("bound_taylor needs Kp >= 0, t >= 0, beta >= 0")
+    if Kp < 0:
+        raise ArgumentError("bound_taylor needs Kp >= 0")
+    _check_bound_args(t, beta)
     return 8.0 * math.exp(beta * t) * (beta * t) ** (Kp + 1) / math.factorial(Kp + 1)
 
 
@@ -93,6 +100,7 @@ def bound_quadrature(k: int, q: int, t: float, beta: float) -> float:
         raise ArgumentError("bound_quadrature needs k >= 1")
     if q < 1:
         raise ArgumentError("bound_quadrature needs q >= 1")
+    _check_bound_args(t, beta)
     return ((2.0 * t) ** (k - 1) * 2.0 ** (k + 1) * beta ** k
             * beta ** (2 * q) * t ** (2 * q + 1) * q
             / (math.factorial(k - 1) * math.factorial(2 * q)))
@@ -343,14 +351,14 @@ class TruncationConfig:
     num_segments: int = 1
 
     def __post_init__(self):
-        if self.series_order < 0 or self.taylor_order < 0:
-            raise ArgumentError("truncation orders must be nonnegative")
-        if self.quadrature_order < max(1, math.ceil(self.series_order / 2)):
+        check_count(self.series_order, "series order", 0)
+        check_count(self.taylor_order, "Taylor order", 0)
+        check_count(self.quadrature_order, "quadrature order", 1)
+        if self.quadrature_order < math.ceil(self.series_order / 2):
             # below this floor the nested weights no longer total t^k / k!
             raise ArgumentError("quadrature order must be >= max(1, ceil(K / 2))")
         check_time(self.segment_time, "segment_time")
-        if self.num_segments < 1:
-            raise ArgumentError("num_segments must be >= 1")
+        check_count(self.num_segments, "num_segments", 1)
 
 
 def choose_orders(model, seg_t: float, eps: float) -> TruncationConfig:

@@ -21,10 +21,13 @@ never estimated from samples. Sampling is batched: every time a step needs
 (the midpoints of all its intervals, the jump nodes of a series level, a
 segment's probes, a chunk of RK4 half-steps) is sampled by one helper, one
 sampler call per time, into stacked H and L arrays, from which J and the
-Liouvillian are built in one call. Validation policy: sample() checks
-hermiticity and the declared norm bounds; propagators, jumps and RK4 use the
-samples unchecked, and td_simulate checks each segment's probe grid as one
-stack with the same validator, so declared-bound violations surface as model
+Liouvillian are built in one call. Validation policy: a time-dependent
+model meets the one model contract of lindbladsim.models, as a static one
+does. The constructor checks the declared bounds (models._check_bounds), and
+sample() checks its sample (models._check_stack: finite entries, a Hermitian
+H, norms within the declared bounds). Propagators, jumps and RK4 use the
+samples unchecked; td_simulate checks each segment's probe grid as one stack
+with the same _check_stack, so declared-bound violations surface as model
 errors naming the first failing time.
 """
 from __future__ import annotations
@@ -34,9 +37,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ArgumentError, ModelError, ResourceLimitError, check_time
+from .errors import ArgumentError, ModelError, ResourceLimitError, check_count, check_time
 from .linalg import unvec, vec
-from .models import Lindbladian, _drift_generator, _liouvillian, be_norm
+from .models import (Lindbladian, _check_bounds, _check_stack, _drift_generator, _liouvillian,
+                     be_norm)
 from .series import (MAX_SAMPLER_CALLS, _WORK_BYTES, _plan, _report, _validate_rho0,
                      _zero_time_report, series_superop)
 
@@ -49,17 +53,17 @@ class DysonConfig:
     grid_points: int
 
     def __post_init__(self):
-        if self.order < 0:
-            raise ArgumentError("Dyson order must be nonnegative")
-        if self.grid_points < 1:
-            raise ArgumentError("grid count must be >= 1")
+        check_count(self.order, "Dyson order", 0)
+        check_count(self.grid_points, "grid count", 1)
 
 
 class TimeDependentLindbladian:
     """Sampler plus declared sup-norm bounds for H(t), L_j(t) and dJ/dt.
 
     The sampler must be pure in its time argument (it may be called
-    concurrently and at repeated times).
+    concurrently and at repeated times). The model contract is the static
+    Lindbladian's: models._check_bounds on the declared bounds here, and
+    models._check_stack on every sample() and on td_simulate's probes.
     """
 
     def __init__(self, sampler, alpha0: float, alphas, jdot_bound: float):
@@ -67,50 +71,18 @@ class TimeDependentLindbladian:
         self.alpha0 = float(alpha0)
         self.alphas = tuple(float(a) for a in alphas)
         self.jdot_bound = float(jdot_bound)
-        if not all(0 <= b < math.inf for b in (self.alpha0, *self.alphas, self.jdot_bound)):
-            raise ModelError("declared bounds must be nonnegative and finite")
+        _check_bounds(self.alpha0, *self.alphas, self.jdot_bound)
         self.dim = self.sample(0.0)[0].shape[0]
 
     @property
     def num_jumps(self) -> int:
         return len(self.alphas)
 
-    def _check(self, times: np.ndarray, H: np.ndarray, L: np.ndarray) -> np.ndarray:
-        """Validate stacked samples in time order; returns the symmetrized H.
-
-        Raises ModelError at the first time whose H or a jump is not finite, whose
-        H is not Hermitian or whose H or a jump exceeds its declared bound, naming
-        that time."""
-        if L.shape[1] != len(self.alphas):
-            raise ModelError("sampler jump count must match declared alphas")
-        finite = np.isfinite(H).all(axis=(1, 2)) & np.isfinite(L).all(axis=(1, 2, 3))
-        Hd = H.conj().swapaxes(-1, -2)
-        scale = np.maximum(1.0, np.abs(H).max(axis=(-2, -1)))
-        skew = np.abs(H - Hd).max(axis=(-2, -1)) > 1e-12 * scale
-        H = (H + Hd) / 2
-        stack = np.concatenate([H[:, None], L], axis=1)
-        stack[~finite] = 0.0  # the SVD cannot take NaN or inf; those times fail below
-        norms = np.linalg.svd(stack, compute_uv=False)[..., 0]
-        bounds = np.array((self.alpha0,) + self.alphas)
-        over = norms > bounds * (1 + 1e-9) + 1e-12
-        bad = np.flatnonzero(~finite | skew | over.any(axis=1))
-        if bad.size:
-            b = bad[0]
-            t = float(times[b])
-            if not finite[b]:
-                raise ModelError(f"sampled H or jump at t={t} is not finite")
-            if skew[b]:
-                raise ModelError(f"sampled Hamiltonian at t={t} is not Hermitian")
-            if over[b, 0]:
-                raise ModelError(f"||H({t})|| exceeds the declared bound {self.alpha0}")
-            raise ModelError(f"a sampled jump norm at t={t} exceeds its declared bound")
-        return H
-
     def sample(self, t: float):
         """Sample H(t), [L_j(t)] and enforce the declared invariants."""
         times = np.array([float(t)])
         H, L = _sample_stack(self, times)
-        return self._check(times, H, L)[0], list(L[0])
+        return _check_stack(H, L, (self.alpha0, *self.alphas), times)[0], list(L[0])
 
 
 def _sample_stack(tl: TimeDependentLindbladian, times: np.ndarray):
@@ -287,8 +259,8 @@ def td_simulate(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float, eps: f
     if t == 0.0:
         return rho, _zero_time_report(eps), cfg or DysonConfig(0, 1)
 
-    if segments is not None and segments < 1:
-        raise ArgumentError("segment count must be >= 1")
+    if segments is not None:
+        check_count(segments, "segment count", 1)
     counts = (lambda n0: (segments,)) if segments else (lambda n0: [n0 * 2 ** i for i in range(9)])
     orders = _plan(tl, t, eps, counts)
     n_seg, delta = orders.num_segments, orders.segment_time
@@ -310,7 +282,7 @@ def td_simulate(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float, eps: f
     for i in range(n_seg):
         a = i * delta
         probes = np.linspace(a, a + delta, _PROBES)
-        tl._check(probes, *_sample_stack(tl, probes))
+        _check_stack(*_sample_stack(tl, probes), (tl.alpha0, *tl.alphas), probes)
         S = _segment_superop(tl, a, delta, K, q, cfg)
         v = S @ v
     rho_out = unvec(v)

@@ -143,6 +143,11 @@ def test_exit_code_invalid_model(tmp_path, capsys):
              "time_dependence.times[0] must be a number within the float range"),
             ("simulate", dict(static, alphas={"hamiltonian": math.nan}), "declared bounds"),
             ("simulate", dict(static, alphas={"hamiltonian": math.inf}), "declared bounds"),
+            # a negative bound fails as a model error, not in the segment budget
+            ("simulate", dict(static, alphas={"hamiltonian": -1e-13}),
+             "declared bounds must be nonnegative and finite"),
+            ("kraus-dump", dict(static, alphas={"hamiltonian": -1e-13}),
+             "declared bounds must be nonnegative and finite"),
             ("td-simulate", dict(driven, time_dependence=dict(driven["time_dependence"],
                                                               jdot_bound=math.nan)),
              "declared bounds"),
@@ -167,6 +172,10 @@ def test_exit_code_invalid_model(tmp_path, capsys):
                             capsys)
         assert code == 2
         assert err in cap.err
+    bad.write_text(json.dumps(dict(static, alphas={"hamiltonian": -1e-13})))
+    code, cap = run_cli(["analyze-error", "--model", str(bad)], capsys)
+    assert code == 2
+    assert "declared bounds must be nonnegative and finite" in cap.err
     rho0 = tmp_path / "rho0.json"
     rho0.write_text(json.dumps([[[math.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]))
     code, cap = run_cli(["simulate", "--model", "models/amplitude_damping.json",
@@ -200,6 +209,11 @@ def test_exit_code_bad_arguments(capsys):
     code, cap = run_cli(["analyze-error", "--random-models", "1", "--workers", "0"], capsys)
     assert code == 2
     assert "--workers must be at least 1, got 0" in cap.err
+    for argv in (["primitives-verify", "--seed", "-1"],
+                 ["analyze-error", "--random-models", "1", "--seed", "-3"]):
+        code, cap = run_cli(argv, capsys)
+        assert code == 2
+        assert "seed must be an integer >= 0, got -" in cap.err
     # non-finite times and precisions: typed errors, not a traceback or exit 3
     for command, model in [("simulate", "amplitude_damping"), ("kraus-dump", "amplitude_damping"),
                            ("td-simulate", "driven_damped_qubit")]:

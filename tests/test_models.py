@@ -8,6 +8,7 @@ from lindbladsim import (
     ArgumentError,
     Lindbladian,
     ModelError,
+    TimeDependentLindbladian,
     amplitude_damping,
     be_norm,
     choi,
@@ -93,6 +94,33 @@ def test_rejects_undersized_declared_bounds():
             Lindbladian(SZ, alpha0=bad)
         with pytest.raises(ModelError, match="finite"):
             Lindbladian(np.zeros((2, 2)), jumps=[SZ], alphas=[bad])
+    # a negative bound bounds nothing, even within the slack of the norm check
+    with pytest.raises(ModelError, match="nonnegative and finite"):
+        Lindbladian(np.zeros((2, 2)), alpha0=-1e-13)
+    with pytest.raises(ModelError, match="nonnegative and finite"):
+        Lindbladian(np.zeros((2, 2)), jumps=[np.zeros((2, 2))], alphas=[-1e-13])
+
+
+SM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+
+
+@pytest.mark.parametrize("H, alpha0, jump_bound, ok", [
+    (SM, 1.0, 1.0, False),  # not Hermitian
+    (np.array([[math.nan, 0.0], [0.0, 1.0]]), 1.0, 1.0, False),
+    (SZ, 1.0 - 1e-10, 1.0, False),  # 1e-10 relative below ||H||
+    (SZ, 1.0, 1.0 - 1e-10, False),  # 1e-10 relative below ||L||
+    (np.zeros((2, 2)), -1e-13, 1.0, False),
+    (SZ, 1.0 - 1e-13, 1.0 - 1e-13, True),  # within the norm slack
+])
+def test_static_and_time_dependent_models_share_one_contract(H, alpha0, jump_bound, ok):
+    makes = [lambda: Lindbladian(H, [SM], alpha0, [jump_bound]),
+             lambda: TimeDependentLindbladian(lambda t: (H, [SM]), alpha0, [jump_bound], 0.0)]
+    for make in makes:
+        if ok:
+            make()
+        else:
+            with pytest.raises(ModelError):
+                make()
 
 
 def test_be_norm_plug_ins():

@@ -40,6 +40,7 @@ from lindbladsim import (
     kraus_superop,
     mu_coefficients,
     nested_grid,
+    quadrature_error_bound,
     random_lindbladian,
     rk4_reference,
     segment_time,
@@ -263,6 +264,15 @@ def test_truncation_config_quadrature_floor():
                          segment_time=0.1)
     TruncationConfig(series_order=5, taylor_order=4, quadrature_order=3,
                      segment_time=0.1)
+
+
+@pytest.mark.parametrize("field", ["series_order", "taylor_order", "quadrature_order",
+                                   "num_segments"])
+def test_truncation_config_counts_are_integers(field):
+    counts = dict(series_order=2, taylor_order=4, quadrature_order=3, num_segments=2)
+    with pytest.raises(ArgumentError, match="must be an integer"):
+        TruncationConfig(segment_time=0.1, **dict(counts, **{field: counts[field] + 0.5}))
+    TruncationConfig(segment_time=0.1, **dict(counts, **{field: np.int64(counts[field])}))
 
 
 @settings(max_examples=40, deadline=None)
@@ -517,6 +527,26 @@ def test_bound_composite_consistency():
     assert bound_composite(0, 4, 0.5, 1.2) == pytest.approx(bound_taylor(4, 0.5, 1.2))
     expected = bound_taylor(8, 0.5, 1.0) * (4.0 * 1.0) ** 2
     assert bound_composite(2, 8, 0.5, 1.0) == pytest.approx(expected)
+
+
+BOUNDS = {
+    "bound_duhamel": lambda t, beta: bound_duhamel(2, t, beta),
+    "bound_taylor": lambda t, beta: bound_taylor(2, t, beta),
+    "bound_composite": lambda t, beta: bound_composite(1, 2, t, beta),
+    "bound_quadrature": lambda t, beta: bound_quadrature(2, 2, t, beta),
+    # beta stands for the derivative bound
+    "quadrature_error_bound": lambda t, beta: quadrature_error_bound(2, t, beta),
+}
+
+
+@pytest.mark.parametrize("name", BOUNDS)
+@pytest.mark.parametrize("t, beta", [(-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+                                     (1.0, -1.0)])
+def test_bound_arguments_are_checked(name, t, beta):
+    # a negative or non-finite time or rate bounds nothing; it used to come back
+    # as a negative, nan or inf "bound"
+    with pytest.raises(ArgumentError, match="must be nonnegative and finite, got"):
+        BOUNDS[name](t, beta)
 
 
 def test_bound_composite_dominates_hybrid_chains():

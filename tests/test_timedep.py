@@ -206,6 +206,12 @@ def test_dyson_config_validation():
         DysonConfig(order=-1, grid_points=4)
     with pytest.raises(ArgumentError):
         DysonConfig(order=2, grid_points=0)
+    # non-integer counts fail here, not in range() partway through a run
+    with pytest.raises(ArgumentError, match="Dyson order must be an integer"):
+        DysonConfig(order=2.5, grid_points=4)
+    with pytest.raises(ArgumentError, match="grid count must be an integer"):
+        DysonConfig(order=2, grid_points=4.5)
+    DysonConfig(order=np.int64(2), grid_points=np.int32(4))
 
 
 def test_dyson_contract_plugin():
@@ -404,6 +410,9 @@ def test_td_simulate_argument_validation():
             TimeDependentLindbladian(tl.sampler, *bounds)
     with pytest.raises(ModelError):
         td_simulate(tl, np.eye(2, dtype=complex), 1.0, 1e-4)
+    table = load_model("models/driven_damped_qubit.json").to_time_dependent()
+    with pytest.raises(ArgumentError, match="segment count must be an integer"):
+        td_simulate(table, rho0, 1.0, 1e-3, segments=8.5)
 
 
 def test_td_simulate_time_zero():
