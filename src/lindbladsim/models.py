@@ -24,16 +24,22 @@ NORM_SLACK = 1e-12  # a norm may exceed its declared bound by this, relative plu
 
 
 def _as_complex_matrix(mat, name: str) -> np.ndarray:
-    arr = np.asarray(mat, dtype=complex)
+    """A complex copy of mat, so the caller's array is never the model's."""
+    arr = np.array(mat, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ModelError(f"{name} must be a square matrix, got shape {arr.shape}")
     return arr
 
 
-def _check_bounds(*bounds: float) -> None:
-    """Raise ModelError unless every declared bound is nonnegative and finite."""
-    if not all(0 <= b < math.inf for b in bounds):
+def _check_bounds(alpha0: float, alphas, *others: float) -> None:
+    """Raise ModelError unless the bounds alpha0 (of H), alphas (of the jumps) and
+    others are nonnegative and finite, and so is the be-norm
+    alpha0 + (1/2) sum alphas^2 they give: finite bounds whose squares overflow
+    make it inf, which leaves no segment to plan."""
+    if not all(0 <= b < math.inf for b in (alpha0, *alphas, *others)):
         raise ModelError("declared bounds must be nonnegative and finite")
+    if alpha0 + 0.5 * sum(a * a for a in alphas) == math.inf:
+        raise ModelError("norm bounds overflow the be-norm alpha0 + (1/2) sum alphas^2")
 
 
 def _check_stack(H: np.ndarray, L: np.ndarray, bounds, times=None) -> np.ndarray:
@@ -76,9 +82,10 @@ class Lindbladian:
     alpha0 bounds the spectral norm of H and each alphas[j] bounds the spectral
     norm of L_j; defaults are the exact norms of the symmetrized H and of each
     jump. The model contract is the one time-dependent models are held to:
-    _check_bounds on the declared bounds and _check_stack on the operators, so
+    _check_bounds on the bounds and _check_stack on the operators, so
     a Hamiltonian within HERM_TOL of Hermitian is symmetrized on ingest and
-    anything worse is rejected.
+    anything worse is rejected. The model keeps read-only copies of the
+    caller's arrays.
     """
 
     def __init__(self, hamiltonian, jumps=(), alpha0: float | None = None,
@@ -92,8 +99,10 @@ class Lindbladian:
 
         declared = [None if a is None else float(a)
                     for a in (alpha0, *((None,) * len(Ls) if alphas is None else alphas))]
-        _check_bounds(*(a for a in declared if a is not None))
-        # an undeclared bound defaults to the exact norm, which passes the norm check
+        # an undeclared bound defaults to the exact norm, which passes the norm
+        # check; the be-norm of the bounds is checked once all of them are known
+        _check_bounds(0.0 if declared[0] is None else declared[0],
+                      [a for a in declared[1:] if a is not None])
         bounds = [math.inf if a is None else a for a in declared]
         H = _check_stack(H[None], _jump_stack(H, Ls)[None], bounds)[0]
 
@@ -105,6 +114,7 @@ class Lindbladian:
         self.alpha0 = spectral_norm(H) if alpha0 is None else declared[0]
         self.alphas = (tuple(spectral_norm(L) for L in Ls) if alphas is None
                        else tuple(declared[1:]))
+        _check_bounds(self.alpha0, self.alphas)
 
     @property
     def dim(self) -> int:

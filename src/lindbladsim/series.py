@@ -194,9 +194,10 @@ def taylor_drift(lind: Lindbladian, s: float, Kp: int) -> np.ndarray:
 # memoized series engine
 
 # Guard limits (see the module docstring). At 20-50 us per node (d <= 4, one
-# or two jumps, up to 203,490 nodes) and 10 us of td_simulate per sampler call
-# (2 vCPUs, one BLAS thread), the node cap is at most about 13 s of work and
-# the sampler cap about 10 s.
+# or two jumps, up to 203,490 nodes) and about 10 us of td_simulate per sampler
+# call (driven qubit at eps 1e-6, up to 972,832 calls; 2 vCPUs, one BLAS
+# thread), the node cap is at most about 13 s of work and the sampler cap about
+# 10 s.
 MAX_SERIES_NODES = 2 ** 18
 MAX_SUPEROP_BYTES = 2 ** 30
 MAX_SAMPLER_CALLS = 10 ** 6
@@ -208,7 +209,7 @@ def _chain_count(m: int, q: int, K: int) -> int:
 
 
 def series_superop(propagate, jumps, t: float, q: int, K: int, m: int,
-                   d: int) -> np.ndarray:
+                   d: int, nested: NestedGrid | None = None) -> np.ndarray:
     """Superoperator of the order-K series on [0, t] over the q-point rule.
 
     When K = 0, m = 0 or t = 0 only the order-0 term is left: the drift
@@ -227,6 +228,8 @@ def series_superop(propagate, jumps, t: float, q: int, K: int, m: int,
     indexed gather.
     propagate(s, u) returns T(s_b, u_b) as a (B, d, d) array and jumps(u)
     returns L_l(u_b) as a (B, m, d, d) array; both are called once per level.
+    A caller that samples at the node times passes the NestedGrid it sampled
+    from as nested, so both read one table.
 
     Every node is a Kraus map and so preserves Hermiticity, G(E_ba) =
     G(E_ab)^dag, and each column of G_r is fixed by the same column of its
@@ -260,7 +263,9 @@ def series_superop(propagate, jumps, t: float, q: int, K: int, m: int,
             f"series engine would hold {held_bytes} > {MAX_SUPEROP_BYTES} bytes "
             "of superoperators at once")
 
-    u, weights, children = NestedGrid(canonical_rule(q, t), K).table
+    if nested is None:
+        nested = NestedGrid(canonical_rule(q, t), K)
+    u, weights, children = nested.table
     G = None
     for i in range(K - 1, -1, -1):
         up, uc, ch, W = u[i], u[i + 1], children[i], weights[i]

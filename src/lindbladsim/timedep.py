@@ -2,33 +2,41 @@
 
 The drift factor exp(J s) becomes the time-ordered propagator V(s, t) of
 J(tau) = -i H(tau) - (1/2) sum_j L_j(tau)^dag L_j(tau). V is approximated by
-the order-Kd truncation of the discretized Dyson sum over an M-point midpoint
-grid on [s, t],
+the order-Kd truncation of the discretized Dyson sum over a midpoint grid on
+[s, t], with steps h_j sampled at their midpoints t_j,
 
-    sum_{k<=Kd} (delta^k / (M^k k!)) sum_tuples T[J(t_{j_k}) ... J(t_{j_1})],
+    sum_{k<=Kd} (1 / k!) sum_tuples T[J(t_{j_k}) h_{j_k} ... J(t_{j_1}) h_{j_1}],
 
-which is computed as the product over midpoints of the graded factors
-F_r = (J(t_j) delta / M)^r / r!, r <= Kd, later midpoints on the left,
-truncated at total grade Kd (the two forms agree term by term). Truncation
-keeps the product associative, so it is reduced pairwise as a tree rather than
-one midpoint at a time. For constant J this reproduces the order-Kd Taylor
-polynomial of exp(J delta) exactly, and the per-interval error contract is
+which is computed as the product over steps of the graded factors
+F_r = (J(t_j) h_j)^r / r!, r <= Kd, later steps on the left, truncated at
+total grade Kd (the two forms agree term by term). For constant J this
+reproduces the order-Kd Taylor polynomial of exp(J (t - s)) exactly, and on
+steps of at most (t - s) / M the per-interval error contract is
 
-    O(||J||_max^{Kd+1} delta^{Kd+1} / (Kd+1)! + delta^2 ||dJ/dt||_max / M).
+    O(||J||_max^{Kd+1} (t-s)^{Kd+1} / (Kd+1)! + (t-s)^2 ||dJ/dt||_max / M).
+
+ordered_propagator takes M uniform steps. td_simulate samples each segment of
+length delta once, on one union grid: the M uniform steps of [0, delta] joined
+with every node time of the segment's nested quadrature table. Every step is
+then at most delta / M, so the contract above bounds every interval the series
+engine asks for. Truncation keeps the graded product associative, so each
+interval [lo, hi] between grid points is read from the prefix products P(g)
+as P(hi) P(lo)^-1; every prefix is I plus a nilpotent part, so its inverse
+is a finite sum.
 
 Norm bounds and the generator derivative bound are declared by the caller,
 never estimated from samples. Sampling is batched: every time a step needs
-(the midpoints of all its intervals, the jump nodes of a series level, a
-segment's probes, a chunk of RK4 half-steps) is sampled by one helper, one
-sampler call per time, into stacked H and L arrays, from which J and the
+(the union-grid midpoints of a group of segments, the jump nodes of a series
+level, a group's probes, a chunk of RK4 half-steps) is sampled by one helper,
+one sampler call per time, into stacked H and L arrays, from which J and the
 Liouvillian are built in one call. Validation policy: a time-dependent
 model meets the one model contract of lindbladsim.models, as a static one
 does. The constructor checks the declared bounds (models._check_bounds), and
 sample() checks its sample (models._check_stack: finite entries, a Hermitian
 H, norms within the declared bounds). Propagators, jumps and RK4 use the
-samples unchecked; td_simulate checks each segment's probe grid as one stack
-with the same _check_stack, so declared-bound violations surface as model
-errors naming the first failing time.
+samples unchecked; td_simulate checks each segment's probe grid with the same
+_check_stack before the segment's first propagator sample, so declared-bound
+violations surface as model errors naming the first failing time.
 """
 from __future__ import annotations
 
@@ -41,6 +49,7 @@ from .errors import ArgumentError, ModelError, ResourceLimitError, check_count, 
 from .linalg import unvec, vec
 from .models import (Lindbladian, _check_bounds, _check_stack, _drift_generator, _liouvillian,
                      be_norm)
+from .quadrature import NestedGrid, canonical_rule
 from .series import (MAX_SAMPLER_CALLS, _WORK_BYTES, _plan, _report, _validate_rho0,
                      _zero_time_report, series_superop)
 
@@ -71,7 +80,7 @@ class TimeDependentLindbladian:
         self.alpha0 = float(alpha0)
         self.alphas = tuple(float(a) for a in alphas)
         self.jdot_bound = float(jdot_bound)
-        _check_bounds(self.alpha0, *self.alphas, self.jdot_bound)
+        _check_bounds(self.alpha0, self.alphas, self.jdot_bound)
         self.dim = self.sample(0.0)[0].shape[0]
 
     @property
@@ -111,95 +120,119 @@ def from_static(lind: Lindbladian) -> TimeDependentLindbladian:
     return TimeDependentLindbladian(lambda t: (H, Ls), lind.alpha0, lind.alphas, 0.0)
 
 
-def _batched_propagator(tl: TimeDependentLindbladian, s: np.ndarray, t: np.ndarray,
-                        cfg: DysonConfig) -> np.ndarray:
-    """Order-truncated midpoint-product propagators over a batch of intervals,
-    taken in chunks of intervals whose (Kd+1, M, B, d, d) factor stack stays
-    under _WORK_BYTES."""
-    d, B = tl.dim, s.shape[0]
-    M, Kd = cfg.grid_points, cfg.order
-    chunk = max(1, _WORK_BYTES // (16 * (Kd + 1) * M * d * d))
-    out = np.empty((B, d, d), dtype=complex)
-    for start in range(0, B, chunk):
-        sl = slice(start, min(start + chunk, B))
-        out[sl] = _midpoint_product(tl, s[sl], t[sl], M, Kd)
-    return out
+def _union_grid(nested: NestedGrid, M: int):
+    """One segment's sampled grid, relative to its start, and its interval ends:
+    the ends are 0 and every node time of nested's table, the only points a
+    propagator of the series engine starts or stops at, and the grid joins them
+    with the M uniform steps of [0, delta]. Both are sorted."""
+    ends = np.unique(np.concatenate([[0.0], *nested.table[0]]))
+    return np.union1d(np.linspace(0.0, nested.rule.interval_length, M + 1), ends), ends
 
 
-def _midpoint_product(tl: TimeDependentLindbladian, s: np.ndarray, t: np.ndarray,
-                      M: int, Kd: int) -> np.ndarray:
-    """Product over the M midpoints of their graded factors F_r = (J delta)^r / r!,
-    later midpoints on the left, truncated at total grade Kd and summed.
+def _prefix_stacks(tl: TimeDependentLindbladian, starts: np.ndarray, grid: np.ndarray,
+                   ends: np.ndarray, Kd: int):
+    """Truncated graded prefix products over the gaps of grid, for the segments
+    starting at each a in starts.
 
-    The truncated graded product is associative, so it is reduced pairwise: A
-    (later) times B has grades C_p = A_p + B_p + [A_1 ... A_{p-1}] [B_{p-1} ... B_1],
-    one matmul over the stacked inner dimension per grade."""
-    d, B = tl.dim, s.shape[0]
-    step = (t - s) / M
-    taus = s + (np.arange(M)[:, None] + 0.5) * step
-    J = _drift_generator(*_sample_stack(tl, taus)).reshape(M, B, d, d)
-    J *= step[:, None, None]
-    F = np.empty((M, B, Kd, d, d), dtype=complex)  # grades 1..Kd; grade 0 is I
-    if Kd:
-        F[:, :, 0] = J
-    for r in range(1, Kd):
-        F[:, :, r] = (F[:, :, r - 1] @ J) / (r + 1)
-    while F.shape[0] > 1:
-        n = F.shape[0]
-        A, Bf = F[1::2], F[0:n - 1:2]
-        C = A + Bf
-        for p in range(2, Kd + 1):
-            left = A[:, :, :p - 1].transpose(0, 1, 3, 2, 4).reshape(n // 2, B, d, (p - 1) * d)
-            right = Bf[:, :, p - 2::-1].reshape(n // 2, B, (p - 1) * d, d)
-            C[:, :, p - 1] += left @ right
-        F = np.concatenate([C, F[n - 1:]]) if n % 2 else C
-    return np.eye(d) + F[0].sum(axis=1)
+    Gap k, of length h_k, is sampled once at a plus its midpoint and has the
+    graded factor F_r = (J h_k)^r / r!, r <= Kd. The prefix P(g_n) is the
+    product of the factors of gaps 1..n, later gaps on the left, truncated at
+    total grade Kd. It is I plus a nilpotent part, so its inverse Q is a finite
+    sum too: the product of the inverse factors G_r = (-J h_k)^r / r!, later
+    gaps on the right. The product of the factors between grid points lo and
+    hi, truncated and summed, is then the quotient
+
+        P(hi) P(lo)^-1 = sum_r P_r(hi) C_{Kd-r}(lo),  C_k = Q_0 + ... + Q_k.
+
+    A factor multiplies a column of grades [X_0; ..; X_Kd] from the left as the
+    block lower-triangular Toeplitz matrix with blocks F_{i-j}, and a row from
+    the right as the upper one with blocks G_{j-i}, so each gap costs its Kd
+    powers of J h_k and one matmul per prefix. The row [C_0, .., C_Kd] takes
+    the factors G as the row of Q does, because summing grades commutes with an
+    upper Toeplitz matrix.
+
+    Returns, at the E grid points in ends, P_0, .., P_Kd side by side,
+    (S, E, d, (Kd+1) d), and C_Kd, .., C_0 stacked, (S, E, (Kd+1) d, d): each
+    quotient is one matmul of the two."""
+    d, S, N = tl.dim, starts.size, grid.size - 1
+    D = (Kd + 1) * d
+    h = np.diff(grid)
+    taus = starts[:, None] + (grid[:-1] + h / 2)
+    J = _drift_generator(*_sample_stack(tl, taus)).reshape(S, N, d, d) * h[:, None, None]
+    F = np.zeros((S, Kd + 2, d, d), dtype=complex)  # one gap's grades 0..Kd, a zero block
+    F[:, 0] = np.eye(d)
+    # flat positions in a gap's F of the lower and upper Toeplitz matrices'
+    # entries, and the signs (-1)^(j-i) that turn the upper one's F into G
+    grade, a = np.divmod(np.arange(D), d)
+    lag = grade[:, None] - grade[None, :]
+    lower = (np.where(lag >= 0, lag, Kd + 1) * d + a[:, None]) * d + a[None, :]
+    upper = (np.where(lag <= 0, -lag, Kd + 1) * d + a[:, None]) * d + a[None, :]
+    sign = (-1.0) ** lag
+    P = np.broadcast_to(np.eye(D, d), (S, D, d))  # P(0) = I
+    C = np.broadcast_to(np.tile(np.eye(d), Kd + 1), (S, d, D))  # C_k(0) = I
+    slot = np.minimum(np.searchsorted(ends, grid), ends.size - 1)
+    kept = ends[slot] == grid
+    PL = np.empty((S, ends.size, d, Kd + 1, d), dtype=complex)
+    CR = np.empty((S, ends.size, Kd + 1, d, d), dtype=complex)
+    for n in range(N + 1):
+        if n:
+            for r in range(1, Kd + 1):
+                F[:, r] = F[:, r - 1] @ J[:, n - 1] / r
+            P = np.take(F.reshape(S, -1), lower, axis=1) @ P
+            C = C @ (np.take(F.reshape(S, -1), upper, axis=1) * sign)
+        if kept[n]:
+            PL[:, slot[n]] = P.reshape(S, Kd + 1, d, d).transpose(0, 2, 1, 3)
+            CR[:, slot[n]] = C.reshape(S, d, Kd + 1, d).transpose(0, 2, 1, 3)[:, ::-1]
+    return PL.reshape(S, ends.size, d, D), CR.reshape(S, ends.size, D, d)
 
 
 def ordered_propagator(tl: TimeDependentLindbladian, s: float, t: float,
                        cfg: DysonConfig) -> np.ndarray:
-    """Order-truncated midpoint-grid approximation of the ordered exponential."""
+    """Order-truncated approximation of the ordered exponential on [s, t]: the
+    graded product over M uniform steps, sampled at their midpoints."""
     if t < s:
         raise ArgumentError(f"propagator needs s <= t, got s={s}, t={t}")
     if t == s:
         return np.eye(tl.dim, dtype=complex)
-    return _batched_propagator(tl, np.array([float(s)]), np.array([float(t)]), cfg)[0]
+    grid = np.linspace(0.0, t - s, cfg.grid_points + 1)
+    PL, CR = _prefix_stacks(tl, np.array([float(s)]), grid, grid[[0, -1]], cfg.order)
+    return PL[0, 1] @ CR[0, 0]
 
 
 def dyson_contract(tl: TimeDependentLindbladian, delta: float, cfg: DysonConfig) -> float:
-    """Stated per-interval error contract of ordered_propagator."""
+    """Stated error contract of ordered_propagator on an interval of length delta,
+    and of every propagator td_simulate reads from a segment of length delta:
+    each step of its union grid is at most delta / M."""
     beta = be_norm(tl)
     return ((beta * delta) ** (cfg.order + 1) / math.factorial(cfg.order + 1)
             + delta ** 2 * tl.jdot_bound / cfg.grid_points)
 
 
-def _segment_superop(tl: TimeDependentLindbladian, a: float, delta: float,
-                     K: int, q: int, cfg: DysonConfig) -> np.ndarray:
-    """Superoperator for the segment [a, a + delta] at every order: the static
-    pipeline's series engine run on segment-relative times with ordered
-    propagators and jumps sampled at the nodes."""
-    def propagate(s, u):
-        return _batched_propagator(tl, a + s, a + u, cfg)
+def _segment_superops(tl: TimeDependentLindbladian, starts: np.ndarray, nested: NestedGrid,
+                      grid: np.ndarray, ends: np.ndarray, Kd: int):
+    """Superoperators of the segments [a, a + delta], a in starts, in order, at
+    every order: the static pipeline's series engine run on nested's table, with
+    each propagator T(lo, hi) read from the segment's prefixes on grid, where
+    both lo and hi are interval ends, and the jumps sampled at the nodes."""
+    q, K, delta = nested.rule.order, nested.depth, nested.rule.interval_length
+    for a, PL, CR in zip(starts, *_prefix_stacks(tl, starts, grid, ends, Kd)):
+        def propagate(lo, hi, PL=PL, CR=CR):
+            return PL[np.searchsorted(ends, hi)] @ CR[np.searchsorted(ends, lo)]
 
-    def jumps(u):
-        return _sample_stack(tl, a + u)[1]
+        def jumps(u, a=a):
+            return _sample_stack(tl, a + u)[1]
 
-    return series_superop(propagate, jumps, delta, q, K, tl.num_jumps, tl.dim)
+        yield series_superop(propagate, jumps, delta, q, K, tl.num_jumps, tl.dim, nested)
 
 
 _PROBES = 17  # validating samples per segment
 _RK4_STEPS = 256  # RK4 steps whose Liouvillians are built in one stacked call
 
 
-def _segment_sampler_calls(K: int, q: int, m: int, M: int) -> int:
-    """Sampler calls td_simulate makes per segment: the probes, M per propagator
-    interval and one per jump node. series_superop asks for (q+1) C(q+K-1, K-1)
-    intervals over depths 0..K-1 plus C(q+K-1, K) for the leaves, and for the
-    jumps at the C(q+K, K) - 1 nodes of depths 1..K."""
-    if K == 0 or m == 0:
-        return _PROBES + M
-    return (_PROBES + M * ((q + 1) * math.comb(q + K - 1, K - 1) + math.comb(q + K - 1, K))
-            + math.comb(q + K, K) - 1)
+def _segment_sampler_calls(K: int, q: int, gaps: int) -> int:
+    """Sampler calls td_simulate makes per segment: the probes, one per gap of
+    its union grid and one per jump node, the C(q+K, K) - 1 nodes of depths 1..K."""
+    return _PROBES + gaps + math.comb(q + K, K) - 1
 
 
 def rk4_reference(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float,
@@ -244,14 +277,25 @@ def td_simulate(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float, eps: f
     minimum n0 with the least total chain work, since more, shorter segments
     shrink the chain tree exponentially and time-ordered segments cannot share
     one superoperator. The propagator truncation order defaults to the static
-    Taylor-order criterion and the grid count to a heuristic calibrated to the
-    midpoint product's measured quadratic convergence (the reported contract
+    Taylor-order criterion and the grid count M to a heuristic calibrated to the
+    midpoint rule's measured quadratic convergence (the reported contract
     uses the declared first-order rate). Pass cfg or segments to override; a
     segments count below the budget minimum n0 raises ArgumentError.
 
-    Sampling is the run's cost, so before the first probe it raises
+    Every segment is sampled once, on its union grid: the M uniform steps joined
+    with the node times of the nested table, which is built once per run and
+    read by the grid and the series engine alike. Each propagator the engine
+    asks for is a quotient of that grid's prefix products, kept at the
+    interval ends only. Segments go in groups whose samples and prefix stacks
+    stay under _WORK_BYTES, each group's probes checked before its first
+    propagator sample.
+
+    Sampling is most of the run's cost, so before the first probe it raises
     ResourceLimitError when the run would make more than MAX_SAMPLER_CALLS
-    sampler calls; the series engine's own node and byte caps still apply.
+    sampler calls: the probes, one per union-grid gap and one per jump node, per
+    segment. A tree too wide for the cap fails on its M uniform steps alone,
+    before its table is built. The series engine's own node and byte caps still
+    apply.
     """
     check_time(t)
     check_time(eps, "target precision", positive=True)
@@ -267,23 +311,34 @@ def td_simulate(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float, eps: f
     K, q = orders.series_order, orders.quadrature_order
     if cfg is None:
         if tl.jdot_bound == 0.0:
-            grid = 1
+            points = 1
         else:
             first_order = delta ** 2 * tl.jdot_bound / (eps / n_seg)
-            grid = int(min(256, max(16, math.ceil(math.sqrt(first_order)))))
-        cfg = DysonConfig(order=orders.taylor_order, grid_points=grid)
-    calls = n_seg * _segment_sampler_calls(K, q, tl.num_jumps, cfg.grid_points)
-    if calls > MAX_SAMPLER_CALLS:
-        raise ResourceLimitError(
-            f"time-ordered run would make {calls} > {MAX_SAMPLER_CALLS} sampler calls; "
-            "lower the precision or the horizon")
+            points = int(min(256, max(16, math.ceil(math.sqrt(first_order)))))
+        cfg = DysonConfig(order=orders.taylor_order, grid_points=points)
 
+    def check_calls(gaps, at_least=""):
+        calls = n_seg * _segment_sampler_calls(K, q, gaps)
+        if calls > MAX_SAMPLER_CALLS:
+            raise ResourceLimitError(
+                f"time-ordered run would make {at_least}{calls} > {MAX_SAMPLER_CALLS} "
+                "sampler calls; lower the precision or the horizon")
+
+    check_calls(cfg.grid_points, "at least ")
+    nested = NestedGrid(canonical_rule(q, delta), K)
+    grid, ends = _union_grid(nested, cfg.grid_points)
+    check_calls(grid.size - 1)
+
+    # a segment holds its gaps' samples and J, and its prefix stacks at the ends
+    held = (2 + tl.num_jumps) * grid.size + 2 * (cfg.order + 1) * ends.size
+    group = max(1, _WORK_BYTES // (16 * tl.dim ** 2 * held))
+    starts = np.arange(n_seg) * delta
     v = vec(rho)
-    for i in range(n_seg):
-        a = i * delta
-        probes = np.linspace(a, a + delta, _PROBES)
+    for first in range(0, n_seg, group):
+        a = starts[first:first + group]
+        probes = np.linspace(a, a + delta, _PROBES, axis=1).ravel()
         _check_stack(*_sample_stack(tl, probes), (tl.alpha0, *tl.alphas), probes)
-        S = _segment_superop(tl, a, delta, K, q, cfg)
-        v = S @ v
+        for S in _segment_superops(tl, a, nested, grid, ends, cfg.order):
+            v = S @ v
     rho_out = unvec(v)
     return rho_out, _report(tl, t, eps, replace(orders, taylor_order=cfg.order), rho_out), cfg

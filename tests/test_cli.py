@@ -152,6 +152,10 @@ def test_exit_code_invalid_model(tmp_path, capsys):
                                                               jdot_bound=math.nan)),
              "declared bounds"),
             ("td-simulate", knot, "time_dependence.hamiltonian[1]: entry (0,0) is not finite"),
+            # finite bounds whose squares overflow give beta = inf
+            ("simulate", dict(static, jumps=[[[[0, 0], [1e160, 0]], [[0, 0], [0, 0]]]]),
+             "overflow the be-norm"),
+            ("td-simulate", dict(driven, alphas={"jumps": [1e160]}), "overflow the be-norm"),
             # jumps and their bounds must be lists, not a bare number
             ("simulate", dict(static, jumps=5), "jumps must be a list"),
             ("simulate", dict(static, alphas={"jumps": 5}), "alphas.jumps must be a list"),
@@ -254,13 +258,14 @@ def test_exit_code_infeasible_precision(capsys):
 
 
 def test_exit_code_resource_limits(capsys):
-    # K = 18, q = 9: 3,124,550 series nodes; then 8,532,192 sampler calls
+    # K = 18, q = 9: 3,124,550 series nodes; then at least 5,528,768 sampler
+    # calls, counted on each segment's uniform steps before its table is built
     code, cap = run_cli(["simulate", "--model", "models/amplitude_damping.json",
                          "--time", "1.0", "--eps", "1e-26"], capsys)
     assert code == 3
     assert "nodes" in cap.err
     code, cap = run_cli(["td-simulate", "--model", "models/driven_damped_qubit.json",
-                         "--time", "10", "--eps", "1e-6"], capsys)
+                         "--time", "100", "--eps", "1e-6"], capsys)
     assert code == 3
     assert "sampler calls" in cap.err
 

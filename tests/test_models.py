@@ -21,7 +21,9 @@ from lindbladsim import (
     kraus_superop,
     liouvillian_matrix,
     random_lindbladian,
+    simulate,
     spectral_norm,
+    td_simulate,
     unvec,
     vec,
 )
@@ -111,6 +113,7 @@ SM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     (SZ, 1.0, 1.0 - 1e-10, False),  # 1e-10 relative below ||L||
     (np.zeros((2, 2)), -1e-13, 1.0, False),
     (SZ, 1.0 - 1e-13, 1.0 - 1e-13, True),  # within the norm slack
+    (np.zeros((2, 2)), 1.0, 1e160, False),  # finite, but beta = 1 + 1e320 / 2 = inf
 ])
 def test_static_and_time_dependent_models_share_one_contract(H, alpha0, jump_bound, ok):
     makes = [lambda: Lindbladian(H, [SM], alpha0, [jump_bound]),
@@ -121,6 +124,28 @@ def test_static_and_time_dependent_models_share_one_contract(H, alpha0, jump_bou
         else:
             with pytest.raises(ModelError):
                 make()
+
+
+def test_overflowing_be_norm_is_a_model_error():
+    # a jump norm of 1e160 squares to inf, so beta = inf and no segment fits;
+    # the run fails as a model error at construction, not in the planner
+    rho0 = np.diag([1.0, 0.0])
+    with pytest.raises(ModelError, match="overflow the be-norm"):
+        simulate(Lindbladian(np.zeros((2, 2)), [1e160 * SM]), rho0, 1.0, 1e-3)
+    with pytest.raises(ModelError, match="overflow the be-norm"):
+        td_simulate(TimeDependentLindbladian(lambda t: (np.zeros((2, 2)), [1e160 * SM]),
+                                             0.0, [1e160], 0.0), rho0, 1.0, 1e-3)
+    assert be_norm(Lindbladian(np.zeros((2, 2)), [1e150 * SM])) == pytest.approx(0.5e300)
+
+
+def test_model_keeps_read_only_copies_of_caller_arrays():
+    H, L = SZ.copy(), SM.copy()
+    lind = Lindbladian(H, [L])
+    assert not lind.hamiltonian.flags.writeable and not lind.jumps[0].flags.writeable
+    # the caller's arrays stay writable, and writing them leaves the model as it was
+    H[0, 0], L[0, 0] = 5.0, 1.0
+    np.testing.assert_array_equal(lind.hamiltonian, SZ)
+    np.testing.assert_array_equal(lind.jumps[0], SM)
 
 
 def test_be_norm_plug_ins():

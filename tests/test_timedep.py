@@ -33,10 +33,11 @@ from lindbladsim import (
     unvec,
     vec,
 )
+from lindbladsim import timedep
 from lindbladsim.models import _drift_generator
-from lindbladsim.series import _WORK_BYTES
-from lindbladsim.timedep import (_RK4_STEPS, _batched_propagator, _segment_sampler_calls,
-                                 _segment_superop)
+from lindbladsim.quadrature import NestedGrid, canonical_rule
+from lindbladsim.timedep import (_RK4_STEPS, _prefix_stacks, _segment_sampler_calls,
+                                 _segment_superops, _union_grid)
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -93,16 +94,15 @@ def rotating_model(d, m, seed):
     return TimeDependentLindbladian(sampler, 1.0, [0.8] * m, 4.0)
 
 
-def sequential_propagator(tl, s, t, cfg):
-    # the midpoint product one midpoint at a time, later factors on the left
-    d, B = tl.dim, s.shape[0]
-    M, Kd = cfg.grid_points, cfg.order
-    step = (t - s) / M
-    eye = np.broadcast_to(np.eye(d, dtype=complex), (B, d, d))
-    terms = [eye] + [np.zeros((B, d, d), complex) for _ in range(Kd)]
-    for i in range(M):
-        Jstep = np.stack([_drift_generator(*tl.sample(float(tau)))
-                          for tau in s + (i + 0.5) * step]) * step[:, None, None]
+def sequential_propagator(tl, a, grid, lo, hi, Kd):
+    # the graded product over the gaps of grid between points lo and hi, one gap
+    # at a time, later factors on the left, each gap sampled at a plus its midpoint
+    d = tl.dim
+    eye = np.eye(d, dtype=complex)
+    terms = [eye] + [np.zeros((d, d), complex) for _ in range(Kd)]
+    for k in range(lo, hi):
+        h = grid[k + 1] - grid[k]
+        Jstep = _drift_generator(*tl.sample(float(a + (grid[k] + h / 2)))) * h
         Jpow = [eye]
         for _ in range(Kd):
             Jpow.append(Jpow[-1] @ Jstep)
@@ -110,6 +110,13 @@ def sequential_propagator(tl, s, t, cfg):
                                              for r in range(1, p + 1))
                               for p in range(1, Kd + 1)]
     return sum(terms)
+
+
+def segment_superop(tl, a, delta, K, q, cfg):
+    # one segment's superoperator on its own union grid, as td_simulate builds it
+    nested = NestedGrid(canonical_rule(q, delta), K)
+    grid, ends = _union_grid(nested, cfg.grid_points)
+    return next(_segment_superops(tl, np.array([a]), nested, grid, ends, cfg.order))
 
 
 def random_density(rng, d):
@@ -171,26 +178,75 @@ def test_propagator_composition():
        B=st.integers(1, 5), seed=st.integers(0, 2**16))
 @example(d=2, m=1, Kd=6, M=33, B=5, seed=0)
 @example(d=4, m=2, Kd=5, M=32, B=3, seed=1)
-def test_tree_product_matches_sequential_product(d, m, Kd, M, B, seed):
+def test_prefix_quotient_matches_sequential_product(d, m, Kd, M, B, seed):
+    # P(hi) P(lo)^-1 on a grid of M uniform steps and a few extra points, against
+    # the graded product of the factors between lo and hi, over the same gaps
     tl = rotating_model(d, m, seed)
     rng = np.random.default_rng(seed)
-    s = rng.uniform(0.0, 0.5, size=B)
-    t = s + rng.uniform(0.0, 0.6, size=B)
-    cfg = DysonConfig(order=Kd, grid_points=M)
-    ref = sequential_propagator(tl, s, t, cfg)
-    assert np.abs(_batched_propagator(tl, s, t, cfg) - ref).max() <= 1e-13
+    a, delta = rng.uniform(0.0, 0.5), rng.uniform(0.01, 0.6)
+    grid = np.unique(np.concatenate([np.linspace(0.0, delta, M + 1),
+                                     rng.uniform(0.0, delta, size=5)]))
+    lo = rng.integers(0, grid.size, size=B)
+    hi = np.maximum(lo, rng.integers(0, grid.size, size=B))
+    PL, CR = _prefix_stacks(tl, np.array([a]), grid, grid, Kd)
+    quotient = PL[0][hi] @ CR[0][lo]
+    for b in range(B):
+        ref = sequential_propagator(tl, a, grid, lo[b], hi[b], Kd)
+        assert np.abs(quotient[b] - ref).max() <= 1e-13
 
 
-def test_tree_product_across_interval_chunks():
-    d, Kd, M, B = 4, 8, 64, 60
-    # intervals are taken in chunks whose factor stack stays under _WORK_BYTES
-    assert B > _WORK_BYTES // (16 * (Kd + 1) * M * d * d)
+def test_segment_groups_match_single_segments(monkeypatch):
+    # td_simulate takes segments in groups whose samples and prefix stacks stay
+    # under _WORK_BYTES, here shrunk to a few segments' worth; across group
+    # boundaries it composes the segments built alone
+    d, Kd, M, n = 4, 8, 64, 12
     tl = rotating_model(d, 2, 7)
-    s = np.linspace(0.0, 0.3, B)
-    t = s + np.linspace(0.05, 0.4, B)
+    rho0 = np.eye(d, dtype=complex) / d
     cfg = DysonConfig(order=Kd, grid_points=M)
-    ref = sequential_propagator(tl, s, t, cfg)
-    assert np.abs(_batched_propagator(tl, s, t, cfg) - ref).max() <= 1e-13
+    groups, prefix_stacks = [], timedep._prefix_stacks
+
+    def recording(tl, starts, *args):
+        groups.append(starts.size)
+        return prefix_stacks(tl, starts, *args)
+
+    monkeypatch.setattr(timedep, "_prefix_stacks", recording)
+    monkeypatch.setattr(timedep, "_WORK_BYTES", 2 ** 19)
+    rho, report, _ = td_simulate(tl, rho0, 0.5, 1e-3, cfg=cfg, segments=n)
+    assert sum(groups) == n and len(groups) > 1 and max(groups) > 1
+    delta, K, q = report.segment_time, report.series_order, report.quadrature_order
+    nested = NestedGrid(canonical_rule(q, delta), K)
+    grid, ends = _union_grid(nested, M)
+    v = vec(rho0)
+    for i in range(n):
+        v = next(_segment_superops(tl, np.array([i * delta]), nested, grid, ends, Kd)) @ v
+    assert np.abs(rho - unvec(v)).max() <= 1e-13
+
+
+def test_every_segment_interval_meets_the_dyson_contract(monkeypatch):
+    # every propagator the series engine reads from one driven-damped segment's
+    # prefixes is within the per-segment contract of dense integration
+    tl = driven_damped()
+    _, report, cfg = td_simulate(tl, np.diag([1.0, 0.0]), 1.0, 1e-4)
+    delta, K, q = report.segment_time, report.series_order, report.quadrature_order
+    nested = NestedGrid(canonical_rule(q, delta), K)
+    grid, ends = _union_grid(nested, cfg.grid_points)
+    read, real = [], timedep.series_superop
+
+    def recording(propagate, *args):
+        def record(lo, hi):
+            T = propagate(lo, hi)
+            read.extend(zip(lo, hi, T))
+            return T
+        return real(record, *args)
+
+    monkeypatch.setattr(timedep, "series_superop", recording)
+    a = 3 * delta
+    next(_segment_superops(tl, np.array([a]), nested, grid, ends, cfg.order))
+    assert len(read) == (q + 1) * math.comb(q + K - 1, K - 1) + math.comb(q + K - 1, K)
+    contract = dyson_contract(tl, delta, cfg)
+    for lo, hi, T in read:
+        ref = generator_rk4(tl, a + lo, a + hi, delta / 200)
+        assert np.abs(T - ref).max() <= contract
 
 
 def test_propagator_interval_edge_cases():
@@ -246,7 +302,7 @@ def test_segment_superop_shares_the_static_engine():
     cfg = TruncationConfig(series_order=3, taylor_order=5, quadrature_order=2,
                            segment_time=0.3)
     static = enumerate_kraus(lind, 0.3, cfg).as_superoperator()
-    seg = _segment_superop(from_static(lind), 0.6, 0.3, 3, 2, DysonConfig(5, 1))
+    seg = segment_superop(from_static(lind), 0.6, 0.3, 3, 2, DysonConfig(5, 1))
     assert np.abs(seg - static).max() <= 1e-14
 
 
@@ -262,8 +318,8 @@ def test_series_engine_columns_are_conjugate_mirrors(path, d, m):
                                segment_time=0.3)
         S = enumerate_kraus(lind, 0.3, cfg).as_superoperator()
     else:
-        S = _segment_superop(rotating_model(d, m, seed=d + m), 0.2, 0.3, 3, 2,
-                             DysonConfig(4, 3))
+        S = segment_superop(rotating_model(d, m, seed=d + m), 0.2, 0.3, 3, 2,
+                            DysonConfig(4, 3))
     for a in range(d):
         for b in range(a + 1, d):
             mirror = vec(unvec(S[:, b * d + a]).conj().T)
@@ -367,17 +423,33 @@ def test_td_simulate_rejects_segments_below_the_budget_minimum():
 
 
 def test_td_simulate_sampler_guard():
-    # 544 segments and 4,891,104 sampler calls, rejected before the first probe
+    # at eps 1e-6 each segment has 256 uniform steps and 270 union-grid gaps, so
+    # 17 + 270 + 14 jump nodes = 301 sampler calls. The 10,752 segments at t=100
+    # fail on the uniform steps alone (3,236,352 calls exactly), before the table
+    # is built; the 3,328 at t=31 pass that (955,136) and fail on the exact count.
+    # Either way no sample is taken.
+    tl = driven_damped()
+
+    def sampler(tau):
+        raise AssertionError(f"sampled at t={tau} before the guard")
+
+    tl.sampler = sampler
     rho0 = np.diag([1.0, 0.0]).astype(complex)
-    start = time.perf_counter()
-    with pytest.raises(ResourceLimitError):
-        td_simulate(driven_damped(), rho0, 10.0, 1e-6)
-    assert time.perf_counter() - start < 1.0
+    for t, calls in [(100.0, "at least 3085824"), (31.0, "1001728")]:
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=f"would make {calls} > 1000000 sampler"):
+            td_simulate(tl, rho0, t, 1e-6)
+        assert time.perf_counter() - start < 1.0
+
+
+def table_model():
+    return load_model("models/driven_damped_qubit.json").to_time_dependent()
 
 
 @pytest.mark.parametrize("make, t, eps", [(phase_modulated, 1.0, 1e-4),
                                           (driven_damped, 0.5, 1e-3),
-                                          (driven_damped, 1.0, 1e-4)])
+                                          (driven_damped, 1.0, 1e-4),
+                                          (table_model, 0.7, 1e-5)])
 def test_segment_sampler_calls_match_a_counting_sampler(make, t, eps):
     tl = make()
     sampler, calls = tl.sampler, [0]
@@ -389,8 +461,9 @@ def test_segment_sampler_calls_match_a_counting_sampler(make, t, eps):
     tl.sampler = counting
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     _, report, cfg = td_simulate(tl, rho0, t, eps)
-    assert calls[0] == report.segments * _segment_sampler_calls(
-        report.series_order, report.quadrature_order, tl.num_jumps, cfg.grid_points)
+    K, q = report.series_order, report.quadrature_order
+    grid, _ = _union_grid(NestedGrid(canonical_rule(q, report.segment_time), K), cfg.grid_points)
+    assert calls[0] == report.segments * _segment_sampler_calls(K, q, grid.size - 1)
 
 
 def test_td_simulate_argument_validation():
