@@ -19,7 +19,7 @@ from .quadrature import (NestedGrid, QuadratureRule, canonical_rule, legendre_ru
                          nested_grid, nested_weight_sum, quadrature_error_bound)
 from .series import (CPMapApprox, KrausTerm, SimulationReport, TruncationConfig,
                      bound_composite, bound_duhamel, bound_quadrature, bound_taylor,
-                     choose_orders, enumerate_kraus, f_k, g_K_quadrature, segment_time,
+                     choose_orders, f_k, g_K_quadrature, segment_time,
                      simulate, taylor_drift, taylor_total_bound)
 from .timedep import (DysonConfig, TimeDependentLindbladian, dyson_contract,
                       from_static, ordered_propagator, rk4_reference, td_simulate)

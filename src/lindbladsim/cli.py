@@ -56,48 +56,47 @@ def _load_rho0(args, dim: int) -> np.ndarray:
     return rho
 
 
-def _elapsed_ms(args, t0: float) -> float:
-    return (time.perf_counter() - t0) * 1000.0 if args.timing else 0.0
+def _elapsed_ms(timing: bool, t0: float) -> float:
+    return (time.perf_counter() - t0) * 1000.0 if timing else 0.0
+
+
+def _evolve(args, model, run) -> int:
+    """simulate and td-simulate: load --rho0 at the model's dimension, time
+    run(rho0), which returns rho, the report and any extra output blocks, and
+    write them with the runtime."""
+    rho0 = _load_rho0(args, model.dim)
+    t0 = time.perf_counter()
+    rho, report, extra = run(rho0)
+    _write_json(args.out, {"report": report.as_dict(), "rho": modelio.matrix_to_json(rho),
+                           "runtime_ms": _elapsed_ms(args.timing, t0), **extra})
+    return 0
 
 
 def _cmd_simulate(args) -> int:
     lind = modelio.load_model(args.model).to_lindbladian()
-    rho0 = _load_rho0(args, lind.dim)
-    if args.verify and lind.dim > 16:
-        raise ArgumentError("--verify builds Choi matrices; limited to n_qubits <= 4")
-    t0 = time.perf_counter()
-    rho, report = series.simulate(lind, rho0, args.time, args.eps, verify=args.verify)
-    out = {
-        "report": report.as_dict(),
-        "rho": modelio.matrix_to_json(rho),
-        "runtime_ms": _elapsed_ms(args, t0),
-    }
-    _write_json(args.out, out)
-    return 0
+
+    def run(rho0):
+        if args.verify and lind.dim > 16:
+            raise ArgumentError("--verify builds Choi matrices; limited to n_qubits <= 4")
+        return *series.simulate(lind, rho0, args.time, args.eps, verify=args.verify), {}
+
+    return _evolve(args, lind, run)
 
 
 def _cmd_td_simulate(args) -> int:
-    pm = modelio.load_model(args.model)
-    tl = pm.to_time_dependent()
-    rho0 = _load_rho0(args, tl.dim)
-    cfg = None
-    if (args.order is None) != (args.grid is None):
-        raise ArgumentError("--order and --grid must be given together")
-    if args.order is not None:
-        cfg = timedep.DysonConfig(order=args.order, grid_points=args.grid)
-    t0 = time.perf_counter()
-    rho, report, used = timedep.td_simulate(tl, rho0, args.time, args.eps,
-                                            cfg=cfg, segments=args.segments)
-    out = {
-        "report": report.as_dict(),
-        "dyson": {"order": used.order, "grid_points": used.grid_points,
-                  "declared_contract": timedep.dyson_contract(
-                      tl, report.segment_time, used) if report.segments else 0.0},
-        "rho": modelio.matrix_to_json(rho),
-        "runtime_ms": _elapsed_ms(args, t0),
-    }
-    _write_json(args.out, out)
-    return 0
+    tl = modelio.load_model(args.model).to_time_dependent()
+
+    def run(rho0):
+        if (args.order is None) != (args.grid is None):
+            raise ArgumentError("--order and --grid must be given together")
+        cfg = None if args.order is None else timedep.DysonConfig(args.order, args.grid)
+        rho, report, used = timedep.td_simulate(tl, rho0, args.time, args.eps,
+                                                cfg=cfg, segments=args.segments)
+        contract = timedep.dyson_contract(tl, report.segment_time, used) if report.segments else 0.0
+        return rho, report, {"dyson": {"order": used.order, "grid_points": used.grid_points,
+                                       "declared_contract": contract}}
+
+    return _evolve(args, tl, run)
 
 
 def _sweep_models(args):
@@ -123,7 +122,7 @@ def _analyze_row(name, lind, t, K, Kp, q, timing):
     E = models.exact_channel(lind, t)
     lower, upper = metrics.diamond_sandwich(E, S)
     beta = models.be_norm(lind)
-    runtime = (time.perf_counter() - t0) * 1000.0 if timing else 0.0
+    runtime = _elapsed_ms(timing, t0)
     return (name, t, K, Kp, q, series.bound_duhamel(K, t, beta),
             series.quadrature_total_bound(K, q, t, beta),
             series.taylor_total_bound(Kp, t, beta), lower, upper, runtime)
@@ -181,7 +180,7 @@ def _cmd_primitives_verify(args) -> int:
 def _cmd_kraus_dump(args) -> int:
     lind = modelio.load_model(args.model).to_lindbladian()
     cfg = series._plan(lind, args.time, args.eps)
-    blocks = series.enumerate_kraus(lind, cfg.segment_time, cfg).term_blocks()
+    blocks = series.CPMapApprox(lind, cfg.segment_time, cfg).term_blocks()
     # Every field is an int, a digit-dash string or a float repr, none of which
     # csv would quote, so each block goes out as one write of ready-made lines.
     # A row's "node_path,coefficient," tail depends only on its depth and chunk,

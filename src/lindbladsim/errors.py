@@ -52,8 +52,9 @@ def check_time(t: float, name: str = "evolution time", positive: bool = False) -
         raise ArgumentError(f"{name} must be {sign} and finite, got {t}")
 
 
-def check_count(n, name: str, minimum: int) -> None:
-    """Raise ArgumentError unless n is an integer, Python or NumPy, and n >= minimum:
-    an order, a grid or segment count, a seed."""
+def check_count(n, name: str, minimum: int):
+    """n, after raising ArgumentError unless it is an integer, Python or NumPy, and
+    n >= minimum: an order, a grid or segment count, a seed."""
     if not isinstance(n, numbers.Integral) or n < minimum:
         raise ArgumentError(f"{name} must be an integer >= {minimum}, got {n}")
+    return n

@@ -25,6 +25,7 @@ from .errors import ModelError
 from .linalg import spectral_norm
 from .models import Lindbladian
 from .pauli import PauliSumExpr, materialize, parse_pauli_sum, serialize_pauli_sum
+from .series import MAX_SUPEROP_BYTES
 from .timedep import TimeDependentLindbladian, from_static
 
 
@@ -70,7 +71,15 @@ class OperatorSpec:
     pauli: PauliSumExpr | None
 
     def matrix(self) -> np.ndarray:
-        return self.dense if self.dense is not None else materialize(self.pauli)
+        """The dense matrix; a Pauli sum is materialized only when one dense
+        operator on its qubits, 16 * 4^n bytes, fits MAX_SUPEROP_BYTES."""
+        if self.dense is not None:
+            return self.dense
+        size = 16 * 4 ** self.pauli.n
+        if size > MAX_SUPEROP_BYTES:
+            raise ModelError(f"a dense operator on {self.pauli.n} qubits would take {size} > "
+                             f"{MAX_SUPEROP_BYTES} bytes")
+        return materialize(self.pauli)
 
     def to_json(self):
         if self.dense is not None:

@@ -24,7 +24,7 @@ from scipy.linalg import block_diag
 from .errors import ArgumentError, ContractError, check_count
 from .linalg import dag, spectral_norm
 from .models import amplitude_damping, be_norm
-from .series import CPMapApprox, choose_orders, enumerate_kraus, segment_time
+from .series import CPMapApprox, choose_orders, segment_time
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,7 +337,7 @@ def verification_matrix(seed: int = 0) -> dict:
     lind = amplitude_damping(1.0)
     seg = segment_time(lind)
     cfg = choose_orders(lind, seg, 1e-2)
-    cp = enumerate_kraus(lind, seg, cfg)
+    cp = CPMapApprox(lind, seg, cfg)
     terms = list(cp.iter_terms())
     psi = rng.normal(size=2) + 1j * rng.normal(size=2)
     psi = psi / np.linalg.norm(psi)

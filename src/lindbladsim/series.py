@@ -14,8 +14,10 @@ whose map rho -> sum c^2 A rho A^dag is completely positive by construction.
 Every truncation knob carries a closed-form error bound, and the normalizer
 sum over the family admits a closed form that drives the segment-length budget
 (success probability of the amplified channel application stays >= 1/4).
-One planner, _plan, picks the segment count and orders of every run, static or
-time-dependent, from the model's declared bounds.
+One driver, _evolve, runs simulate and timedep.td_simulate alike: it checks
+the inputs, plans with _plan, which picks the segment count and orders from the
+model's declared bounds, applies the segment superoperators its caller's
+source yields for that plan, and builds the one report.
 
 The superoperator of the family is never built chain by chain: series_superop,
 shared with the time-dependent extension, evaluates it as a recursion over the
@@ -30,8 +32,9 @@ those blocks where the operators themselves are needed.
 
 Each resource guard counts the work of the function that checks it, before
 that work starts: series_superop its nodes (MAX_SERIES_NODES) and held bytes
-(MAX_SUPEROP_BYTES), term_blocks its terms (quadrature.TERM_GUARDRAIL), and
-timedep.td_simulate and timedep.rk4_reference their sampler calls
+(MAX_SUPEROP_BYTES), which _evolve also checks on its plan before the source
+builds or samples anything, term_blocks its terms (quadrature.TERM_GUARDRAIL),
+and timedep.td_simulate and timedep.rk4_reference their sampler calls
 (MAX_SAMPLER_CALLS). The (m q)^k chain count sizes only the read-out, so it
 bounds no superoperator path.
 """
@@ -208,6 +211,36 @@ def _chain_count(m: int, q: int, K: int) -> int:
     return sum((m * q) ** k for k in range(1, K + 1))
 
 
+def _check_engine(q: int, K: int, m: int, d: int) -> int:
+    """Check series_superop's resource limits for its order-K recursion over the
+    q-point rule, m jumps on d x d operators (K = 0 or m = 0 leaves the order-0
+    term alone, one d^2 x d^2 superoperator), and return its parents per chunk.
+
+    Raises ResourceLimitError when the C(q+K-1, K-1) nodes of depths
+    0..K-1 exceed MAX_SERIES_NODES, or when the superoperators held at once
+    would exceed MAX_SUPEROP_BYTES: the order-0 term's 16 d^4 bytes, or the
+    recursion's half-column blocks.
+    """
+    nh = d * (d + 1) // 2
+    node_bytes = 16 * d * d * nh
+    chunk = max(1, _WORK_BYTES // ((1 + q * (m + 1)) * node_bytes))
+    held_bytes = 16 * d ** 4
+    if K and m:
+        nodes = math.comb(q + K - 1, K - 1)
+        if nodes > MAX_SERIES_NODES:
+            raise ResourceLimitError(
+                f"series engine would build {nodes} > {MAX_SERIES_NODES} nodes")
+        # the two widest stored levels, depths K-1 and K-2, are held at once while
+        # the second is built, with one chunk of parents' gathered children and products
+        stored = math.comb(q + K - 2, K - 1) + (math.comb(q + K - 3, K - 2) if K > 1 else 0)
+        held_bytes = (stored + chunk * (1 + q * (m + 1))) * node_bytes
+    if held_bytes > MAX_SUPEROP_BYTES:
+        raise ResourceLimitError(
+            f"series engine would hold {held_bytes} > {MAX_SUPEROP_BYTES} bytes "
+            "of superoperators at once")
+    return chunk
+
+
 def series_superop(propagate, jumps, t: float, q: int, K: int, m: int,
                    d: int, nested: NestedGrid | None = None) -> np.ndarray:
     """Superoperator of the order-K series on [0, t] over the q-point rule.
@@ -238,30 +271,15 @@ def series_superop(propagate, jumps, t: float, q: int, K: int, m: int,
     (linalg.expand_half): its column for E_ba is vec(G(E_ab)^dag), a bitwise
     mirror.
 
-    Raises ArgumentError when K < 0, and ResourceLimitError before building
-    anything when the C(q+K-1, K-1) nodes of depths 0..K-1 exceed
-    MAX_SERIES_NODES, or when the half-column blocks held at once would exceed
-    MAX_SUPEROP_BYTES.
+    Raises ArgumentError when K < 0, and ResourceLimitError from _check_engine
+    before building anything.
     """
     if K < 0:
         raise ArgumentError(f"series order must be nonnegative, got {K}")
+    chunk = _check_engine(q, K if t else 0, m, d)
     if K == 0 or m == 0 or t == 0.0:
         return kraus_superop(propagate(np.zeros(1), np.array([t]))[0])
-    nodes = math.comb(q + K - 1, K - 1)
-    if nodes > MAX_SERIES_NODES:
-        raise ResourceLimitError(
-            f"series engine would build {nodes} > {MAX_SERIES_NODES} nodes")
     nh = d * (d + 1) // 2
-    node_bytes = 16 * d * d * nh
-    # the two widest stored levels, depths K-1 and K-2, are held at once while
-    # the second is built, with one chunk of parents' gathered children and products
-    chunk = max(1, _WORK_BYTES // ((1 + q * (m + 1)) * node_bytes))
-    stored = math.comb(q + K - 2, K - 1) + (math.comb(q + K - 3, K - 2) if K > 1 else 0)
-    held_bytes = (stored + chunk * (1 + q * (m + 1))) * node_bytes
-    if held_bytes > MAX_SUPEROP_BYTES:
-        raise ResourceLimitError(
-            f"series engine would hold {held_bytes} > {MAX_SUPEROP_BYTES} bytes "
-            "of superoperators at once")
 
     if nested is None:
         nested = NestedGrid(canonical_rule(q, t), K)
@@ -515,11 +533,6 @@ class CPMapApprox:
                                self._series_order)
 
 
-def enumerate_kraus(lind: Lindbladian, t: float, config: TruncationConfig) -> CPMapApprox:
-    """Build the CP Kraus approximant for one segment of length t."""
-    return CPMapApprox(lind, t, config)
-
-
 # ---------------------------------------------------------------------------
 # end-to-end simulation
 
@@ -547,19 +560,9 @@ class SimulationReport:
         return dict(self.__dict__)
 
 
-def _zero_time_report(eps: float) -> SimulationReport:
-    return SimulationReport(total_time=0.0, eps=eps, segments=0, segment_time=0.0,
-                            series_order=0, taylor_order=0, quadrature_order=1,
-                            kraus_terms=1, normalizer_sum_squares=1.0,
-                            bound_duhamel=0.0, bound_quadrature=0.0,
-                            bound_taylor_total=0.0, per_segment_eps=eps,
-                            trace_deviation=0.0)
-
-
-def _report(model, t: float, eps: float, cfg: TruncationConfig, rho_out: np.ndarray,
-            measured=(None, None)) -> SimulationReport:
-    """Report of a run of model over cfg's equal segments; measured is the Choi
-    (lower, upper) pair when verified."""
+def _report(model, t: float, eps: float, cfg: TruncationConfig,
+            rho_out: np.ndarray) -> SimulationReport:
+    """Report of a run of model over cfg's equal segments."""
     n_seg, seg_t, m, beta = cfg.num_segments, cfg.segment_time, model.num_jumps, be_norm(model)
     K, q = cfg.series_order, cfg.quadrature_order
     return SimulationReport(
@@ -572,8 +575,6 @@ def _report(model, t: float, eps: float, cfg: TruncationConfig, rho_out: np.ndar
         bound_taylor_total=taylor_total_bound(cfg.taylor_order, seg_t, beta),
         per_segment_eps=eps / n_seg,
         trace_deviation=float(abs(np.trace(rho_out).real - 1.0)),
-        measured_choi_lower=measured[0],
-        measured_choi_upper=measured[1],
     )
 
 
@@ -626,29 +627,52 @@ def _plan(model, t: float, eps: float, counts=lambda n0: (n0,)) -> TruncationCon
     return best[1]
 
 
+def _evolve(model, rho0: np.ndarray, t: float, eps: float, source,
+            counts=lambda n0: (n0,)):
+    """The one run of simulate and td_simulate: evolve rho0 under model for time
+    t within error eps; returns (rho, report).
+
+    After the checks on t, eps and rho0 (t = 0 returns rho0 and its report at
+    once), the run is planned by _plan(model, t, eps, counts) and the series
+    engine's guards are checked on the plan. source(plan) then returns the
+    configuration to report and the segment superoperators, in time order,
+    which are applied to vec(rho0) as they come.
+    """
+    check_time(t)
+    check_time(eps, "target precision", positive=True)
+    rho = _validate_rho0(rho0, model.dim)
+    if t == 0.0:
+        # no segment: the identity, one order-0 term of normalizer 1, no error
+        return rho, SimulationReport(0.0, eps, 0, 0.0, 0, 0, 1, 1, 1.0, 0.0, 0.0, 0.0, eps, 0.0)
+    plan = _plan(model, t, eps, counts)
+    _check_engine(plan.quadrature_order, plan.series_order, model.num_jumps, model.dim)
+    cfg, superops = source(plan)
+    v = vec(rho)
+    for S in superops:
+        v = S @ v
+    rho = unvec(v)
+    return rho, _report(model, t, eps, cfg, rho)
+
+
 def simulate(lind: Lindbladian, rho0: np.ndarray, t: float, eps: float,
              verify: bool = False):
     """Evolve rho0 for time t within diamond-norm error eps; returns (rho, report).
 
     The interval is split into equal segments no longer than the normalizer
     budget allows, orders are chosen per segment at precision eps/num_segments,
-    and the same segment superoperator is applied num_segments times.
+    and the same segment superoperator is applied num_segments times. verify
+    sets the Choi bounds of its num_segments-th power against exact_channel on
+    the report.
     """
-    check_time(t)
-    check_time(eps, "target precision", positive=True)
-    rho = _validate_rho0(rho0, lind.dim)
-    if t == 0.0:
-        return rho, _zero_time_report(eps)
+    built = []
 
-    cfg = _plan(lind, t, eps)
-    n_seg = cfg.num_segments
-    S = enumerate_kraus(lind, cfg.segment_time, cfg).as_superoperator()
-    v = vec(rho)
-    for _ in range(n_seg):
-        v = S @ v
-    rho_out = unvec(v)
+    def source(cfg):
+        built.append(CPMapApprox(lind, cfg.segment_time, cfg).as_superoperator())
+        return cfg, itertools.repeat(built[0], cfg.num_segments)
 
-    measured = (None, None)
-    if verify:
-        measured = diamond_sandwich(np.linalg.matrix_power(S, n_seg), exact_channel(lind, t))
-    return rho_out, _report(lind, t, eps, cfg, rho_out, measured)
+    rho, report = _evolve(lind, rho0, t, eps, source)
+    if verify and built:
+        lower, upper = diamond_sandwich(np.linalg.matrix_power(built[0], report.segments),
+                                        exact_channel(lind, t))
+        report = replace(report, measured_choi_lower=lower, measured_choi_upper=upper)
+    return rho, report

@@ -50,13 +50,14 @@ from .linalg import unvec, vec
 from .models import (Lindbladian, _check_bounds, _check_stack, _drift_generator, _liouvillian,
                      be_norm)
 from .quadrature import NestedGrid, canonical_rule
-from .series import (MAX_SAMPLER_CALLS, _WORK_BYTES, _plan, _report, _validate_rho0,
-                     _zero_time_report, series_superop)
+from .series import MAX_SAMPLER_CALLS, _WORK_BYTES, _evolve, series_superop
 
 
 @dataclass(frozen=True)
 class DysonConfig:
-    """Truncation order and midpoint grid count per propagator interval."""
+    """Dyson truncation order and grid count M: the uniform steps of
+    ordered_propagator's interval, or of each td_simulate segment, on which
+    td_simulate's union grid adds the segment's node times."""
 
     order: int
     grid_points: int
@@ -272,15 +273,20 @@ def td_simulate(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float, eps: f
                 cfg: DysonConfig | None = None, segments: int | None = None):
     """Time-ordered analogue of simulate; returns (rho, report, dyson_config).
 
-    Segmentation and (K, q) come from the static pipeline's planner, which reads
-    the declared bounds. It takes the multiple n0 2^i (i <= 8) of the budget
-    minimum n0 with the least total chain work, since more, shorter segments
-    shrink the chain tree exponentially and time-ordered segments cannot share
-    one superoperator. The propagator truncation order defaults to the static
-    Taylor-order criterion and the grid count M to a heuristic calibrated to the
-    midpoint rule's measured quadratic convergence (the reported contract
-    uses the declared first-order rate). Pass cfg or segments to override; a
-    segments count below the budget minimum n0 raises ArgumentError.
+    The run is series._evolve, the driver simulate uses, with this model's
+    segment superoperators as its source. Segmentation and (K, q) come from its
+    planner, which reads the declared bounds. It takes the multiple n0 2^i
+    (i <= 8) of the budget minimum n0 with the least total chain work, since
+    more, shorter segments shrink the chain tree exponentially and
+    time-ordered segments cannot share one superoperator. The propagator
+    truncation order defaults to the static Taylor-order criterion, and the
+    report gives it as taylor_order. The count M of uniform steps per segment
+    defaults to the square root of the count at which the declared first-order
+    term delta^2 jdot / M reaches the per-segment eps, clamped to [16, 256]
+    (M = 1 when jdot_bound is 0); that is a heuristic, and the reported
+    contract, dyson_contract at this M, need not be within eps. Pass cfg or
+    segments to override; a segments count below the budget minimum n0 raises
+    ArgumentError.
 
     Every segment is sampled once, on its union grid: the M uniform steps joined
     with the node times of the nested table, which is built once per run and
@@ -290,55 +296,52 @@ def td_simulate(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float, eps: f
     stay under _WORK_BYTES, each group's probes checked before its first
     propagator sample.
 
-    Sampling is most of the run's cost, so before the first probe it raises
-    ResourceLimitError when the run would make more than MAX_SAMPLER_CALLS
-    sampler calls: the probes, one per union-grid gap and one per jump node, per
-    segment. A tree too wide for the cap fails on its M uniform steps alone,
-    before its table is built. The series engine's own node and byte caps still
-    apply.
+    No sample is taken before the guards: the driver checks the series
+    engine's node and byte caps on the plan, and then, since sampling is most
+    of the run's cost, ResourceLimitError is raised when the run would make
+    more than MAX_SAMPLER_CALLS sampler calls: the probes, one per union-grid
+    gap and one per jump node, per segment. A tree too wide for the cap fails
+    on its M uniform steps alone, before its table is built.
     """
-    check_time(t)
-    check_time(eps, "target precision", positive=True)
-    rho = _validate_rho0(rho0, tl.dim)
-    if t == 0.0:
-        return rho, _zero_time_report(eps), cfg or DysonConfig(0, 1)
+    counts = ((lambda n0: (check_count(segments, "segment count", 1),)) if segments is not None
+              else (lambda n0: [n0 * 2 ** i for i in range(9)]))
 
-    if segments is not None:
-        check_count(segments, "segment count", 1)
-    counts = (lambda n0: (segments,)) if segments else (lambda n0: [n0 * 2 ** i for i in range(9)])
-    orders = _plan(tl, t, eps, counts)
-    n_seg, delta = orders.num_segments, orders.segment_time
-    K, q = orders.series_order, orders.quadrature_order
-    if cfg is None:
-        if tl.jdot_bound == 0.0:
-            points = 1
-        else:
-            first_order = delta ** 2 * tl.jdot_bound / (eps / n_seg)
-            points = int(min(256, max(16, math.ceil(math.sqrt(first_order)))))
-        cfg = DysonConfig(order=orders.taylor_order, grid_points=points)
+    def source(orders):
+        nonlocal cfg
+        n_seg, delta = orders.num_segments, orders.segment_time
+        K, q = orders.series_order, orders.quadrature_order
+        if cfg is None:
+            if tl.jdot_bound == 0.0:
+                points = 1
+            else:
+                first_order = delta ** 2 * tl.jdot_bound / (eps / n_seg)
+                points = int(min(256, max(16, math.ceil(math.sqrt(first_order)))))
+            cfg = DysonConfig(order=orders.taylor_order, grid_points=points)
 
-    def check_calls(gaps, at_least=""):
-        calls = n_seg * _segment_sampler_calls(K, q, gaps)
-        if calls > MAX_SAMPLER_CALLS:
-            raise ResourceLimitError(
-                f"time-ordered run would make {at_least}{calls} > {MAX_SAMPLER_CALLS} "
-                "sampler calls; lower the precision or the horizon")
+        def check_calls(gaps, at_least=""):
+            calls = n_seg * _segment_sampler_calls(K, q, gaps)
+            if calls > MAX_SAMPLER_CALLS:
+                raise ResourceLimitError(
+                    f"time-ordered run would make {at_least}{calls} > {MAX_SAMPLER_CALLS} "
+                    "sampler calls; lower the precision or the horizon")
 
-    check_calls(cfg.grid_points, "at least ")
-    nested = NestedGrid(canonical_rule(q, delta), K)
-    grid, ends = _union_grid(nested, cfg.grid_points)
-    check_calls(grid.size - 1)
+        check_calls(cfg.grid_points, "at least ")
+        nested = NestedGrid(canonical_rule(q, delta), K)
+        grid, ends = _union_grid(nested, cfg.grid_points)
+        check_calls(grid.size - 1)
+        # a segment holds its gaps' samples and J, and its prefix stacks at the ends
+        held = (2 + tl.num_jumps) * grid.size + 2 * (cfg.order + 1) * ends.size
+        group = max(1, _WORK_BYTES // (16 * tl.dim ** 2 * held))
+        starts = np.arange(n_seg) * delta
 
-    # a segment holds its gaps' samples and J, and its prefix stacks at the ends
-    held = (2 + tl.num_jumps) * grid.size + 2 * (cfg.order + 1) * ends.size
-    group = max(1, _WORK_BYTES // (16 * tl.dim ** 2 * held))
-    starts = np.arange(n_seg) * delta
-    v = vec(rho)
-    for first in range(0, n_seg, group):
-        a = starts[first:first + group]
-        probes = np.linspace(a, a + delta, _PROBES, axis=1).ravel()
-        _check_stack(*_sample_stack(tl, probes), (tl.alpha0, *tl.alphas), probes)
-        for S in _segment_superops(tl, a, nested, grid, ends, cfg.order):
-            v = S @ v
-    rho_out = unvec(v)
-    return rho_out, _report(tl, t, eps, replace(orders, taylor_order=cfg.order), rho_out), cfg
+        def superops():
+            for first in range(0, n_seg, group):
+                a = starts[first:first + group]
+                probes = np.linspace(a, a + delta, _PROBES, axis=1).ravel()
+                _check_stack(*_sample_stack(tl, probes), (tl.alpha0, *tl.alphas), probes)
+                yield from _segment_superops(tl, a, nested, grid, ends, cfg.order)
+
+        return replace(orders, taylor_order=cfg.order), superops()
+
+    rho, report = _evolve(tl, rho0, t, eps, source, counts)
+    return rho, report, cfg or DysonConfig(0, 1)

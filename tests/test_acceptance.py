@@ -12,6 +12,7 @@ import pytest
 from scipy.linalg import expm
 
 from lindbladsim import (
+    CPMapApprox,
     DysonConfig,
     Lindbladian,
     TimeDependentLindbladian,
@@ -29,7 +30,6 @@ from lindbladsim import (
     drift_generator_matrix,
     drift_semigroup,
     effective_generator,
-    enumerate_kraus,
     exact_channel,
     extend_with_ancilla,
     g_K_quadrature,
@@ -358,7 +358,7 @@ def test_08_channel_application_contract():
     min_prob = 1.0
     for lind in models:
         seg = segment_time(lind)
-        cp = enumerate_kraus(lind, seg, choose_orders(lind, seg, 1e-2))
+        cp = CPMapApprox(lind, seg, choose_orders(lind, seg, 1e-2))
         terms = list(cp.iter_terms())
         d = lind.dim
         psi = rng.normal(size=d) + 1j * rng.normal(size=d)

@@ -270,6 +270,29 @@ def test_exit_code_resource_limits(capsys):
     assert "sampler calls" in cap.err
 
 
+def test_exit_code_order_zero_superoperator_bytes(tmp_path, capsys):
+    # with no jumps only the order-0 term is left, one d^2 x d^2 superoperator:
+    # 16 * 256^4 bytes = 64 GiB at 8 qubits, refused before anything is built
+    model = tmp_path / "jumpless.json"
+    model.write_text(json.dumps({"n_qubits": 8, "hamiltonian": {"pauli_sum": "1.0*XXXXXXXX"}}))
+    for command in ("simulate", "td-simulate"):
+        code, cap = run_cli([command, "--model", str(model), "--time", "1", "--eps", "1e-3"],
+                            capsys)
+        assert code == 3
+        assert f"would hold {16 * 256 ** 4} > {2 ** 30} bytes" in cap.err
+
+
+def test_exit_code_oversized_pauli_register(tmp_path, capsys):
+    # one dense operator on 30 qubits would take 16 * 4^30 bytes
+    model = tmp_path / "wide.json"
+    model.write_text(json.dumps({"n_qubits": 30, "hamiltonian": {"pauli_sum": "1.0*" + "X" * 30}}))
+    for command in ("simulate", "td-simulate", "kraus-dump"):
+        code, cap = run_cli([command, "--model", str(model), "--time", "1", "--eps", "1e-3"],
+                            capsys)
+        assert code == 2
+        assert f"dense operator on 30 qubits would take {16 * 4 ** 30} > {2 ** 30}" in cap.err
+
+
 def test_exit_code_static_model_mismatch(capsys):
     driven = ["--model", "models/driven_damped_qubit.json"]
     for argv in (["simulate"] + driven + ["--time", "0.5", "--eps", "1e-4"],
@@ -390,7 +413,7 @@ def reference_kraus_csv(model, t, eps):
     walking its depth's grid afresh."""
     lind = load_model(model).to_lindbladian()
     cfg = series._plan(lind, t, eps)
-    cp = series.enumerate_kraus(lind, cfg.segment_time, cfg)
+    cp = series.CPMapApprox(lind, cfg.segment_time, cfg)
     e_bt = math.exp(be_norm(lind) * cp.t)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -7,6 +7,7 @@ import pytest
 from lindbladsim import (
     ArgumentError,
     BlockEncoding,
+    CPMapApprox,
     ContractError,
     amplitude_damping,
     be_norm,
@@ -16,7 +17,6 @@ from lindbladsim import (
     dilate,
     dilute,
     effective_generator,
-    enumerate_kraus,
     extend_with_ancilla,
     lcu_channel,
     lcu_sum,
@@ -45,7 +45,7 @@ def budgeted_family(eps=1e-2):
     lind = amplitude_damping(1.0)
     seg = segment_time(lind)
     cfg = choose_orders(lind, seg, eps)
-    cp = enumerate_kraus(lind, seg, cfg)
+    cp = CPMapApprox(lind, seg, cfg)
     return cp, list(cp.iter_terms())
 
 
@@ -202,7 +202,7 @@ def test_lcu_channel_rejects_unnormalized_state():
 def test_mu_coefficients_zeroth_order():
     lind = amplitude_damping()
     cfg = choose_orders(lind, 0.2, 0.5)
-    cp = enumerate_kraus(lind, 0.2, replace(cfg, series_order=0))
+    cp = CPMapApprox(lind, 0.2, replace(cfg, series_order=0))
     mu = mu_coefficients(cp)
     np.testing.assert_allclose(mu.amplitudes, [1.0], atol=1e-15)
 
@@ -214,7 +214,7 @@ def test_mu_coefficients_first_order_profile():
     lind = Lindbladian(np.zeros((2, 2)), jumps=[np.array([[0, 0.8], [0, 0]])])
     cfg = TruncationConfig(series_order=1, taylor_order=3, quadrature_order=2,
                            segment_time=t)
-    cp = enumerate_kraus(lind, t, cfg)
+    cp = CPMapApprox(lind, t, cfg)
     mu = mu_coefficients(cp)
     rule = canonical_rule(2, t)
     alpha = lind.alphas[0]

@@ -31,7 +31,6 @@ from lindbladsim import (
     drift_generator_matrix,
     drift_semigroup,
     effective_generator,
-    enumerate_kraus,
     exact_channel,
     f_k,
     from_static,
@@ -171,24 +170,24 @@ def test_taylor_drift_norm_within_premise():
 
 
 # ---------------------------------------------------------------------------
-# enumerate_kraus
+# CPMapApprox
 
 
-def test_enumerate_kraus_zeroth_order():
+def test_cp_map_approx_zeroth_order():
     lind = amplitude_damping()
     cfg = TruncationConfig(series_order=0, taylor_order=4, quadrature_order=1,
                            segment_time=0.5)
-    cp = enumerate_kraus(lind, 0.5, cfg)
+    cp = CPMapApprox(lind, 0.5, cfg)
     terms = list(cp.iter_terms())
     assert len(terms) == 1
     np.testing.assert_allclose(terms[0].matrix, taylor_drift(lind, 0.5, 4), atol=0)
 
 
-def test_enumerate_kraus_term_count():
+def test_cp_map_approx_term_count():
     lind = amplitude_damping()
     cfg = TruncationConfig(series_order=1, taylor_order=2, quadrature_order=2,
                            segment_time=0.5)
-    cp = enumerate_kraus(lind, 0.5, cfg)
+    cp = CPMapApprox(lind, 0.5, cfg)
     assert cp.term_count == 3
     assert len(list(cp.iter_terms())) == 3
 
@@ -199,7 +198,7 @@ def test_assembly_equivalence_with_manual_chains():
     t, K, Kp, q = 0.3, 2, 5, 2
     cfg = TruncationConfig(series_order=K, taylor_order=Kp, quadrature_order=q,
                            segment_time=t)
-    S = enumerate_kraus(lind, t, cfg).as_superoperator()
+    S = CPMapApprox(lind, t, cfg).as_superoperator()
 
     ref = kraus_superop(taylor_drift(lind, t, Kp))
     m = lind.num_jumps
@@ -228,7 +227,7 @@ def test_kraus_term_coefficients_and_normalizers():
     t, K, q = 0.4, 2, 2
     cfg = TruncationConfig(series_order=K, taylor_order=4, quadrature_order=q,
                            segment_time=t)
-    cp = enumerate_kraus(lind, t, cfg)
+    cp = CPMapApprox(lind, t, cfg)
     beta = be_norm(lind)
     grids = {}
     for k in (1, 2):
@@ -284,7 +283,7 @@ def test_series_engine_matches_kraus_enumeration(n_qubits, m, K, q, seed, t):
     lind = random_lindbladian(n_qubits, num_jumps=m, seed=seed)
     cfg = TruncationConfig(series_order=K, taylor_order=4, quadrature_order=q,
                            segment_time=t)
-    cp = enumerate_kraus(lind, t, cfg)
+    cp = CPMapApprox(lind, t, cfg)
     d = lind.dim
     S = np.zeros((d * d, d * d), dtype=complex)
     for term in cp.iter_terms():
@@ -318,7 +317,7 @@ def test_term_blocks_match_the_per_term_loop(n_qubits, m, K, seed, t, data):
     lind = random_lindbladian(n_qubits, num_jumps=m, seed=seed)
     cfg = TruncationConfig(series_order=K, taylor_order=4, quadrature_order=q,
                            segment_time=t)
-    cp = enumerate_kraus(lind, t, cfg)
+    cp = CPMapApprox(lind, t, cfg)
     rows = [((k, path, tuple(js)), c, s)
             for k, path, idx, _, coeff, norms in cp.term_blocks()
             for js, c, s in zip(idx[:, ::-1].tolist(), coeff.tolist(), norms.tolist())]
@@ -383,7 +382,7 @@ def test_approximant_is_completely_positive():
     t = 0.4 / beta
     cfg = TruncationConfig(series_order=3, taylor_order=6, quadrature_order=2,
                            segment_time=t)
-    C = choi(enumerate_kraus(lind, t, cfg).as_superoperator())
+    C = choi(CPMapApprox(lind, t, cfg).as_superoperator())
     eigs = np.linalg.eigvalsh((C + dag(C)) / 2)
     assert eigs.min() >= -1e-10
 
@@ -396,7 +395,7 @@ def test_normalizer_sum_zeroth_order():
     lind = amplitude_damping()
     cfg = TruncationConfig(series_order=0, taylor_order=3, quadrature_order=1,
                            segment_time=0.5)
-    cp = enumerate_kraus(lind, 0.5, cfg)
+    cp = CPMapApprox(lind, 0.5, cfg)
     assert cp.normalizer_sum_squares() == pytest.approx(math.exp(2 * be_norm(lind) * 0.5))
 
 
@@ -407,7 +406,7 @@ def test_normalizer_sum_closed_form_single_jump():
                        alpha0=1.0, alphas=[1.0])
     cfg = TruncationConfig(series_order=1, taylor_order=3, quadrature_order=4,
                            segment_time=t)
-    cp = enumerate_kraus(lind, t, cfg)
+    cp = CPMapApprox(lind, t, cfg)
     beta = be_norm(lind)
     assert cp.normalizer_sum_squares() == pytest.approx(
         math.exp(2 * beta * t) * (1 + t), rel=1e-12)
@@ -420,7 +419,7 @@ def test_normalizer_sum_matches_closed_form_cross_check():
     K, q = 3, 2
     cfg = TruncationConfig(series_order=K, taylor_order=4, quadrature_order=q,
                            segment_time=t)
-    enumerated = enumerate_kraus(lind, t, cfg).normalizer_sum_squares()
+    enumerated = CPMapApprox(lind, t, cfg).normalizer_sum_squares()
     asq = sum(a * a for a in lind.alphas)
     closed = math.exp(2 * beta * t) * math.fsum(
         asq**k * t**k / math.factorial(k) for k in range(K + 1))
@@ -431,7 +430,7 @@ def test_normalizer_sum_direct_from_terms():
     lind = random_lindbladian(1, num_jumps=1, seed=11)
     cfg = TruncationConfig(series_order=2, taylor_order=4, quadrature_order=3,
                            segment_time=0.4)
-    cp = enumerate_kraus(lind, 0.4, cfg)
+    cp = CPMapApprox(lind, 0.4, cfg)
     direct = math.fsum(term.normalizer**2 for term in cp.iter_terms())
     assert cp.normalizer_sum_squares() == pytest.approx(direct, rel=1e-12)
 
@@ -442,7 +441,7 @@ def test_budgeted_segment_stays_under_two():
         tstar = segment_time(lind)
         cfg = TruncationConfig(series_order=4, taylor_order=6, quadrature_order=3,
                                segment_time=tstar)
-        cp = enumerate_kraus(lind, tstar, cfg)
+        cp = CPMapApprox(lind, tstar, cfg)
         assert cp.normalizer_sum_squares() <= 2.0 + 1e-9
 
 

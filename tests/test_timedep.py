@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lindbladsim import (
     ArgumentError,
+    CPMapApprox,
     DysonConfig,
     Lindbladian,
     ModelError,
@@ -19,7 +20,6 @@ from lindbladsim import (
     be_norm,
     choose_orders,
     dyson_contract,
-    enumerate_kraus,
     exact_channel,
     from_static,
     load_model,
@@ -301,7 +301,7 @@ def test_segment_superop_shares_the_static_engine():
     lind = random_lindbladian(1, num_jumps=2, seed=21)
     cfg = TruncationConfig(series_order=3, taylor_order=5, quadrature_order=2,
                            segment_time=0.3)
-    static = enumerate_kraus(lind, 0.3, cfg).as_superoperator()
+    static = CPMapApprox(lind, 0.3, cfg).as_superoperator()
     seg = segment_superop(from_static(lind), 0.6, 0.3, 3, 2, DysonConfig(5, 1))
     assert np.abs(seg - static).max() <= 1e-14
 
@@ -316,7 +316,7 @@ def test_series_engine_columns_are_conjugate_mirrors(path, d, m):
         lind = random_lindbladian(int(math.log2(d)), num_jumps=m, seed=d + m)
         cfg = TruncationConfig(series_order=3, taylor_order=5, quadrature_order=2,
                                segment_time=0.3)
-        S = enumerate_kraus(lind, 0.3, cfg).as_superoperator()
+        S = CPMapApprox(lind, 0.3, cfg).as_superoperator()
     else:
         S = segment_superop(rotating_model(d, m, seed=d + m), 0.2, 0.3, 3, 2,
                             DysonConfig(4, 3))
@@ -440,6 +440,23 @@ def test_td_simulate_sampler_guard():
         with pytest.raises(ResourceLimitError, match=f"would make {calls} > 1000000 sampler"):
             td_simulate(tl, rho0, t, 1e-6)
         assert time.perf_counter() - start < 1.0
+
+
+def test_td_simulate_engine_guard_takes_no_sample():
+    # at d = 128 one half-column node of the series engine takes
+    # 16 d^2 d(d+1)/2 bytes, about 2.2 GB, over MAX_SUPEROP_BYTES: the run
+    # fails on its plan, and the sampler is not called after construction
+    d, calls = 128, []
+
+    def sampler(tau):
+        calls.append(tau)
+        return np.zeros((d, d)), [0.5 * np.eye(d)]
+
+    tl = TimeDependentLindbladian(sampler, 0.0, [0.5], 0.0)
+    calls.clear()
+    with pytest.raises(ResourceLimitError, match="bytes of superoperators at once"):
+        td_simulate(tl, np.eye(d) / d, 1.0, 1e-3)
+    assert calls == []
 
 
 def table_model():
