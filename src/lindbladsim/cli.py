@@ -183,8 +183,12 @@ def _cmd_kraus_dump(args) -> int:
     blocks = series.CPMapApprox(lind, cfg.segment_time, cfg).term_blocks()
     # Every field is an int, a digit-dash string or a float repr, none of which
     # csv would quote, so each block goes out as one write of ready-made lines.
-    # A row's "node_path,coefficient," tail depends only on its depth and chunk,
-    # so it is formed once per chunk and kept for the depth's other jump paths.
+    # A row's "node_path,coefficient,normalizer\n" tail depends only on its
+    # depth, its chunk and the chunk's normalizer bytes, and jump paths whose
+    # alpha products are bitwise equal share those bytes. So with more than one
+    # jump, each distinct tail list is formed once and kept until the depth
+    # ends (one string per grid row for each distinct normalizer array), and
+    # only the "term,k,jump_path," head is formed per row.
     digits = [str(j) for j in range(cfg.quadrature_order)]
     term = 0
     with _sink(args.out) as fh:
@@ -194,14 +198,16 @@ def _cmd_kraus_dump(args) -> int:
             for path, chunks in itertools.groupby(depth, key=lambda b: b[1]):
                 head = f",{k},{'-'.join(map(str, path))},"
                 for pos, (_, _, idx, _, coeff, norms) in enumerate(chunks):
-                    tails = shared.get(pos)
+                    key = (pos, norms.tobytes())
+                    tails = shared.get(key)
                     if tails is None:
-                        tails = [f"{'-'.join([digits[j] for j in js])},{c!r},"
-                                 for js, c in zip(idx[:, ::-1].tolist(), coeff.tolist())]
+                        tails = [f"{'-'.join([digits[j] for j in js])},{c!r},{s!r}\n"
+                                 for js, c, s in zip(idx[:, ::-1].tolist(), coeff.tolist(),
+                                                     norms.tolist())]
                         if lind.num_jumps > 1:
-                            shared[pos] = tails
-                    fh.write("".join([f"{i}{head}{tail}{s!r}\n" for i, tail, s in
-                                      zip(range(term, term + len(tails)), tails, norms.tolist())]))
+                            shared[key] = tails
+                    fh.write("".join([f"{i}{head}{tail}" for i, tail in
+                                      zip(range(term, term + len(tails)), tails)]))
                     term += len(tails)
     return 0
 

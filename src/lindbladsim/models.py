@@ -42,9 +42,10 @@ def _check_bounds(alpha0: float, alphas, *others: float) -> None:
         raise ModelError("norm bounds overflow the be-norm alpha0 + (1/2) sum alphas^2")
 
 
-def _check_stack(H: np.ndarray, L: np.ndarray, bounds, times=None) -> np.ndarray:
+def _check_stack(H: np.ndarray, L: np.ndarray, bounds, times=None) -> tuple[np.ndarray, np.ndarray]:
     """The model contract on stacked operators, H (B, d, d) and jumps L (B, m, d, d),
-    with the declared bounds (alpha0, alpha_1, ..., alpha_m); returns H symmetrized.
+    with the declared bounds (alpha0, alpha_1, ..., alpha_m); returns H symmetrized
+    and the (B, 1 + m) spectral norms of H and of each jump.
 
     Raises ModelError unless there is one bound per jump, and otherwise at the
     first entry whose H or a jump is not finite, whose H is not Hermitian within
@@ -73,7 +74,7 @@ def _check_stack(H: np.ndarray, L: np.ndarray, bounds, times=None) -> np.ndarray
         j = np.flatnonzero(over[b])[0]
         raise ModelError(f"||{'H' if j == 0 else f'L_{j - 1}'}|| = {float(norms[b, j])!r}{at} "
                          f"exceeds its declared bound {float(bounds[j])!r}")
-    return H
+    return H, norms
 
 
 class Lindbladian:
@@ -104,16 +105,16 @@ class Lindbladian:
         _check_bounds(0.0 if declared[0] is None else declared[0],
                       [a for a in declared[1:] if a is not None])
         bounds = [math.inf if a is None else a for a in declared]
-        H = _check_stack(H[None], _jump_stack(H, Ls)[None], bounds)[0]
+        H, norms = _check_stack(H[None], _jump_stack(H, Ls)[None], bounds)
+        H, norms = H[0], norms[0].tolist()
 
         H.setflags(write=False)
         for L in Ls:
             L.setflags(write=False)
         self.hamiltonian = H
         self.jumps = Ls
-        self.alpha0 = spectral_norm(H) if alpha0 is None else declared[0]
-        self.alphas = (tuple(spectral_norm(L) for L in Ls) if alphas is None
-                       else tuple(declared[1:]))
+        self.alpha0 = norms[0] if alpha0 is None else declared[0]
+        self.alphas = tuple(norms[1:]) if alphas is None else tuple(declared[1:])
         _check_bounds(self.alpha0, self.alphas)
 
     @property

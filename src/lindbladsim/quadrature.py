@@ -54,10 +54,15 @@ def _legendre_value_derivative(q: int, x: np.ndarray):
 
 
 def legendre_rule(q: int):
-    """Nodes and weights of the q-point Gauss-Legendre rule on [-1, 1]."""
+    """Nodes and weights of the q-point Gauss-Legendre rule on [-1, 1], as
+    read-only arrays computed once per order and shared by every caller."""
     if not isinstance(q, (int, np.integer)) or q < 1 or q > MAX_ORDER:
         raise ArgumentError(f"quadrature order must be an integer in [1, {MAX_ORDER}], got {q}")
-    q = int(q)
+    return _legendre_rule(int(q))
+
+
+@functools.cache
+def _legendre_rule(q: int):
     i = np.arange(1, q + 1)
     x = np.cos(np.pi * (i - 0.25) / (q + 0.5))
     for _ in range(NEWTON_MAX_ITER):
@@ -69,7 +74,10 @@ def legendre_rule(q: int):
     _, dp = _legendre_value_derivative(q, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     order = np.argsort(x)
-    return x[order], w[order]
+    x, w = x[order], w[order]
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 @dataclass(frozen=True, eq=False)

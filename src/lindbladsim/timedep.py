@@ -92,7 +92,8 @@ class TimeDependentLindbladian:
         """Sample H(t), [L_j(t)] and enforce the declared invariants."""
         times = np.array([float(t)])
         H, L = _sample_stack(self, times)
-        return _check_stack(H, L, (self.alpha0, *self.alphas), times)[0], list(L[0])
+        H, _ = _check_stack(H, L, (self.alpha0, *self.alphas), times)
+        return H[0], list(L[0])
 
 
 def _sample_stack(tl: TimeDependentLindbladian, times: np.ndarray):

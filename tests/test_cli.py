@@ -404,8 +404,16 @@ def test_kraus_dump_guard_fires_before_the_file_is_opened(tmp_path, capsys):
         assert not out.exists()
 
 
-THREE_JUMPS = {"n_qubits": 1, "hamiltonian": {"pauli_sum": "0.5*Z"},
-               "jumps": [{"pauli_sum": "0.3*X"}, {"pauli_sum": "0.2*Z"}, {"pauli_sum": "0.1*Y"}]}
+INLINE_MODELS = {
+    "three-jumps": {"n_qubits": 1, "hamiltonian": {"pauli_sum": "0.5*Z"},
+                    "jumps": [{"pauli_sum": "0.3*X"}, {"pauli_sum": "0.2*Z"},
+                              {"pauli_sum": "0.1*Y"}]},
+    # two jumps with declared equal alphas, so every jump path of a depth
+    # writes the same normalizers
+    "equal-alphas": {"n_qubits": 2, "hamiltonian": {"pauli_sum": "0.25*ZI + 0.25*XX"},
+                     "jumps": [{"pauli_sum": "0.3*XI + 0.2*IY"}, {"pauli_sum": "0.4*ZZ"}],
+                     "alphas": {"hamiltonian": 0.5, "jumps": [0.5, 0.5]}},
+}
 
 
 def reference_kraus_csv(model, t, eps):
@@ -439,6 +447,7 @@ def reference_kraus_csv(model, t, eps):
     ("models/amplitude_damping.json", 0.5, 1e-4),
     ("models/heisenberg_pair.json", 0.5, 1e-3),
     ("three-jumps", 0.2, 1e-3),
+    ("equal-alphas", 0.5, 1e-3),
     ("models/heisenberg_pair.json", 0.0, 1e-3),
 ])
 @pytest.mark.parametrize("to_file", [True, False])
@@ -446,9 +455,9 @@ def test_kraus_dump_matches_a_csv_writer_reference(tmp_path, capsys, monkeypatch
                                                     model, time, eps, to_file):
     # a chunk size of 5 splits each depth into ragged chunks shared by its jump paths
     monkeypatch.setattr(quadrature, "CHUNK_SIZE", chunk_size)
-    if model == "three-jumps":
-        model = tmp_path / "three.json"
-        model.write_text(json.dumps(THREE_JUMPS))
+    if model in INLINE_MODELS:
+        spec, model = INLINE_MODELS[model], tmp_path / "model.json"
+        model.write_text(json.dumps(spec))
     argv = ["kraus-dump", "--model", str(model), "--time", str(time), "--eps", str(eps)]
     out = tmp_path / "terms.csv"
     code, cap = run_cli(argv + (["--out", str(out)] if to_file else []), capsys)

@@ -148,6 +148,17 @@ def test_model_keeps_read_only_copies_of_caller_arrays():
     np.testing.assert_array_equal(lind.jumps[0], SM)
 
 
+@pytest.mark.parametrize("n_qubits, num_jumps, seed", [(1, 0, 0), (1, 3, 1), (2, 2, 2), (3, 1, 3)])
+def test_default_bounds_are_the_exact_spectral_norms(n_qubits, num_jumps, seed):
+    # undeclared bounds come from the constructor's batched check, bit for bit
+    # the norm of each operator on its own
+    src = random_lindbladian(n_qubits, num_jumps, seed=seed)
+    H = src.hamiltonian + 1e-14 * np.triu(np.ones_like(src.hamiltonian), 1)
+    lind = Lindbladian(H, src.jumps)
+    assert lind.alpha0 == spectral_norm(lind.hamiltonian)
+    assert lind.alphas == tuple(spectral_norm(L) for L in lind.jumps)
+
+
 def test_be_norm_plug_ins():
     Z4 = np.zeros((4, 4))
     I4 = np.eye(4)

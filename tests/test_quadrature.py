@@ -60,6 +60,18 @@ def test_legendre_rule_orthonormality():
             assert abs(val - expected) <= 1e-13
 
 
+def test_legendre_rule_is_read_only_and_repeats():
+    # the rule is computed once per order and shared, so no caller may write it
+    for q in (1, 3, 8):
+        nodes, weights = legendre_rule(q)
+        for arr in (nodes, weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        again = legendre_rule(np.int64(q))
+        np.testing.assert_array_equal(again[0], nodes)
+        np.testing.assert_array_equal(again[1], weights)
+
+
 def test_legendre_rule_rejects_out_of_range():
     with pytest.raises(ArgumentError):
         legendre_rule(0)
