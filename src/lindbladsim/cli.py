@@ -114,14 +114,13 @@ def _sweep_models(args):
     return named
 
 
-def _analyze_row(name, lind, t, K, Kp, q, timing):
+def _analyze_row(name, lind, E, beta, t, K, Kp, q, timing):
+    """One sweep row of lind against its exact channel E at time t, be-norm beta."""
     t0 = time.perf_counter()
     cfg = series.TruncationConfig(series_order=K, taylor_order=Kp,
                                   quadrature_order=q, segment_time=t)
     S = series.CPMapApprox(lind, t, cfg).as_superoperator()
-    E = models.exact_channel(lind, t)
     lower, upper = metrics.diamond_sandwich(E, S)
-    beta = models.be_norm(lind)
     runtime = _elapsed_ms(timing, t0)
     return (name, t, K, Kp, q, series.bound_duhamel(K, t, beta),
             series.quadrature_total_bound(K, q, t, beta),
@@ -135,11 +134,12 @@ def _cmd_analyze_error(args) -> int:
     named = _sweep_models(args)
     jobs = []
     for name, lind in named:
+        E, beta = models.exact_channel(lind, args.time), models.be_norm(lind)
         for K in range(1, args.max_order + 1):
             qmin = max(1, math.ceil(K / 2))
             for q in (qmin, qmin + 2):
                 for Kp in (K, 2 * K):
-                    jobs.append((name, lind, args.time, K, Kp, q, args.timing))
+                    jobs.append((name, lind, E, beta, args.time, K, Kp, q, args.timing))
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
         rows = list(pool.map(lambda j: _analyze_row(*j), jobs))
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[4]))

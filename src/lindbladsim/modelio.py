@@ -171,7 +171,8 @@ def _table_bounds(tb: TimeTable, H0, Ls0):
     hs = list(tb.hamiltonians) if tb.hamiltonians else [H0]
     a0 = max(spectral_norm(H) for H in hs)
     jts = [list(jt) for jt in tb.jump_tables] if tb.jump_tables else [[L] for L in Ls0]
-    alphas = tuple(max(spectral_norm(L) for L in col) for col in jts)
+    knot_norms = [[spectral_norm(L) for L in col] for col in jts]
+    alphas = tuple(max(norms) for norms in knot_norms)
     jdot = 0.0
     for i in range(len(tb.times) - 1):
         dt = tb.times[i + 1] - tb.times[i]
@@ -179,10 +180,9 @@ def _table_bounds(tb: TimeTable, H0, Ls0):
         if tb.hamiltonians:
             slope += spectral_norm(hs[i + 1] - hs[i]) / dt
         if tb.jump_tables:
-            for col in jts:
+            for col, norms in zip(jts, knot_norms):
                 ldot = spectral_norm(col[i + 1] - col[i]) / dt
-                lmax = max(spectral_norm(col[i]), spectral_norm(col[i + 1]))
-                slope += ldot * lmax
+                slope += ldot * max(norms[i], norms[i + 1])
         jdot = max(jdot, slope)
     return a0, alphas, jdot
 

@@ -48,10 +48,11 @@ def _check_stack(H: np.ndarray, L: np.ndarray, bounds, times=None) -> tuple[np.n
     and the (B, 1 + m) spectral norms of H and of each jump.
 
     Raises ModelError unless there is one bound per jump, and otherwise at the
-    first entry whose H or a jump is not finite, whose H is not Hermitian within
-    HERM_TOL of max(1, max|H|), or whose H or a jump has a spectral norm over its
-    bound by more than NORM_SLACK relative plus NORM_SLACK absolute. The message
-    names that entry's time when times are given."""
+    failing entry whose H or a jump is not finite, whose H is not Hermitian
+    within HERM_TOL of max(1, max|H|), or whose H or a jump has a spectral norm
+    over its bound by more than NORM_SLACK relative plus NORM_SLACK absolute:
+    the first one, or, when its times (B,) are given, the earliest, whose time
+    the message names."""
     if len(bounds) != 1 + L.shape[1]:
         raise ModelError(f"{L.shape[1]} jump operators but {len(bounds) - 1} declared jump bounds")
     finite = np.isfinite(H).all(axis=(1, 2)) & np.isfinite(L).all(axis=(1, 2, 3))
@@ -65,7 +66,7 @@ def _check_stack(H: np.ndarray, L: np.ndarray, bounds, times=None) -> tuple[np.n
     over = norms * (1 - NORM_SLACK) - NORM_SLACK > np.asarray(bounds)
     bad = np.flatnonzero(~finite | skew | over.any(axis=1))
     if bad.size:
-        b = bad[0]
+        b = bad[0] if times is None else bad[np.argmin(times[bad])]
         at = "" if times is None else f" at t={float(times[b])}"
         if not finite[b]:
             raise ModelError(f"hamiltonian or a jump{at} is not finite")

@@ -67,11 +67,11 @@ def dilate(A: np.ndarray, alpha: float) -> BlockEncoding:
     A = np.asarray(A, dtype=complex)
     if alpha <= 0:
         raise ArgumentError(f"normalizer must be positive, got {alpha}")
-    if spectral_norm(A) > alpha * (1 + 1e-12):
-        raise ArgumentError(
-            f"cannot encode: ||A|| = {spectral_norm(A):.6g} exceeds alpha = {alpha:.6g}")
     B = A / alpha
     Wl, sv, Vh = np.linalg.svd(B)
+    if sv[0] > 1 + 1e-12:
+        raise ArgumentError(
+            f"cannot encode: ||A|| = {sv[0] * alpha:.6g} exceeds alpha = {alpha:.6g}")
     c = np.sqrt(np.clip(1.0 - sv * sv, 0.0, None))
     S_top = (Wl * c) @ dag(Wl)
     S_bot = (dag(Vh) * c) @ Vh

@@ -198,7 +198,7 @@ def taylor_drift(lind: Lindbladian, s: float, Kp: int) -> np.ndarray:
 
 # Guard limits (see the module docstring). At 20-50 us per node (d <= 4, one
 # or two jumps, up to 203,490 nodes) and about 10 us of td_simulate per sampler
-# call (driven qubit at eps 1e-6, up to 972,832 calls; 2 vCPUs, one BLAS
+# call (driven qubit at eps 1e-6, up to 988,416 calls; 2 vCPUs, one BLAS
 # thread), the node cap is at most about 13 s of work and the sampler cap about
 # 10 s.
 MAX_SERIES_NODES = 2 ** 18

@@ -25,18 +25,17 @@ as P(hi) P(lo)^-1; every prefix is I plus a nilpotent part, so its inverse
 is a finite sum.
 
 Norm bounds and the generator derivative bound are declared by the caller,
-never estimated from samples. Sampling is batched: every time a step needs
-(the union-grid midpoints of a group of segments, the jump nodes of a series
-level, a group's probes, a chunk of RK4 half-steps) is sampled by one helper,
-one sampler call per time, into stacked H and L arrays, from which J and the
-Liouvillian are built in one call. Validation policy: a time-dependent
-model meets the one model contract of lindbladsim.models, as a static one
-does. The constructor checks the declared bounds (models._check_bounds), and
-sample() checks its sample (models._check_stack: finite entries, a Hermitian
-H, norms within the declared bounds). Propagators, jumps and RK4 use the
-samples unchecked; td_simulate checks each segment's probe grid with the same
-_check_stack before the segment's first propagator sample, so declared-bound
-violations surface as model errors naming the first failing time.
+never estimated from samples. Sampling is batched: every time a step needs (a
+group of segments' union-grid midpoints and interval ends, the uniform steps of
+ordered_propagator, a chunk of RK4 half-steps) is sampled by one helper, one
+sampler call per time, into stacked H and L arrays, from which J and the
+Liouvillian are built in one call. Validation policy: a time-dependent model
+meets the one model contract of lindbladsim.models, as a static one does. The
+constructor checks the declared bounds (models._check_bounds), and sample()
+and every sample a propagator or jump is built from are checked in their batch
+(models._check_stack: finite entries, a Hermitian H, norms within the declared
+bounds), before anything is built from it, so a violation surfaces as a model
+error naming the earliest failing time; rk4_reference reads unchecked samples.
 """
 from __future__ import annotations
 
@@ -73,7 +72,9 @@ class TimeDependentLindbladian:
     The sampler must be pure in its time argument (it may be called
     concurrently and at repeated times). The model contract is the static
     Lindbladian's: models._check_bounds on the declared bounds here, and
-    models._check_stack on every sample() and on td_simulate's probes.
+    models._check_stack on every sample the library builds from, in its batch:
+    sample(), ordered_propagator's steps and each td_simulate segment group.
+    rk4_reference alone reads unchecked samples.
     """
 
     def __init__(self, sampler, alpha0: float, alphas, jdot_bound: float):
@@ -89,11 +90,10 @@ class TimeDependentLindbladian:
         return len(self.alphas)
 
     def sample(self, t: float):
-        """Sample H(t), [L_j(t)] and enforce the declared invariants."""
-        times = np.array([float(t)])
-        H, L = _sample_stack(self, times)
-        H, _ = _check_stack(H, L, (self.alpha0, *self.alphas), times)
-        return H[0], list(L[0])
+        """Sample H(t), [L_j(t)] and enforce the declared invariants; H comes
+        back symmetrized, as a static model keeps it."""
+        H, L = _checked_stack(self, np.array([float(t)]))
+        return (H[0] + H[0].conj().T) / 2, list(L[0])
 
 
 def _sample_stack(tl: TimeDependentLindbladian, times: np.ndarray):
@@ -115,6 +115,14 @@ def _sample_stack(tl: TimeDependentLindbladian, times: np.ndarray):
     return H, L if L.size else np.empty(H.shape[:1] + (0,) + H.shape[1:], dtype=complex)
 
 
+def _checked_stack(tl: TimeDependentLindbladian, times: np.ndarray):
+    """_sample_stack's raw samples at times, after models._check_stack has
+    checked them as one stack; its error names the earliest failing time."""
+    H, L = _sample_stack(tl, times)
+    _check_stack(H, L, (tl.alpha0, *tl.alphas), times)
+    return H, L
+
+
 def from_static(lind: Lindbladian) -> TimeDependentLindbladian:
     """Wrap a static model as a constant sampler with zero derivative bound."""
     H = lind.hamiltonian
@@ -131,13 +139,12 @@ def _union_grid(nested: NestedGrid, M: int):
     return np.union1d(np.linspace(0.0, nested.rule.interval_length, M + 1), ends), ends
 
 
-def _prefix_stacks(tl: TimeDependentLindbladian, starts: np.ndarray, grid: np.ndarray,
-                   ends: np.ndarray, Kd: int):
-    """Truncated graded prefix products over the gaps of grid, for the segments
-    starting at each a in starts.
+def _prefix_stacks(J: np.ndarray, grid: np.ndarray, ends: np.ndarray, Kd: int):
+    """Truncated graded prefix products over the gaps of grid, for S segments
+    whose drift generators J (S, N, d, d) were sampled at the N gap midpoints.
 
-    Gap k, of length h_k, is sampled once at a plus its midpoint and has the
-    graded factor F_r = (J h_k)^r / r!, r <= Kd. The prefix P(g_n) is the
+    Gap k, of length h_k, with the segment's sample J there, has the graded
+    factor F_r = (J h_k)^r / r!, r <= Kd. The prefix P(g_n) is the
     product of the factors of gaps 1..n, later gaps on the left, truncated at
     total grade Kd. It is I plus a nilpotent part, so its inverse Q is a finite
     sum too: the product of the inverse factors G_r = (-J h_k)^r / r!, later
@@ -156,11 +163,9 @@ def _prefix_stacks(tl: TimeDependentLindbladian, starts: np.ndarray, grid: np.nd
     Returns, at the E grid points in ends, P_0, .., P_Kd side by side,
     (S, E, d, (Kd+1) d), and C_Kd, .., C_0 stacked, (S, E, (Kd+1) d, d): each
     quotient is one matmul of the two."""
-    d, S, N = tl.dim, starts.size, grid.size - 1
+    S, N, d = J.shape[:3]
     D = (Kd + 1) * d
-    h = np.diff(grid)
-    taus = starts[:, None] + (grid[:-1] + h / 2)
-    J = _drift_generator(*_sample_stack(tl, taus)).reshape(S, N, d, d) * h[:, None, None]
+    J = J * np.diff(grid)[:, None, None]
     F = np.zeros((S, Kd + 2, d, d), dtype=complex)  # one gap's grades 0..Kd, a zero block
     F[:, 0] = np.eye(d)
     # flat positions in a gap's F of the lower and upper Toeplitz matrices'
@@ -191,13 +196,15 @@ def _prefix_stacks(tl: TimeDependentLindbladian, starts: np.ndarray, grid: np.nd
 def ordered_propagator(tl: TimeDependentLindbladian, s: float, t: float,
                        cfg: DysonConfig) -> np.ndarray:
     """Order-truncated approximation of the ordered exponential on [s, t]: the
-    graded product over M uniform steps, sampled at their midpoints."""
+    graded product over M uniform steps, sampled at their midpoints and checked
+    as one stack."""
     if t < s:
         raise ArgumentError(f"propagator needs s <= t, got s={s}, t={t}")
     if t == s:
         return np.eye(tl.dim, dtype=complex)
     grid = np.linspace(0.0, t - s, cfg.grid_points + 1)
-    PL, CR = _prefix_stacks(tl, np.array([float(s)]), grid, grid[[0, -1]], cfg.order)
+    J = _drift_generator(*_checked_stack(tl, float(s) + (grid[:-1] + np.diff(grid) / 2)))
+    PL, CR = _prefix_stacks(J[None], grid, grid[[0, -1]], cfg.order)
     return PL[0, 1] @ CR[0, 0]
 
 
@@ -215,26 +222,34 @@ def _segment_superops(tl: TimeDependentLindbladian, starts: np.ndarray, nested: 
     """Superoperators of the segments [a, a + delta], a in starts, in order, at
     every order: the static pipeline's series engine run on nested's table, with
     each propagator T(lo, hi) read from the segment's prefixes on grid, where
-    both lo and hi are interval ends, and the jumps sampled at the nodes."""
+    both lo and hi are interval ends, and the jumps read at the nodes.
+
+    The group is sampled once, before anything is built: at each segment's gap
+    midpoints of grid, which J is built from, and at its interval ends, whose
+    jumps the engine reads; the one stack is checked by _checked_stack."""
     q, K, delta = nested.rule.order, nested.depth, nested.rule.interval_length
-    for a, PL, CR in zip(starts, *_prefix_stacks(tl, starts, grid, ends, Kd)):
+    N = grid.size - 1
+    times = starts[:, None] + np.concatenate([grid[:-1] + np.diff(grid) / 2, ends])
+    H, L = _checked_stack(tl, times.ravel())
+    H, L = H.reshape(times.shape + H.shape[1:]), L.reshape(times.shape + L.shape[1:])
+    J = _drift_generator(H[:, :N], L[:, :N])
+    for nodes, PL, CR in zip(L[:, N:], *_prefix_stacks(J, grid, ends, Kd)):
         def propagate(lo, hi, PL=PL, CR=CR):
             return PL[np.searchsorted(ends, hi)] @ CR[np.searchsorted(ends, lo)]
 
-        def jumps(u, a=a):
-            return _sample_stack(tl, a + u)[1]
+        def jumps(u, nodes=nodes):
+            return nodes[np.searchsorted(ends, u)]
 
         yield series_superop(propagate, jumps, delta, q, K, tl.num_jumps, tl.dim, nested)
 
 
-_PROBES = 17  # validating samples per segment
 _RK4_STEPS = 256  # RK4 steps whose Liouvillians are built in one stacked call
 
 
-def _segment_sampler_calls(K: int, q: int, gaps: int) -> int:
-    """Sampler calls td_simulate makes per segment: the probes, one per gap of
-    its union grid and one per jump node, the C(q+K, K) - 1 nodes of depths 1..K."""
-    return _PROBES + gaps + math.comb(q + K, K) - 1
+def _segment_sampler_calls(gaps: int, ends: int) -> int:
+    """Sampler calls td_simulate makes per segment: one per gap of its union
+    grid, at the gap's midpoint, and one per interval end, 0 and every node time."""
+    return gaps + ends
 
 
 def rk4_reference(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float,
@@ -294,15 +309,17 @@ def td_simulate(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float, eps: f
     read by the grid and the series engine alike. Each propagator the engine
     asks for is a quotient of that grid's prefix products, kept at the
     interval ends only. Segments go in groups whose samples and prefix stacks
-    stay under _WORK_BYTES, each group's probes checked before its first
-    propagator sample.
+    stay under _WORK_BYTES. Each group is sampled in one call, at its gap
+    midpoints and interval ends, and that one stack is checked against the
+    declared bounds before anything is built from it; every propagator and
+    jump is read from it.
 
     No sample is taken before the guards: the driver checks the series
     engine's node and byte caps on the plan, and then, since sampling is most
     of the run's cost, ResourceLimitError is raised when the run would make
-    more than MAX_SAMPLER_CALLS sampler calls: the probes, one per union-grid
-    gap and one per jump node, per segment. A tree too wide for the cap fails
-    on its M uniform steps alone, before its table is built.
+    more than MAX_SAMPLER_CALLS sampler calls: per segment, one per union-grid
+    gap and one per interval end. A tree too wide for the cap fails on its
+    lower bound, M gaps and the ends 0 and delta, before its table is built.
     """
     counts = ((lambda n0: (check_count(segments, "segment count", 1),)) if segments is not None
               else (lambda n0: [n0 * 2 ** i for i in range(9)]))
@@ -319,30 +336,26 @@ def td_simulate(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float, eps: f
                 points = int(min(256, max(16, math.ceil(math.sqrt(first_order)))))
             cfg = DysonConfig(order=orders.taylor_order, grid_points=points)
 
-        def check_calls(gaps, at_least=""):
-            calls = n_seg * _segment_sampler_calls(K, q, gaps)
+        def check_calls(gaps, n_ends, at_least=""):
+            calls = n_seg * _segment_sampler_calls(gaps, n_ends)
             if calls > MAX_SAMPLER_CALLS:
                 raise ResourceLimitError(
                     f"time-ordered run would make {at_least}{calls} > {MAX_SAMPLER_CALLS} "
                     "sampler calls; lower the precision or the horizon")
 
-        check_calls(cfg.grid_points, "at least ")
+        check_calls(cfg.grid_points, 2, "at least ")
         nested = NestedGrid(canonical_rule(q, delta), K)
         grid, ends = _union_grid(nested, cfg.grid_points)
-        check_calls(grid.size - 1)
-        # a segment holds its gaps' samples and J, and its prefix stacks at the ends
-        held = (2 + tl.num_jumps) * grid.size + 2 * (cfg.order + 1) * ends.size
+        check_calls(grid.size - 1, ends.size)
+        # a segment holds its samples, J at the gaps and its prefix stacks at the ends
+        m = tl.num_jumps
+        held = (2 + m) * grid.size + (1 + m + 2 * (cfg.order + 1)) * ends.size
         group = max(1, _WORK_BYTES // (16 * tl.dim ** 2 * held))
         starts = np.arange(n_seg) * delta
-
-        def superops():
-            for first in range(0, n_seg, group):
-                a = starts[first:first + group]
-                probes = np.linspace(a, a + delta, _PROBES, axis=1).ravel()
-                _check_stack(*_sample_stack(tl, probes), (tl.alpha0, *tl.alphas), probes)
-                yield from _segment_superops(tl, a, nested, grid, ends, cfg.order)
-
-        return replace(orders, taylor_order=cfg.order), superops()
+        superops = (S for first in range(0, n_seg, group)
+                    for S in _segment_superops(tl, starts[first:first + group], nested, grid,
+                                               ends, cfg.order))
+        return replace(orders, taylor_order=cfg.order), superops
 
     rho, report = _evolve(tl, rho0, t, eps, source, counts)
     return rho, report, cfg or DysonConfig(0, 1)

@@ -216,7 +216,8 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_bundled_models_load():
-    for name in ("amplitude_damping", "heisenberg_pair", "driven_damped_qubit"):
+    for name in ("amplitude_damping", "heisenberg_pair", "driven_damped_qubit",
+                 "ramped_decay_qubit"):
         pm = load_model(f"models/{name}.json")
         tl = pm.to_time_dependent()
         assert tl.dim == 2 ** pm.n_qubits

@@ -188,7 +188,9 @@ def test_prefix_quotient_matches_sequential_product(d, m, Kd, M, B, seed):
                                      rng.uniform(0.0, delta, size=5)]))
     lo = rng.integers(0, grid.size, size=B)
     hi = np.maximum(lo, rng.integers(0, grid.size, size=B))
-    PL, CR = _prefix_stacks(tl, np.array([a]), grid, grid, Kd)
+    mids = a + (grid[:-1] + np.diff(grid) / 2)
+    PL, CR = _prefix_stacks(_drift_generator(*timedep._sample_stack(tl, mids))[None], grid, grid,
+                            Kd)
     quotient = PL[0][hi] @ CR[0][lo]
     for b in range(B):
         ref = sequential_propagator(tl, a, grid, lo[b], hi[b], Kd)
@@ -205,9 +207,9 @@ def test_segment_groups_match_single_segments(monkeypatch):
     cfg = DysonConfig(order=Kd, grid_points=M)
     groups, prefix_stacks = [], timedep._prefix_stacks
 
-    def recording(tl, starts, *args):
-        groups.append(starts.size)
-        return prefix_stacks(tl, starts, *args)
+    def recording(J, *args):
+        groups.append(J.shape[0])
+        return prefix_stacks(J, *args)
 
     monkeypatch.setattr(timedep, "_prefix_stacks", recording)
     monkeypatch.setattr(timedep, "_WORK_BYTES", 2 ** 19)
@@ -350,11 +352,12 @@ def test_td_simulate_output_is_density():
 
 
 def test_td_simulate_tracks_dense_reference():
-    tl = driven_damped()
+    # the rotating model's jumps vary in time, so its jumps are read at the nodes
     rho0 = np.diag([1.0, 0.0]).astype(complex)
-    rho, _, _ = td_simulate(tl, rho0, 1.0, 1e-6)
-    ref = rk4_reference(tl, rho0, 1.0, 1e-3)
-    assert np.abs(rho - ref).max() <= 1e-4
+    for tl in (driven_damped(), rotating_model(2, 2, 3)):
+        rho, _, _ = td_simulate(tl, rho0, 1.0, 1e-6)
+        ref = rk4_reference(tl, rho0, 1.0, 1e-3)
+        assert np.abs(rho - ref).max() <= 1e-4
 
 
 def test_td_simulate_flags_declared_bound_violation():
@@ -367,10 +370,13 @@ def test_td_simulate_flags_declared_bound_violation():
         td_simulate(tl, rho0, 1.0, 1e-4)
 
 
-def test_td_simulate_names_the_first_failing_probe():
+def test_td_simulate_names_the_first_failing_sample():
     # H is Hermitian except on [0.4, 0.45]; of the budget minimum's 3 segments
-    # the test takes 4, and the second, [0.25, 0.5], probes 0.25, 0.25 + 1/64, ...
-    # so the first failing probe is 0.25 + 10/64
+    # the test takes 4. There are no jumps, so the series order is 0 and each
+    # segment's interval ends are 0 and 0.25; its union grid is M = 50 uniform
+    # steps of 0.005. The second segment, [0.25, 0.5], is sampled at its ends
+    # and at 0.25 + 0.0025 + 0.005 k, so the first failing sample is k = 30,
+    # 0.25 + 0.1525, which rounds to 0.40249999999999997
     def sampler(t):
         skew = 0.5 * SM if 0.4 <= t <= 0.45 else 0.0 * SM
         return 0.5 * SZ + skew, []
@@ -378,13 +384,35 @@ def test_td_simulate_names_the_first_failing_probe():
     tl = TimeDependentLindbladian(sampler, 1.0, [], 1.0)
     assert math.ceil(1.0 / segment_time(tl, cap=1.0) - 1e-12) == 3
     rho0 = np.diag([0.5, 0.5]).astype(complex)
-    with pytest.raises(ModelError, match=r"at t=0\.40625 is not Hermitian"):
+    with pytest.raises(ModelError, match=r"at t=0\.40249999999999997 is not Hermitian"):
         td_simulate(tl, rho0, 1.0, 1e-4, segments=4)
+
+
+def test_td_simulate_checks_the_samples_it_builds_from():
+    # H is non-Hermitian only within 1e-9 of the first segment's first union-grid
+    # midpoint, far from its ends 0 and delta; J is built from that sample, so
+    # the run must fail there and name its time
+    tl = driven_damped()
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    _, report, cfg = td_simulate(tl, rho0, 1.0, 1e-4)
+    nested = NestedGrid(canonical_rule(report.quadrature_order, report.segment_time),
+                        report.series_order)
+    grid, _ = _union_grid(nested, cfg.grid_points)
+    mid = float(0.0 + (grid[:-1] + np.diff(grid) / 2)[0])
+    sampler = tl.sampler
+
+    def skewed(t):
+        H, Ls = sampler(t)
+        return (H + 0.5 * SM if abs(t - mid) < 1e-9 else H), Ls
+
+    tl.sampler = skewed
+    with pytest.raises(ModelError, match=re.escape(f"at t={mid} is not Hermitian")):
+        td_simulate(tl, rho0, 1.0, 1e-4)
 
 
 def test_non_finite_samples_are_model_errors_naming_the_time():
     # a NaN at t=0 fails at construction; an inf jump after t=0.5 fails at the
-    # first probe past it, not in the SVD of the norm check
+    # first sample past it, not in the SVD of the norm check
     with pytest.raises(ModelError, match=r"at t=0\.0 is not finite"):
         TimeDependentLindbladian(lambda t: (math.nan * SZ, []), 1.0, [], 1.0)
 
@@ -423,10 +451,12 @@ def test_td_simulate_rejects_segments_below_the_budget_minimum():
 
 
 def test_td_simulate_sampler_guard():
-    # at eps 1e-6 each segment has 256 uniform steps and 270 union-grid gaps, so
-    # 17 + 270 + 14 jump nodes = 301 sampler calls. The 10,752 segments at t=100
-    # fail on the uniform steps alone (3,236,352 calls exactly), before the table
-    # is built; the 3,328 at t=31 pass that (955,136) and fail on the exact count.
+    # at eps 1e-6 each segment has 256 uniform steps, 270 union-grid gaps and
+    # 16 interval ends (0, delta and 14 nested node times), so 270 + 16 = 286
+    # sampler calls, at least 256 + 2 = 258 before the table is built. The
+    # 10,752 segments at t=100 fail on that lower bound (2,774,016 calls; the
+    # exact count is 3,075,072); the 3,552 at t=33 pass it (916,416) and fail on
+    # the exact count (1,015,872).
     # Either way no sample is taken.
     tl = driven_damped()
 
@@ -435,7 +465,7 @@ def test_td_simulate_sampler_guard():
 
     tl.sampler = sampler
     rho0 = np.diag([1.0, 0.0]).astype(complex)
-    for t, calls in [(100.0, "at least 3085824"), (31.0, "1001728")]:
+    for t, calls in [(100.0, "at least 2774016"), (33.0, "1015872")]:
         start = time.perf_counter()
         with pytest.raises(ResourceLimitError, match=f"would make {calls} > 1000000 sampler"):
             td_simulate(tl, rho0, t, 1e-6)
@@ -479,8 +509,9 @@ def test_segment_sampler_calls_match_a_counting_sampler(make, t, eps):
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     _, report, cfg = td_simulate(tl, rho0, t, eps)
     K, q = report.series_order, report.quadrature_order
-    grid, _ = _union_grid(NestedGrid(canonical_rule(q, report.segment_time), K), cfg.grid_points)
-    assert calls[0] == report.segments * _segment_sampler_calls(K, q, grid.size - 1)
+    grid, ends = _union_grid(NestedGrid(canonical_rule(q, report.segment_time), K),
+                             cfg.grid_points)
+    assert calls[0] == report.segments * _segment_sampler_calls(grid.size - 1, ends.size)
 
 
 def test_td_simulate_argument_validation():

@@ -44,6 +44,9 @@ RUNS = [
     ("td-simulate-driven-segments4.json",
      ["td-simulate", "--model", "driven_damped_qubit.json", "--time", "0.3", "--eps", "1e-4",
       "--segments", "4", "--order", "3", "--grid", "8"]),
+    # both jumps tabulated in time, so the jumps are read at the series nodes
+    ("td-simulate-ramped-decay.json",
+     ["td-simulate", "--model", "ramped_decay_qubit.json", "--time", "0.8", "--eps", "1e-4"]),
 ]
 
 
