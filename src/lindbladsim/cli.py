@@ -92,7 +92,7 @@ def _cmd_td_simulate(args) -> int:
         cfg = None if args.order is None else timedep.DysonConfig(args.order, args.grid)
         rho, report, used = timedep.td_simulate(tl, rho0, args.time, args.eps,
                                                 cfg=cfg, segments=args.segments)
-        contract = timedep.dyson_contract(tl, report.segment_time, used) if report.segments else 0.0
+        contract = timedep.dyson_contract(tl, report.segment_time, used)
         return rho, report, {"dyson": {"order": used.order, "grid_points": used.grid_points,
                                        "declared_contract": contract}}
 

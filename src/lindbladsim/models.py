@@ -23,12 +23,28 @@ HERM_TOL = 1e-12
 NORM_SLACK = 1e-12  # a norm may exceed its declared bound by this, relative plus absolute
 
 
-def _as_complex_matrix(mat, name: str) -> np.ndarray:
-    """A complex copy of mat, so the caller's array is never the model's."""
-    arr = np.array(mat, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ModelError(f"{name} must be a square matrix, got shape {arr.shape}")
-    return arr
+def _stack(Hs, Ls) -> tuple[np.ndarray, np.ndarray]:
+    """Complex copies of B Hamiltonians and B jump lists, stacked as H (B, d, d)
+    and L (B, m, d, d), so the caller's arrays are never the model's.
+
+    Raises ModelError unless every entry is numeric, every H is square of one
+    size d, and every jump list holds the same number m of d x d matrices."""
+    try:
+        H = np.array(Hs, dtype=complex)
+    except (TypeError, ValueError) as ex:
+        raise ModelError("hamiltonian must be a numeric square matrix of one size") from ex
+    if H.ndim != 3 or H.shape[1] != H.shape[2]:
+        raise ModelError(f"hamiltonian has shape {H.shape[1:]}, expected a square (d, d)")
+    try:
+        L = np.array(Ls, dtype=complex)
+    except (TypeError, ValueError) as ex:
+        raise ModelError(f"jumps must be numeric {H.shape[1:]} matrices, as many "
+                         "at every time") from ex
+    if L.shape == (len(H), 0):  # no jumps
+        L = L.reshape(L.shape + H.shape[1:])
+    if L.shape[:1] + L.shape[2:] != H.shape:
+        raise ModelError(f"jumps have shape {L.shape[2:]}, expected {H.shape[1:]}")
+    return H, L
 
 
 def _check_bounds(alpha0: float, alphas, *others: float) -> None:
@@ -92,12 +108,9 @@ class Lindbladian:
 
     def __init__(self, hamiltonian, jumps=(), alpha0: float | None = None,
                  alphas=None):
-        H = _as_complex_matrix(hamiltonian, "hamiltonian")
-        d = H.shape[0]
-        Ls = tuple(_as_complex_matrix(L, f"jumps[{i}]") for i, L in enumerate(jumps))
-        for i, L in enumerate(Ls):
-            if L.shape != (d, d):
-                raise ModelError(f"jumps[{i}] has shape {L.shape}, expected {(d, d)}")
+        H, L = _stack([hamiltonian], [jumps])
+        L.setflags(write=False)
+        Ls = tuple(L[0])
 
         declared = [None if a is None else float(a)
                     for a in (alpha0, *((None,) * len(Ls) if alphas is None else alphas))]
@@ -106,12 +119,10 @@ class Lindbladian:
         _check_bounds(0.0 if declared[0] is None else declared[0],
                       [a for a in declared[1:] if a is not None])
         bounds = [math.inf if a is None else a for a in declared]
-        H, norms = _check_stack(H[None], _jump_stack(H, Ls)[None], bounds)
+        H, norms = _check_stack(H, L, bounds)
         H, norms = H[0], norms[0].tolist()
 
         H.setflags(write=False)
-        for L in Ls:
-            L.setflags(write=False)
         self.hamiltonian = H
         self.jumps = Ls
         self.alpha0 = norms[0] if alpha0 is None else declared[0]

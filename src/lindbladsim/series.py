@@ -136,16 +136,17 @@ def segment_time(model, cap: float | None = None) -> float:
     """Largest segment length keeping the normalizer budget expression <= 2, from
     the declared bounds of a Lindbladian or a TimeDependentLindbladian.
 
-    With beta = 0 the dynamics are trivial and the requested cap (or infinity)
-    is returned, as it is when the bracket [0, 1/beta] overflows (beta below
+    A cap must be nonnegative and finite. With beta = 0 the dynamics are
+    trivial and the cap (or infinity, without one) is returned, as it is when the bracket [0, 1/beta] overflows (beta below
     about 5.6e-309). Bisection runs to absolute tolerance 1e-12, or until the
     endpoints are adjacent floats (roots above 2^13), returning the
     inner endpoint, so the expression value lands in [2 - 1e-9, 2].
     """
+    cap = math.inf if cap is None else check_time(float(cap), "segment time cap")
     beta, alpha_sq = be_norm(model), _alpha_sq(model)
     lo, hi = 0.0, 1.0 / beta if beta else math.inf
     if hi == math.inf:
-        return float(cap) if cap is not None else math.inf
+        return cap
     while _budget_expression(hi, beta, alpha_sq) <= 2.0:
         lo, hi = hi, 2.0 * hi
     while hi - lo > 1e-12:
@@ -156,10 +157,7 @@ def segment_time(model, cap: float | None = None) -> float:
             lo = mid
         else:
             hi = mid
-    tstar = lo
-    if cap is not None:
-        tstar = min(tstar, float(cap))
-    return tstar
+    return min(lo, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -28,14 +28,17 @@ Norm bounds and the generator derivative bound are declared by the caller,
 never estimated from samples. Sampling is batched: every time a step needs (a
 group of segments' union-grid midpoints and interval ends, the uniform steps of
 ordered_propagator, a chunk of RK4 half-steps) is sampled by one helper, one
-sampler call per time, into stacked H and L arrays, from which J and the
-Liouvillian are built in one call. Validation policy: a time-dependent model
-meets the one model contract of lindbladsim.models, as a static one does. The
-constructor checks the declared bounds (models._check_bounds), and sample()
-and every sample a propagator or jump is built from are checked in their batch
+sampler call per time, stacked by models._stack (numeric entries, a square H
+of one size, jumps of its shape), from which J and the Liouvillian are built in
+one call. Validation policy: a time-dependent model meets the one model
+contract of lindbladsim.models, as a static one does. The constructor checks
+the declared bounds (models._check_bounds), and sample() and every sample a
+propagator or jump is built from are checked in their batch
 (models._check_stack: finite entries, a Hermitian H, norms within the declared
 bounds), before anything is built from it, so a violation surfaces as a model
-error naming the earliest failing time; rk4_reference reads unchecked samples.
+error naming the earliest failing time. Each is built from the H that check
+returns, symmetrized, as a static model keeps it. rk4_reference alone reads
+raw, unchecked samples, stacked but neither checked nor symmetrized.
 """
 from __future__ import annotations
 
@@ -44,10 +47,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ArgumentError, ModelError, ResourceLimitError, check_count, check_time
+from .errors import ArgumentError, ResourceLimitError, check_count, check_finite, check_time
 from .linalg import unvec, vec
 from .models import (Lindbladian, _check_bounds, _check_stack, _drift_generator, _liouvillian,
-                     be_norm)
+                     _stack, be_norm)
 from .quadrature import NestedGrid, canonical_rule
 from .series import MAX_SAMPLER_CALLS, _WORK_BYTES, _evolve, series_superop
 
@@ -74,7 +77,8 @@ class TimeDependentLindbladian:
     Lindbladian's: models._check_bounds on the declared bounds here, and
     models._check_stack on every sample the library builds from, in its batch:
     sample(), ordered_propagator's steps and each td_simulate segment group.
-    rk4_reference alone reads unchecked samples.
+    Each of those builds from the symmetrized H the check returns.
+    rk4_reference alone reads raw, unchecked samples.
     """
 
     def __init__(self, sampler, alpha0: float, alphas, jdot_bound: float):
@@ -90,37 +94,25 @@ class TimeDependentLindbladian:
         return len(self.alphas)
 
     def sample(self, t: float):
-        """Sample H(t), [L_j(t)] and enforce the declared invariants; H comes
-        back symmetrized, as a static model keeps it."""
+        """H(t) and [L_j(t)] at a finite time t, held to the model contract; H
+        comes back symmetrized by it, as a static model keeps it."""
+        check_finite(t, "sample time")
         H, L = _checked_stack(self, np.array([float(t)]))
-        return (H[0] + H[0].conj().T) / 2, list(L[0])
+        return H[0], list(L[0])
 
 
 def _sample_stack(tl: TimeDependentLindbladian, times: np.ndarray):
-    """Unchecked samples at each time, in order, one sampler call per time:
-    H as (B, d, d) and the jumps, which must be d x d too, as (B, m, d, d)."""
-    times = np.asarray(times, dtype=float).ravel()
-    H, L = [], []
-    for tau in times.tolist():
-        Hb, Ls = tl.sampler(tau)
-        H.append(Hb)
-        L.append(Ls)
-    H = np.array(H, dtype=complex)
-    try:
-        L = np.array(L, dtype=complex)
-    except ValueError as ex:
-        raise ModelError(f"sampler jumps must all have shape {H.shape[1:]}") from ex
-    if L.size and L.shape[2:] != H.shape[1:]:
-        raise ModelError(f"sampler jumps must all have shape {H.shape[1:]}, got {L.shape[2:]}")
-    return H, L if L.size else np.empty(H.shape[:1] + (0,) + H.shape[1:], dtype=complex)
+    """Unchecked samples at each time, in order, one sampler call per time,
+    stacked by models._stack: H (B, d, d) and the jumps (B, m, d, d)."""
+    Hs, Ls = zip(*(tl.sampler(tau) for tau in np.asarray(times, dtype=float).ravel().tolist()))
+    return _stack(Hs, Ls)
 
 
 def _checked_stack(tl: TimeDependentLindbladian, times: np.ndarray):
-    """_sample_stack's raw samples at times, after models._check_stack has
-    checked them as one stack; its error names the earliest failing time."""
+    """Samples at times, checked as one stack by models._check_stack, whose
+    error names the earliest failing time: H symmetrized, and the jumps."""
     H, L = _sample_stack(tl, times)
-    _check_stack(H, L, (tl.alpha0, *tl.alphas), times)
-    return H, L
+    return _check_stack(H, L, (tl.alpha0, *tl.alphas), times)[0], L
 
 
 def from_static(lind: Lindbladian) -> TimeDependentLindbladian:
@@ -197,7 +189,9 @@ def ordered_propagator(tl: TimeDependentLindbladian, s: float, t: float,
                        cfg: DysonConfig) -> np.ndarray:
     """Order-truncated approximation of the ordered exponential on [s, t]: the
     graded product over M uniform steps, sampled at their midpoints and checked
-    as one stack."""
+    as one stack. s and t must be finite, with s <= t; either may be negative."""
+    check_finite(s, "propagator start")
+    check_finite(t, "propagator end")
     if t < s:
         raise ArgumentError(f"propagator needs s <= t, got s={s}, t={t}")
     if t == s:
@@ -211,7 +205,9 @@ def ordered_propagator(tl: TimeDependentLindbladian, s: float, t: float,
 def dyson_contract(tl: TimeDependentLindbladian, delta: float, cfg: DysonConfig) -> float:
     """Stated error contract of ordered_propagator on an interval of length delta,
     and of every propagator td_simulate reads from a segment of length delta:
-    each step of its union grid is at most delta / M."""
+    each step of its union grid is at most delta / M. delta must be nonnegative
+    and finite; at delta = 0 the contract is 0."""
+    check_time(delta, "segment length")
     beta = be_norm(tl)
     return ((beta * delta) ** (cfg.order + 1) / math.factorial(cfg.order + 1)
             + delta ** 2 * tl.jdot_bound / cfg.grid_points)
@@ -244,12 +240,6 @@ def _segment_superops(tl: TimeDependentLindbladian, starts: np.ndarray, nested: 
 
 
 _RK4_STEPS = 256  # RK4 steps whose Liouvillians are built in one stacked call
-
-
-def _segment_sampler_calls(gaps: int, ends: int) -> int:
-    """Sampler calls td_simulate makes per segment: one per gap of its union
-    grid, at the gap's midpoint, and one per interval end, 0 and every node time."""
-    return gaps + ends
 
 
 def rk4_reference(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float,
@@ -337,7 +327,9 @@ def td_simulate(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float, eps: f
             cfg = DysonConfig(order=orders.taylor_order, grid_points=points)
 
         def check_calls(gaps, n_ends, at_least=""):
-            calls = n_seg * _segment_sampler_calls(gaps, n_ends)
+            # per segment, one call per union-grid gap, at its midpoint, and one
+            # per interval end, 0 and every node time
+            calls = n_seg * (gaps + n_ends)
             if calls > MAX_SAMPLER_CALLS:
                 raise ResourceLimitError(
                     f"time-ordered run would make {at_least}{calls} > {MAX_SAMPLER_CALLS} "

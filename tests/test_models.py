@@ -114,10 +114,17 @@ SM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     (np.zeros((2, 2)), -1e-13, 1.0, False),
     (SZ, 1.0 - 1e-13, 1.0 - 1e-13, True),  # within the norm slack
     (np.zeros((2, 2)), 1.0, 1e160, False),  # finite, but beta = 1 + 1e320 / 2 = inf
+    # shapes and numeric entries; a jump bound of None means no jump
+    (np.zeros((2, 3)), 1.0, None, False),  # not square
+    (np.zeros(2), 1.0, None, False),  # 1-D
+    (np.array([["x", "0"], ["0", "1"]]), 1.0, 1.0, False),  # not numeric
+    (np.zeros((3, 3)), 1.0, 1.0, False),  # of another size than its jump
 ])
 def test_static_and_time_dependent_models_share_one_contract(H, alpha0, jump_bound, ok):
-    makes = [lambda: Lindbladian(H, [SM], alpha0, [jump_bound]),
-             lambda: TimeDependentLindbladian(lambda t: (H, [SM]), alpha0, [jump_bound], 0.0)]
+    bounds = [] if jump_bound is None else [jump_bound]
+    jumps = [SM] * len(bounds)
+    makes = [lambda: Lindbladian(H, jumps, alpha0, bounds),
+             lambda: TimeDependentLindbladian(lambda t: (H, jumps), alpha0, bounds, 0.0)]
     for make in makes:
         if ok:
             make()

@@ -36,8 +36,7 @@ from lindbladsim import (
 from lindbladsim import timedep
 from lindbladsim.models import _drift_generator
 from lindbladsim.quadrature import NestedGrid, canonical_rule
-from lindbladsim.timedep import (_RK4_STEPS, _prefix_stacks, _segment_sampler_calls,
-                                 _segment_superops, _union_grid)
+from lindbladsim.timedep import _RK4_STEPS, _prefix_stacks, _segment_superops, _union_grid
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -511,7 +510,7 @@ def test_segment_sampler_calls_match_a_counting_sampler(make, t, eps):
     K, q = report.series_order, report.quadrature_order
     grid, ends = _union_grid(NestedGrid(canonical_rule(q, report.segment_time), K),
                              cfg.grid_points)
-    assert calls[0] == report.segments * _segment_sampler_calls(grid.size - 1, ends.size)
+    assert calls[0] == report.segments * (grid.size - 1 + ends.size)
 
 
 def test_td_simulate_argument_validation():
@@ -598,6 +597,71 @@ def test_sampler_validation():
     H, Ls = tl.sample(0.3)
     np.testing.assert_array_equal(H, SZ)
     assert Ls == []
+
+
+CFG = DysonConfig(order=2, grid_points=4)
+
+
+@pytest.mark.parametrize("call", [
+    lambda tl: ordered_propagator(tl, 0.0, math.inf, CFG),
+    lambda tl: ordered_propagator(tl, math.nan, 1.0, CFG),
+    lambda tl: ordered_propagator(tl, 0.0, math.nan, CFG),
+    lambda tl: dyson_contract(tl, math.inf, CFG),
+    lambda tl: dyson_contract(tl, math.nan, CFG),
+    lambda tl: dyson_contract(tl, -1.0, CFG),
+    lambda tl: segment_time(tl, cap=-1.0),
+    lambda tl: segment_time(tl, cap=math.nan),
+    lambda tl: tl.sample(math.nan),
+    lambda tl: tl.sample(math.inf),
+], ids=["propagator-end-inf", "propagator-start-nan", "propagator-end-nan", "contract-inf",
+        "contract-nan", "contract-negative", "cap-negative", "cap-nan", "sample-nan",
+        "sample-inf"])
+def test_time_arguments_out_of_range_are_argument_errors(call):
+    with pytest.raises(ArgumentError):
+        call(driven_damped())
+
+
+def test_negative_sample_times_and_propagator_ends_stay_legal():
+    tl = driven_damped()
+    np.testing.assert_array_equal(tl.sample(-0.5)[0], tl.sampler(-0.5)[0])
+    V = ordered_propagator(tl, -0.5, -0.25, CFG)
+    np.testing.assert_array_equal(V, ordered_propagator(timedep.TimeDependentLindbladian(
+        lambda t: tl.sampler(t - 0.5), tl.alpha0, tl.alphas, tl.jdot_bound), 0.0, 0.25, CFG))
+    with pytest.raises(ArgumentError, match="propagator needs s <= t"):
+        ordered_propagator(tl, 0.0, -1.0, CFG)
+
+
+def test_hamiltonian_changing_size_over_time_is_a_model_error():
+    def sampler(t):
+        return (SZ if t == 0.0 else np.zeros((4, 4))), []
+
+    tl = TimeDependentLindbladian(sampler, 1.0, [], 0.0)
+    with pytest.raises(ModelError, match="hamiltonian"):
+        td_simulate(tl, np.diag([1.0, 0.0]), 0.5, 1e-4)
+
+
+def test_every_consumer_builds_from_the_symmetrized_hamiltonian():
+    # a Hamiltonian within HERM_TOL of Hermitian drives the run exactly as the
+    # symmetrized one does, as a static model's does
+    skew = SZ + 1e-13 * np.array([[0.0, 1j], [0.0, 0.0]])
+
+    def skewed(t):
+        return math.cos(t) * skew, [0.5 * SM]
+
+    def symmetrized(t):
+        H, Ls = skewed(t)
+        return (H + H.conj().T) / 2, Ls
+
+    rho0 = np.diag([0.0, 1.0]).astype(complex)
+    runs = []
+    for sampler in (skewed, symmetrized):
+        tl = TimeDependentLindbladian(sampler, 1.0, [0.5], 1.0)
+        runs.append((td_simulate(tl, rho0, 0.5, 1e-4)[0],
+                     ordered_propagator(tl, 0.0, 0.5, DysonConfig(order=4, grid_points=8)),
+                     tl.sample(0.3)[0]))
+    assert not np.array_equal(skewed(0.3)[0], symmetrized(0.3)[0])
+    for a, b in zip(*runs):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_rk4_reference_chunks_match_per_step_liouvillians():

@@ -47,6 +47,9 @@ RUNS = [
     # both jumps tabulated in time, so the jumps are read at the series nodes
     ("td-simulate-ramped-decay.json",
      ["td-simulate", "--model", "ramped_decay_qubit.json", "--time", "0.8", "--eps", "1e-4"]),
+    # no segment: the declared contract is dyson_contract at delta = 0
+    ("td-simulate-driven-t0.json",
+     ["td-simulate", "--model", "driven_damped_qubit.json", "--time", "0", "--eps", "1e-4"]),
 ]
 
 
