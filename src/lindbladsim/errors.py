@@ -43,14 +43,13 @@ class ContractError(LindbladSimError):
         self.measured = measured
 
 
-def check_time(t: float, name: str = "evolution time", positive: bool = False) -> float:
-    """t, after raising ArgumentError unless it is finite and nonnegative (positive if
-    asked); also checks a target precision eps, with positive=True, and a rate or
+def check_time(t: float, name: str = "evolution time", positive: bool = False) -> None:
+    """Raise ArgumentError unless t is finite and nonnegative (positive if asked);
+    also checks a target precision eps, with positive=True, and a rate or
     derivative bound such as beta."""
     if not (math.isfinite(t) and (t > 0 if positive else t >= 0)):
         sign = "positive" if positive else "nonnegative"
         raise ArgumentError(f"{name} must be {sign} and finite, got {t}")
-    return t
 
 
 def check_finite(t: float, name: str) -> None:

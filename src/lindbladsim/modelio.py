@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError
-from .linalg import spectral_norm
-from .models import Lindbladian
+from .models import Lindbladian, _stack
 from .pauli import PauliSumExpr, materialize, parse_pauli_sum, serialize_pauli_sum
 from .series import MAX_SUPEROP_BYTES
 from .timedep import TimeDependentLindbladian, from_static
@@ -98,14 +97,17 @@ def _parse_operator(obj, n_qubits: int, what: str) -> OperatorSpec:
 
 @dataclass(frozen=True, eq=False)
 class TimeTable:
-    """Piecewise-linear tables for H(t) and the jumps on a shared time grid."""
+    """Piecewise-linear tables for H(t) and the jumps on a shared grid of N
+    times: knot stacks H (N, d, d) and L (N, m, d, d), None for an operator
+    that stays constant."""
 
     times: tuple
-    hamiltonians: tuple | None
-    jump_tables: tuple | None
+    hamiltonians: np.ndarray | None
+    jumps: np.ndarray | None
     jdot_bound: float | None
 
     def interpolate(self, mats, t: float) -> np.ndarray:
+        """The N knots mats, a stack or a sequence of arrays, interpolated at t."""
         ts = self.times
         if t <= ts[0]:
             return mats[0]
@@ -126,10 +128,6 @@ class ParsedModel:
     table: TimeTable | None
 
     @property
-    def dim(self) -> int:
-        return 2 ** self.n_qubits
-
-    @property
     def is_time_dependent(self) -> bool:
         return self.table is not None
 
@@ -145,18 +143,18 @@ class ParsedModel:
         tb = self.table
         if tb is None:
             return from_static(self.to_lindbladian())
-        H0 = self.hamiltonian.matrix()
-        Ls0 = [j.matrix() for j in self.jumps]
+        # the constant operators as one-knot stacks
+        H0, L0 = _stack([self.hamiltonian.matrix()], [[j.matrix() for j in self.jumps]])
+        a0, alphas, jdot = _table_bounds(tb, H0, L0)
+        # the sampler reads each stack's knots as a tuple of views, which index
+        # faster than the stack
+        H = H0[0] if tb.hamiltonians is None else tuple(tb.hamiltonians)
+        L = L0[0] if tb.jumps is None else tuple(tb.jumps)
 
         def sampler(t: float):
-            H = tb.interpolate(tb.hamiltonians, t) if tb.hamiltonians else H0
-            if tb.jump_tables:
-                Ls = [tb.interpolate(jt, t) for jt in tb.jump_tables]
-            else:
-                Ls = Ls0
-            return H, Ls
+            return (H if tb.hamiltonians is None else tb.interpolate(H, t),
+                    L if tb.jumps is None else tb.interpolate(L, t))
 
-        a0, alphas, jdot = _table_bounds(tb, H0, Ls0)
         if self.alpha0 is not None:
             a0 = self.alpha0
         if self.alphas is not None:
@@ -166,25 +164,25 @@ class ParsedModel:
         return TimeDependentLindbladian(sampler, a0, alphas, jdot)
 
 
-def _table_bounds(tb: TimeTable, H0, Ls0):
-    """Sup-norm and slope bounds from the knots; linear panels cannot exceed them."""
-    hs = list(tb.hamiltonians) if tb.hamiltonians else [H0]
-    a0 = max(spectral_norm(H) for H in hs)
-    jts = [list(jt) for jt in tb.jump_tables] if tb.jump_tables else [[L] for L in Ls0]
-    knot_norms = [[spectral_norm(L) for L in col] for col in jts]
-    alphas = tuple(max(norms) for norms in knot_norms)
-    jdot = 0.0
-    for i in range(len(tb.times) - 1):
-        dt = tb.times[i + 1] - tb.times[i]
-        slope = 0.0
-        if tb.hamiltonians:
-            slope += spectral_norm(hs[i + 1] - hs[i]) / dt
-        if tb.jump_tables:
-            for col, norms in zip(jts, knot_norms):
-                ldot = spectral_norm(col[i + 1] - col[i]) / dt
-                slope += ldot * max(norms[i], norms[i + 1])
-        jdot = max(jdot, slope)
-    return a0, alphas, jdot
+def _table_bounds(tb: TimeTable, H0: np.ndarray, L0: np.ndarray):
+    """Sup-norm and slope bounds from the knot stacks, a constant operator's
+    being its one knot in H0 (1, d, d) or L0 (1, m, d, d); linear panels cannot
+    exceed them."""
+    H = H0 if tb.hamiltonians is None else tb.hamiltonians
+    L = L0 if tb.jumps is None else tb.jumps
+
+    def norms(A):  # spectral norms of a stack, one batched SVD
+        return np.linalg.svd(A, compute_uv=False)[..., 0]
+
+    knots = norms(L)  # (N, m)
+    dt = np.diff(tb.times)
+    # per panel, the slope norm of H, then of each jump times its larger knot norm
+    slopes = [] if tb.hamiltonians is None else [norms(np.diff(H, axis=0)) / dt]
+    if tb.jumps is not None:
+        ldot = norms(np.diff(L, axis=0)) / dt[:, None]
+        slopes.extend((ldot * np.maximum(knots[:-1], knots[1:])).T)
+    jdot = np.max(sum(slopes), initial=0.0)  # added one column at a time, in that order
+    return float(norms(H).max()), tuple(knots.max(axis=0).tolist()), float(jdot)
 
 
 def parse_model(obj: dict) -> ParsedModel:
@@ -242,8 +240,8 @@ def _parse_table(obj, n_qubits: int, num_jumps: int) -> TimeTable:
         rows = obj["hamiltonian"]
         if not isinstance(rows, list) or len(rows) != len(times):
             raise ModelError("time_dependence.hamiltonian must have one matrix per time")
-        hams = tuple(matrix_from_json(mj, dim, f"time_dependence.hamiltonian[{i}]")
-                     for i, mj in enumerate(rows))
+        hams = np.array([matrix_from_json(mj, dim, f"time_dependence.hamiltonian[{i}]")
+                         for i, mj in enumerate(rows)])
     jts = None
     if "jumps" in obj:
         cols = obj["jumps"]
@@ -253,9 +251,9 @@ def _parse_table(obj, n_qubits: int, num_jumps: int) -> TimeTable:
         for j, col in enumerate(cols):
             if not isinstance(col, list) or len(col) != len(times):
                 raise ModelError(f"time_dependence.jumps[{j}] must have one matrix per time")
-            jts.append(tuple(matrix_from_json(mj, dim, f"time_dependence.jumps[{j}][{i}]")
-                             for i, mj in enumerate(col)))
-        jts = tuple(jts)
+            jts.append([matrix_from_json(mj, dim, f"time_dependence.jumps[{j}][{i}]")
+                        for i, mj in enumerate(col)])
+        jts = np.array(jts, dtype=complex).reshape(num_jumps, len(times), dim, dim).swapaxes(0, 1)
     if hams is None and jts is None:
         raise ModelError("time_dependence declares no varying operator")
     jdot = obj.get("jdot_bound")
@@ -263,7 +261,7 @@ def _parse_table(obj, n_qubits: int, num_jumps: int) -> TimeTable:
         jdot = _float(jdot, "time_dependence.jdot_bound")
         if jdot < 0:
             raise ModelError("jdot_bound must be nonnegative")
-    return TimeTable(times=times, hamiltonians=hams, jump_tables=jts, jdot_bound=jdot)
+    return TimeTable(times=times, hamiltonians=hams, jumps=jts, jdot_bound=jdot)
 
 
 def serialize_model(pm: ParsedModel) -> dict:
@@ -280,10 +278,10 @@ def serialize_model(pm: ParsedModel) -> dict:
     if pm.table is not None:
         tb = pm.table
         td = {"times": list(tb.times)}
-        if tb.hamiltonians:
+        if tb.hamiltonians is not None:
             td["hamiltonian"] = [matrix_to_json(H) for H in tb.hamiltonians]
-        if tb.jump_tables:
-            td["jumps"] = [[matrix_to_json(L) for L in col] for col in tb.jump_tables]
+        if tb.jumps is not None:
+            td["jumps"] = [[matrix_to_json(L) for L in col] for col in tb.jumps.swapaxes(0, 1)]
         if tb.jdot_bound is not None:
             td["jdot_bound"] = tb.jdot_bound
         out["time_dependence"] = td

@@ -103,28 +103,27 @@ class Lindbladian:
     _check_bounds on the bounds and _check_stack on the operators, so
     a Hamiltonian within HERM_TOL of Hermitian is symmetrized on ingest and
     anything worse is rejected. The model keeps read-only copies of the
-    caller's arrays.
+    caller's arrays: hamiltonian (d, d) and jumps, one (m, d, d) stack.
     """
 
     def __init__(self, hamiltonian, jumps=(), alpha0: float | None = None,
                  alphas=None):
         H, L = _stack([hamiltonian], [jumps])
-        L.setflags(write=False)
-        Ls = tuple(L[0])
-
+        m = L.shape[1]
         declared = [None if a is None else float(a)
-                    for a in (alpha0, *((None,) * len(Ls) if alphas is None else alphas))]
+                    for a in (alpha0, *((None,) * m if alphas is None else alphas))]
         # an undeclared bound defaults to the exact norm, which passes the norm
         # check; the be-norm of the bounds is checked once all of them are known
         _check_bounds(0.0 if declared[0] is None else declared[0],
                       [a for a in declared[1:] if a is not None])
         bounds = [math.inf if a is None else a for a in declared]
         H, norms = _check_stack(H, L, bounds)
-        H, norms = H[0], norms[0].tolist()
+        H, L, norms = H[0], L[0], norms[0].tolist()
 
         H.setflags(write=False)
+        L.setflags(write=False)
         self.hamiltonian = H
-        self.jumps = Ls
+        self.jumps = L
         self.alpha0 = norms[0] if alpha0 is None else declared[0]
         self.alphas = tuple(norms[1:]) if alphas is None else tuple(declared[1:])
         _check_bounds(self.alpha0, self.alphas)
@@ -148,16 +147,9 @@ def be_norm(model) -> float:
     return model.alpha0 + 0.5 * sum(a * a for a in model.alphas)
 
 
-def _jump_stack(H: np.ndarray, Ls) -> np.ndarray:
-    """Jump operators as a (..., m, d, d) array over H's leading batch axes."""
-    return np.asarray(Ls, dtype=complex).reshape(H.shape[:-2] + (-1,) + H.shape[-2:])
-
-
-def _drift_generator(H: np.ndarray, Ls) -> np.ndarray:
-    """J = -iH - (1/2) sum_j L_j^dag L_j for H (..., d, d) and jumps (..., m, d, d)
-    or a list of m matrices; the sum runs over j in order."""
-    H = np.asarray(H, dtype=complex)
-    L = _jump_stack(H, Ls)
+def _drift_generator(H: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """J = -iH - (1/2) sum_j L_j^dag L_j for H (..., d, d) and jumps L (..., m, d, d);
+    the sum runs over j in order."""
     LdL = L.conj().swapaxes(-1, -2) @ L
     J = -1j * H
     for j in range(L.shape[-3]):
@@ -181,11 +173,10 @@ def _jump_part(L: np.ndarray) -> np.ndarray:
     return S
 
 
-def _liouvillian(H: np.ndarray, Ls) -> np.ndarray:
-    """Vectorized generator: drift part plus jump part, batched over H's leading
-    axes like _drift_generator."""
-    J = _drift_generator(H, Ls)
-    return _drift_part(J) + _jump_part(_jump_stack(J, Ls))
+def _liouvillian(H: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """Vectorized generator: drift part plus jump part, for H (..., d, d) and
+    jumps L (..., m, d, d) as in _drift_generator."""
+    return _drift_part(_drift_generator(H, L)) + _jump_part(L)
 
 
 def effective_generator(lind: Lindbladian) -> np.ndarray:
@@ -199,7 +190,7 @@ def effective_generator(lind: Lindbladian) -> np.ndarray:
 
 def jump_superoperator(lind: Lindbladian) -> np.ndarray:
     """Vectorized jump part: sum_j conj(L_j) kron L_j."""
-    return _jump_part(_jump_stack(lind.hamiltonian, lind.jumps))
+    return _jump_part(lind.jumps)
 
 
 def drift_generator_matrix(lind: Lindbladian) -> np.ndarray:

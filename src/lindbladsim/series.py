@@ -53,8 +53,7 @@ from .errors import (ArgumentError, InfeasiblePrecisionError, ModelError, Resour
                      check_count, check_time)
 from .linalg import batched_kraus_sum, expand_half, kraus_superop, unvec, vec
 from .metrics import diamond_sandwich
-from .models import (Lindbladian, _jump_stack, be_norm, effective_generator, exact_channel,
-                     jump_superoperator)
+from .models import Lindbladian, be_norm, effective_generator, exact_channel, jump_superoperator
 from .quadrature import TERM_GUARDRAIL, NestedGrid, QuadratureRule, canonical_rule
 
 MAX_SEARCH_ORDER = 40
@@ -132,23 +131,22 @@ def _alpha_sq(model) -> float:
     return sum(a * a for a in model.alphas)
 
 
-def segment_time(model, cap: float | None = None) -> float:
+def segment_time(model) -> float:
     """Largest segment length keeping the normalizer budget expression <= 2, from
     the declared bounds of a Lindbladian or a TimeDependentLindbladian.
 
-    A cap must be nonnegative and finite. With beta = 0 the dynamics are
-    trivial and the cap (or infinity, without one) is returned, as it is when the bracket [0, 1/beta] overflows (beta below
-    about 5.6e-309). Bisection runs to absolute tolerance 1e-12, or until the
-    endpoints are adjacent floats (roots above 2^13), returning the
-    inner endpoint, so the expression value lands in [2 - 1e-9, 2].
+    With beta = 0 the dynamics are trivial and infinity is returned, as it is
+    when the bracket [0, 1/beta] overflows (beta below about 5.6e-309). At
+    1/beta the expression is at least e^2 > 2, so the root lies in that
+    bracket. Bisection runs to absolute tolerance 1e-12, or until the
+    endpoints are adjacent floats (roots above 2^13), returning the inner
+    endpoint, so the expression value lands in [2 - 1e-9, 2]; a root below
+    the tolerance (beta above about 5e11) comes back as 0.0.
     """
-    cap = math.inf if cap is None else check_time(float(cap), "segment time cap")
     beta, alpha_sq = be_norm(model), _alpha_sq(model)
     lo, hi = 0.0, 1.0 / beta if beta else math.inf
     if hi == math.inf:
-        return cap
-    while _budget_expression(hi, beta, alpha_sq) <= 2.0:
-        lo, hi = hi, 2.0 * hi
+        return hi
     while hi - lo > 1e-12:
         mid = (lo + hi) / 2
         if mid in (lo, hi):
@@ -157,7 +155,7 @@ def segment_time(model, cap: float | None = None) -> float:
             lo = mid
         else:
             hi = mid
-    return min(lo, cap)
+    return lo
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +318,8 @@ def series_superop(propagate, jumps, t: float, q: int, K: int, m: int,
 
 def _static_superop(lind: Lindbladian, t: float, q: int, K: int, propagate) -> np.ndarray:
     """series_superop with a static drift propagator and constant jumps."""
-    Ls = _jump_stack(lind.hamiltonian, lind.jumps)
-    return series_superop(propagate, lambda u: np.broadcast_to(Ls, (u.size,) + Ls.shape),
+    L = lind.jumps
+    return series_superop(propagate, lambda u: np.broadcast_to(L, (u.size,) + L.shape),
                           t, q, K, lind.num_jumps, lind.dim)
 
 
@@ -597,14 +595,20 @@ def _plan(model, t: float, eps: float, counts=lambda n0: (n0,)) -> TruncationCon
     """Equal segments and their orders for a run of model over [0, t] at precision eps.
 
     n0 is the fewest equal segments no longer than segment_time allows (1 at
-    t = 0); every count at or above it keeps the normalizer budget, and a count
-    in counts(n0) below it raises ArgumentError. Each count n gets orders at
-    precision eps / n, and the feasible count with the least n times chain
-    count wins, the first on ties. When no count is feasible, the first
-    count's InfeasiblePrecisionError is raised.
+    t = 0); a segment_time of 0.0, from a be-norm above about 5e11, raises
+    ResourceLimitError at t > 0. Every count at or above n0 keeps the
+    normalizer budget, and a count in counts(n0) below it raises
+    ArgumentError. Each count n gets orders at precision eps / n, and the
+    feasible count with the least n times chain count wins, the first on
+    ties. When no count is feasible, the first count's
+    InfeasiblePrecisionError is raised.
     """
     check_time(t)
-    n0 = max(1, math.ceil(t / segment_time(model, cap=t) - 1e-12)) if t > 0 else 1
+    seg = segment_time(model)
+    if seg == 0.0 and t > 0:
+        raise ResourceLimitError(f"be-norm {be_norm(model)!r} leaves no segment length "
+                                 "within the normalizer budget")
+    n0 = max(1, math.ceil(t / seg - 1e-12)) if t > 0 else 1
     best, first_error = None, None
     for n in counts(n0):
         if n < n0:

@@ -27,18 +27,21 @@ is a finite sum.
 Norm bounds and the generator derivative bound are declared by the caller,
 never estimated from samples. Sampling is batched: every time a step needs (a
 group of segments' union-grid midpoints and interval ends, the uniform steps of
-ordered_propagator, a chunk of RK4 half-steps) is sampled by one helper, one
-sampler call per time, stacked by models._stack (numeric entries, a square H
-of one size, jumps of its shape), from which J and the Liouvillian are built in
-one call. Validation policy: a time-dependent model meets the one model
-contract of lindbladsim.models, as a static one does. The constructor checks
-the declared bounds (models._check_bounds), and sample() and every sample a
-propagator or jump is built from are checked in their batch
-(models._check_stack: finite entries, a Hermitian H, norms within the declared
-bounds), before anything is built from it, so a violation surfaces as a model
-error naming the earliest failing time. Each is built from the H that check
-returns, symmetrized, as a static model keeps it. rk4_reference alone reads
-raw, unchecked samples, stacked but neither checked nor symmetrized.
+ordered_propagator, a chunk of RK4 half-steps) is sampled by one helper,
+_sample_stack, one sampler call per time, stacked by models._stack (numeric
+entries, a square H of one size, jumps of its shape) as H (B, d, d) and L (B,
+m, d, d), the layout a static model keeps too, and held to the size d the
+model took from its sample at t = 0; J and the Liouvillian are built from
+that stack in one call. Validation policy: a time-dependent model meets the
+one model contract of lindbladsim.models, as a static one does. The
+constructor checks the declared bounds (models._check_bounds), and sample()
+and every sample a propagator or jump is built from are checked in their
+batch (models._check_stack: finite entries, a Hermitian H, norms within the
+declared bounds), before anything is built from it, so a violation surfaces
+as a model error naming the earliest failing time. Each is built from the H
+that check returns, symmetrized, as a static model keeps it. rk4_reference
+alone reads raw samples, whose shape is checked but whose values are neither
+checked nor symmetrized, and it starts from a checked rho0.
 """
 from __future__ import annotations
 
@@ -47,12 +50,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ArgumentError, ResourceLimitError, check_count, check_finite, check_time
+from .errors import (ArgumentError, ModelError, ResourceLimitError, check_count, check_finite,
+                     check_time)
 from .linalg import unvec, vec
 from .models import (Lindbladian, _check_bounds, _check_stack, _drift_generator, _liouvillian,
                      _stack, be_norm)
 from .quadrature import NestedGrid, canonical_rule
-from .series import MAX_SAMPLER_CALLS, _WORK_BYTES, _evolve, series_superop
+from .series import MAX_SAMPLER_CALLS, _WORK_BYTES, _evolve, _validate_rho0, series_superop
 
 
 @dataclass(frozen=True)
@@ -78,7 +82,8 @@ class TimeDependentLindbladian:
     models._check_stack on every sample the library builds from, in its batch:
     sample(), ordered_propagator's steps and each td_simulate segment group.
     Each of those builds from the symmetrized H the check returns.
-    rk4_reference alone reads raw, unchecked samples.
+    rk4_reference alone reads samples whose values are unchecked. Every
+    sample must keep the size dim of the sample at t = 0.
     """
 
     def __init__(self, sampler, alpha0: float, alphas, jdot_bound: float):
@@ -87,6 +92,7 @@ class TimeDependentLindbladian:
         self.alphas = tuple(float(a) for a in alphas)
         self.jdot_bound = float(jdot_bound)
         _check_bounds(self.alpha0, self.alphas, self.jdot_bound)
+        self.dim = None  # set from the first sample
         self.dim = self.sample(0.0)[0].shape[0]
 
     @property
@@ -102,10 +108,14 @@ class TimeDependentLindbladian:
 
 
 def _sample_stack(tl: TimeDependentLindbladian, times: np.ndarray):
-    """Unchecked samples at each time, in order, one sampler call per time,
-    stacked by models._stack: H (B, d, d) and the jumps (B, m, d, d)."""
+    """Samples at each time, in order, one sampler call per time, stacked by
+    models._stack: H (B, d, d) and the jumps (B, m, d, d). Only their shape is
+    checked: ModelError unless d is tl.dim."""
     Hs, Ls = zip(*(tl.sampler(tau) for tau in np.asarray(times, dtype=float).ravel().tolist()))
-    return _stack(Hs, Ls)
+    H, L = _stack(Hs, Ls)
+    if tl.dim not in (None, H.shape[-1]):
+        raise ModelError(f"hamiltonian has shape {H.shape[1:]}, expected {(tl.dim, tl.dim)}")
+    return H, L
 
 
 def _checked_stack(tl: TimeDependentLindbladian, times: np.ndarray):
@@ -117,9 +127,8 @@ def _checked_stack(tl: TimeDependentLindbladian, times: np.ndarray):
 
 def from_static(lind: Lindbladian) -> TimeDependentLindbladian:
     """Wrap a static model as a constant sampler with zero derivative bound."""
-    H = lind.hamiltonian
-    Ls = lind.jumps
-    return TimeDependentLindbladian(lambda t: (H, Ls), lind.alpha0, lind.alphas, 0.0)
+    H, L = lind.hamiltonian, lind.jumps
+    return TimeDependentLindbladian(lambda t: (H, L), lind.alpha0, lind.alphas, 0.0)
 
 
 def _union_grid(nested: NestedGrid, M: int):
@@ -244,10 +253,12 @@ _RK4_STEPS = 256  # RK4 steps whose Liouvillians are built in one stacked call
 
 def rk4_reference(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float,
                   step: float) -> np.ndarray:
-    """Dense classical Runge-Kutta integration of the vectorized master equation.
+    """Dense classical Runge-Kutta integration of the vectorized master equation,
+    from rho0 checked and symmetrized as td_simulate takes it.
 
     Raises ResourceLimitError before the first sample when its 2n + 1 sampler
-    calls, n = ceil(t / step), would exceed MAX_SAMPLER_CALLS."""
+    calls, n = ceil(t / step), would exceed MAX_SAMPLER_CALLS. The samples are
+    read raw: their shape is checked, their values are not."""
     check_time(t)
     check_time(step, "step", positive=True)
     ratio = t / step  # inf when a tiny step overflows it
@@ -256,7 +267,7 @@ def rk4_reference(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float,
         raise ResourceLimitError(f"RK4 reference at step {step} would make {2 * n + 1:.9g} > "
                                  f"{MAX_SAMPLER_CALLS} sampler calls")
     h = t / n
-    v = vec(np.asarray(rho0, dtype=complex))
+    v = vec(_validate_rho0(rho0, tl.dim))
     d2 = tl.dim ** 2
     # Liouvillians at the 2n+1 half-step times, built a chunk of steps at a time;
     # each step's end starts the next step, across chunks too

@@ -270,6 +270,22 @@ def test_exit_code_resource_limits(capsys):
     assert "sampler calls" in cap.err
 
 
+def test_exit_code_huge_be_norm(tmp_path, capsys):
+    # a declared bound of 1e13 leaves no segment length within the budget: the
+    # run commands exit 3 naming the be-norm; at time 0 kraus-dump still plans one
+    model = tmp_path / "huge.json"
+    obj = json.loads(open("models/amplitude_damping.json").read())
+    model.write_text(json.dumps(dict(obj, alphas={"hamiltonian": 1e13})))
+    for command in ("simulate", "td-simulate", "kraus-dump"):
+        code, cap = run_cli([command, "--model", str(model), "--time", "1", "--eps", "1e-3"],
+                            capsys)
+        assert code == 3
+        assert "be-norm 10000000000000.5 leaves no segment length" in cap.err
+    code, cap = run_cli(["kraus-dump", "--model", str(model), "--time", "0", "--eps", "1e-3"],
+                        capsys)
+    assert code == 0
+
+
 def test_exit_code_order_zero_superoperator_bytes(tmp_path, capsys):
     # with no jumps only the order-0 term is left, one d^2 x d^2 superoperator:
     # 16 * 256^4 bytes = 64 GiB at 8 qubits, refused before anything is built

@@ -12,6 +12,7 @@ from lindbladsim import (
     save_model,
     serialize_model,
 )
+from lindbladsim.linalg import spectral_norm
 from lindbladsim.modelio import matrix_from_json, matrix_to_json
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -178,6 +179,44 @@ def test_derived_table_bounds():
     assert tl.alphas[0] == pytest.approx(0.8)
     # slope bound: ||dH/dt|| + ||dL/dt|| max ||L|| over the single panel
     assert tl.jdot_bound == pytest.approx(0.5 + 0.2 * 0.8, rel=1e-12)
+
+
+@pytest.mark.parametrize("m, N, tabulated", [
+    (1, 2, "both"), (3, 5, "jumps"), (2, 4, "hamiltonian"), (7, 2, "both"), (9, 3, "both"),
+])
+def test_derived_table_bounds_match_the_per_knot_norms(m, N, tabulated):
+    # the batched bounds against every knot and panel norm taken on its own,
+    # each panel's slope summed H first, then the jumps in order, bit for bit
+    rng = np.random.default_rng(10 * m + N)
+
+    def mat(herm=False):
+        A = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        return (A + A.conj().T) / 2 if herm else A
+
+    times = np.cumsum(rng.uniform(0.1, 1.0, N)).tolist()
+    H0, L0 = mat(True), [mat() for _ in range(m)]
+    Hs = [mat(True) for _ in range(N)] if tabulated != "jumps" else None
+    Ls = [[mat() for _ in range(N)] for _ in range(m)] if tabulated != "hamiltonian" else None
+    td = {"times": times}
+    if Hs:
+        td["hamiltonian"] = [m2j(H) for H in Hs]
+    if Ls:
+        td["jumps"] = [[m2j(L) for L in col] for col in Ls]
+    tl = parse_model({"n_qubits": 1, "hamiltonian": m2j(H0), "jumps": [m2j(L) for L in L0],
+                      "time_dependence": td}).to_time_dependent()
+    knots = [[spectral_norm(L) for L in col] for col in (Ls or [[L] for L in L0])]
+    jdot = 0.0
+    for i in range(N - 1):
+        dt = times[i + 1] - times[i]
+        slope = 0.0
+        if Hs:
+            slope += spectral_norm(Hs[i + 1] - Hs[i]) / dt
+        for col, norms in zip(Ls or [], knots):
+            slope += spectral_norm(col[i + 1] - col[i]) / dt * max(norms[i], norms[i + 1])
+        jdot = max(jdot, slope)
+    assert tl.alpha0 == max(spectral_norm(H) for H in (Hs or [H0]))
+    assert tl.alphas == tuple(max(norms) for norms in knots)
+    assert tl.jdot_bound == jdot
 
 
 def test_declared_table_bounds_override_derived():

@@ -8,6 +8,7 @@ from lindbladsim import (
     ArgumentError,
     Lindbladian,
     ModelError,
+    ResourceLimitError,
     TimeDependentLindbladian,
     amplitude_damping,
     be_norm,
@@ -145,10 +146,26 @@ def test_overflowing_be_norm_is_a_model_error():
     assert be_norm(Lindbladian(np.zeros((2, 2)), [1e150 * SM])) == pytest.approx(0.5e300)
 
 
+def test_huge_finite_be_norm_is_a_resource_limit():
+    # at beta = 1e13 the budget root lies below segment_time's 1e-12 tolerance,
+    # so it comes back as 0.0 and no segment fits; a run at t = 0 still returns rho0
+    rho0 = np.diag([1.0, 0.0])
+    lind = Lindbladian(SZ, [], alpha0=1e13)
+    tl = TimeDependentLindbladian(lambda t: (SZ, []), 1e13, [], 0.0)
+    for run in (simulate, td_simulate):
+        with pytest.raises(ResourceLimitError, match=r"be-norm 10000000000000\.0 leaves no"):
+            run(lind if run is simulate else tl, rho0, 1.0, 1e-3)
+    np.testing.assert_array_equal(simulate(lind, rho0, 0.0, 1e-3)[0], rho0)
+
+
 def test_model_keeps_read_only_copies_of_caller_arrays():
     H, L = SZ.copy(), SM.copy()
     lind = Lindbladian(H, [L])
     assert not lind.hamiltonian.flags.writeable and not lind.jumps[0].flags.writeable
+    # the jumps are one read-only (m, d, d) array, empty with no jumps
+    assert isinstance(lind.jumps, np.ndarray) and lind.jumps.shape == (1, 2, 2)
+    assert not lind.jumps.flags.writeable
+    assert Lindbladian(H).jumps.shape == (0, 2, 2) and not Lindbladian(H).jumps.flags.writeable
     # the caller's arrays stay writable, and writing them leaves the model as it was
     H[0, 0], L[0, 0] = 5.0, 1.0
     np.testing.assert_array_equal(lind.hamiltonian, SZ)

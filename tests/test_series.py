@@ -470,7 +470,6 @@ def test_segment_time_worked_example():
 
 
 def test_segment_time_trivial_model_caps():
-    assert segment_time(declared(0.0, []), cap=7.5) == 7.5
     assert segment_time(declared(0.0, [])) == math.inf
 
 
@@ -480,13 +479,11 @@ def test_segment_time_ends_for_weak_coupling(alpha0):
     # tolerance, and below about 5.6e-309 the bracket 1/beta overflows to inf
     lind = declared(alpha0, [])
     out = []
-    worker = threading.Thread(
-        target=lambda: out.extend([segment_time(lind), segment_time(lind, cap=1.0)]), daemon=True)
+    worker = threading.Thread(target=lambda: out.append(segment_time(lind)), daemon=True)
     worker.start()
     worker.join(10.0)
     assert not worker.is_alive(), "segment_time did not return within 10 s"
-    tstar, capped = out
-    assert capped == 1.0 and _budget_expression(capped, be_norm(lind), 0.0) <= 2.0
+    tstar, = out
     if alpha0 < 1e-308:
         assert tstar == math.inf
     else:

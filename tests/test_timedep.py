@@ -58,6 +58,12 @@ def phase_modulated():
     return TimeDependentLindbladian(sampler, 1.0, [], 1.0)
 
 
+def sampled_drift(tl, tau):
+    # J at tau from sample()'s H and jump list, the list stacked as (m, d, d)
+    H, Ls = tl.sample(tau)
+    return _drift_generator(H, np.array(Ls, dtype=complex).reshape(-1, *H.shape))
+
+
 def generator_rk4(tl, s, t, step):
     # matrix-valued classical Runge-Kutta for dV/dtau = J(tau) V
     n = max(1, math.ceil((t - s) / step))
@@ -65,11 +71,11 @@ def generator_rk4(tl, s, t, step):
     V = np.eye(tl.dim, dtype=complex)
     for i in range(n):
         tau = s + i * h
-        k1 = _drift_generator(*tl.sample(tau)) @ V
-        Jm = _drift_generator(*tl.sample(tau + h / 2))
+        k1 = sampled_drift(tl, tau) @ V
+        Jm = sampled_drift(tl, tau + h / 2)
         k2 = Jm @ (V + h / 2 * k1)
         k3 = Jm @ (V + h / 2 * k2)
-        k4 = _drift_generator(*tl.sample(tau + h)) @ (V + h * k3)
+        k4 = sampled_drift(tl, tau + h) @ (V + h * k3)
         V = V + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     return V
 
@@ -101,7 +107,7 @@ def sequential_propagator(tl, a, grid, lo, hi, Kd):
     terms = [eye] + [np.zeros((d, d), complex) for _ in range(Kd)]
     for k in range(lo, hi):
         h = grid[k + 1] - grid[k]
-        Jstep = _drift_generator(*tl.sample(float(a + (grid[k] + h / 2)))) * h
+        Jstep = sampled_drift(tl, float(a + (grid[k] + h / 2))) * h
         Jpow = [eye]
         for _ in range(Kd):
             Jpow.append(Jpow[-1] @ Jstep)
@@ -381,7 +387,7 @@ def test_td_simulate_names_the_first_failing_sample():
         return 0.5 * SZ + skew, []
 
     tl = TimeDependentLindbladian(sampler, 1.0, [], 1.0)
-    assert math.ceil(1.0 / segment_time(tl, cap=1.0) - 1e-12) == 3
+    assert max(1, math.ceil(1.0 / segment_time(tl) - 1e-12)) == 3
     rho0 = np.diag([0.5, 0.5]).astype(complex)
     with pytest.raises(ModelError, match=r"at t=0\.40249999999999997 is not Hermitian"):
         td_simulate(tl, rho0, 1.0, 1e-4, segments=4)
@@ -430,7 +436,7 @@ def test_td_simulate_rejects_wide_chain_trees():
 
     tl = TimeDependentLindbladian(sampler, 0.0,
                                   [math.sqrt(0.5), math.sqrt(0.5)], 0.0)
-    assert math.ceil(4.0 / segment_time(tl, cap=4.0) - 1e-12) == 13
+    assert max(1, math.ceil(4.0 / segment_time(tl) - 1e-12)) == 13
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     # the budget minimum's 13 segments at eps 1e-15 need K = 13, q = 7 and
     # 6,601,036 sampler calls in all
@@ -548,7 +554,7 @@ def test_td_simulate_picks_the_least_work_segment_count(t, eps, n0, chosen):
     # the budget minimum n0, then the multiple n0 2^i (i <= 8) whose segments
     # hold the fewest Kraus terms in all, the first on ties
     tl = load_model("models/driven_damped_qubit.json").to_time_dependent()
-    assert math.ceil(t / segment_time(tl, cap=t) - 1e-12) == n0
+    assert max(1, math.ceil(t / segment_time(tl) - 1e-12)) == n0
     work = {}
     for n in (n0 * 2 ** i for i in range(9)):
         cfg = choose_orders(tl, t / n, eps / n)
@@ -565,11 +571,11 @@ def test_plan_overrides_and_static_models():
     assert td_simulate(tl, rho0, 0.3, 1e-4, segments=4)[1].segments == 4
     # simulate keeps the budget minimum, where the time-ordered search takes 80
     lind, t, eps = amplitude_damping(1.0), 3.0, 1e-6
-    n0 = math.ceil(t / segment_time(lind, cap=t) - 1e-12)
+    n0 = max(1, math.ceil(t / segment_time(lind) - 1e-12))
     assert simulate(lind, rho0, t, eps)[1].segments == n0 == 10
     # both model kinds plan from the same declared bounds
     wrapped = from_static(lind)
-    assert segment_time(wrapped, cap=t) == segment_time(lind, cap=t)
+    assert segment_time(wrapped) == segment_time(lind)
     assert choose_orders(wrapped, t / n0, eps / n0) == choose_orders(lind, t / n0, eps / n0)
 
 
@@ -609,13 +615,10 @@ CFG = DysonConfig(order=2, grid_points=4)
     lambda tl: dyson_contract(tl, math.inf, CFG),
     lambda tl: dyson_contract(tl, math.nan, CFG),
     lambda tl: dyson_contract(tl, -1.0, CFG),
-    lambda tl: segment_time(tl, cap=-1.0),
-    lambda tl: segment_time(tl, cap=math.nan),
     lambda tl: tl.sample(math.nan),
     lambda tl: tl.sample(math.inf),
 ], ids=["propagator-end-inf", "propagator-start-nan", "propagator-end-nan", "contract-inf",
-        "contract-nan", "contract-negative", "cap-negative", "cap-nan", "sample-nan",
-        "sample-inf"])
+        "contract-nan", "contract-negative", "sample-nan", "sample-inf"])
 def test_time_arguments_out_of_range_are_argument_errors(call):
     with pytest.raises(ArgumentError):
         call(driven_damped())
@@ -638,6 +641,34 @@ def test_hamiltonian_changing_size_over_time_is_a_model_error():
     tl = TimeDependentLindbladian(sampler, 1.0, [], 0.0)
     with pytest.raises(ModelError, match="hamiltonian"):
         td_simulate(tl, np.diag([1.0, 0.0]), 0.5, 1e-4)
+
+
+@pytest.mark.parametrize("switch, call", [
+    (0.5, lambda tl: ordered_propagator(tl, 0.6, 0.8, DysonConfig(2, 4))),
+    # past rk4_reference's first Liouvillian chunks, whose samples are all 2 x 2
+    (0.7682, lambda tl: rk4_reference(tl, np.diag([1.0, 0.0]), 1.0, 1e-3)),
+], ids=["propagator", "rk4"])
+def test_samples_keep_the_size_of_the_sample_at_time_zero(switch, call):
+    # every stack the sampled batch makes is square of one size, but 4 x 4
+    # where the model learned d = 2 at t = 0
+    def sampler(t):
+        return (SZ if t < switch else np.eye(4)), []
+
+    tl = TimeDependentLindbladian(sampler, 1.0, [], 0.0)
+    with pytest.raises(ModelError, match=r"hamiltonian has shape \(4, 4\), expected \(2, 2\)"):
+        call(tl)
+
+
+@pytest.mark.parametrize("rho0, message", [
+    (np.eye(4) / 4, r"rho0 must have shape \(2, 2\)"),
+    (np.eye(2), "rho0 must have unit trace"),
+    (np.diag([math.nan, 1.0]), "rho0 contains non-finite entries"),
+], ids=["shape", "trace-2", "nan"])
+def test_rk4_reference_checks_rho0_as_td_simulate_does(rho0, message):
+    tl = driven_damped()
+    for run in (td_simulate, rk4_reference):
+        with pytest.raises(ModelError, match=message):
+            run(tl, rho0, 0.5, 1e-3)
 
 
 def test_every_consumer_builds_from_the_symmetrized_hamiltonian():

@@ -50,6 +50,9 @@ RUNS = [
     # no segment: the declared contract is dyson_contract at delta = 0
     ("td-simulate-driven-t0.json",
      ["td-simulate", "--model", "driven_damped_qubit.json", "--time", "0", "--eps", "1e-4"]),
+    # a static model file, sampled through timedep.from_static
+    ("td-simulate-amplitude.json",
+     ["td-simulate", "--model", "amplitude_damping.json", "--time", "1", "--eps", "1e-4"]),
 ]
 
 
