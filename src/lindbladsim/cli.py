@@ -72,8 +72,21 @@ def _evolve(args, model, run) -> int:
     return 0
 
 
+def _run_model(args) -> modelio.ParsedModel:
+    """The parsed --model of simulate and td-simulate. At a finite t > 0 the
+    series engine holds at least the order-0 term's 16 d^4 bytes, which the
+    register fixes, so its byte limit is checked here, before any operator is
+    built and its spectrum taken; a register too wide for one dense operator
+    fails on that first, as building it would."""
+    pm = modelio.load_model(args.model)
+    if 0 < args.time < math.inf:
+        modelio.check_register(pm.n_qubits)
+        series._check_engine(1, 0, 0, 2 ** pm.n_qubits)
+    return pm
+
+
 def _cmd_simulate(args) -> int:
-    lind = modelio.load_model(args.model).to_lindbladian()
+    lind = _run_model(args).to_lindbladian()
 
     def run(rho0):
         if args.verify and lind.dim > 16:
@@ -84,7 +97,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_td_simulate(args) -> int:
-    tl = modelio.load_model(args.model).to_time_dependent()
+    tl = _run_model(args).to_time_dependent()
 
     def run(rho0):
         if (args.order is None) != (args.grid is None):

@@ -53,15 +53,16 @@ def _half_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def expand_half(H: np.ndarray) -> np.ndarray:
-    """The (d^2, d^2) superoperator of a Hermiticity-preserving map from its half
-    columns H (d^2, d(d+1)/2): the column of E_ba is vec(G(E_ab)^dag)."""
-    d = math.isqrt(H.shape[0])
+    """The (..., d^2, d^2) superoperators of Hermiticity-preserving maps from their
+    half columns H (..., d^2, d(d+1)/2): the column of E_ba is vec(G(E_ab)^dag)."""
+    *lead, d2, _ = H.shape
+    d = math.isqrt(d2)
     a, b = _half_pairs(d)
-    V = H.reshape(d, d, -1)
-    S = np.empty((d, d, d, d), dtype=complex)
-    S[:, :, a, b] = V.conj().swapaxes(0, 1)
-    S[:, :, b, a] = V
-    return S.reshape(d * d, d * d)
+    V = H.reshape(*lead, d, d, -1)
+    S = np.empty((*lead, d, d, d, d), dtype=complex)
+    S[..., a, b] = V.conj().swapaxes(-3, -2)
+    S[..., b, a] = V
+    return S.reshape(*lead, d2, d2)
 
 
 def kraus_superop(A: np.ndarray, half: bool = False) -> np.ndarray:

@@ -8,13 +8,12 @@ Schema: {"n_qubits": n, "hamiltonian": MAT, "jumps": [MAT, ...],
 MAT is either a row-major nested list of [re, im] pairs or
 {"pauli_sum": "expression"}. Time dependence is piecewise-linear
 interpolation between the tabulated matrices, held constant outside the
-table. Omitted bounds are derived: sup norms from the table knots (linear
+table, and a table model's sampler is batched (TimeTable.sampler). Omitted bounds are derived: sup norms from the table knots (linear
 interpolation cannot exceed endpoint norms) and the generator derivative
 bound from per-panel slopes.
 """
 from __future__ import annotations
 
-import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -62,6 +61,15 @@ def matrix_to_json(mat: np.ndarray) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(mat, complex)]
 
 
+def check_register(n_qubits: int) -> None:
+    """ModelError unless one dense operator on n_qubits, 16 * 4^n bytes, fits
+    MAX_SUPEROP_BYTES."""
+    size = 16 * 4 ** n_qubits
+    if size > MAX_SUPEROP_BYTES:
+        raise ModelError(f"a dense operator on {n_qubits} qubits would take {size} > "
+                         f"{MAX_SUPEROP_BYTES} bytes")
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorSpec:
     """A dense matrix or a Pauli-sum expression, as written in the file."""
@@ -70,14 +78,11 @@ class OperatorSpec:
     pauli: PauliSumExpr | None
 
     def matrix(self) -> np.ndarray:
-        """The dense matrix; a Pauli sum is materialized only when one dense
-        operator on its qubits, 16 * 4^n bytes, fits MAX_SUPEROP_BYTES."""
+        """The dense matrix; a Pauli sum is materialized only when
+        check_register passes on its qubits."""
         if self.dense is not None:
             return self.dense
-        size = 16 * 4 ** self.pauli.n
-        if size > MAX_SUPEROP_BYTES:
-            raise ModelError(f"a dense operator on {self.pauli.n} qubits would take {size} > "
-                             f"{MAX_SUPEROP_BYTES} bytes")
+        check_register(self.pauli.n)
         return materialize(self.pauli)
 
     def to_json(self):
@@ -106,16 +111,22 @@ class TimeTable:
     jumps: np.ndarray | None
     jdot_bound: float | None
 
-    def interpolate(self, mats, t: float) -> np.ndarray:
-        """The N knots mats, a stack or a sequence of arrays, interpolated at t."""
-        ts = self.times
-        if t <= ts[0]:
-            return mats[0]
-        if t >= ts[-1]:
-            return mats[-1]
-        i = bisect.bisect_right(ts, t) - 1
-        frac = (t - ts[i]) / (ts[i + 1] - ts[i])
-        return mats[i] + frac * (mats[i + 1] - mats[i])
+    def sampler(self, knots: np.ndarray):
+        """Batched sampler of the knot stack knots (N, ...) on this table's times:
+        at the times (B,), the (B, ...) stack knots[i] + frac (knots[i+1] - knots[i])
+        with frac = (t - t_i) / (t_{i+1} - t_i) on the panel [t_i, t_{i+1}) holding
+        t, and the end knots themselves at and beyond the ends of the table."""
+        ts = np.array(self.times)
+        slopes = np.diff(knots, axis=0)
+
+        def sample(times: np.ndarray) -> np.ndarray:
+            i = np.clip(np.searchsorted(ts, times, side="right") - 1, 0, ts.size - 2)
+            frac = (times - ts[i]) / (ts[i + 1] - ts[i])
+            out = knots[i] + frac.reshape(-1, *(1,) * (knots.ndim - 1)) * slopes[i]
+            out[times <= ts[0]] = knots[0]
+            out[times >= ts[-1]] = knots[-1]
+            return out
+        return sample
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,22 +157,20 @@ class ParsedModel:
         # the constant operators as one-knot stacks
         H0, L0 = _stack([self.hamiltonian.matrix()], [[j.matrix() for j in self.jumps]])
         a0, alphas, jdot = _table_bounds(tb, H0, L0)
-        # the sampler reads each stack's knots as a tuple of views, which index
-        # faster than the stack
-        H = H0[0] if tb.hamiltonians is None else tuple(tb.hamiltonians)
-        L = L0[0] if tb.jumps is None else tuple(tb.jumps)
 
-        def sampler(t: float):
-            return (H if tb.hamiltonians is None else tb.interpolate(H, t),
-                    L if tb.jumps is None else tb.interpolate(L, t))
+        def constant(knot):
+            return lambda times: np.broadcast_to(knot, (times.size, *knot.shape))
 
+        H = constant(H0[0]) if tb.hamiltonians is None else tb.sampler(tb.hamiltonians)
+        L = constant(L0[0]) if tb.jumps is None else tb.sampler(tb.jumps)
         if self.alpha0 is not None:
             a0 = self.alpha0
         if self.alphas is not None:
             alphas = self.alphas
         if tb.jdot_bound is not None:
             jdot = tb.jdot_bound
-        return TimeDependentLindbladian(sampler, a0, alphas, jdot)
+        return TimeDependentLindbladian(lambda times: (H(times), L(times)), a0, alphas, jdot,
+                                        batched=True)
 
 
 def _table_bounds(tb: TimeTable, H0: np.ndarray, L0: np.ndarray):

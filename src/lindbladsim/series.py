@@ -34,9 +34,10 @@ Each resource guard counts the work of the function that checks it, before
 that work starts: series_superop its nodes (MAX_SERIES_NODES) and held bytes
 (MAX_SUPEROP_BYTES), which _evolve also checks on its plan before the source
 builds or samples anything, term_blocks its terms (quadrature.TERM_GUARDRAIL),
-and timedep.td_simulate and timedep.rk4_reference their sampler calls
-(MAX_SAMPLER_CALLS). The (m q)^k chain count sizes only the read-out, so it
-bounds no superoperator path.
+and timedep.td_simulate and timedep.rk4_reference their sampled times
+(MAX_SAMPLER_CALLS), one sampler call each for a pointwise sampler. The
+(m q)^k chain count sizes only the read-out, so it bounds no superoperator
+path.
 """
 from __future__ import annotations
 
@@ -193,10 +194,11 @@ def taylor_drift(lind: Lindbladian, s: float, Kp: int) -> np.ndarray:
 # memoized series engine
 
 # Guard limits (see the module docstring). At 20-50 us per node (d <= 4, one
-# or two jumps, up to 203,490 nodes) and about 10 us of td_simulate per sampler
-# call (driven qubit at eps 1e-6, up to 988,416 calls; 2 vCPUs, one BLAS
-# thread), the node cap is at most about 13 s of work and the sampler cap about
-# 10 s.
+# or two jumps, up to 203,490 nodes) the node cap is at most about 13 s of work.
+# td_simulate takes about 6, 12 and 28 us per sampled time at d = 2, 4 and 8
+# with a pointwise sampler, and 4, 9 and 27 us with a batched one (a rotating
+# model with one jump at eps 1e-6, t = 10: 512,512 sampled times; 2 vCPUs, one
+# BLAS thread), so the sampler cap is about 6 s of work at d = 2 and 28 s at d = 8.
 MAX_SERIES_NODES = 2 ** 18
 MAX_SUPEROP_BYTES = 2 ** 30
 MAX_SAMPLER_CALLS = 10 ** 6
@@ -207,29 +209,38 @@ def _chain_count(m: int, q: int, K: int) -> int:
     return sum((m * q) ** k for k in range(1, K + 1))
 
 
-def _check_engine(q: int, K: int, m: int, d: int) -> int:
-    """Check series_superop's resource limits for its order-K recursion over the
-    q-point rule, m jumps on d x d operators (K = 0 or m = 0 leaves the order-0
-    term alone, one d^2 x d^2 superoperator), and return its parents per chunk.
-
-    Raises ResourceLimitError when the C(q+K-1, K-1) nodes of depths
-    0..K-1 exceed MAX_SERIES_NODES, or when the superoperators held at once
-    would exceed MAX_SUPEROP_BYTES: the order-0 term's 16 d^4 bytes, or the
-    recursion's half-column blocks.
-    """
+def _engine_bytes(q: int, K: int, m: int, d: int) -> tuple[int, int, int]:
+    """Parents per chunk of series_superop's order-K recursion over the q-point
+    rule, m jumps on d x d operators, and the bytes of superoperators it holds at
+    once: per segment, and per call. K = 0 or m = 0 leaves the order-0 term
+    alone, one d^2 x d^2 superoperator of 16 d^4 bytes per segment. Otherwise the
+    two widest stored levels, depths K-1 and K-2, are held per segment while the
+    second is built, with one chunk of parents' gathered children and products
+    per call."""
     nh = d * (d + 1) // 2
     node_bytes = 16 * d * d * nh
     chunk = max(1, _WORK_BYTES // ((1 + q * (m + 1)) * node_bytes))
-    held_bytes = 16 * d ** 4
+    if not (K and m):
+        return chunk, 16 * d ** 4, 0
+    stored = math.comb(q + K - 2, K - 1) + (math.comb(q + K - 3, K - 2) if K > 1 else 0)
+    return chunk, stored * node_bytes, chunk * (1 + q * (m + 1)) * node_bytes
+
+
+def _check_engine(q: int, K: int, m: int, d: int, segments: int = 1) -> int:
+    """Check the resource limits of one series_superop call on segments segments
+    (see _engine_bytes for the arguments), and return its parents per chunk.
+
+    Raises ResourceLimitError when the C(q+K-1, K-1) nodes of depths
+    0..K-1 exceed MAX_SERIES_NODES, or when the superoperators held at once
+    would exceed MAX_SUPEROP_BYTES.
+    """
     if K and m:
         nodes = math.comb(q + K - 1, K - 1)
         if nodes > MAX_SERIES_NODES:
             raise ResourceLimitError(
                 f"series engine would build {nodes} > {MAX_SERIES_NODES} nodes")
-        # the two widest stored levels, depths K-1 and K-2, are held at once while
-        # the second is built, with one chunk of parents' gathered children and products
-        stored = math.comb(q + K - 2, K - 1) + (math.comb(q + K - 3, K - 2) if K > 1 else 0)
-        held_bytes = (stored + chunk * (1 + q * (m + 1))) * node_bytes
+    chunk, per_segment, per_call = _engine_bytes(q, K, m, d)
+    held_bytes = segments * per_segment + per_call
     if held_bytes > MAX_SUPEROP_BYTES:
         raise ResourceLimitError(
             f"series engine would hold {held_bytes} > {MAX_SUPEROP_BYTES} bytes "
@@ -237,9 +248,22 @@ def _check_engine(q: int, K: int, m: int, d: int) -> int:
     return chunk
 
 
+def _segments_per_call(q: int, K: int, m: int, d: int, extra_bytes: int, budget: int) -> int:
+    """The most segments one series_superop call may take (see _engine_bytes for
+    the arguments) when each segment also holds extra_bytes: at least one, and no
+    more than keep those and the engine's bytes per segment within budget and the
+    call within MAX_SUPEROP_BYTES, so a call whose single segment passes
+    _check_engine passes it on this many."""
+    _, per_segment, per_call = _engine_bytes(q, K, m, d)
+    return max(1, min(budget // (extra_bytes + per_segment),
+                      (MAX_SUPEROP_BYTES - per_call) // per_segment))
+
+
 def series_superop(propagate, jumps, t: float, q: int, K: int, m: int,
-                   d: int, nested: NestedGrid | None = None) -> np.ndarray:
-    """Superoperator of the order-K series on [0, t] over the q-point rule.
+                   d: int, nested: NestedGrid | None = None, segments: int = 1) -> np.ndarray:
+    """Superoperators (S, d^2, d^2) of the order-K series on [0, t] over the
+    q-point rule, for S = segments segments that share t and the rule but not
+    their propagators or jumps.
 
     When K = 0, m = 0 or t = 0 only the order-0 term is left: the drift
     conjugation K[T(0, t)], from one propagator call. Otherwise the nested grid
@@ -255,10 +279,14 @@ def series_superop(propagate, jumps, t: float, q: int, K: int, m: int,
     K-1 is closed in Kraus form, so leaves are never stored; each stored level
     is one array, from which a chunk of parents takes its children with one
     indexed gather.
-    propagate(s, u) returns T(s_b, u_b) as a (B, d, d) array and jumps(u)
-    returns L_l(u_b) as a (B, m, d, d) array; both are called once per level.
-    A caller that samples at the node times passes the NestedGrid it sampled
-    from as nested, so both read one table.
+    propagate(s, u) returns each segment's T(s_b, u_b) as an (S, B, d, d) array
+    and jumps(u) its L_l(u_b) as an (S, B, m, d, d) array; both are called once
+    per level for all S segments. A level's rows are its parents segment by
+    segment, each row's children offset into the rows below by its segment, so
+    one chunk loop walks every segment and each row is computed by the same
+    products, of the same shapes, whatever S is. A caller that samples at the
+    node times passes the NestedGrid it sampled from as nested, so both read
+    one table.
 
     Every node is a Kraus map and so preserves Hermiticity, G(E_ba) =
     G(E_ab)^dag, and each column of G_r is fixed by the same column of its
@@ -272,9 +300,9 @@ def series_superop(propagate, jumps, t: float, q: int, K: int, m: int,
     """
     if K < 0:
         raise ArgumentError(f"series order must be nonnegative, got {K}")
-    chunk = _check_engine(q, K if t else 0, m, d)
+    chunk = _check_engine(q, K if t else 0, m, d, segments)
     if K == 0 or m == 0 or t == 0.0:
-        return kraus_superop(propagate(np.zeros(1), np.array([t]))[0])
+        return kraus_superop(propagate(np.zeros(1), np.array([t]))[:, 0])
     nh = d * (d + 1) // 2
 
     if nested is None:
@@ -289,17 +317,25 @@ def series_superop(propagate, jumps, t: float, q: int, K: int, m: int,
         if i == K - 1:
             lo = np.concatenate([lo, np.zeros(uc.size)])
             hi = np.concatenate([hi, uc])
+        # rows are parents segment by segment (views when S = 1), and each row's
+        # children are offset into the rows of the level below by its segment
         T = propagate(lo, hi)
-        close = T[:n_p]
-        B = T[n_p:n_p * (q + 1)].reshape(n_p, q, 1, d, d) @ jumps(uc)[ch]
+        if segments > 1:
+            ch = (ch + uc.size * np.arange(segments)[:, None, None]).reshape(-1, q)
+            W = np.tile(W, (segments, 1))
+        close = T[:, :n_p].reshape(-1, d, d)
+        B = (T[:, n_p:n_p * (q + 1)].reshape(-1, q, 1, d, d)
+             @ jumps(uc).reshape(-1, m, d, d)[ch])
+        n_rows = close.shape[0]
         if i == K - 1:
             # depth-K leaves in Kraus form: close at weight 1, then T(u x_j, u) L_l T(0, u x_j)
-            A = np.concatenate([close[:, None], (B @ T[n_p * (q + 1):][ch][:, :, None])
-                                .reshape(n_p, q * m, d, d)], axis=1)
-            wts = np.concatenate([np.ones((n_p, 1)), np.repeat(W, m, axis=1)], axis=1)
-        level = np.empty((n_p, d * d, nh), dtype=complex)
-        for start in range(0, n_p, chunk):
-            sl = slice(start, min(start + chunk, n_p))
+            A = np.concatenate([close[:, None],
+                                (B @ T[:, n_p * (q + 1):].reshape(-1, d, d)[ch][:, :, None])
+                                .reshape(n_rows, q * m, d, d)], axis=1)
+            wts = np.concatenate([np.ones((n_rows, 1)), np.repeat(W, m, axis=1)], axis=1)
+        level = np.empty((n_rows, d * d, nh), dtype=complex)
+        for start in range(0, n_rows, chunk):
+            sl = slice(start, min(start + chunk, n_rows))
             if i == K - 1:
                 level[sl] = batched_kraus_sum(wts[sl], A[sl])
                 continue
@@ -313,14 +349,15 @@ def series_superop(propagate, jumps, t: float, q: int, K: int, m: int,
                  @ Y.reshape(P, q * m * d, d * nh))
             np.add(Z.reshape(P, d * d, nh), kraus_superop(close[sl], half=True), out=level[sl])
         G = level
-    return expand_half(G[0])
+    return expand_half(G)
 
 
 def _static_superop(lind: Lindbladian, t: float, q: int, K: int, propagate) -> np.ndarray:
-    """series_superop with a static drift propagator and constant jumps."""
+    """series_superop for one segment, with a static drift propagator
+    propagate(s, u), (1, B, d, d), and constant jumps."""
     L = lind.jumps
-    return series_superop(propagate, lambda u: np.broadcast_to(L, (u.size,) + L.shape),
-                          t, q, K, lind.num_jumps, lind.dim)
+    return series_superop(propagate, lambda u: np.broadcast_to(L, (1, u.size) + L.shape),
+                          t, q, K, lind.num_jumps, lind.dim)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +389,7 @@ def g_K_quadrature(lind: Lindbladian, t: float, K: int, q: int) -> np.ndarray:
     """Order-K series superoperator with exact drifts and nested quadrature sums."""
     check_time(t)
     J = effective_generator(lind)
-    return _static_superop(lind, t, q, K, lambda s, u: expm((u - s)[:, None, None] * J))
+    return _static_superop(lind, t, q, K, lambda s, u: expm((u - s)[None, :, None, None] * J))
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +554,8 @@ class CPMapApprox:
         if self._superop is None:
             cfg = self.config
             self._superop = _static_superop(self.lind, self.t, cfg.quadrature_order,
-                                            cfg.series_order, lambda s, u: self._prop.batch(u - s))
+                                            cfg.series_order,
+                                            lambda s, u: self._prop.batch(u - s)[None])
         return self._superop
 
     def apply(self, rho: np.ndarray) -> np.ndarray:

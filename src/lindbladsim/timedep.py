@@ -22,26 +22,31 @@ then at most delta / M, so the contract above bounds every interval the series
 engine asks for. Truncation keeps the graded product associative, so each
 interval [lo, hi] between grid points is read from the prefix products P(g)
 as P(hi) P(lo)^-1; every prefix is I plus a nilpotent part, so its inverse
-is a finite sum.
+is a finite sum. Segments go in groups, and each group's superoperators come
+from one call of the series engine, on its segment axis.
 
 Norm bounds and the generator derivative bound are declared by the caller,
 never estimated from samples. Sampling is batched: every time a step needs (a
 group of segments' union-grid midpoints and interval ends, the uniform steps of
 ordered_propagator, a chunk of RK4 half-steps) is sampled by one helper,
-_sample_stack, one sampler call per time, stacked by models._stack (numeric
-entries, a square H of one size, jumps of its shape) as H (B, d, d) and L (B,
-m, d, d), the layout a static model keeps too, and held to the size d the
-model took from its sample at t = 0; J and the Liouvillian are built from
-that stack in one call. Validation policy: a time-dependent model meets the
-one model contract of lindbladsim.models, as a static one does. The
-constructor checks the declared bounds (models._check_bounds), and sample()
-and every sample a propagator or jump is built from are checked in their
-batch (models._check_stack: finite entries, a Hermitian H, norms within the
-declared bounds), before anything is built from it, so a violation surfaces
-as a model error naming the earliest failing time. Each is built from the H
-that check returns, symmetrized, as a static model keeps it. rk4_reference
-alone reads raw samples, whose shape is checked but whose values are neither
-checked nor symmetrized, and it starts from a checked rho0.
+_sample_stack, in one call of a sampler declared batched, which takes the
+times as an array, or in one call per time of a pointwise sampler. The samples
+are stacked by models._stack (numeric entries, a square H of one size, jumps
+of its shape) as H (B, d, d) and L (B, m, d, d), the layout a static model
+keeps too, and held to one sample per time and to the size d the model took
+from its sample at t = 0; J and the Liouvillian are built from that stack in
+one call. A table model from modelio samples batched.
+
+Validation policy: a time-dependent model meets the one model contract of
+lindbladsim.models, as a static one does. The constructor checks the declared
+bounds (models._check_bounds), and sample() and every sample a propagator or
+jump is built from are checked in their batch (models._check_stack: finite
+entries, a Hermitian H, norms within the declared bounds), before anything is
+built from it, so a violation surfaces as a model error naming the earliest
+failing time. Each is built from the H that check returns, symmetrized, as a
+static model keeps it. rk4_reference alone reads raw samples, whose shape is
+checked but whose values are neither checked nor symmetrized, and it starts
+from a checked rho0.
 """
 from __future__ import annotations
 
@@ -56,7 +61,8 @@ from .linalg import unvec, vec
 from .models import (Lindbladian, _check_bounds, _check_stack, _drift_generator, _liouvillian,
                      _stack, be_norm)
 from .quadrature import NestedGrid, canonical_rule
-from .series import MAX_SAMPLER_CALLS, _WORK_BYTES, _evolve, _validate_rho0, series_superop
+from .series import (MAX_SAMPLER_CALLS, _WORK_BYTES, _evolve, _segments_per_call,
+                     _validate_rho0, series_superop)
 
 
 @dataclass(frozen=True)
@@ -76,7 +82,10 @@ class DysonConfig:
 class TimeDependentLindbladian:
     """Sampler plus declared sup-norm bounds for H(t), L_j(t) and dJ/dt.
 
-    The sampler must be pure in its time argument (it may be called
+    A pointwise sampler takes one time and returns H(t) and the list of the
+    L_j(t); one declared batched takes an array of B times and returns the
+    stacks H (B, d, d) and L (B, m, d, d), and is called once per batch. The
+    sampler must be pure in its time argument (it may be called
     concurrently and at repeated times). The model contract is the static
     Lindbladian's: models._check_bounds on the declared bounds here, and
     models._check_stack on every sample the library builds from, in its batch:
@@ -86,8 +95,10 @@ class TimeDependentLindbladian:
     sample must keep the size dim of the sample at t = 0.
     """
 
-    def __init__(self, sampler, alpha0: float, alphas, jdot_bound: float):
+    def __init__(self, sampler, alpha0: float, alphas, jdot_bound: float,
+                 batched: bool = False):
         self.sampler = sampler
+        self.batched = bool(batched)
         self.alpha0 = float(alpha0)
         self.alphas = tuple(float(a) for a in alphas)
         self.jdot_bound = float(jdot_bound)
@@ -108,11 +119,17 @@ class TimeDependentLindbladian:
 
 
 def _sample_stack(tl: TimeDependentLindbladian, times: np.ndarray):
-    """Samples at each time, in order, one sampler call per time, stacked by
-    models._stack: H (B, d, d) and the jumps (B, m, d, d). Only their shape is
-    checked: ModelError unless d is tl.dim."""
-    Hs, Ls = zip(*(tl.sampler(tau) for tau in np.asarray(times, dtype=float).ravel().tolist()))
-    H, L = _stack(Hs, Ls)
+    """Samples at each time, in order, stacked by models._stack: H (B, d, d) and
+    the jumps (B, m, d, d), from one call of a batched sampler on the B times or
+    one call of a pointwise sampler per time. Only their shape is checked:
+    ModelError unless there is one sample per time and d is tl.dim."""
+    times = np.asarray(times, dtype=float).ravel()
+    if tl.batched:
+        H, L = _stack(*tl.sampler(times))
+    else:
+        H, L = _stack(*zip(*(tl.sampler(tau) for tau in times.tolist())))
+    if len(H) != times.size:
+        raise ModelError(f"sampler returned {len(H)} samples for {times.size} times")
     if tl.dim not in (None, H.shape[-1]):
         raise ModelError(f"hamiltonian has shape {H.shape[1:]}, expected {(tl.dim, tl.dim)}")
     return H, L
@@ -225,9 +242,10 @@ def dyson_contract(tl: TimeDependentLindbladian, delta: float, cfg: DysonConfig)
 def _segment_superops(tl: TimeDependentLindbladian, starts: np.ndarray, nested: NestedGrid,
                       grid: np.ndarray, ends: np.ndarray, Kd: int):
     """Superoperators of the segments [a, a + delta], a in starts, in order, at
-    every order: the static pipeline's series engine run on nested's table, with
-    each propagator T(lo, hi) read from the segment's prefixes on grid, where
-    both lo and hi are interval ends, and the jumps read at the nodes.
+    every order: one call of the static pipeline's series engine on nested's
+    table for the whole group, with each segment's propagators T(lo, hi) read
+    from its prefixes on grid, where both lo and hi are interval ends, and its
+    jumps read at the nodes.
 
     The group is sampled once, before anything is built: at each segment's gap
     midpoints of grid, which J is built from, and at its interval ends, whose
@@ -237,15 +255,12 @@ def _segment_superops(tl: TimeDependentLindbladian, starts: np.ndarray, nested: 
     times = starts[:, None] + np.concatenate([grid[:-1] + np.diff(grid) / 2, ends])
     H, L = _checked_stack(tl, times.ravel())
     H, L = H.reshape(times.shape + H.shape[1:]), L.reshape(times.shape + L.shape[1:])
-    J = _drift_generator(H[:, :N], L[:, :N])
-    for nodes, PL, CR in zip(L[:, N:], *_prefix_stacks(J, grid, ends, Kd)):
-        def propagate(lo, hi, PL=PL, CR=CR):
-            return PL[np.searchsorted(ends, hi)] @ CR[np.searchsorted(ends, lo)]
-
-        def jumps(u, nodes=nodes):
-            return nodes[np.searchsorted(ends, u)]
-
-        yield series_superop(propagate, jumps, delta, q, K, tl.num_jumps, tl.dim, nested)
+    PL, CR = _prefix_stacks(_drift_generator(H[:, :N], L[:, :N]), grid, ends, Kd)
+    nodes = L[:, N:]
+    yield from series_superop(
+        lambda lo, hi: PL[:, np.searchsorted(ends, hi)] @ CR[:, np.searchsorted(ends, lo)],
+        lambda u: nodes[:, np.searchsorted(ends, u)],
+        delta, q, K, tl.num_jumps, tl.dim, nested, starts.size)
 
 
 _RK4_STEPS = 256  # RK4 steps whose Liouvillians are built in one stacked call
@@ -309,18 +324,22 @@ def td_simulate(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float, eps: f
     with the node times of the nested table, which is built once per run and
     read by the grid and the series engine alike. Each propagator the engine
     asks for is a quotient of that grid's prefix products, kept at the
-    interval ends only. Segments go in groups whose samples and prefix stacks
-    stay under _WORK_BYTES. Each group is sampled in one call, at its gap
-    midpoints and interval ends, and that one stack is checked against the
-    declared bounds before anything is built from it; every propagator and
-    jump is read from it.
+    interval ends only. Segments go in groups whose samples, prefix stacks and
+    series engine levels stay under _WORK_BYTES, and whose engine call stays
+    within MAX_SUPEROP_BYTES (series._segments_per_call), so no engine limit
+    can fire once sampling has begun. Each group is sampled once, at its gap
+    midpoints and interval ends (one sampler call when the sampler is
+    batched), and that one stack is checked against the declared bounds
+    before anything is built from it; every propagator and jump is read from
+    it, and the group's superoperators come from one series_superop call.
 
     No sample is taken before the guards: the driver checks the series
     engine's node and byte caps on the plan, and then, since sampling is most
-    of the run's cost, ResourceLimitError is raised when the run would make
-    more than MAX_SAMPLER_CALLS sampler calls: per segment, one per union-grid
-    gap and one per interval end. A tree too wide for the cap fails on its
-    lower bound, M gaps and the ends 0 and delta, before its table is built.
+    of the run's cost, ResourceLimitError is raised when the run would sample
+    more than MAX_SAMPLER_CALLS times, each a sampler call when the sampler is
+    pointwise: per segment, one per union-grid gap and one per interval end. A
+    tree too wide for the cap fails on its lower bound, M gaps and the ends 0
+    and delta, before its table is built.
     """
     counts = ((lambda n0: (check_count(segments, "segment count", 1),)) if segments is not None
               else (lambda n0: [n0 * 2 ** i for i in range(9)]))
@@ -350,10 +369,11 @@ def td_simulate(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float, eps: f
         nested = NestedGrid(canonical_rule(q, delta), K)
         grid, ends = _union_grid(nested, cfg.grid_points)
         check_calls(grid.size - 1, ends.size)
-        # a segment holds its samples, J at the gaps and its prefix stacks at the ends
+        # a segment holds its samples, J at the gaps and its prefix stacks at the
+        # ends, and its levels in the group's one series engine call
         m = tl.num_jumps
         held = (2 + m) * grid.size + (1 + m + 2 * (cfg.order + 1)) * ends.size
-        group = max(1, _WORK_BYTES // (16 * tl.dim ** 2 * held))
+        group = _segments_per_call(q, K, m, tl.dim, 16 * tl.dim ** 2 * held, _WORK_BYTES)
         starts = np.arange(n_seg) * delta
         superops = (S for first in range(0, n_seg, group)
                     for S in _segment_superops(tl, starts[first:first + group], nested, grid,

@@ -10,7 +10,7 @@ import threading
 import numpy as np
 import pytest
 
-from lindbladsim import be_norm, load_model, quadrature, series
+from lindbladsim import be_norm, load_model, modelio, quadrature, series
 from lindbladsim.cli import main
 
 
@@ -296,6 +296,26 @@ def test_exit_code_order_zero_superoperator_bytes(tmp_path, capsys):
                             capsys)
         assert code == 3
         assert f"would hold {16 * 256 ** 4} > {2 ** 30} bytes" in cap.err
+
+
+def test_exit_code_order_zero_bytes_before_any_operator_is_built(tmp_path, capsys, monkeypatch):
+    # at 10 qubits the order-0 term alone takes 16 * 1024^4 bytes, which the
+    # register fixes: refused before the model's operators are built and their
+    # spectral norms taken
+    model = tmp_path / "ten.json"
+    model.write_text(json.dumps({"n_qubits": 10, "hamiltonian": {"pauli_sum": "1.0*" + "X" * 10},
+                                 "jumps": [{"pauli_sum": "0.5*Z" + "I" * 9}]}))
+
+    def unbuilt(self):
+        raise AssertionError("operators built before the byte limit was checked")
+
+    monkeypatch.setattr(modelio.ParsedModel, "to_lindbladian", unbuilt)
+    monkeypatch.setattr(modelio.ParsedModel, "to_time_dependent", unbuilt)
+    for command in ("simulate", "td-simulate"):
+        code, cap = run_cli([command, "--model", str(model), "--time", "1", "--eps", "1e-3"],
+                            capsys)
+        assert code == 3
+        assert f"would hold {16 * 1024 ** 4} > {2 ** 30} bytes" in cap.err
 
 
 def test_exit_code_oversized_pauli_register(tmp_path, capsys):

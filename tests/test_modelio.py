@@ -1,3 +1,4 @@
+import bisect
 import json
 import math
 
@@ -171,6 +172,37 @@ def test_interpolation_clamps_outside_table():
     np.testing.assert_allclose(Hhi, SZ, atol=1e-15)
     np.testing.assert_allclose(Hmid, 0.75 * SZ, atol=1e-15)
     np.testing.assert_allclose(Ls[0], 0.7 * SM, atol=1e-15)
+
+
+def pointwise_lerp(times, knots, t):
+    # the table interpolation as a sampler once made it, one time per call
+    if t <= times[0]:
+        return knots[0]
+    if t >= times[-1]:
+        return knots[-1]
+    i = bisect.bisect_right(times, t) - 1
+    frac = (t - times[i]) / (times[i + 1] - times[i])
+    return knots[i] + frac * (knots[i + 1] - knots[i])
+
+
+@pytest.mark.parametrize("path", ["models/driven_damped_qubit.json",
+                                  "models/ramped_decay_qubit.json"])
+def test_batched_table_sampler_matches_the_pointwise_lerp(path):
+    # at the knots, mid-panel, off-center, before the first knot and after the
+    # last, and at random times, bit for bit; a constant operator is its matrix
+    pm = load_model(path)
+    tb = pm.table
+    ts = np.array(tb.times)
+    times = np.concatenate([ts, (ts[:-1] + ts[1:]) / 2, ts[:-1] + 0.3 * np.diff(ts),
+                            [ts[0] - 1.0, ts[0] - 1e-12, ts[-1] + 1e-12, ts[-1] + 2.0],
+                            np.random.default_rng(3).uniform(ts[0] - 0.5, ts[-1] + 0.5, 40)])
+    H, L = pm.to_time_dependent().sampler(times)
+    constant = (pm.hamiltonian.matrix(), np.array([j.matrix() for j in pm.jumps]))
+    assert (tb.hamiltonians is None) != (tb.jumps is None)
+    for stack, knots, const in ((H, tb.hamiltonians, constant[0]), (L, tb.jumps, constant[1])):
+        for b, t in enumerate(times.tolist()):
+            ref = const if knots is None else pointwise_lerp(tb.times, tuple(knots), t)
+            np.testing.assert_array_equal(stack[b], ref)
 
 
 def test_derived_table_bounds():

@@ -51,6 +51,7 @@ from lindbladsim import (
     unvec,
     vec,
 )
+from lindbladsim import series
 from lindbladsim.series import _TaylorPropagator, _budget_expression, series_superop
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -363,10 +364,59 @@ def test_series_engine_order_zero_is_the_drift_conjugation(K, m, t):
     prop = _TaylorPropagator(effective_generator(lind), 5)
 
     def propagate(s, u):
-        return prop.batch(u - s)
+        return prop.batch(u - s)[None]
 
     S = series_superop(propagate, None, t, 2, K, m, lind.dim)
-    assert np.array_equal(S, kraus_superop(propagate(np.zeros(1), np.array([t]))[0]))
+    assert np.array_equal(S[0], kraus_superop(propagate(np.zeros(1), np.array([t]))[0, 0]))
+
+
+def segment_sources(S, d, m, seed):
+    # S segments, each with its own Taylor drift propagator and jumps that drift
+    # linearly in time: propagate and jumps for all S at once, and for each alone
+    rng = np.random.default_rng(seed)
+    models = [random_lindbladian(int(math.log2(d)), num_jumps=m, seed=seed + s) for s in range(S)]
+    props = [_TaylorPropagator(effective_generator(lind), 4) for lind in models]
+    slopes = 0.1 * (rng.normal(size=(S, m, d, d)) + 1j * rng.normal(size=(S, m, d, d)))
+
+    def propagate(segs):
+        return lambda lo, hi: np.stack([props[s].batch(hi - lo) for s in segs])
+
+    def jumps(segs):
+        return lambda u: np.stack([models[s].jumps + u[:, None, None, None] * slopes[s]
+                                   for s in segs])
+
+    return propagate, jumps
+
+
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("K", [0, 1, 2, 3, 4])
+def test_segment_axis_matches_single_segment_calls(d, m, K):
+    # one call on S segments gives each segment's single-segment superoperator,
+    # bit for bit; K = 0, m = 0 or t = 0 is the order-0 branch
+    S, q = 3, 2
+    propagate, jumps = segment_sources(S, d, m, 10 * d + m + K)
+    for t in (0.4, 0.0):
+        group = series_superop(propagate(range(S)), jumps(range(S)), t, q, K, m, d, segments=S)
+        assert group.shape == (S, d * d, d * d)
+        for s in range(S):
+            np.testing.assert_array_equal(
+                group[s], series_superop(propagate([s]), jumps([s]), t, q, K, m, d)[0])
+
+
+@pytest.mark.parametrize("d, m", [(2, 1), (2, 2), (4, 1)])
+def test_segment_axis_chunks_straddle_segments(monkeypatch, d, m):
+    # chunks of 3 parents on levels of 2 to 4 parents per segment: chunks hold
+    # the end of one segment and the start of the next
+    S, t, q, K = 3, 0.4, 2, 4
+    node_bytes = 16 * d * d * d * (d + 1) // 2
+    monkeypatch.setattr(series, "_WORK_BYTES", 3 * (1 + q * (m + 1)) * node_bytes)
+    assert series._check_engine(q, K, m, d, S) == 3
+    propagate, jumps = segment_sources(S, d, m, 20 * d + m)
+    group = series_superop(propagate(range(S)), jumps(range(S)), t, q, K, m, d, segments=S)
+    for s in range(S):
+        np.testing.assert_array_equal(
+            group[s], series_superop(propagate([s]), jumps([s]), t, q, K, m, d)[0])
 
 
 def test_series_engine_order_zero_edges():

@@ -33,7 +33,7 @@ from lindbladsim import (
     unvec,
     vec,
 )
-from lindbladsim import timedep
+from lindbladsim import series, timedep
 from lindbladsim.models import _drift_generator
 from lindbladsim.quadrature import NestedGrid, canonical_rule
 from lindbladsim.timedep import _RK4_STEPS, _prefix_stacks, _segment_superops, _union_grid
@@ -242,7 +242,7 @@ def test_every_segment_interval_meets_the_dyson_contract(monkeypatch):
     def recording(propagate, *args):
         def record(lo, hi):
             T = propagate(lo, hi)
-            read.extend(zip(lo, hi, T))
+            read.extend(zip(lo, hi, T[0]))
             return T
         return real(record, *args)
 
@@ -507,7 +507,7 @@ def test_segment_sampler_calls_match_a_counting_sampler(make, t, eps):
     sampler, calls = tl.sampler, [0]
 
     def counting(tau):
-        calls[0] += 1
+        calls[0] += np.size(tau)
         return sampler(tau)
 
     tl.sampler = counting
@@ -517,6 +517,74 @@ def test_segment_sampler_calls_match_a_counting_sampler(make, t, eps):
     grid, ends = _union_grid(NestedGrid(canonical_rule(q, report.segment_time), K),
                              cfg.grid_points)
     assert calls[0] == report.segments * (grid.size - 1 + ends.size)
+
+
+def test_table_groups_take_one_engine_call_and_one_sampler_call(monkeypatch):
+    # with groups shrunk to a few segments, a table model is sampled once per
+    # group, at every time the group needs, and each group is one engine call
+    tl = table_model()
+    sampler, sampled, engine, prefix = tl.sampler, [], [], []
+    real_engine, real_prefix = timedep.series_superop, timedep._prefix_stacks
+
+    def counting(times):
+        sampled.append(np.size(times))
+        return sampler(times)
+
+    def engine_call(*args):
+        engine.append(args[-1])
+        return real_engine(*args)
+
+    def prefix_call(J, *args):
+        prefix.append(J.shape[0])
+        return real_prefix(J, *args)
+
+    tl.sampler = counting
+    monkeypatch.setattr(timedep, "series_superop", engine_call)
+    monkeypatch.setattr(timedep, "_prefix_stacks", prefix_call)
+    monkeypatch.setattr(timedep, "_WORK_BYTES", 2 ** 17)
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    _, report, cfg = td_simulate(tl, rho0, 0.7, 1e-5)
+    assert tl.batched and len(engine) > 1
+    assert engine == prefix and len(sampled) == len(engine) and sum(engine) == report.segments
+    grid, ends = _union_grid(NestedGrid(canonical_rule(report.quadrature_order,
+                                                      report.segment_time),
+                                        report.series_order), cfg.grid_points)
+    assert sampled == [n * (grid.size - 1 + ends.size) for n in engine]
+
+
+def test_td_simulate_splits_groups_at_the_engine_byte_cap(monkeypatch):
+    # with the byte cap lowered to one call's chunk plus two segments' levels, the
+    # groups the samples allow are split into pairs; nothing is raised after
+    # sampling, and the state is the one the unsplit run gives, bit for bit
+    tl = driven_damped()
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    rho, report, _ = td_simulate(tl, rho0, 1.0, 1e-4)
+    _, per_segment, per_call = series._engine_bytes(report.quadrature_order,
+                                                    report.series_order, 1, 2)
+    groups, real = [], timedep.series_superop
+
+    def recording(*args):
+        groups.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(timedep, "series_superop", recording)
+    monkeypatch.setattr(series, "MAX_SUPEROP_BYTES", per_call + 2 * per_segment)
+    split, _, _ = td_simulate(tl, rho0, 1.0, 1e-4)
+    assert report.segments > 2 and max(groups) == 2 and sum(groups) == report.segments
+    np.testing.assert_array_equal(split, rho)
+
+
+def test_batched_sample_failure_names_the_earliest_time():
+    # test_td_simulate_names_the_first_failing_sample with its sampler batched:
+    # the same first failing sample, from one sampler call
+    def sampler(times):
+        skewed = ((0.4 <= times) & (times <= 0.45))[:, None, None]
+        return 0.5 * SZ + np.where(skewed, 0.5 * SM, 0.0 * SM), np.zeros((times.size, 0, 2, 2))
+
+    tl = TimeDependentLindbladian(sampler, 1.0, [], 1.0, batched=True)
+    rho0 = np.diag([0.5, 0.5]).astype(complex)
+    with pytest.raises(ModelError, match=r"at t=0\.40249999999999997 is not Hermitian"):
+        td_simulate(tl, rho0, 1.0, 1e-4, segments=4)
 
 
 def test_td_simulate_argument_validation():
@@ -603,6 +671,10 @@ def test_sampler_validation():
     H, Ls = tl.sample(0.3)
     np.testing.assert_array_equal(H, SZ)
     assert Ls == []
+    # a batched sampler returns one sample per time
+    with pytest.raises(ModelError, match="returned 2 samples for 1 times"):
+        TimeDependentLindbladian(lambda t: (np.stack([SZ, SZ]), np.zeros((2, 0, 2, 2))),
+                                 1.0, [], 0.0, batched=True)
 
 
 CFG = DysonConfig(order=2, grid_points=4)

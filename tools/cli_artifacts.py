@@ -5,14 +5,18 @@
 Artifacts are bitwise deterministic, so two checkouts can be compared with
 one `diff -r` of their output directories. lindbladsim is imported from the
 path, so point PYTHONPATH at the checkout under test; model files are read
-from this checkout's `models/`.
+from this checkout's `models/`. BLAS runs on one thread, as in the benchmark,
+since threading can move last bits.
 """
 from __future__ import annotations
 
 import os
 import sys
 
-from lindbladsim import cli
+# one BLAS thread, set before numpy loads, as perfbench/run.py runs the benchmark
+os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
+
+from lindbladsim import cli  # noqa: E402
 
 MODELS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "models")
 

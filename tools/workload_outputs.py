@@ -8,7 +8,8 @@ builds for them. Each state is written as `<workload>-seed<N>-<label>.npy`
 and each report as sorted-key JSON beside it, so two checkouts can be
 compared bit for bit with one `diff -r` of their output directories.
 lindbladsim is imported from the path, so point PYTHONPATH at the checkout
-under test; the workloads are read from this checkout's `perfbench/`.
+under test; the workloads are read from this checkout's `perfbench/`. BLAS
+runs on one thread, as in the benchmark, since threading can move last bits.
 """
 from __future__ import annotations
 
@@ -17,7 +18,10 @@ import os
 import sys
 import tempfile
 
-import numpy as np
+# one BLAS thread, set before numpy loads, as perfbench/run.py runs the workloads
+os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
+
+import numpy as np  # noqa: E402
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
