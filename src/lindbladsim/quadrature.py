@@ -17,9 +17,12 @@ tuples equals t^k / k! whenever q >= ceil(k / 2).
 
 A node depends only on the multiset of its indices, so NestedGrid.table holds
 one entry per sorted multiset: depth i has C(q+i-1, i) of them, in
-combinations_with_replacement order. Each node time is rounded as
-t * prod(shat / t) over its sorted multiset, each weight as u * w[j] / t from
-its parent's time u, and each parent lists the positions of its q children.
+combinations_with_replacement order. Depth i+1 extends each multiset of depth
+i, in order, by every index no smaller than its last, so the table is built by
+one array pass per depth. A node's product of shat / t is its parent's times
+shat[j] / t, the left-to-right order in which np.prod rounds t * prod(shat / t)
+over the sorted multiset; each weight is u * w[j] / t from its parent's time u,
+and each parent lists the positions of its q children.
 The table is the one place that turns rule nodes into nested node times and
 weights: the series engine (series.series_superop) reads its levels, and
 NestedGrid.chunks walks it along each ordered index tuple, so the Kraus
@@ -28,13 +31,12 @@ read-out sees the engine's numbers bit for bit.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, ResourceLimitError, check_time
+from .errors import ArgumentError, ResourceLimitError, check_count, check_time
 
 MAX_ORDER = 64
 TERM_GUARDRAIL = 2 ** 20
@@ -109,6 +111,9 @@ class NestedGrid:
     rule: QuadratureRule
     depth: int
 
+    def __post_init__(self):
+        check_count(self.depth, "nesting depth", 0)
+
     @property
     def count(self) -> int:
         return self.rule.order ** self.depth
@@ -120,15 +125,23 @@ class NestedGrid:
         u[i] holds the times of the C(q+i-1, i) sorted multisets of depth i in
         combinations_with_replacement order, weights[i][p, j] = u[i][p] w_j / t
         and children[i][p, j] is the position of sorted(p + (j,)) in depth i+1.
+        Depth i+1 lists each p extended by j = last(p) .. q-1 (last(()) = 0);
+        a child with j < last(p) is the child of prefix(p) at j, extended by
+        last(p).
         """
         q, k, t = self.rule.order, self.depth, self.rule.interval_length
-        levels = [list(itertools.combinations_with_replacement(range(q), i)) for i in range(k + 1)]
-        u = [t * np.prod(self.rule.nodes[np.array(level, dtype=np.int64)] / t, axis=1)
-             for level in levels]
+        ratio, j = self.rule.nodes / t, np.arange(q)
+        last, prods = np.zeros(1, dtype=np.int64), np.ones(1)
+        u, children = [t * prods], []
+        for _ in range(k):
+            extends = j >= last[:, None]
+            off = np.cumsum(q - last) - q  # the child (p, j) of an extending j is at off[p] + j
+            b = children[-1][parent] if children else 0
+            children.append(np.where(extends, off[:, None] + j, off[b] + last[:, None]))
+            parent, last = np.nonzero(extends)
+            prods = prods[parent] * ratio[last]
+            u.append(t * prods)
         weights = [up[:, None] * self.rule.weights[None, :] / t for up in u[:k]]
-        pos = {c: n for level in levels for n, c in enumerate(level)}
-        children = [np.array([[pos[tuple(sorted(p + (j,)))] for j in range(q)] for p in level],
-                             dtype=np.int64) for level in levels[:k]]
         return u, weights, children
 
     def chunks(self):
@@ -154,8 +167,7 @@ class NestedGrid:
 
 
 def nested_grid(k: int, q: int, t: float) -> NestedGrid:
-    if k < 1:
-        raise ArgumentError(f"nesting depth must be >= 1, got {k}")
+    check_count(k, "nesting depth", 1)
     if q ** k > TERM_GUARDRAIL:
         raise ResourceLimitError(
             f"nested grid would enumerate q^k = {q ** k} > {TERM_GUARDRAIL} tuples")
@@ -177,8 +189,7 @@ def nested_weight_sum(k: int, q: int, t: float) -> float:
 
 def quadrature_error_bound(q: int, t: float, f2q_bound: float) -> float:
     """|E_q[f]| <= f2q_bound * t^(2q+1) * q / ((2q)! * 2^(4q-1)) on [0, t]."""
-    if q < 1:
-        raise ArgumentError(f"quadrature order must be >= 1, got {q}")
+    check_count(q, "quadrature order", 1)
     check_time(t, "interval length")
     check_time(f2q_bound, "derivative bound")
     return f2q_bound * t ** (2 * q + 1) * q / (math.factorial(2 * q) * 2.0 ** (4 * q - 1))

@@ -191,10 +191,15 @@ def test_nested_grid_nodes_and_weights_are_the_multiset_table():
 
 
 def test_nested_grid_table_counts_and_children():
-    for q in range(1, 6):
-        for k in range(1, 5):
+    # the reference builds every depth by combinations_with_replacement and looks
+    # each child up by its sorted multiset; shapes too big for that are skipped
+    for q in range(1, 13):
+        for k in range(10):
+            if math.comb(q + k - 1, k) * q > 40000:
+                continue
             rule = canonical_rule(q, 0.7)
             u, weights, children = NestedGrid(rule, k).table
+            assert len(weights) == len(children) == k
             levels = [list(itertools.combinations_with_replacement(range(q), i))
                       for i in range(k + 1)]
             for i, level in enumerate(levels):
@@ -203,10 +208,25 @@ def test_nested_grid_table_counts_and_children():
                 assert np.array_equal(u[i], _multiset_time(rule, js))
             for i in range(k):
                 assert weights[i].shape == children[i].shape == (len(levels[i]), q)
+                expected = u[i][:, None] * rule.weights / rule.interval_length
+                assert weights[i].tobytes() == expected.tobytes()
+                assert children[i].dtype == np.int64
                 for p, multiset in enumerate(levels[i]):
                     for j in range(q):
                         child = levels[i + 1][children[i][p, j]]
                         assert child == tuple(sorted(multiset + (j,)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: nested_grid(2.5, 3, 1.0),
+    lambda: nested_weight_sum(2.5, 3, 1.0),
+    lambda: NestedGrid(canonical_rule(3, 1.0), -1),
+    lambda: quadrature_error_bound(2.5, 1.0, 1.0),
+], ids=["nested_grid-fractional-depth", "nested_weight_sum-fractional-depth",
+        "NestedGrid-negative-depth", "error_bound-fractional-order"])
+def test_depth_and_order_must_be_integers(call):
+    with pytest.raises(ArgumentError):
+        call()
 
 
 def test_nested_grid_guardrail():
