@@ -18,6 +18,8 @@ import math
 
 import numpy as np
 
+from .errors import ArgumentError
+
 
 def vec(mat: np.ndarray) -> np.ndarray:
     """Column-stack a d x d matrix into a length d^2 vector."""
@@ -28,7 +30,7 @@ def unvec(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v)
     d = math.isqrt(v.size)
     if d * d != v.size:
-        raise ValueError(f"vector of length {v.size} is not a vectorized square matrix")
+        raise ArgumentError(f"vector of length {v.size} is not a vectorized square matrix")
     return v.reshape(d, d).T
 
 

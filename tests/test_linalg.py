@@ -2,10 +2,12 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lindbladsim.linalg import batched_kraus_sum, expand_half, kraus_superop, kron
+from lindbladsim import ArgumentError
+from lindbladsim.linalg import batched_kraus_sum, expand_half, kraus_superop, kron, unvec
 from lindbladsim.series import _TaylorPropagator
 
 
@@ -67,3 +69,10 @@ def test_taylor_batch_is_bitwise_the_einsum(d, Kp, B, seed):
         [1.0 / math.factorial(ell) for ell in range(Kp + 1)])[None, :]
     ref = np.einsum("bl,lij->bij", coeff, prop.powers, optimize=True)
     assert np.array_equal(prop.batch(deltas), ref)
+
+
+def test_unvec_of_a_length_that_is_not_square_is_an_argument_error():
+    # typed, and still a ValueError for callers that catch that
+    assert issubclass(ArgumentError, ValueError)
+    with pytest.raises(ArgumentError, match="vector of length 3 is not"):
+        unvec(np.ones(3))

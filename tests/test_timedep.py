@@ -767,10 +767,12 @@ def test_every_consumer_builds_from_the_symmetrized_hamiltonian():
         np.testing.assert_array_equal(a, b)
 
 
-def test_rk4_reference_chunks_match_per_step_liouvillians():
-    # n = 2 chunks + 1 steps: two full chunks and a one-step tail, against RK4
-    # with each step's Liouvillians built on their own
-    tl = driven_damped()
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_rk4_reference_chunks_match_per_step_liouvillians(d):
+    # n = 2 * _RK4_STEPS + 1 steps cross chunk boundaries on both paths (step
+    # maps at d <= 4, stepping at d = 8), against RK4 with each step's
+    # Liouvillians built on their own
+    tl = driven_damped() if d == 2 else rotating_model(d, 1, d)
     sampler, calls = tl.sampler, [0]
 
     def counting(tau):
@@ -780,14 +782,16 @@ def test_rk4_reference_chunks_match_per_step_liouvillians():
     def liouvillian(tau):
         H, Ls = sampler(tau)
         J = -1j * H - 0.5 * sum(L.conj().T @ L for L in Ls)
-        eye = np.eye(2)
+        eye = np.eye(d)
         return (np.kron(eye, J) + np.kron(J.conj(), eye)
                 + sum(np.kron(L.conj(), L) for L in Ls))
 
     tl.sampler = counting
     n, t = 2 * _RK4_STEPS + 1, 0.8
     h = t / n
-    rho0 = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
+    rng = np.random.default_rng(d)
+    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho0 = A @ A.conj().T / np.trace(A @ A.conj().T)
     v = rho0.reshape(-1, order="F").astype(complex)
     for i in range(n):
         tau = i * h
@@ -799,7 +803,25 @@ def test_rk4_reference_chunks_match_per_step_liouvillians():
         v = v + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     rho = rk4_reference(tl, rho0, t, h)
     assert calls[0] == 2 * n + 1
-    assert np.abs(rho - v.reshape(2, 2, order="F")).max() <= 1e-14
+    assert np.abs(rho - v.reshape(d, d, order="F")).max() <= 1e-14
+
+
+@pytest.mark.parametrize("d", [2, 8])
+def test_rk4_reference_at_time_zero_returns_the_checked_rho0(d):
+    # h = 0: the step map is I exactly, and a step adds 0 to the state
+    tl = driven_damped() if d == 2 else rotating_model(d, 1, d)
+    sampler, times = tl.sampler, []
+
+    def counting(tau):
+        times.append(tau)
+        return sampler(tau)
+
+    tl.sampler = counting
+    rho0 = np.diag(np.arange(1.0, d + 1)).astype(complex) / (d * (d + 1) / 2)
+    rho0[0, 1], rho0[1, 0] = 0.01 + 1e-13j, 0.01
+    rho = rk4_reference(tl, rho0, 0.0, 1e-3)
+    assert times == [0.0, 0.0, 0.0]
+    assert np.array_equal(rho, series._validate_rho0(rho0, d))
 
 
 def test_rk4_reference_matches_exact_channel():
