@@ -58,6 +58,21 @@ def _check_bounds(alpha0: float, alphas, *others: float) -> None:
         raise ModelError("norm bounds overflow the be-norm alpha0 + (1/2) sum alphas^2")
 
 
+def _spectral_norms(stack: np.ndarray) -> np.ndarray:
+    """Spectral norms (B, n) of the operators of a finite (B, n, d, d) stack: one
+    SVD per run of bitwise-equal operators in a slot, its norm copied along the
+    run, so a slot held constant costs one SVD."""
+    if len(stack) == 1:
+        return np.linalg.svd(stack, compute_uv=False)[..., 0]
+    bits = stack.view(np.uint64)
+    new = np.ones(stack.shape[:2], dtype=bool)
+    new[1:] = (bits[1:] != bits[:-1]).any(axis=(-2, -1))
+    norms = np.zeros(new.shape)
+    norms[new] = np.linalg.svd(stack[new], compute_uv=False)[:, 0]
+    first = np.maximum.accumulate(np.where(new, np.arange(len(new))[:, None], 0), axis=0)
+    return np.take_along_axis(norms, first, axis=0)
+
+
 def _check_stack(H: np.ndarray, L: np.ndarray, bounds, times=None) -> tuple[np.ndarray, np.ndarray]:
     """The model contract on stacked operators, H (B, d, d) and jumps L (B, m, d, d),
     with the declared bounds (alpha0, alpha_1, ..., alpha_m); returns H symmetrized
@@ -78,7 +93,7 @@ def _check_stack(H: np.ndarray, L: np.ndarray, bounds, times=None) -> tuple[np.n
     H = (H + Hd) / 2
     stack = np.concatenate([H[:, None], L], axis=1)
     stack[~finite] = 0.0  # the SVD cannot take NaN or inf; those entries fail below
-    norms = np.linalg.svd(stack, compute_uv=False)[..., 0]
+    norms = _spectral_norms(stack)
     over = norms * (1 - NORM_SLACK) - NORM_SLACK > np.asarray(bounds)
     bad = np.flatnonzero(~finite | skew | over.any(axis=1))
     if bad.size:

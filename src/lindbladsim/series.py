@@ -28,22 +28,29 @@ only the half columns vec(E_ab), a <= b, and only the root is expanded to d^2
 columns by that mirror. The term index set is enumerated in one place,
 CPMapApprox.term_blocks, which yields indices, coefficients and normalizers
 block by block without matrices; iter_terms attaches the chain products to
-those blocks where the operators themselves are needed.
+those blocks where the operators themselves are needed. A level's chunks of
+parents write disjoint rows, so series_superop runs a level of more than one
+chunk on every CPU the process may use, each row from the same products, and
+so the same bits, as one chunk at a time; the sources it samples stay on the
+calling thread.
 
 Each resource guard counts the work of the function that checks it, before
 that work starts: series_superop its nodes (MAX_SERIES_NODES) and held bytes
 (MAX_SUPEROP_BYTES), which _evolve also checks on its plan before the source
-builds or samples anything, term_blocks its terms (quadrature.TERM_GUARDRAIL),
-and timedep.td_simulate and timedep.rk4_reference their sampled times
-(MAX_SAMPLER_CALLS), one sampler call each for a pointwise sampler. The
-(m q)^k chain count sizes only the read-out, so it bounds no superoperator
-path.
+builds or samples anything (series_superop counts every chunk in flight, and
+runs fewer at once rather than fail on them), term_blocks its terms
+(quadrature.TERM_GUARDRAIL), and timedep.td_simulate and
+timedep.rk4_reference their sampled times (MAX_SAMPLER_CALLS), one sampler
+call each for a pointwise sampler. The (m q)^k chain count sizes only the
+read-out, so it bounds no superoperator path.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterator
 
@@ -209,26 +216,40 @@ def _chain_count(m: int, q: int, K: int) -> int:
     return sum((m * q) ** k for k in range(1, K + 1))
 
 
-def _engine_bytes(q: int, K: int, m: int, d: int) -> tuple[int, int, int]:
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _engine_bytes(q: int, K: int, m: int, d: int, parts: int = 1) -> tuple[int, int, int]:
     """Parents per chunk of series_superop's order-K recursion over the q-point
-    rule, m jumps on d x d operators, and the bytes of superoperators it holds at
-    once: per segment, and per call. K = 0 or m = 0 leaves the order-0 term
-    alone, one d^2 x d^2 superoperator of 16 d^4 bytes per segment. Otherwise the
-    two widest stored levels, depths K-1 and K-2, are held per segment while the
-    second is built, with one chunk of parents' gathered children and products
-    per call."""
+    rule, m jumps on d x d operators, with parts chunks in flight, and the bytes
+    of superoperators it holds at once: per segment, and per call. K = 0 or m = 0
+    leaves the order-0 term alone, one d^2 x d^2 superoperator of 16 d^4 bytes per
+    segment. Otherwise the two widest stored levels, depths K-1 and K-2, are held
+    per segment while the second is built, with parts chunks of parents' work per
+    call, sized so that together they fit _WORK_BYTES. A parent's work is its
+    gathered children and products, 1 + q(m+1) nodes, when one chunk runs at a
+    time, and 2 + q m nodes when several do, as those gather one child at a time.
+    A level of one chunk always gathers all children at once, which is at most
+    twice the per-child work, so two or more chunks' bytes bound it too."""
     nh = d * (d + 1) // 2
     node_bytes = 16 * d * d * nh
-    chunk = max(1, _WORK_BYTES // ((1 + q * (m + 1)) * node_bytes))
+    work = (1 + q * (m + 1) if parts == 1 else 2 + q * m) * node_bytes
+    chunk = max(1, _WORK_BYTES // (parts * work))
     if not (K and m):
         return chunk, 16 * d ** 4, 0
     stored = math.comb(q + K - 2, K - 1) + (math.comb(q + K - 3, K - 2) if K > 1 else 0)
-    return chunk, stored * node_bytes, chunk * (1 + q * (m + 1)) * node_bytes
+    return chunk, stored * node_bytes, parts * chunk * work
 
 
-def _check_engine(q: int, K: int, m: int, d: int, segments: int = 1) -> int:
+def _check_engine(q: int, K: int, m: int, d: int, segments: int = 1, parts: int = 1) -> int:
     """Check the resource limits of one series_superop call on segments segments
-    (see _engine_bytes for the arguments), and return its parents per chunk.
+    with parts chunks in flight (see _engine_bytes for the arguments), and return
+    its parents per chunk.
 
     Raises ResourceLimitError when the C(q+K-1, K-1) nodes of depths
     0..K-1 exceed MAX_SERIES_NODES, or when the superoperators held at once
@@ -239,13 +260,32 @@ def _check_engine(q: int, K: int, m: int, d: int, segments: int = 1) -> int:
         if nodes > MAX_SERIES_NODES:
             raise ResourceLimitError(
                 f"series engine would build {nodes} > {MAX_SERIES_NODES} nodes")
-    chunk, per_segment, per_call = _engine_bytes(q, K, m, d)
+    chunk, per_segment, per_call = _engine_bytes(q, K, m, d, parts)
     held_bytes = segments * per_segment + per_call
     if held_bytes > MAX_SUPEROP_BYTES:
         raise ResourceLimitError(
             f"series engine would hold {held_bytes} > {MAX_SUPEROP_BYTES} bytes "
             "of superoperators at once")
     return chunk
+
+
+def _engine_parts(q: int, K: int, m: int, d: int, segments: int = 1) -> int:
+    """Chunks one series_superop call runs at once (see _engine_bytes for the
+    arguments): one per CPU this process may use, but fewer where that many would
+    hold more than MAX_SUPEROP_BYTES, so that a call that fits one chunk at a
+    time never fails for running several. A call whose widest level, depth K-1,
+    is one chunk when run alone runs every level alone and asks for no CPUs;
+    otherwise that level is more than one chunk at any number of parts."""
+    chunk = _engine_bytes(q, K, m, d)[0]
+    if not (K and m) or segments * math.comb(q + K - 2, K - 1) <= chunk:
+        return 1
+    parts = _cpu_count()
+    while parts > 1:
+        _, per_segment, per_call = _engine_bytes(q, K, m, d, parts)
+        if segments * per_segment + per_call <= MAX_SUPEROP_BYTES:
+            break
+        parts -= 1
+    return parts
 
 
 def _segments_per_call(q: int, K: int, m: int, d: int, extra_bytes: int, budget: int) -> int:
@@ -257,6 +297,48 @@ def _segments_per_call(q: int, K: int, m: int, d: int, extra_bytes: int, budget:
     _, per_segment, per_call = _engine_bytes(q, K, m, d)
     return max(1, min(budget // (extra_bytes + per_segment),
                       (MAX_SUPEROP_BYTES - per_call) // per_segment))
+
+
+def _run_shares(pool: ThreadPoolExecutor, parts: int, run, starts: range) -> None:
+    """run(start) for every start: the calling thread takes every parts-th one
+    from the first, and pool's threads take the rest. Returns when all are done,
+    or raises the first error met; the pool's owner then cancels the rest."""
+    tasks = [pool.submit(run, start) for k, start in enumerate(starts) if k % parts]
+    for start in starts[::parts]:
+        run(start)
+    for task in tasks:
+        task.result()
+
+
+def _leaf_rows(level: np.ndarray, wts: np.ndarray, A: np.ndarray, chunk: int,
+               start: int) -> None:
+    """Rows start to start + chunk of series_superop's deepest level, in Kraus
+    form: the leaves' operators A and weights wts."""
+    sl = slice(start, start + chunk)
+    level[sl] = batched_kraus_sum(wts[sl], A[sl])
+
+
+def _node_rows(level: np.ndarray, G: np.ndarray, B: np.ndarray, W: np.ndarray, ch: np.ndarray,
+               close: np.ndarray, chunk: int, by_child: bool, start: int) -> None:
+    """Rows start to start + chunk of a stored level of series_superop: from the
+    level below, G, each row's children ch, their weights W and jump-side
+    factors B, and its closing propagator close. by_child gathers and multiplies
+    one child at a time, which holds fewer bytes and forms the same products."""
+    sl = slice(start, start + chunk)
+    Bs = B[sl]
+    P, q, m, d, _ = Bs.shape
+    nh = G.shape[-1]
+    # K[B] X as two d x d contractions per column: B on the ket index,
+    # then conj(B), weighted, on the bra index summed over (j, l)
+    if by_child:
+        Y = np.empty((P, q, m, d, d, nh), dtype=complex)
+        for j in range(q):
+            np.matmul(Bs[:, j, :, None], G[ch[sl, j]].reshape(P, 1, d, d, nh), out=Y[:, j])
+    else:
+        Y = Bs[:, :, :, None] @ G[ch[sl]].reshape(P, q, 1, d, d, nh)
+    Wc = (W[sl][:, :, None, None, None] * Bs.conj()).reshape(P, q * m, d, d)
+    Z = Wc.transpose(0, 2, 1, 3).reshape(P, d, q * m * d) @ Y.reshape(P, q * m * d, d * nh)
+    np.add(Z.reshape(P, d * d, nh), kraus_superop(close[sl], half=True), out=level[sl])
 
 
 def series_superop(propagate, jumps, t: float, q: int, K: int, m: int,
@@ -277,16 +359,23 @@ def series_superop(propagate, jumps, t: float, q: int, K: int, m: int,
     u w_j / t and children come from NestedGrid(rule, K).table, one node per
     index multiset, and each node is built once, deepest level first. Depth
     K-1 is closed in Kraus form, so leaves are never stored; each stored level
-    is one array, from which a chunk of parents takes its children with one
-    indexed gather.
+    is one array, from which a chunk of parents takes its children by indexed
+    gathers.
     propagate(s, u) returns each segment's T(s_b, u_b) as an (S, B, d, d) array
     and jumps(u) its L_l(u_b) as an (S, B, m, d, d) array; both are called once
-    per level for all S segments. A level's rows are its parents segment by
-    segment, each row's children offset into the rows below by its segment, so
-    one chunk loop walks every segment and each row is computed by the same
-    products, of the same shapes, whatever S is. A caller that samples at the
-    node times passes the NestedGrid it sampled from as nested, so both read
-    one table.
+    per level for all S segments, on the calling thread. A level's rows are its
+    parents segment by segment, each row's children offset into the rows below
+    by its segment, so one chunk loop walks every segment and each row is
+    computed by the same products, of the same shapes, whatever S is. A caller
+    that samples at the node times passes the NestedGrid it sampled from as
+    nested, so both read one table.
+
+    Chunks write disjoint rows, so a level of more than one chunk runs them on
+    every CPU the process may use (_engine_parts): the calling thread takes one
+    share and a thread pool, opened for the call, the others. Those chunks
+    gather one child at a time, which keeps the bytes of the chunks in flight
+    near those of one chunk gathering all q; the products, and so every bit of
+    the result, are the same either way. A level of one chunk starts no thread.
 
     Every node is a Kraus map and so preserves Hermiticity, G(E_ba) =
     G(E_ab)^dag, and each column of G_r is fixed by the same column of its
@@ -300,7 +389,8 @@ def series_superop(propagate, jumps, t: float, q: int, K: int, m: int,
     """
     if K < 0:
         raise ArgumentError(f"series order must be nonnegative, got {K}")
-    chunk = _check_engine(q, K if t else 0, m, d, segments)
+    parts = _engine_parts(q, K if t else 0, m, d, segments)
+    chunk = _check_engine(q, K if t else 0, m, d, segments, parts)
     if K == 0 or m == 0 or t == 0.0:
         return kraus_superop(propagate(np.zeros(1), np.array([t]))[:, 0])
     nh = d * (d + 1) // 2
@@ -308,47 +398,54 @@ def series_superop(propagate, jumps, t: float, q: int, K: int, m: int,
     if nested is None:
         nested = NestedGrid(canonical_rule(q, t), K)
     u, weights, children = nested.table
+
+    # with more than one part the deepest level is more than one chunk (_engine_parts)
+    pool = ThreadPoolExecutor(parts - 1) if parts > 1 else None
     G = None
-    for i in range(K - 1, -1, -1):
-        up, uc, ch, W = u[i], u[i + 1], children[i], weights[i]
-        n_p = up.size
-        lo = np.concatenate([np.zeros(n_p), uc[ch].ravel()])
-        hi = np.concatenate([up, np.repeat(up, q)])
-        if i == K - 1:
-            lo = np.concatenate([lo, np.zeros(uc.size)])
-            hi = np.concatenate([hi, uc])
-        # rows are parents segment by segment (views when S = 1), and each row's
-        # children are offset into the rows of the level below by its segment
-        T = propagate(lo, hi)
-        if segments > 1:
-            ch = (ch + uc.size * np.arange(segments)[:, None, None]).reshape(-1, q)
-            W = np.tile(W, (segments, 1))
-        close = T[:, :n_p].reshape(-1, d, d)
-        B = (T[:, n_p:n_p * (q + 1)].reshape(-1, q, 1, d, d)
-             @ jumps(uc).reshape(-1, m, d, d)[ch])
-        n_rows = close.shape[0]
-        if i == K - 1:
-            # depth-K leaves in Kraus form: close at weight 1, then T(u x_j, u) L_l T(0, u x_j)
-            A = np.concatenate([close[:, None],
-                                (B @ T[:, n_p * (q + 1):].reshape(-1, d, d)[ch][:, :, None])
-                                .reshape(n_rows, q * m, d, d)], axis=1)
-            wts = np.concatenate([np.ones((n_rows, 1)), np.repeat(W, m, axis=1)], axis=1)
-        level = np.empty((n_rows, d * d, nh), dtype=complex)
-        for start in range(0, n_rows, chunk):
-            sl = slice(start, min(start + chunk, n_rows))
+    try:
+        for i in range(K - 1, -1, -1):
+            up, uc, ch, W = u[i], u[i + 1], children[i], weights[i]
+            n_p = up.size
+            lo = np.concatenate([np.zeros(n_p), uc[ch].ravel()])
+            hi = np.concatenate([up, np.repeat(up, q)])
             if i == K - 1:
-                level[sl] = batched_kraus_sum(wts[sl], A[sl])
-                continue
-            P = sl.stop - start
-            X = G[ch[sl]].reshape(P, q, 1, d, d, nh)
-            # K[B] X as two d x d contractions per column: B on the ket index,
-            # then conj(B), weighted, on the bra index summed over (j, l)
-            Y = (B[sl][:, :, :, None] @ X).reshape(P, q * m, d, d, nh)
-            Wc = (W[sl][:, :, None, None, None] * B[sl].conj()).reshape(P, q * m, d, d)
-            Z = (Wc.transpose(0, 2, 1, 3).reshape(P, d, q * m * d)
-                 @ Y.reshape(P, q * m * d, d * nh))
-            np.add(Z.reshape(P, d * d, nh), kraus_superop(close[sl], half=True), out=level[sl])
-        G = level
+                lo = np.concatenate([lo, np.zeros(uc.size)])
+                hi = np.concatenate([hi, uc])
+            # rows are parents segment by segment (views when S = 1), and each row's
+            # children are offset into the rows of the level below by its segment
+            T = propagate(lo, hi)
+            if segments > 1:
+                ch = (ch + uc.size * np.arange(segments)[:, None, None]).reshape(-1, q)
+                W = np.tile(W, (segments, 1))
+            close = T[:, :n_p].reshape(-1, d, d)
+            B = (T[:, n_p:n_p * (q + 1)].reshape(-1, q, 1, d, d)
+                 @ jumps(uc).reshape(-1, m, d, d)[ch])
+            n_rows = close.shape[0]
+            if i == K - 1:
+                # depth-K leaves in Kraus form: close at weight 1, then T(u x_j, u) L_l T(0, u x_j)
+                A = np.concatenate([close[:, None],
+                                    (B @ T[:, n_p * (q + 1):].reshape(-1, d, d)[ch][:, :, None])
+                                    .reshape(n_rows, q * m, d, d)], axis=1)
+                wts = np.concatenate([np.ones((n_rows, 1)), np.repeat(W, m, axis=1)], axis=1)
+            level = np.empty((n_rows, d * d, nh), dtype=complex)
+            starts = range(0, n_rows, chunk)
+            if parts > 1 and len(starts) > 1:
+                # the rows' partial is not kept, so the level below is freed with G
+                _run_shares(pool, parts,
+                            functools.partial(_leaf_rows, level, wts, A, chunk) if i == K - 1
+                            else functools.partial(_node_rows, level, G, B, W, ch, close, chunk,
+                                                   True),
+                            starts)
+            elif i == K - 1:
+                for start in starts:
+                    _leaf_rows(level, wts, A, chunk, start)
+            else:
+                for start in starts:
+                    _node_rows(level, G, B, W, ch, close, chunk, False, start)
+            G = level
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return expand_half(G)
 
 

@@ -28,6 +28,7 @@ from lindbladsim import (
     unvec,
     vec,
 )
+from lindbladsim.models import _check_stack
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -181,6 +182,36 @@ def test_default_bounds_are_the_exact_spectral_norms(n_qubits, num_jumps, seed):
     lind = Lindbladian(H, src.jumps)
     assert lind.alpha0 == spectral_norm(lind.hamiltonian)
     assert lind.alphas == tuple(spectral_norm(L) for L in lind.jumps)
+
+
+def test_stack_check_norms_are_the_per_matrix_svd_norms(monkeypatch):
+    # runs of equal operators, of different lengths in each slot, share one SVD:
+    # 3 runs of H and 2 of the second jump; the first jump has 3 runs, and a 4th
+    # from a -0.0 that differs from 0.0 in its bits alone
+    rng = np.random.default_rng(4)
+    ops = rng.normal(size=(4, 3, 3, 3)) + 1j * rng.normal(size=(4, 3, 3, 3))
+    picks = np.array([[0, 0, 0], [0, 1, 0], [1, 1, 0], [1, 1, 0], [1, 2, 3], [0, 2, 3]])
+    stack = ops[picks, np.arange(3)]
+    H = (stack[:, 0] + stack[:, 0].conj().swapaxes(-1, -2)) / 2
+    L = stack[:, 1:].copy()
+    L[4, 0, 0, 0] = -0.0
+    L[5, 0, 0, 0] = 0.0
+    taken, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: taken.append(len(a)) or svd(a, **kw))
+    _, norms = _check_stack(H, L, (100.0, 100.0, 100.0))
+    monkeypatch.undo()
+    assert taken == [9]
+    for b in range(len(picks)):
+        for j, op in enumerate([(H[b] + H[b].conj().T) / 2, *L[b]]):
+            assert norms[b, j] == np.linalg.svd(op, compute_uv=False)[0]
+
+
+def test_stack_check_names_a_bad_jump_after_a_run_of_equal_ones():
+    L = np.broadcast_to(0.5 * SZ, (6, 1, 2, 2)).copy()
+    L[4, 0] = 2.0 * SZ
+    times = np.linspace(0.0, 0.5, 6)
+    with pytest.raises(ModelError, match=r"\|\|L_0\|\| = 2\.0 at t=0\.4 exceeds"):
+        _check_stack(np.broadcast_to(SZ, (6, 2, 2)), L, (1.0, 1.0), times)
 
 
 def test_be_norm_plug_ins():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import threading
 import time
 
@@ -411,12 +412,125 @@ def test_segment_axis_chunks_straddle_segments(monkeypatch, d, m):
     S, t, q, K = 3, 0.4, 2, 4
     node_bytes = 16 * d * d * d * (d + 1) // 2
     monkeypatch.setattr(series, "_WORK_BYTES", 3 * (1 + q * (m + 1)) * node_bytes)
+    monkeypatch.setattr(series, "_cpu_count", lambda: 1)  # one chunk at a time
     assert series._check_engine(q, K, m, d, S) == 3
     propagate, jumps = segment_sources(S, d, m, 20 * d + m)
     group = series_superop(propagate(range(S)), jumps(range(S)), t, q, K, m, d, segments=S)
     for s in range(S):
         np.testing.assert_array_equal(
             group[s], series_superop(propagate([s]), jumps([s]), t, q, K, m, d)[0])
+
+
+def recording_pool(monkeypatch):
+    # series.ThreadPoolExecutor, recording the worker count of every pool opened
+    opened, real = [], series.ThreadPoolExecutor
+
+    def pool(workers):
+        opened.append(workers)
+        return real(workers)
+
+    monkeypatch.setattr(series, "ThreadPoolExecutor", pool)
+    return opened
+
+
+@pytest.mark.parametrize("d", [8, 16])
+@pytest.mark.parametrize("shrunk", [False, True])
+def test_series_engine_is_bitwise_equal_across_worker_counts(monkeypatch, d, shrunk):
+    # levels of 3, 6 and 9 rows on 3 segments; shrunk, chunks are 4, 3 and 2
+    # parents at 1, 2 and 3 workers, straddling segments. At d = 8 and the
+    # default work size every level is one chunk, so only d = 16 threads there.
+    # Threads switch often, so a chunk read before it is written shows
+    S, t, q, K, m = 3, 0.4, 2, 3, 1
+    if shrunk:
+        monkeypatch.setattr(series, "_WORK_BYTES", 24 * 16 * d * d * d * (d + 1) // 2)
+    propagate, jumps = segment_sources(S, d, m, d + shrunk)
+    opened = recording_pool(monkeypatch)
+    results, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(series, "_cpu_count", lambda: workers)
+            results.append(series_superop(propagate(range(S)), jumps(range(S)), t, q, K, m, d,
+                                          segments=S))
+    finally:
+        sys.setswitchinterval(interval)
+    assert opened == ([1, 2] if shrunk or d == 16 else [])
+    for other in results[1:]:
+        np.testing.assert_array_equal(other, results[0])
+
+
+def test_series_engine_single_chunk_levels_start_no_thread(monkeypatch):
+    def unused(*args):
+        raise AssertionError("asked for CPUs or opened a thread pool")
+
+    # d = 4, q = 3, K = 4, m = 2 on 3 segments: levels of 3, 9, 18 and 30 rows
+    # against chunks of 327 parents run alone, so no level needs a thread
+    propagate, jumps = segment_sources(3, 4, 2, 5)
+    with monkeypatch.context() as patch:
+        patch.setattr(series, "_cpu_count", unused)
+        patch.setattr(series, "ThreadPoolExecutor", unused)
+        series_superop(propagate(range(3)), jumps(range(3)), 0.4, 3, 4, 2, 4, segments=3)
+    # one segment and a work size of 40 nodes: the widest level, 10 rows, is 3
+    # chunks of 4 alone, so the call runs 2 at once, of 2 parents each; the levels
+    # of 10, 6 and 3 rows are shared out and the root, one chunk, runs alone
+    monkeypatch.setattr(series, "_WORK_BYTES", 40 * 16 * 4 * 4 * 10)
+    shared, real = [], series._run_shares
+
+    def recording(pool, parts, run, starts):
+        shared.append(len(starts))
+        real(pool, parts, run, starts)
+
+    monkeypatch.setattr(series, "_run_shares", recording)
+    monkeypatch.setattr(series, "_cpu_count", lambda: 2)
+    threaded = series_superop(propagate([0]), jumps([0]), 0.4, 3, 4, 2, 4)
+    assert shared == [5, 3, 2]
+    monkeypatch.setattr(series, "_cpu_count", lambda: 1)
+    np.testing.assert_array_equal(
+        threaded, series_superop(propagate([0]), jumps([0]), 0.4, 3, 4, 2, 4))
+    assert shared == [5, 3, 2]
+
+
+@pytest.mark.parametrize("on_worker", [True, False])
+def test_series_engine_chunk_errors_propagate_and_leave_no_thread(monkeypatch, on_worker):
+    # the deepest level's chunks fail on a pool thread, or on the calling thread
+    d, m = 8, 1
+    monkeypatch.setattr(series, "_WORK_BYTES", 8 * 16 * d * d * d * (d + 1) // 2)
+    monkeypatch.setattr(series, "_cpu_count", lambda: 2)
+    real = series.batched_kraus_sum
+
+    def failing(weights, mats):
+        if (threading.current_thread() is threading.main_thread()) != on_worker:
+            raise RuntimeError("chunk failed")
+        return real(weights, mats)
+
+    monkeypatch.setattr(series, "batched_kraus_sum", failing)
+    propagate, jumps = segment_sources(1, d, m, 3)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        series_superop(propagate([0]), jumps([0]), 0.4, 2, 3, m, d)
+    assert threading.active_count() == threads
+
+
+def test_series_engine_runs_fewer_chunks_at_once_rather_than_fail(monkeypatch):
+    # d = 8, q = 2, K = 3, m = 1 stores 5 nodes. With a work size of 8 nodes
+    # each chunk is one parent, whose work is 5 nodes alone and 4 nodes with
+    # others in flight: 5, 8, 12 and 16 nodes at 1 to 4 chunks at once
+    d, q, K, m = 8, 2, 3, 1
+    node_bytes = 16 * d * d * d * (d + 1) // 2
+    monkeypatch.setattr(series, "_WORK_BYTES", 8 * node_bytes)
+    monkeypatch.setattr(series, "_cpu_count", lambda: 4)
+    propagate, jumps = segment_sources(1, d, m, 7)
+    opened = recording_pool(monkeypatch)
+    results = []
+    for held, parts in [(13, 2), (10, 1)]:
+        monkeypatch.setattr(series, "MAX_SUPEROP_BYTES", held * node_bytes)
+        assert series._engine_parts(q, K, m, d) == parts
+        results.append(series_superop(propagate([0]), jumps([0]), 0.4, q, K, m, d))
+    assert opened == [1]
+    np.testing.assert_array_equal(results[0], results[1])
+    monkeypatch.setattr(series, "MAX_SUPEROP_BYTES", 9 * node_bytes)
+    with pytest.raises(ResourceLimitError, match=f"would hold {10 * node_bytes} "):
+        series_superop(propagate([0]), jumps([0]), 0.4, q, K, m, d)
 
 
 def test_series_engine_order_zero_edges():

@@ -35,6 +35,9 @@ RUNS = [
     ("simulate-verify.json",
      ["simulate", "--model", "amplitude_damping.json", "--time", "1", "--eps", "1e-4",
       "--verify"]),
+    # d = 8 at K = 9, q = 5: series levels of up to 495 parents, many chunks each
+    ("simulate-ising3-verify.json",
+     ["simulate", "--model", "ising_chain3.json", "--time", "1", "--eps", "1e-6", "--verify"]),
     ("analyze-error.csv",
      ["analyze-error", "--random-models", "2", "--seed", "7", "--time", "0.3",
       "--max-order", "3"]),
