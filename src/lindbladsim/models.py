@@ -62,8 +62,6 @@ def _spectral_norms(stack: np.ndarray) -> np.ndarray:
     """Spectral norms (B, n) of the operators of a finite (B, n, d, d) stack: one
     SVD per run of bitwise-equal operators in a slot, its norm copied along the
     run, so a slot held constant costs one SVD."""
-    if len(stack) == 1:
-        return np.linalg.svd(stack, compute_uv=False)[..., 0]
     bits = stack.view(np.uint64)
     new = np.ones(stack.shape[:2], dtype=bool)
     new[1:] = (bits[1:] != bits[:-1]).any(axis=(-2, -1))

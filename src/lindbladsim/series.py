@@ -29,10 +29,11 @@ columns by that mirror. The term index set is enumerated in one place,
 CPMapApprox.term_blocks, which yields indices, coefficients and normalizers
 block by block without matrices; iter_terms attaches the chain products to
 those blocks where the operators themselves are needed. A level's chunks of
-parents write disjoint rows, so series_superop runs a level of more than one
-chunk on every CPU the process may use, each row from the same products, and
-so the same bits, as one chunk at a time; the sources it samples stay on the
-calling thread.
+parents write disjoint rows, so series_superop, called on the main thread,
+runs a level of more than one chunk on every CPU the process may use, up to
+as many as fit the work size, each row from the same products, and so the
+same bits, as one chunk at a time; the sources it samples stay on the calling
+thread.
 
 Each resource guard counts the work of the function that checks it, before
 that work starts: series_superop its nodes (MAX_SERIES_NODES) and held bytes
@@ -50,6 +51,7 @@ import functools
 import itertools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterator
@@ -224,21 +226,28 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _parent_work(q: int, m: int, d: int, parts: int = 1) -> int:
+    """Bytes of one parent's gathered children and products in series_superop
+    (see _engine_bytes for the arguments): 1 + q(m+1) nodes when one chunk runs
+    at a time, and 2 + q m nodes when several do, as those gather one child at a
+    time."""
+    node_bytes = 16 * d * d * (d * (d + 1) // 2)
+    return (1 + q * (m + 1) if parts == 1 else 2 + q * m) * node_bytes
+
+
 def _engine_bytes(q: int, K: int, m: int, d: int, parts: int = 1) -> tuple[int, int, int]:
     """Parents per chunk of series_superop's order-K recursion over the q-point
     rule, m jumps on d x d operators, with parts chunks in flight, and the bytes
     of superoperators it holds at once: per segment, and per call. K = 0 or m = 0
     leaves the order-0 term alone, one d^2 x d^2 superoperator of 16 d^4 bytes per
     segment. Otherwise the two widest stored levels, depths K-1 and K-2, are held
-    per segment while the second is built, with parts chunks of parents' work per
-    call, sized so that together they fit _WORK_BYTES. A parent's work is its
-    gathered children and products, 1 + q(m+1) nodes, when one chunk runs at a
-    time, and 2 + q m nodes when several do, as those gather one child at a time.
-    A level of one chunk always gathers all children at once, which is at most
-    twice the per-child work, so two or more chunks' bytes bound it too."""
-    nh = d * (d + 1) // 2
-    node_bytes = 16 * d * d * nh
-    work = (1 + q * (m + 1) if parts == 1 else 2 + q * m) * node_bytes
+    per segment while the second is built, with parts chunks of parents' work
+    (_parent_work) per call, sized so that together they fit _WORK_BYTES when
+    parts parents do. A level of one chunk always gathers all children at once,
+    which is at most twice the per-child work, so two or more chunks' bytes
+    bound it too."""
+    node_bytes = 16 * d * d * (d * (d + 1) // 2)
+    work = _parent_work(q, m, d, parts)
     chunk = max(1, _WORK_BYTES // (parts * work))
     if not (K and m):
         return chunk, 16 * d ** 4, 0
@@ -271,15 +280,20 @@ def _check_engine(q: int, K: int, m: int, d: int, segments: int = 1, parts: int 
 
 def _engine_parts(q: int, K: int, m: int, d: int, segments: int = 1) -> int:
     """Chunks one series_superop call runs at once (see _engine_bytes for the
-    arguments): one per CPU this process may use, but fewer where that many would
-    hold more than MAX_SUPEROP_BYTES, so that a call that fits one chunk at a
-    time never fails for running several. A call whose widest level, depth K-1,
-    is one chunk when run alone runs every level alone and asks for no CPUs;
-    otherwise that level is more than one chunk at any number of parts."""
+    arguments): one per CPU this process may use, but no more than fit one
+    parent's work each in _WORK_BYTES, so the chunks in flight hold what one
+    chunk does on any host, and fewer where that many would hold more than
+    MAX_SUPEROP_BYTES, so that a call that fits one chunk at a time never fails
+    for running several. A call off the main thread runs one chunk at a time,
+    so callers that run calls on threads of their own do not multiply them. A
+    call whose widest level, depth K-1, is one chunk when run alone runs every
+    level alone and asks for no CPUs; otherwise that level is more than one
+    chunk at any number of parts."""
     chunk = _engine_bytes(q, K, m, d)[0]
-    if not (K and m) or segments * math.comb(q + K - 2, K - 1) <= chunk:
+    if (not (K and m) or segments * math.comb(q + K - 2, K - 1) <= chunk
+            or threading.current_thread() is not threading.main_thread()):
         return 1
-    parts = _cpu_count()
+    parts = min(_cpu_count(), max(1, _WORK_BYTES // _parent_work(q, m, d, 2)))
     while parts > 1:
         _, per_segment, per_call = _engine_bytes(q, K, m, d, parts)
         if segments * per_segment + per_call <= MAX_SUPEROP_BYTES:
@@ -371,8 +385,9 @@ def series_superop(propagate, jumps, t: float, q: int, K: int, m: int,
     nested, so both read one table.
 
     Chunks write disjoint rows, so a level of more than one chunk runs them on
-    every CPU the process may use (_engine_parts): the calling thread takes one
-    share and a thread pool, opened for the call, the others. Those chunks
+    every CPU the process may use, within the work size and on the main thread
+    only (_engine_parts): the calling thread takes one share and a thread pool,
+    opened for the call, the others. Those chunks
     gather one child at a time, which keeps the bytes of the chunks in flight
     near those of one chunk gathering all q; the products, and so every bit of
     the result, are the same either way. A level of one chunk starts no thread.

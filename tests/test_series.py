@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -514,7 +515,8 @@ def test_series_engine_chunk_errors_propagate_and_leave_no_thread(monkeypatch, o
 def test_series_engine_runs_fewer_chunks_at_once_rather_than_fail(monkeypatch):
     # d = 8, q = 2, K = 3, m = 1 stores 5 nodes. With a work size of 8 nodes
     # each chunk is one parent, whose work is 5 nodes alone and 4 nodes with
-    # others in flight: 5, 8, 12 and 16 nodes at 1 to 4 chunks at once
+    # others in flight, so 2 of the 4 CPUs fit it: 5 and 8 nodes at 1 and 2
+    # chunks at once
     d, q, K, m = 8, 2, 3, 1
     node_bytes = 16 * d * d * d * (d + 1) // 2
     monkeypatch.setattr(series, "_WORK_BYTES", 8 * node_bytes)
@@ -531,6 +533,37 @@ def test_series_engine_runs_fewer_chunks_at_once_rather_than_fail(monkeypatch):
     monkeypatch.setattr(series, "MAX_SUPEROP_BYTES", 9 * node_bytes)
     with pytest.raises(ResourceLimitError, match=f"would hold {10 * node_bytes} "):
         series_superop(propagate([0]), jumps([0]), 0.4, q, K, m, d)
+
+
+@pytest.mark.parametrize("q, K, m, d", [(5, 4, 1, 16), (3, 4, 2, 16), (2, 3, 1, 8),
+                                        (4, 5, 3, 8), (3, 3, 1, 32)])
+def test_series_engine_chunks_in_flight_fit_the_work_size_on_any_host(monkeypatch, q, K, m, d):
+    # on a host of 256 CPUs the chunks in flight hold what one chunk does
+    # alone, within _WORK_BYTES wherever one parent fits it
+    monkeypatch.setattr(series, "_cpu_count", lambda: 256)
+    parts = series._engine_parts(q, K, m, d, segments=4)
+    per_call = series._engine_bytes(q, K, m, d, parts)[2]
+    if series._parent_work(q, m, d) <= series._WORK_BYTES:
+        assert per_call <= series._WORK_BYTES
+    else:
+        assert parts == 1
+
+
+def test_series_engine_off_the_main_thread_runs_one_chunk_at_a_time(monkeypatch):
+    # callers that run engine calls on threads of their own start no more
+    d, m = 8, 1
+    monkeypatch.setattr(series, "_WORK_BYTES", 8 * 16 * d * d * d * (d + 1) // 2)
+    monkeypatch.setattr(series, "_cpu_count", lambda: 2)
+    opened = recording_pool(monkeypatch)
+    propagate, jumps = segment_sources(1, d, m, 4)
+    threaded = series_superop(propagate([0]), jumps([0]), 0.4, 2, 3, m, d)
+    assert opened == [1]
+    with ThreadPoolExecutor(1) as pool:
+        assert pool.submit(series._engine_parts, 2, 3, m, d).result() == 1
+        serial = pool.submit(series_superop, propagate([0]), jumps([0]), 0.4, 2, 3, m,
+                             d).result()
+    assert opened == [1]
+    np.testing.assert_array_equal(serial, threaded)
 
 
 def test_series_engine_order_zero_edges():
