@@ -72,16 +72,21 @@ def _evolve(args, model, run) -> int:
     return 0
 
 
-def _run_model(args) -> modelio.ParsedModel:
-    """The parsed --model of simulate and td-simulate. At a finite t > 0 the
-    series engine holds at least the order-0 term's 16 d^4 bytes, which the
-    register fixes, so its byte limit is checked here, before any operator is
+def _check_order_zero(n_qubits: int) -> None:
+    """The series engine holds at least the order-0 term's 16 d^4 bytes, which
+    the register fixes, so its byte limit is checked before any operator is
     built and its spectrum taken; a register too wide for one dense operator
     fails on that first, as building it would."""
+    modelio.check_register(n_qubits)
+    series._check_engine(1, 0, 0, 2 ** n_qubits)
+
+
+def _run_model(args) -> modelio.ParsedModel:
+    """The parsed --model of simulate and td-simulate, checked by
+    _check_order_zero at a finite t > 0, where the engine runs."""
     pm = modelio.load_model(args.model)
     if 0 < args.time < math.inf:
-        modelio.check_register(pm.n_qubits)
-        series._check_engine(1, 0, 0, 2 ** pm.n_qubits)
+        _check_order_zero(pm.n_qubits)
     return pm
 
 
@@ -113,12 +118,17 @@ def _cmd_td_simulate(args) -> int:
 
 
 def _sweep_models(args):
+    """The sweep's named models, each checked by _check_order_zero before it is
+    built: every row builds a superoperator and the exact channel, at any time."""
     named = []
     for path in args.model or []:
         stem = path.rsplit("/", 1)[-1]
         stem = stem[:-5] if stem.endswith(".json") else stem
-        named.append((stem, modelio.load_model(path).to_lindbladian()))
+        pm = modelio.load_model(path)
+        _check_order_zero(pm.n_qubits)
+        named.append((stem, pm.to_lindbladian()))
     for i in range(args.random_models):
+        _check_order_zero(args.n_qubits)
         name = f"random-{args.n_qubits}q-{args.seed}-{i}"
         named.append((name, models.random_lindbladian(
             args.n_qubits, num_jumps=1, seed=args.seed + i)))

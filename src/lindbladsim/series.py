@@ -30,17 +30,18 @@ CPMapApprox.term_blocks, which yields indices, coefficients and normalizers
 block by block without matrices; iter_terms attaches the chain products to
 those blocks where the operators themselves are needed. A level's chunks of
 parents write disjoint rows, so series_superop, called on the main thread,
-runs a level of more than one chunk on every CPU the process may use, up to
-as many as fit the work size, each row from the same products, and so the
-same bits, as one chunk at a time; the sources it samples stay on the calling
-thread.
+runs the chunks of a call whose widest level is more than one chunk on every
+CPU the process may use, up to as many as fit the work size, each row from
+the same products, and so the same bits, as one chunk at a time; the sources
+it samples stay on the calling thread.
 
 Each resource guard counts the work of the function that checks it, before
 that work starts: series_superop its nodes (MAX_SERIES_NODES) and held bytes
 (MAX_SUPEROP_BYTES), which _evolve also checks on its plan before the source
-builds or samples anything (series_superop counts every chunk in flight, and
-runs fewer at once rather than fail on them), term_blocks its terms
-(quadrature.TERM_GUARDRAIL), and timedep.td_simulate and
+builds or samples anything (series_superop counts the chunks in flight by a
+figure that holds at any number of them, so its verdict does not depend on
+the CPU count), term_blocks its terms (quadrature.TERM_GUARDRAIL), and
+timedep.td_simulate and
 timedep.rk4_reference their sampled times (MAX_SAMPLER_CALLS), one sampler
 call each for a pointwise sampler. The (m q)^k chain count sizes only the
 read-out, so it bounds no superoperator path.
@@ -235,30 +236,27 @@ def _parent_work(q: int, m: int, d: int, parts: int = 1) -> int:
     return (1 + q * (m + 1) if parts == 1 else 2 + q * m) * node_bytes
 
 
-def _engine_bytes(q: int, K: int, m: int, d: int, parts: int = 1) -> tuple[int, int, int]:
-    """Parents per chunk of series_superop's order-K recursion over the q-point
-    rule, m jumps on d x d operators, with parts chunks in flight, and the bytes
-    of superoperators it holds at once: per segment, and per call. K = 0 or m = 0
-    leaves the order-0 term alone, one d^2 x d^2 superoperator of 16 d^4 bytes per
-    segment. Otherwise the two widest stored levels, depths K-1 and K-2, are held
-    per segment while the second is built, with parts chunks of parents' work
-    (_parent_work) per call, sized so that together they fit _WORK_BYTES when
-    parts parents do. A level of one chunk always gathers all children at once,
-    which is at most twice the per-child work, so two or more chunks' bytes
-    bound it too."""
-    node_bytes = 16 * d * d * (d * (d + 1) // 2)
-    work = _parent_work(q, m, d, parts)
-    chunk = max(1, _WORK_BYTES // (parts * work))
+def _engine_bytes(q: int, K: int, m: int, d: int) -> tuple[int, int]:
+    """Bytes of superoperators that series_superop's order-K recursion over the
+    q-point rule, m jumps on d x d operators, holds at once: per segment, and
+    per call. K = 0 or m = 0 leaves the order-0 term alone, one d^2 x d^2
+    superoperator of 16 d^4 bytes per segment. Otherwise the two widest stored
+    levels, depths K-1 and K-2, are held per segment while the second is built,
+    and per call the chunks in flight (_engine_parts), which hold at most
+    max(_WORK_BYTES, one parent's work alone) at any number of parts: several
+    parts' chunks fit _WORK_BYTES at the per-child work, and one part's chunk
+    fits it or is one parent. That overcounts one chunk at a time by less than
+    one parent's work alone."""
     if not (K and m):
-        return chunk, 16 * d ** 4, 0
+        return 16 * d ** 4, 0
+    node_bytes = 16 * d * d * (d * (d + 1) // 2)
     stored = math.comb(q + K - 2, K - 1) + (math.comb(q + K - 3, K - 2) if K > 1 else 0)
-    return chunk, stored * node_bytes, parts * chunk * work
+    return stored * node_bytes, max(_WORK_BYTES, _parent_work(q, m, d))
 
 
-def _check_engine(q: int, K: int, m: int, d: int, segments: int = 1, parts: int = 1) -> int:
+def _check_engine(q: int, K: int, m: int, d: int, segments: int = 1) -> None:
     """Check the resource limits of one series_superop call on segments segments
-    with parts chunks in flight (see _engine_bytes for the arguments), and return
-    its parents per chunk.
+    (see _engine_bytes for the arguments).
 
     Raises ResourceLimitError when the C(q+K-1, K-1) nodes of depths
     0..K-1 exceed MAX_SERIES_NODES, or when the superoperators held at once
@@ -269,37 +267,28 @@ def _check_engine(q: int, K: int, m: int, d: int, segments: int = 1, parts: int 
         if nodes > MAX_SERIES_NODES:
             raise ResourceLimitError(
                 f"series engine would build {nodes} > {MAX_SERIES_NODES} nodes")
-    chunk, per_segment, per_call = _engine_bytes(q, K, m, d, parts)
+    per_segment, per_call = _engine_bytes(q, K, m, d)
     held_bytes = segments * per_segment + per_call
     if held_bytes > MAX_SUPEROP_BYTES:
         raise ResourceLimitError(
             f"series engine would hold {held_bytes} > {MAX_SUPEROP_BYTES} bytes "
             "of superoperators at once")
-    return chunk
 
 
-def _engine_parts(q: int, K: int, m: int, d: int, segments: int = 1) -> int:
-    """Chunks one series_superop call runs at once (see _engine_bytes for the
-    arguments): one per CPU this process may use, but no more than fit one
-    parent's work each in _WORK_BYTES, so the chunks in flight hold what one
-    chunk does on any host, and fewer where that many would hold more than
-    MAX_SUPEROP_BYTES, so that a call that fits one chunk at a time never fails
-    for running several. A call off the main thread runs one chunk at a time,
-    so callers that run calls on threads of their own do not multiply them. A
-    call whose widest level, depth K-1, is one chunk when run alone runs every
-    level alone and asks for no CPUs; otherwise that level is more than one
+def _engine_parts(q: int, K: int, m: int, d: int, segments: int = 1) -> tuple[int, int]:
+    """Chunks one series_superop call of order K >= 1 with m >= 1 jumps runs at
+    once, and parents per chunk (see _engine_bytes for the arguments). A call
+    whose widest level, depth K-1, is one chunk when run alone, or that runs off
+    the main thread, runs one at a time and asks for no CPUs, so callers that
+    run calls on threads of their own do not multiply them. Otherwise it runs
+    one per CPU this process may use, but no more than fit one parent's
+    per-child work each in _WORK_BYTES; its widest level is then more than one
     chunk at any number of parts."""
-    chunk = _engine_bytes(q, K, m, d)[0]
-    if (not (K and m) or segments * math.comb(q + K - 2, K - 1) <= chunk
-            or threading.current_thread() is not threading.main_thread()):
-        return 1
-    parts = min(_cpu_count(), max(1, _WORK_BYTES // _parent_work(q, m, d, 2)))
-    while parts > 1:
-        _, per_segment, per_call = _engine_bytes(q, K, m, d, parts)
-        if segments * per_segment + per_call <= MAX_SUPEROP_BYTES:
-            break
-        parts -= 1
-    return parts
+    parts = 1
+    if (segments * math.comb(q + K - 2, K - 1) > max(1, _WORK_BYTES // _parent_work(q, m, d))
+            and threading.current_thread() is threading.main_thread()):
+        parts = min(_cpu_count(), max(1, _WORK_BYTES // _parent_work(q, m, d, 2)))
+    return parts, max(1, _WORK_BYTES // (parts * _parent_work(q, m, d, parts)))
 
 
 def _segments_per_call(q: int, K: int, m: int, d: int, extra_bytes: int, budget: int) -> int:
@@ -308,15 +297,16 @@ def _segments_per_call(q: int, K: int, m: int, d: int, extra_bytes: int, budget:
     more than keep those and the engine's bytes per segment within budget and the
     call within MAX_SUPEROP_BYTES, so a call whose single segment passes
     _check_engine passes it on this many."""
-    _, per_segment, per_call = _engine_bytes(q, K, m, d)
+    per_segment, per_call = _engine_bytes(q, K, m, d)
     return max(1, min(budget // (extra_bytes + per_segment),
                       (MAX_SUPEROP_BYTES - per_call) // per_segment))
 
 
-def _run_shares(pool: ThreadPoolExecutor, parts: int, run, starts: range) -> None:
+def _run_shares(pool: ThreadPoolExecutor | None, parts: int, run, starts: range) -> None:
     """run(start) for every start: the calling thread takes every parts-th one
-    from the first, and pool's threads take the rest. Returns when all are done,
-    or raises the first error met; the pool's owner then cancels the rest."""
+    from the first, and pool's threads take the rest (none when parts is 1,
+    where pool may be None). Returns when all are done, or raises the first
+    error met; the pool's owner then cancels the rest."""
     tasks = [pool.submit(run, start) for k, start in enumerate(starts) if k % parts]
     for start in starts[::parts]:
         run(start)
@@ -384,13 +374,14 @@ def series_superop(propagate, jumps, t: float, q: int, K: int, m: int,
     that samples at the node times passes the NestedGrid it sampled from as
     nested, so both read one table.
 
-    Chunks write disjoint rows, so a level of more than one chunk runs them on
-    every CPU the process may use, within the work size and on the main thread
-    only (_engine_parts): the calling thread takes one share and a thread pool,
-    opened for the call, the others. Those chunks
-    gather one child at a time, which keeps the bytes of the chunks in flight
-    near those of one chunk gathering all q; the products, and so every bit of
-    the result, are the same either way. A level of one chunk starts no thread.
+    Chunks write disjoint rows, so a call whose widest level is more than one
+    chunk run alone runs them on every CPU the process may use, within the work
+    size and on the main thread only (_engine_parts). Every level is one
+    _run_shares call: the calling thread takes one share and a thread pool,
+    opened for the call, the others. Such a call gathers one child at a time,
+    which keeps the bytes of the chunks in flight near those of one chunk
+    gathering all q; the products, and so every bit of the result, are the
+    same either way. Any other call runs its chunks in turn and starts no thread.
 
     Every node is a Kraus map and so preserves Hermiticity, G(E_ba) =
     G(E_ab)^dag, and each column of G_r is fixed by the same column of its
@@ -404,8 +395,7 @@ def series_superop(propagate, jumps, t: float, q: int, K: int, m: int,
     """
     if K < 0:
         raise ArgumentError(f"series order must be nonnegative, got {K}")
-    parts = _engine_parts(q, K if t else 0, m, d, segments)
-    chunk = _check_engine(q, K if t else 0, m, d, segments, parts)
+    _check_engine(q, K if t else 0, m, d, segments)
     if K == 0 or m == 0 or t == 0.0:
         return kraus_superop(propagate(np.zeros(1), np.array([t]))[:, 0])
     nh = d * (d + 1) // 2
@@ -415,6 +405,7 @@ def series_superop(propagate, jumps, t: float, q: int, K: int, m: int,
     u, weights, children = nested.table
 
     # with more than one part the deepest level is more than one chunk (_engine_parts)
+    parts, chunk = _engine_parts(q, K, m, d, segments)
     pool = ThreadPoolExecutor(parts - 1) if parts > 1 else None
     G = None
     try:
@@ -443,20 +434,12 @@ def series_superop(propagate, jumps, t: float, q: int, K: int, m: int,
                                     .reshape(n_rows, q * m, d, d)], axis=1)
                 wts = np.concatenate([np.ones((n_rows, 1)), np.repeat(W, m, axis=1)], axis=1)
             level = np.empty((n_rows, d * d, nh), dtype=complex)
-            starts = range(0, n_rows, chunk)
-            if parts > 1 and len(starts) > 1:
-                # the rows' partial is not kept, so the level below is freed with G
-                _run_shares(pool, parts,
-                            functools.partial(_leaf_rows, level, wts, A, chunk) if i == K - 1
-                            else functools.partial(_node_rows, level, G, B, W, ch, close, chunk,
-                                                   True),
-                            starts)
-            elif i == K - 1:
-                for start in starts:
-                    _leaf_rows(level, wts, A, chunk, start)
-            else:
-                for start in starts:
-                    _node_rows(level, G, B, W, ch, close, chunk, False, start)
+            # the rows' partial is not kept, so the level below is freed with G
+            _run_shares(pool, parts,
+                        functools.partial(_leaf_rows, level, wts, A, chunk) if i == K - 1
+                        else functools.partial(_node_rows, level, G, B, W, ch, close, chunk,
+                                               parts > 1),
+                        range(0, n_rows, chunk))
             G = level
     finally:
         if pool is not None:

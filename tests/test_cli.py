@@ -10,7 +10,7 @@ import threading
 import numpy as np
 import pytest
 
-from lindbladsim import be_norm, load_model, modelio, quadrature, series
+from lindbladsim import be_norm, cli, load_model, modelio, quadrature, series
 from lindbladsim.cli import main
 
 
@@ -378,6 +378,36 @@ def test_analyze_error_deterministic_across_runs_and_workers(tmp_path, capsys):
 def test_analyze_error_needs_some_model(capsys):
     code, _ = run_cli(["analyze-error"], capsys)
     assert code == 2
+
+
+def test_analyze_error_refuses_wide_random_models_before_building_them(capsys, monkeypatch):
+    # at 8 qubits the order-0 term alone takes 16 * 256^4 bytes: refused before
+    # the random model, its Liouvillian or its exact channel is built
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a model was built before the byte limit was checked")
+
+    monkeypatch.setattr(cli.models, "random_lindbladian", unbuilt)
+    code, cap = run_cli(["analyze-error", "--random-models", "1", "--n-qubits", "8"], capsys)
+    assert code == 3
+    assert f"would hold {16 * 256 ** 4} > {2 ** 30} bytes" in cap.err
+
+
+def test_analyze_error_refuses_wide_model_files_before_building_them(tmp_path, capsys,
+                                                                    monkeypatch):
+    # at 7 qubits the order-0 term takes 16 * 128^4 bytes: refused before the
+    # model's operators are built, at any time, t = 0 included
+    model = tmp_path / "seven.json"
+    model.write_text(json.dumps({"n_qubits": 7, "hamiltonian": {"pauli_sum": "1.0*" + "X" * 7},
+                                 "jumps": [{"pauli_sum": "0.5*Z" + "I" * 6}]}))
+
+    def unbuilt(self):
+        raise AssertionError("operators built before the byte limit was checked")
+
+    monkeypatch.setattr(modelio.ParsedModel, "to_lindbladian", unbuilt)
+    for time in ("0.3", "0"):
+        code, cap = run_cli(["analyze-error", "--model", str(model), "--time", time], capsys)
+        assert code == 3
+        assert f"would hold {16 * 128 ** 4} > {2 ** 30} bytes" in cap.err
 
 
 # ---------------------------------------------------------------------------

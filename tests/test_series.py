@@ -411,10 +411,9 @@ def test_segment_axis_chunks_straddle_segments(monkeypatch, d, m):
     # chunks of 3 parents on levels of 2 to 4 parents per segment: chunks hold
     # the end of one segment and the start of the next
     S, t, q, K = 3, 0.4, 2, 4
-    node_bytes = 16 * d * d * d * (d + 1) // 2
-    monkeypatch.setattr(series, "_WORK_BYTES", 3 * (1 + q * (m + 1)) * node_bytes)
+    monkeypatch.setattr(series, "_WORK_BYTES", 3 * series._parent_work(q, m, d))
     monkeypatch.setattr(series, "_cpu_count", lambda: 1)  # one chunk at a time
-    assert series._check_engine(q, K, m, d, S) == 3
+    assert series._engine_parts(q, K, m, d, S) == (1, 3)
     propagate, jumps = segment_sources(S, d, m, 20 * d + m)
     group = series_superop(propagate(range(S)), jumps(range(S)), t, q, K, m, d, segments=S)
     for s in range(S):
@@ -473,22 +472,23 @@ def test_series_engine_single_chunk_levels_start_no_thread(monkeypatch):
         series_superop(propagate(range(3)), jumps(range(3)), 0.4, 3, 4, 2, 4, segments=3)
     # one segment and a work size of 40 nodes: the widest level, 10 rows, is 3
     # chunks of 4 alone, so the call runs 2 at once, of 2 parents each; the levels
-    # of 10, 6 and 3 rows are shared out and the root, one chunk, runs alone
+    # of 10, 6, 3 and 1 rows are shared out in 5, 3, 2 and 1 chunks. On one CPU
+    # every level is one share, in chunks of 4
     monkeypatch.setattr(series, "_WORK_BYTES", 40 * 16 * 4 * 4 * 10)
     shared, real = [], series._run_shares
 
     def recording(pool, parts, run, starts):
-        shared.append(len(starts))
+        shared.append((parts, len(starts)))
         real(pool, parts, run, starts)
 
     monkeypatch.setattr(series, "_run_shares", recording)
     monkeypatch.setattr(series, "_cpu_count", lambda: 2)
     threaded = series_superop(propagate([0]), jumps([0]), 0.4, 3, 4, 2, 4)
-    assert shared == [5, 3, 2]
+    assert shared == [(2, 5), (2, 3), (2, 2), (2, 1)]
     monkeypatch.setattr(series, "_cpu_count", lambda: 1)
     np.testing.assert_array_equal(
         threaded, series_superop(propagate([0]), jumps([0]), 0.4, 3, 4, 2, 4))
-    assert shared == [5, 3, 2]
+    assert shared[4:] == [(1, 3), (1, 2), (1, 1), (1, 1)]
 
 
 @pytest.mark.parametrize("on_worker", [True, False])
@@ -512,41 +512,48 @@ def test_series_engine_chunk_errors_propagate_and_leave_no_thread(monkeypatch, o
     assert threading.active_count() == threads
 
 
-def test_series_engine_runs_fewer_chunks_at_once_rather_than_fail(monkeypatch):
-    # d = 8, q = 2, K = 3, m = 1 stores 5 nodes. With a work size of 8 nodes
-    # each chunk is one parent, whose work is 5 nodes alone and 4 nodes with
-    # others in flight, so 2 of the 4 CPUs fit it: 5 and 8 nodes at 1 and 2
-    # chunks at once
-    d, q, K, m = 8, 2, 3, 1
+def test_series_engine_guard_verdict_does_not_depend_on_cpu_count(monkeypatch):
+    # d = 8, q = 2, K = 4, m = 1 stores 4 + 3 nodes a segment. A work size of 16
+    # nodes fits 4 parents' per-child work (4 nodes), and the widest level, 4
+    # rows, is 2 chunks of 3 run alone, so 1, 2, 4 and 256 CPUs run 1, 2, 4 and
+    # 4 parts. The guard counts 7 + 16 nodes at each of them
+    d, q, K, m = 8, 2, 4, 1
     node_bytes = 16 * d * d * d * (d + 1) // 2
-    monkeypatch.setattr(series, "_WORK_BYTES", 8 * node_bytes)
-    monkeypatch.setattr(series, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(series, "_WORK_BYTES", 16 * node_bytes)
+    per_segment, per_call = series._engine_bytes(q, K, m, d)
+    assert (per_segment, per_call) == (7 * node_bytes, 16 * node_bytes)
     propagate, jumps = segment_sources(1, d, m, 7)
     opened = recording_pool(monkeypatch)
     results = []
-    for held, parts in [(13, 2), (10, 1)]:
-        monkeypatch.setattr(series, "MAX_SUPEROP_BYTES", held * node_bytes)
-        assert series._engine_parts(q, K, m, d) == parts
+    for cpus in (1, 2, 4, 256):
+        monkeypatch.setattr(series, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(series, "MAX_SUPEROP_BYTES", per_segment + per_call)
         results.append(series_superop(propagate([0]), jumps([0]), 0.4, q, K, m, d))
-    assert opened == [1]
-    np.testing.assert_array_equal(results[0], results[1])
-    monkeypatch.setattr(series, "MAX_SUPEROP_BYTES", 9 * node_bytes)
-    with pytest.raises(ResourceLimitError, match=f"would hold {10 * node_bytes} "):
-        series_superop(propagate([0]), jumps([0]), 0.4, q, K, m, d)
+        monkeypatch.setattr(series, "MAX_SUPEROP_BYTES", per_segment + per_call - 1)
+        with pytest.raises(ResourceLimitError,
+                           match=f"would hold {per_segment + per_call} > "):
+            series_superop(propagate([0]), jumps([0]), 0.4, q, K, m, d)
+    assert opened == [1, 3, 3]
+    for other in results[1:]:
+        np.testing.assert_array_equal(other, results[0])
 
 
 @pytest.mark.parametrize("q, K, m, d", [(5, 4, 1, 16), (3, 4, 2, 16), (2, 3, 1, 8),
                                         (4, 5, 3, 8), (3, 3, 1, 32)])
 def test_series_engine_chunks_in_flight_fit_the_work_size_on_any_host(monkeypatch, q, K, m, d):
-    # on a host of 256 CPUs the chunks in flight hold what one chunk does
-    # alone, within _WORK_BYTES wherever one parent fits it
+    # on a host of 256 CPUs the chunks in flight hold no more than the guard's
+    # per-call figure, and within _WORK_BYTES wherever one parent fits it; then
+    # at a work size of 9 parents' per-child work, where every case runs 9 parts
     monkeypatch.setattr(series, "_cpu_count", lambda: 256)
-    parts = series._engine_parts(q, K, m, d, segments=4)
-    per_call = series._engine_bytes(q, K, m, d, parts)[2]
-    if series._parent_work(q, m, d) <= series._WORK_BYTES:
-        assert per_call <= series._WORK_BYTES
-    else:
-        assert parts == 1
+    for shrunk in (False, True):
+        if shrunk:
+            monkeypatch.setattr(series, "_WORK_BYTES", 9 * series._parent_work(q, m, d, 2))
+        parts, chunk = series._engine_parts(q, K, m, d, segments=4)
+        in_flight = parts * chunk * series._parent_work(q, m, d, parts)
+        assert in_flight <= series._engine_bytes(q, K, m, d)[1]
+        if series._parent_work(q, m, d) <= series._WORK_BYTES:
+            assert in_flight <= series._WORK_BYTES
+        assert parts == 9 or not shrunk
 
 
 def test_series_engine_off_the_main_thread_runs_one_chunk_at_a_time(monkeypatch):
@@ -559,7 +566,7 @@ def test_series_engine_off_the_main_thread_runs_one_chunk_at_a_time(monkeypatch)
     threaded = series_superop(propagate([0]), jumps([0]), 0.4, 2, 3, m, d)
     assert opened == [1]
     with ThreadPoolExecutor(1) as pool:
-        assert pool.submit(series._engine_parts, 2, 3, m, d).result() == 1
+        assert pool.submit(series._engine_parts, 2, 3, m, d).result()[0] == 1
         serial = pool.submit(series_superop, propagate([0]), jumps([0]), 0.4, 2, 3, m,
                              d).result()
     assert opened == [1]

@@ -559,8 +559,8 @@ def test_td_simulate_splits_groups_at_the_engine_byte_cap(monkeypatch):
     tl = driven_damped()
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     rho, report, _ = td_simulate(tl, rho0, 1.0, 1e-4)
-    _, per_segment, per_call = series._engine_bytes(report.quadrature_order,
-                                                    report.series_order, 1, 2)
+    per_segment, per_call = series._engine_bytes(report.quadrature_order,
+                                                 report.series_order, 1, 2)
     groups, real = [], timedep.series_superop
 
     def recording(*args):

@@ -9,13 +9,19 @@ end-to-end metric in this checkout's BENCHMARK.json it prints both medians,
 their ratio (change / parent), the pairs the change won (ties count for
 neither), the interquartile range of the parent's runs and the metric's bound:
 the figures a no-regression or gain claim is read from. Each run also writes
-its usual record under its own checkout's perfbench-out/.
+its usual record under its own checkout's perfbench-out/. The first line names
+the environment every speed record must name: the machine, the CPUs this
+process may use and the machine's CPU count, the Python, numpy and scipy
+versions, and the BLAS thread variables as set here (perfbench/run.py pins
+each run to one BLAS thread whatever they are).
 """
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -31,6 +37,28 @@ def run(checkout: str, workload: str, seed: int, seconds: int) -> dict:
     return json.loads(out.strip().splitlines()[-1])
 
 
+def cpu_model() -> str:
+    """The CPU's model name from /proc/cpuinfo where there is one."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return next(line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name"))
+    except (OSError, StopIteration):
+        return platform.processor() or "unknown CPU"
+
+
+def environment() -> str:
+    """One line naming the machine, its CPUs, the versions and the BLAS threads."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else "n/a"
+    blas = " ".join(f"{var}={os.environ.get(var, 'unset')}" for var in
+                    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
+    return (f"env: machine {platform.machine()} ({cpu_model()}) "
+            f"affinity_cpus {cpus} cpu_count {os.cpu_count()} "
+            f"python {platform.python_version()} "
+            f"numpy {importlib.metadata.version('numpy')} "
+            f"scipy {importlib.metadata.version('scipy')} {blas}")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent")
@@ -43,6 +71,7 @@ def main() -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         end_to_end = json.load(fh)["end_to_end"]
 
+    print(environment(), flush=True)
     sides = {"parent": os.path.abspath(args.parent), "change": ROOT}
     runs = {"parent": [], "change": []}
     for pair in range(args.pairs):
