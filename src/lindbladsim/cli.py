@@ -21,8 +21,8 @@ import numpy as np
 
 from . import metrics, modelio, models, primitives, series, timedep
 from .errors import (ArgumentError, InfeasiblePrecisionError, LindbladSimError,
-                     ResourceLimitError, check_time)
-from .quadrature import canonical_rule
+                     ResourceLimitError, check_count, check_time)
+from .quadrature import MAX_ORDER, canonical_rule
 
 
 @contextlib.contextmanager
@@ -152,6 +152,8 @@ def _analyze_row(name, lind, E, beta, t, K, Kp, q, timing):
 
 def _cmd_analyze_error(args) -> int:
     check_time(args.time)
+    check_count(args.max_order, "--max-order", 1)
+    check_count(args.random_models, "--random-models", 0)
     if args.workers < 1:
         raise ArgumentError(f"--workers must be at least 1, got {args.workers}")
     named = _sweep_models(args)
@@ -174,6 +176,7 @@ def _cmd_analyze_error(args) -> int:
 
 
 def _cmd_quadrature(args) -> int:
+    check_count(args.max_q, "--max-q", 1, MAX_ORDER)
     rows = []
     for q in range(1, args.max_q + 1):
         for t in args.times:

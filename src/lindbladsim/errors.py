@@ -45,8 +45,8 @@ class ContractError(LindbladSimError):
 
 def check_time(t: float, name: str = "evolution time", positive: bool = False) -> None:
     """Raise ArgumentError unless t is finite and nonnegative (positive if asked);
-    also checks a target precision eps, with positive=True, and a rate or
-    derivative bound such as beta."""
+    also checks a target precision eps, with positive=True, a rate or
+    derivative bound such as beta, and a normalizer, coefficient or tolerance."""
     if not (math.isfinite(t) and (t > 0 if positive else t >= 0)):
         sign = "positive" if positive else "nonnegative"
         raise ArgumentError(f"{name} must be {sign} and finite, got {t}")
@@ -59,9 +59,11 @@ def check_finite(t: float, name: str) -> None:
         raise ArgumentError(f"{name} must be finite, got {t}")
 
 
-def check_count(n, name: str, minimum: int):
+def check_count(n, name: str, minimum: int, maximum: int | None = None):
     """n, after raising ArgumentError unless it is an integer, Python or NumPy, and
-    n >= minimum: an order, a grid or segment count, a seed."""
-    if not isinstance(n, numbers.Integral) or n < minimum:
-        raise ArgumentError(f"{name} must be an integer >= {minimum}, got {n}")
+    minimum <= n, and n <= maximum unless that is None: an order, a grid or
+    segment count, a seed."""
+    if not isinstance(n, numbers.Integral) or n < minimum or (maximum is not None and n > maximum):
+        span = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+        raise ArgumentError(f"{name} must be an integer {span}, got {n}")
     return n

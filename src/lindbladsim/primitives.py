@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import block_diag
 
-from .errors import ArgumentError, ContractError, check_count
+from .errors import ArgumentError, ContractError, check_count, check_time
 from .linalg import dag, spectral_norm
 from .models import amplitude_damping, be_norm
 from .series import CPMapApprox, choose_orders, segment_time
@@ -65,8 +65,7 @@ def dilate(A: np.ndarray, alpha: float) -> BlockEncoding:
     even when ||A|| = alpha makes I - A A^dag / alpha^2 singular.
     """
     A = np.asarray(A, dtype=complex)
-    if alpha <= 0:
-        raise ArgumentError(f"normalizer must be positive, got {alpha}")
+    check_time(alpha, "normalizer", positive=True)
     B = A / alpha
     Wl, sv, Vh = np.linalg.svd(B)
     if sv[0] > 1 + 1e-12:
@@ -126,8 +125,8 @@ def lcu_sum(encodings, y) -> BlockEncoding:
     d, a = _shared_registers(encodings, "lcu_sum")
     if len(y) != len(encodings):
         raise ArgumentError("coefficient list must match encodings")
-    if any(c < 0 for c in y):
-        raise ArgumentError("coefficients must be nonnegative")
+    for c in y:
+        check_time(c, "coefficient")
     s = sum(c * e.alpha for c, e in zip(y, encodings))
     if s <= 0:
         raise ArgumentError("total normalizer must be positive")
@@ -262,6 +261,7 @@ def oaa_step(W: np.ndarray, P0: np.ndarray, P1: np.ndarray, psi_hat: np.ndarray,
     Requires the success amplitude ||P0 W psi_hat|| to equal 1/2 within tol;
     under the oblivious premise the output is exactly the success state.
     """
+    check_time(tol, "tol", positive=True)
     psi_hat = np.asarray(psi_hat, dtype=complex).reshape(-1)
     a = W @ psi_hat
     amp = float(np.linalg.norm(P0 @ a))

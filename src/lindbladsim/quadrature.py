@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, ResourceLimitError, check_count, check_time
+from .errors import ResourceLimitError, check_count, check_time
 
 MAX_ORDER = 64
 TERM_GUARDRAIL = 2 ** 20
@@ -58,9 +58,7 @@ def _legendre_value_derivative(q: int, x: np.ndarray):
 def legendre_rule(q: int):
     """Nodes and weights of the q-point Gauss-Legendre rule on [-1, 1], as
     read-only arrays computed once per order and shared by every caller."""
-    if not isinstance(q, (int, np.integer)) or q < 1 or q > MAX_ORDER:
-        raise ArgumentError(f"quadrature order must be an integer in [1, {MAX_ORDER}], got {q}")
-    return _legendre_rule(int(q))
+    return _legendre_rule(int(check_count(q, "quadrature order", 1, MAX_ORDER)))
 
 
 @functools.cache

@@ -81,16 +81,14 @@ def _check_bound_args(t: float, beta: float) -> None:
 
 def bound_duhamel(K: int, t: float, beta: float) -> float:
     """Diamond-norm error of the K-fold Duhamel truncation with exact integrals."""
-    if K < 0:
-        raise ArgumentError("bound_duhamel needs K >= 0")
+    check_count(K, "series order", 0)
     _check_bound_args(t, beta)
     return (2.0 * beta * t) ** (K + 1) / math.factorial(K + 1)
 
 
 def bound_taylor(Kp: int, t: float, beta: float) -> float:
     """Diamond-norm error of replacing the drift conjugation by its Taylor map."""
-    if Kp < 0:
-        raise ArgumentError("bound_taylor needs Kp >= 0")
+    check_count(Kp, "Taylor order", 0)
     _check_bound_args(t, beta)
     return 8.0 * math.exp(beta * t) * (beta * t) ** (Kp + 1) / math.factorial(Kp + 1)
 
@@ -102,17 +100,14 @@ def taylor_premise_holds(Kp: int, t: float, beta: float) -> bool:
 
 def bound_composite(k: int, Kp: int, t: float, beta: float) -> float:
     """Pointwise error of the depth-k chain with all drifts Taylor-substituted."""
-    if k < 0:
-        raise ArgumentError("bound_composite needs k >= 0")
+    check_count(k, "chain depth", 0)
     return bound_taylor(Kp, t, beta) * (4.0 * beta) ** k
 
 
 def bound_quadrature(k: int, q: int, t: float, beta: float) -> float:
     """Error of the depth-k nested Gauss-Legendre sum against the exact integral."""
-    if k < 1:
-        raise ArgumentError("bound_quadrature needs k >= 1")
-    if q < 1:
-        raise ArgumentError("bound_quadrature needs q >= 1")
+    check_count(k, "chain depth", 1)
+    check_count(q, "quadrature order", 1)
     _check_bound_args(t, beta)
     return ((2.0 * t) ** (k - 1) * 2.0 ** (k + 1) * beta ** k
             * beta ** (2 * q) * t ** (2 * q + 1) * q
@@ -194,8 +189,7 @@ class _TaylorPropagator:
 def taylor_drift(lind: Lindbladian, s: float, Kp: int) -> np.ndarray:
     """Matrix sum_{ell<=Kp} (J s)^ell / ell!."""
     check_time(s, "duration")
-    if Kp < 0:
-        raise ArgumentError(f"Taylor order must be nonnegative, got {Kp}")
+    check_count(Kp, "Taylor order", 0)
     J = effective_generator(lind)
     return _TaylorPropagator(J, Kp).batch(np.array([s]))[0]
 
@@ -390,11 +384,11 @@ def series_superop(propagate, jumps, t: float, q: int, K: int, m: int,
     (linalg.expand_half): its column for E_ba is vec(G(E_ab)^dag), a bitwise
     mirror.
 
-    Raises ArgumentError when K < 0, and ResourceLimitError from _check_engine
-    before building anything.
+    Raises ArgumentError unless K >= 0 and q >= 1 are integers, and
+    ResourceLimitError from _check_engine before building anything.
     """
-    if K < 0:
-        raise ArgumentError(f"series order must be nonnegative, got {K}")
+    check_count(K, "series order", 0)
+    check_count(q, "quadrature order", 1)
     _check_engine(q, K if t else 0, m, d, segments)
     if K == 0 or m == 0 or t == 0.0:
         return kraus_superop(propagate(np.zeros(1), np.array([t]))[:, 0])

@@ -3,6 +3,7 @@
 Run with -v to get one pass/fail line per guarantee. Each test prints a
 one-line measurement summary (visible with -s or on failure).
 """
+import itertools
 import math
 import time
 from dataclasses import replace
@@ -52,6 +53,8 @@ from lindbladsim import (
 )
 from lindbladsim.cli import main as cli_main
 
+from duhamel_reference import duhamel_increments
+
 EPS_MACH = float(np.finfo(float).eps)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -74,10 +77,11 @@ def random_density(rng, d):
 
 
 # ---------------------------------------------------------------------------
-# reference evaluation of the series terms in the drift eigenbasis.
-# The k-fold ordered integrals are evaluated outer to inner; the innermost
-# level is contracted analytically against the diagonalized drift, which
-# keeps the largest batch at q^(k-1) superoperators.
+# nested Gauss-Legendre composition of the series terms in the drift eigenbasis,
+# independent of series_superop and NestedGrid.table. The k-fold ordered
+# integrals are evaluated outer to inner; the innermost level is contracted
+# analytically against the diagonalized drift, which keeps the largest batch at
+# q^(k-1) superoperators.
 
 
 def _drift_eigenbasis(lind, t):
@@ -93,14 +97,6 @@ def _drift_eigenbasis(lind, t):
         assert resid <= 1e-11, "drift eigendecomposition is ill conditioned"
     T = Rinv @ jump_superoperator(lind) @ R
     return R, Rinv, lam, T
-
-
-def _simpson_rule(n, t):
-    x = np.linspace(0.0, t, n + 1)
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return x, w * (t / n) / 3.0
 
 
 def _close_innermost(P, x, w, lam, T, nodes, weights, t, chunk=4096):
@@ -139,30 +135,6 @@ def _chain_superop_gauss(t, k, rule, R, Rinv, lam, T):
     return R @ _close_innermost(P, x, w, lam, T, nodes, weights, t) @ Rinv
 
 
-def _chain_superop_simpson(t, k, n_out, n_in, R, Rinv, lam, T):
-    if k == 1:
-        s, ws = _simpson_rule(n_out, t)
-        A = np.exp((t - s)[:, None] * lam[None, :])
-        B = np.exp(s[:, None] * lam[None, :])
-        return R @ (T * np.einsum("j,ju,jv->uv", ws, A, B)) @ Rinv
-    s2, ws2 = _simpson_rule(n_out, t)
-    r, wr = _simpson_rule(n_in, 1.0)
-    P = np.exp(np.outer(t - s2, lam))[:, :, None] * T[None, :, :]
-    return R @ _close_innermost(P, s2, ws2, lam, T, r * t, wr * t, t) @ Rinv
-
-
-def _series_increments(lind, t, kmax):
-    """[F_0, F_1, ..., F_kmax]: dense rules for k <= 2, nested q=12 beyond."""
-    R, Rinv, lam, T = _drift_eigenbasis(lind, t)
-    rule = canonical_rule(12, t)
-    out = [drift_semigroup(lind, t),
-           _chain_superop_simpson(t, 1, 400, 200, R, Rinv, lam, T),
-           _chain_superop_simpson(t, 2, 400, 200, R, Rinv, lam, T)]
-    for k in range(3, kmax + 1):
-        out.append(_chain_superop_gauss(t, k, rule, R, Rinv, lam, T))
-    return out
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -173,8 +145,13 @@ def test_01_series_truncation_bound_and_superlinear_decay():
         beta = be_norm(lind)
         for bt in (0.25, 0.5, 0.75):
             t = bt / beta
-            inc = _series_increments(lind, t, 5)
+            # exact increments up to an order whose series tail, at most
+            # bound_duhamel, leaves their sum within 1e-16 of the channel
+            kmax = next(K for K in itertools.count(5) if bound_duhamel(K, t, beta) <= 1e-16)
+            inc = duhamel_increments(lind, t, kmax)
             E = exact_channel(lind, t)
+            assert np.abs(inc[0] - drift_semigroup(lind, t)).max() <= 1e-13
+            assert np.abs(sum(inc) - E).max() <= 1e-13
             G = inc[0]
             logs = []
             for K in range(1, 6):
@@ -189,7 +166,7 @@ def test_01_series_truncation_bound_and_superlinear_decay():
             # superlinear: log-error decrements grow on average
             assert np.diff(d1).mean() < 0.0, (bt, np.diff(d1))
 
-    # integrity: the fast evaluator agrees with the direct nested composition
+    # integrity: the engine's nested quadrature agrees with the eigenbasis composition
     lind = model_corpus()[10]
     t = 0.5 / be_norm(lind)
     R, Rinv, lam, T = _drift_eigenbasis(lind, t)

@@ -250,6 +250,28 @@ def test_exit_code_bad_arguments(capsys):
         assert f"{err} must be" in cap.err and "and finite, got" in cap.err
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["quadrature", "--max-q", "0"], "--max-q must be an integer in [1, 64], got 0"),
+    (["quadrature", "--max-q", "-3"], "--max-q must be an integer in [1, 64], got -3"),
+    (["quadrature", "--max-q", "65"], "--max-q must be an integer in [1, 64], got 65"),
+    (["analyze-error", "--random-models", "1", "--max-order", "0"],
+     "--max-order must be an integer >= 1, got 0"),
+    (["analyze-error", "--model", "models/amplitude_damping.json", "--random-models", "-1"],
+     "--random-models must be an integer >= 0, got -1"),
+], ids=["max-q-0", "max-q-negative", "max-q-65", "max-order-0", "random-models-negative"])
+def test_exit_code_count_options(capsys, monkeypatch, argv, err):
+    # refused before any rule, model or exact channel is built
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("work started before the counts were checked")
+
+    for owner, name in [(cli, "canonical_rule"), (cli.modelio, "load_model"),
+                        (cli.models, "random_lindbladian"), (cli.models, "exact_channel")]:
+        monkeypatch.setattr(owner, name, unbuilt)
+    code, cap = run_cli(argv, capsys)
+    assert code == 2
+    assert err in cap.err
+
+
 def test_exit_code_infeasible_precision(capsys):
     code, cap = run_cli(["simulate", "--model", "models/amplitude_damping.json",
                          "--time", "1.0", "--eps", "1e-300"], capsys)

@@ -6,7 +6,6 @@ import pytest
 
 from lindbladsim import (
     ArgumentError,
-    BlockEncoding,
     CPMapApprox,
     ContractError,
     amplitude_damping,
@@ -81,6 +80,12 @@ def test_dilate_rejects_oversized_target():
         dilate(X, 0.0)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_dilate_rejects_non_finite_normalizer(alpha):
+    with pytest.raises(ArgumentError, match="normalizer must be positive and finite"):
+        dilate(X, alpha)
+
+
 # ---------------------------------------------------------------------------
 # lcu_sum
 
@@ -126,6 +131,12 @@ def test_lcu_sum_rejects_mismatched_registers():
         lcu_sum([small], [1.0, 2.0])
     with pytest.raises(ArgumentError):
         lcu_sum([small], [-1.0])
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf])
+def test_lcu_sum_rejects_non_finite_coefficient(c):
+    with pytest.raises(ArgumentError, match="coefficient must be nonnegative and finite"):
+        lcu_sum([dilate(X, 1.0)], [c])
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +290,13 @@ def test_oaa_rejects_off_premise_amplitude():
     with pytest.raises(ContractError) as info:
         oaa_step(W, P0, P1, psi_hat)
     assert info.value.measured == pytest.approx(0.6, abs=1e-12)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
+def test_oaa_rejects_invalid_tolerance(tol):
+    W, P0, P1, psi_hat = synthetic_rotation_instance(0.5)
+    with pytest.raises(ArgumentError, match="tol must be positive and finite"):
+        oaa_step(W, P0, P1, psi_hat, tol=tol)
 
 
 def test_oaa_on_diluted_channel():

@@ -1,8 +1,9 @@
-"""Checks on the package source itself, read with the standard-library parser."""
+"""Checks on the Python source of the package, its tests and tools, read with the
+standard-library parser."""
 import ast
 import pathlib
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "lindbladsim"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -26,8 +27,10 @@ def test_unused_imports_are_found():
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    # __init__ imports only to re-export the public API
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    assert modules
-    unused = {p.name: names for p in modules if (names := _unused_imports(p.read_text()))}
+    # the package's __init__ imports only to re-export the public API
+    dirs = [ROOT / "src" / "lindbladsim", ROOT / "tests", ROOT / "tools"]
+    assert all(any(d.glob("*.py")) for d in dirs)
+    modules = sorted(p for d in dirs for p in d.glob("*.py") if p.name != "__init__.py")
+    unused = {str(p.relative_to(ROOT)): names for p in modules
+              if (names := _unused_imports(p.read_text()))}
     assert unused == {}

@@ -11,7 +11,6 @@ from lindbladsim import (
     ArgumentError,
     CPMapApprox,
     DysonConfig,
-    Lindbladian,
     ModelError,
     ResourceLimitError,
     TimeDependentLindbladian,
