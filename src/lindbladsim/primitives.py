@@ -54,6 +54,14 @@ class BlockEncoding:
         return spectral_norm(self.target - self.block())
 
 
+def _finite(x, name: str) -> np.ndarray:
+    """x as a complex array, after raising ArgumentError unless every entry is finite."""
+    x = np.asarray(x, dtype=complex)
+    if not np.isfinite(x).all():
+        raise ArgumentError(f"{name} must be finite")
+    return x
+
+
 def dilate(A: np.ndarray, alpha: float) -> BlockEncoding:
     """Exact one-ancilla block-encoding by unitary completion.
 
@@ -62,9 +70,10 @@ def dilate(A: np.ndarray, alpha: float) -> BlockEncoding:
 
     Both square roots come from one SVD A / alpha = W S V^dag, as
     W sqrt(1 - S^2) W^dag and V sqrt(1 - S^2) V^dag, so they complete a unitary
-    even when ||A|| = alpha makes I - A A^dag / alpha^2 singular.
+    even when ||A|| = alpha makes I - A A^dag / alpha^2 singular. A must be
+    finite, with ||A|| <= alpha, or ArgumentError is raised.
     """
-    A = np.asarray(A, dtype=complex)
+    A = _finite(A, "A")
     check_time(alpha, "normalizer", positive=True)
     B = A / alpha
     Wl, sv, Vh = np.linalg.svd(B)
@@ -199,7 +208,7 @@ class ChannelApplication:
 
 
 def lcu_channel(encodings, psi) -> ChannelApplication:
-    """Apply the LCU of Kraus-term encodings to a normalized system state.
+    """Apply the LCU of Kraus-term encodings to a finite, normalized system state.
 
     Verifies the extraction identity: the zero-ancilla branch of
     select |mu>|0>|psi> equals sum_j s_j |j> (A_j/s_j) |psi| / sqrt(sum s^2)
@@ -207,7 +216,7 @@ def lcu_channel(encodings, psi) -> ChannelApplication:
     """
     encodings = list(encodings)
     d, a = _shared_registers(encodings, "lcu_channel")
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    psi = _finite(psi, "psi").reshape(-1)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ArgumentError("psi must be normalized")
     if psi.size != d:
@@ -258,14 +267,17 @@ def oaa_step(W: np.ndarray, P0: np.ndarray, P1: np.ndarray, psi_hat: np.ndarray,
              tol: float = 1e-6) -> np.ndarray:
     """One exact amplification round: -W (I - 2 P1) W^dag (I - 2 P0) W |psi_hat>.
 
-    Requires the success amplitude ||P0 W psi_hat|| to equal 1/2 within tol;
-    under the oblivious premise the output is exactly the success state.
+    Requires a finite W and psi_hat (ArgumentError) and the success amplitude
+    ||P0 W psi_hat|| to equal 1/2 within tol (ContractError, also for a NaN
+    amplitude); under the oblivious premise the output is exactly the success
+    state.
     """
     check_time(tol, "tol", positive=True)
-    psi_hat = np.asarray(psi_hat, dtype=complex).reshape(-1)
+    _finite(W, "W")
+    psi_hat = _finite(psi_hat, "psi_hat").reshape(-1)
     a = W @ psi_hat
     amp = float(np.linalg.norm(P0 @ a))
-    if abs(amp - 0.5) > tol:
+    if not abs(amp - 0.5) <= tol:
         raise ContractError(
             f"success amplitude {amp:.8f} deviates from 1/2 beyond {tol}", measured=amp)
     n = W.shape[0]

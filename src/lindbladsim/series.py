@@ -514,14 +514,13 @@ def choose_orders(model, seg_t: float, eps: float) -> TruncationConfig:
     substitution) get an even eps/3 split. Selection is sequential: K first,
     then q given K (with the floor q >= ceil(K/2) that keeps the nested weight
     identities exact), then Kp against the total substituted-drift budget.
-    Monotone in eps: halving eps never decreases any order.
+    Monotone in eps: halving eps never decreases any order. At beta = 0 or
+    seg_t = 0 every bound is 0, so the search itself gives K = Kp = 0, q = 1.
     """
     check_time(eps, "target precision", positive=True)
     check_time(seg_t, "segment time")
     beta, alpha_sq = be_norm(model), _alpha_sq(model)
     budget = eps / 3.0
-    if beta == 0.0 or seg_t == 0.0:
-        return TruncationConfig(0, 0, 1, seg_t)
 
     def least(lo, meets, what):
         for order in range(lo, MAX_SEARCH_ORDER + 1):
@@ -531,9 +530,8 @@ def choose_orders(model, seg_t: float, eps: float) -> TruncationConfig:
 
     K = 0 if alpha_sq == 0.0 else least(
         0, lambda k: bound_duhamel(k, seg_t, beta) <= budget, "series")
-    q = 1 if K == 0 else least(
-        max(1, math.ceil(K / 2)),
-        lambda qq: quadrature_total_bound(K, qq, seg_t, beta) <= budget, "quadrature")
+    q = least(max(1, math.ceil(K / 2)),
+              lambda qq: quadrature_total_bound(K, qq, seg_t, beta) <= budget, "quadrature")
     Kp = least(0, lambda kp: taylor_premise_holds(kp, seg_t, beta)
                and taylor_total_bound(kp, seg_t, beta) <= budget, "Taylor")
     return TruncationConfig(K, Kp, q, seg_t)

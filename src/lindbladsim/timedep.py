@@ -75,7 +75,8 @@ from .series import (MAX_SAMPLER_CALLS, _WORK_BYTES, _evolve, _segments_per_call
 class DysonConfig:
     """Dyson truncation order and grid count M: the uniform steps of
     ordered_propagator's interval, or of each td_simulate segment, on which
-    td_simulate's union grid adds the segment's node times."""
+    td_simulate's union grid adds the segment's node times. M has no upper
+    cap; td_simulate's sampler guard bounds the run it makes."""
 
     order: int
     grid_points: int
@@ -345,11 +346,12 @@ def td_simulate(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float, eps: f
     truncation order defaults to the static Taylor-order criterion, and the
     report gives it as taylor_order. The count M of uniform steps per segment
     defaults to the square root of the count at which the declared first-order
-    term delta^2 jdot / M reaches the per-segment eps, clamped to [16, 256]
-    (M = 1 when jdot_bound is 0); that is a heuristic, and the reported
-    contract, dyson_contract at this M, need not be within eps. Pass cfg or
-    segments to override; a segments count below the budget minimum n0 raises
-    ArgumentError.
+    term delta^2 jdot / M reaches the per-segment eps, and at least 16
+    (M = 1 when jdot_bound is 0), with no upper cap: the midpoint error falls
+    as 1 / M^2, so a capped M would leave the error flat as eps tightens. That
+    is a heuristic, and the reported contract, dyson_contract at this M, need
+    not be within eps. Pass cfg or segments to override; a segments count below
+    the budget minimum n0 raises ArgumentError.
 
     Every segment is sampled once, on its union grid: the M uniform steps joined
     with the node times of the nested table, which is built once per run and
@@ -380,11 +382,8 @@ def td_simulate(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float, eps: f
         n_seg, delta = orders.num_segments, orders.segment_time
         K, q = orders.series_order, orders.quadrature_order
         if cfg is None:
-            if tl.jdot_bound == 0.0:
-                points = 1
-            else:
-                first_order = delta ** 2 * tl.jdot_bound / (eps / n_seg)
-                points = int(min(256, max(16, math.ceil(math.sqrt(first_order)))))
+            first_order = delta ** 2 * tl.jdot_bound / (eps / n_seg)
+            points = 1 if tl.jdot_bound == 0.0 else max(16, math.ceil(math.sqrt(first_order)))
             cfg = DysonConfig(order=orders.taylor_order, grid_points=points)
 
         def check_calls(gaps, n_ends, at_least=""):

@@ -86,6 +86,12 @@ def test_dilate_rejects_non_finite_normalizer(alpha):
         dilate(X, alpha)
 
 
+@pytest.mark.parametrize("entry", [math.nan, math.inf])
+def test_dilate_rejects_non_finite_target(entry):
+    with pytest.raises(ArgumentError, match="A must be finite"):
+        dilate(np.array([[entry, 0.0], [0.0, 0.5]]), 1.0)
+
+
 # ---------------------------------------------------------------------------
 # lcu_sum
 
@@ -206,6 +212,12 @@ def test_lcu_channel_rejects_unnormalized_state():
                     np.array([1.0, 1.0]))
 
 
+def test_lcu_channel_rejects_non_finite_state():
+    # a NaN norm would pass a normalization check that compares with >
+    with pytest.raises(ArgumentError, match="psi must be finite"):
+        lcu_channel([dilate(X, 1.0)], np.array([math.nan, 0.0]))
+
+
 # ---------------------------------------------------------------------------
 # mu state
 
@@ -290,6 +302,19 @@ def test_oaa_rejects_off_premise_amplitude():
     with pytest.raises(ContractError) as info:
         oaa_step(W, P0, P1, psi_hat)
     assert info.value.measured == pytest.approx(0.6, abs=1e-12)
+
+
+@pytest.mark.parametrize("name, error, message", [
+    ("W", ArgumentError, "W must be finite"),
+    ("psi_hat", ArgumentError, "psi_hat must be finite"),
+    ("P0", ContractError, "success amplitude nan deviates"),
+])
+def test_oaa_rejects_non_finite_inputs(name, error, message):
+    # a NaN amplitude would pass a premise check that compares with >
+    args = dict(zip(["W", "P0", "P1", "psi_hat"], synthetic_rotation_instance(0.5)))
+    args[name] = args[name] * math.nan
+    with pytest.raises(error, match=message):
+        oaa_step(**args)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])

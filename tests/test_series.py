@@ -865,6 +865,16 @@ def test_choose_orders_meets_target():
             assert report.measured_choi_lower <= eps
 
 
+def test_choose_orders_at_zero_be_norm_or_zero_time():
+    # the search itself gives the order-0 configuration when the model or the
+    # segment is zero, down to the tightest precisions
+    still = Lindbladian(np.zeros((2, 2)), jumps=[np.zeros((2, 2))])
+    assert be_norm(still) == 0.0
+    for eps in (1e-3, 1e-14):
+        assert choose_orders(still, 0.5, eps) == TruncationConfig(0, 0, 1, 0.5)
+        assert choose_orders(amplitude_damping(), 0.0, eps) == TruncationConfig(0, 0, 1, 0.0)
+
+
 def test_choose_orders_infeasible():
     lind = amplitude_damping()
     with pytest.raises(InfeasiblePrecisionError):

@@ -18,6 +18,7 @@ from lindbladsim import (
     amplitude_damping,
     be_norm,
     choose_orders,
+    diamond_sandwich,
     dyson_contract,
     exact_channel,
     from_static,
@@ -29,13 +30,17 @@ from lindbladsim import (
     simulate,
     taylor_drift,
     td_simulate,
+    trace_norm,
     unvec,
     vec,
 )
 from lindbladsim import series, timedep
 from lindbladsim.models import _drift_generator
 from lindbladsim.quadrature import NestedGrid, canonical_rule
-from lindbladsim.timedep import _RK4_STEPS, _prefix_stacks, _segment_superops, _union_grid
+from lindbladsim.timedep import (_RK4_MAP_DIM, _RK4_STEPS, _prefix_stacks, _segment_superops,
+                                 _union_grid)
+
+from frame_reference import FrameModel
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -61,22 +66,6 @@ def sampled_drift(tl, tau):
     # J at tau from sample()'s H and jump list, the list stacked as (m, d, d)
     H, Ls = tl.sample(tau)
     return _drift_generator(H, np.array(Ls, dtype=complex).reshape(-1, *H.shape))
-
-
-def generator_rk4(tl, s, t, step):
-    # matrix-valued classical Runge-Kutta for dV/dtau = J(tau) V
-    n = max(1, math.ceil((t - s) / step))
-    h = (t - s) / n
-    V = np.eye(tl.dim, dtype=complex)
-    for i in range(n):
-        tau = s + i * h
-        k1 = sampled_drift(tl, tau) @ V
-        Jm = sampled_drift(tl, tau + h / 2)
-        k2 = Jm @ (V + h / 2 * k1)
-        k3 = Jm @ (V + h / 2 * k2)
-        k4 = sampled_drift(tl, tau + h) @ (V + h * k3)
-        V = V + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return V
 
 
 def rotating_model(d, m, seed):
@@ -116,11 +105,19 @@ def sequential_propagator(tl, a, grid, lo, hi, Kd):
     return sum(terms)
 
 
-def segment_superop(tl, a, delta, K, q, cfg):
-    # one segment's superoperator on its own union grid, as td_simulate builds it
-    nested = NestedGrid(canonical_rule(q, delta), K)
-    grid, ends = _union_grid(nested, cfg.grid_points)
-    return next(_segment_superops(tl, np.array([a]), nested, grid, ends, cfg.order))
+def plan_grid(plan, M):
+    # the nested table of a plan or report (its K, q and segment time), and one
+    # segment's union grid of M uniform steps and its interval ends
+    nested = NestedGrid(canonical_rule(plan.quadrature_order, plan.segment_time),
+                        plan.series_order)
+    return (nested, *_union_grid(nested, M))
+
+
+def plan_superops(tl, plan, cfg, starts):
+    # the plan's segments [a, a + delta], a in starts, in order, on one union
+    # grid, as td_simulate builds them
+    nested, grid, ends = plan_grid(plan, cfg.grid_points)
+    return _segment_superops(tl, np.asarray(starts, dtype=float), nested, grid, ends, cfg.order)
 
 
 def random_density(rng, d):
@@ -156,13 +153,16 @@ def test_commuting_family_closed_form():
     assert errs[64] <= errs[16] / 8
 
 
-def test_driven_propagator_matches_dense_integration():
-    tl = driven_damped()
-    cfg = DysonConfig(order=8, grid_points=48)
-    t = 0.7
-    V = ordered_propagator(tl, 0.0, t, cfg)
-    ref = generator_rk4(tl, 0.0, t, 1e-4)
-    assert np.abs(V - ref).max() <= dyson_contract(tl, t, cfg)
+def test_propagator_matches_the_exact_frame_propagator():
+    # frame models, whose ordered exponential is known in closed form, hold
+    # ordered_propagator within its contract on intervals anywhere in time
+    for n, m in [(1, 1), (1, 0), (2, 2), (3, 1)]:
+        fm = FrameModel(n, m, seed=100 + n + m)
+        for order, M in [(8, 48), (4, 8), (2, 4)]:
+            cfg = DysonConfig(order, M)
+            for s, t in [(0.0, 0.7), (0.4, 0.9), (2.0, 2.25)]:
+                V = ordered_propagator(fm.tl, s, t, cfg)
+                assert np.abs(V - fm.propagator(s, t)).max() <= dyson_contract(fm.tl, t - s, cfg)
 
 
 def test_propagator_composition():
@@ -219,23 +219,18 @@ def test_segment_groups_match_single_segments(monkeypatch):
     monkeypatch.setattr(timedep, "_WORK_BYTES", 2 ** 19)
     rho, report, _ = td_simulate(tl, rho0, 0.5, 1e-3, cfg=cfg, segments=n)
     assert sum(groups) == n and len(groups) > 1 and max(groups) > 1
-    delta, K, q = report.segment_time, report.series_order, report.quadrature_order
-    nested = NestedGrid(canonical_rule(q, delta), K)
-    grid, ends = _union_grid(nested, M)
     v = vec(rho0)
     for i in range(n):
-        v = next(_segment_superops(tl, np.array([i * delta]), nested, grid, ends, Kd)) @ v
+        v = next(plan_superops(tl, report, cfg, [i * report.segment_time])) @ v
     assert np.abs(rho - unvec(v)).max() <= 1e-13
 
 
 def test_every_segment_interval_meets_the_dyson_contract(monkeypatch):
-    # every propagator the series engine reads from one driven-damped segment's
-    # prefixes is within the per-segment contract of dense integration
-    tl = driven_damped()
-    _, report, cfg = td_simulate(tl, np.diag([1.0, 0.0]), 1.0, 1e-4)
+    # every propagator the series engine reads from one planned segment's
+    # prefixes is within the per-segment contract of the exact one
+    fm = FrameModel(1, 1, seed=102)
+    _, report, cfg = td_simulate(fm.tl, np.diag([1.0, 0.0]), 1.0, 1e-4)
     delta, K, q = report.segment_time, report.series_order, report.quadrature_order
-    nested = NestedGrid(canonical_rule(q, delta), K)
-    grid, ends = _union_grid(nested, cfg.grid_points)
     read, real = [], timedep.series_superop
 
     def recording(propagate, *args):
@@ -247,12 +242,11 @@ def test_every_segment_interval_meets_the_dyson_contract(monkeypatch):
 
     monkeypatch.setattr(timedep, "series_superop", recording)
     a = 3 * delta
-    next(_segment_superops(tl, np.array([a]), nested, grid, ends, cfg.order))
+    next(plan_superops(fm.tl, report, cfg, [a]))
     assert len(read) == (q + 1) * math.comb(q + K - 1, K - 1) + math.comb(q + K - 1, K)
-    contract = dyson_contract(tl, delta, cfg)
+    contract = dyson_contract(fm.tl, delta, cfg)
     for lo, hi, T in read:
-        ref = generator_rk4(tl, a + lo, a + hi, delta / 200)
-        assert np.abs(T - ref).max() <= contract
+        assert np.abs(T - fm.propagator(a + lo, a + hi)).max() <= contract
 
 
 def test_propagator_interval_edge_cases():
@@ -308,7 +302,7 @@ def test_segment_superop_shares_the_static_engine():
     cfg = TruncationConfig(series_order=3, taylor_order=5, quadrature_order=2,
                            segment_time=0.3)
     static = CPMapApprox(lind, 0.3, cfg).as_superoperator()
-    seg = segment_superop(from_static(lind), 0.6, 0.3, 3, 2, DysonConfig(5, 1))
+    seg = next(plan_superops(from_static(lind), cfg, DysonConfig(5, 1), [0.6]))
     assert np.abs(seg - static).max() <= 1e-14
 
 
@@ -318,14 +312,12 @@ def test_segment_superop_shares_the_static_engine():
 def test_series_engine_columns_are_conjugate_mirrors(path, d, m):
     # the engine builds the columns of E_ab, a <= b, and fills those of E_ba as
     # vec(G(E_ab)^dag), so the mirror holds bit for bit
+    cfg = TruncationConfig(series_order=3, taylor_order=5, quadrature_order=2, segment_time=0.3)
     if path == "static":
         lind = random_lindbladian(int(math.log2(d)), num_jumps=m, seed=d + m)
-        cfg = TruncationConfig(series_order=3, taylor_order=5, quadrature_order=2,
-                               segment_time=0.3)
         S = CPMapApprox(lind, 0.3, cfg).as_superoperator()
     else:
-        S = segment_superop(rotating_model(d, m, seed=d + m), 0.2, 0.3, 3, 2,
-                            DysonConfig(4, 3))
+        S = next(plan_superops(rotating_model(d, m, seed=d + m), cfg, DysonConfig(4, 3), [0.2]))
     for a in range(d):
         for b in range(a + 1, d):
             mirror = vec(unvec(S[:, b * d + a]).conj().T)
@@ -355,13 +347,27 @@ def test_td_simulate_output_is_density():
     assert np.linalg.eigvalsh(rho).min() >= -1e-6
 
 
-def test_td_simulate_tracks_dense_reference():
-    # the rotating model's jumps vary in time, so its jumps are read at the nodes
-    rho0 = np.diag([1.0, 0.0]).astype(complex)
-    for tl in (driven_damped(), rotating_model(2, 2, 3)):
-        rho, _, _ = td_simulate(tl, rho0, 1.0, 1e-6)
-        ref = rk4_reference(tl, rho0, 1.0, 1e-3)
-        assert np.abs(rho - ref).max() <= 1e-4
+@pytest.mark.parametrize("n, m, eps, t", [
+    # jumpless, at M = 1,630 uniform steps a segment: a grid count capped at 256
+    # left the channel 1.8 eps away
+    (1, 0, 1e-6, 2.0), (1, 1, 1e-4, 0.5), (1, 2, 1e-3, 0.5),
+    (2, 0, 1e-4, 2.0), (2, 1, 1e-6, 0.5), (2, 2, 1e-3, 0.5),
+    (3, 0, 1e-3, 0.5), (3, 1, 1e-4, 0.5), (3, 2, 1e-3, 0.5)])
+def test_td_simulate_meets_eps_against_the_exact_frame_channel(n, m, eps, t):
+    # the state within eps in trace distance, and the composed superoperators of
+    # the report's plan within eps by the Choi lower bound, which sees a channel
+    # error that the state may not; that channel gives the run's state
+    fm = FrameModel(n, m, seed=102)
+    d = fm.tl.dim
+    rho0 = random_density(np.random.default_rng(n + m), d)
+    rho, report, cfg = td_simulate(fm.tl, rho0, t, eps)
+    exact = fm.channel(t)
+    assert 0.5 * trace_norm(rho - unvec(exact @ vec(rho0))) <= eps
+    S = np.eye(d * d, dtype=complex)
+    for E in plan_superops(fm.tl, report, cfg, np.arange(report.segments) * report.segment_time):
+        S = E @ S
+    assert diamond_sandwich(S, exact)[0] <= eps
+    assert np.abs(unvec(S @ vec(rho0)) - rho).max() <= 1e-13
 
 
 def test_td_simulate_flags_declared_bound_violation():
@@ -399,9 +405,7 @@ def test_td_simulate_checks_the_samples_it_builds_from():
     tl = driven_damped()
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     _, report, cfg = td_simulate(tl, rho0, 1.0, 1e-4)
-    nested = NestedGrid(canonical_rule(report.quadrature_order, report.segment_time),
-                        report.series_order)
-    grid, _ = _union_grid(nested, cfg.grid_points)
+    grid = plan_grid(report, cfg.grid_points)[1]
     mid = float(0.0 + (grid[:-1] + np.diff(grid) / 2)[0])
     sampler = tl.sampler
 
@@ -455,12 +459,13 @@ def test_td_simulate_rejects_segments_below_the_budget_minimum():
 
 
 def test_td_simulate_sampler_guard():
-    # at eps 1e-6 each segment has 256 uniform steps, 270 union-grid gaps and
-    # 16 interval ends (0, delta and 14 nested node times), so 270 + 16 = 286
-    # sampler calls, at least 256 + 2 = 258 before the table is built. The
-    # 10,752 segments at t=100 fail on that lower bound (2,774,016 calls; the
-    # exact count is 3,075,072); the 3,552 at t=33 pass it (916,416) and fail on
-    # the exact count (1,015,872).
+    # at eps 1e-6 each segment's M uniform steps and 14 nested node times make
+    # up to M + 14 union-grid gaps, with 16 interval ends (0, delta and the node
+    # times): one sampler call per gap and per end, at least M + 2 before the
+    # table is built. The 10,752 segments at t=100 (M = 1,182) fail on that
+    # lower bound (12,730,368 calls; the exact count is 13,020,672); the 1,952
+    # at t=18 (M = 499) pass it (977,952) and fail on the exact count
+    # (1,032,608).
     # Either way no sample is taken.
     tl = driven_damped()
 
@@ -469,7 +474,7 @@ def test_td_simulate_sampler_guard():
 
     tl.sampler = sampler
     rho0 = np.diag([1.0, 0.0]).astype(complex)
-    for t, calls in [(100.0, "at least 2774016"), (33.0, "1015872")]:
+    for t, calls in [(100.0, "at least 12730368"), (18.0, "1032608")]:
         start = time.perf_counter()
         with pytest.raises(ResourceLimitError, match=f"would make {calls} > 1000000 sampler"):
             td_simulate(tl, rho0, t, 1e-6)
@@ -512,9 +517,7 @@ def test_segment_sampler_calls_match_a_counting_sampler(make, t, eps):
     tl.sampler = counting
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     _, report, cfg = td_simulate(tl, rho0, t, eps)
-    K, q = report.series_order, report.quadrature_order
-    grid, ends = _union_grid(NestedGrid(canonical_rule(q, report.segment_time), K),
-                             cfg.grid_points)
+    _, grid, ends = plan_grid(report, cfg.grid_points)
     assert calls[0] == report.segments * (grid.size - 1 + ends.size)
 
 
@@ -545,9 +548,7 @@ def test_table_groups_take_one_engine_call_and_one_sampler_call(monkeypatch):
     _, report, cfg = td_simulate(tl, rho0, 0.7, 1e-5)
     assert tl.batched and len(engine) > 1
     assert engine == prefix and len(sampled) == len(engine) and sum(engine) == report.segments
-    grid, ends = _union_grid(NestedGrid(canonical_rule(report.quadrature_order,
-                                                      report.segment_time),
-                                        report.series_order), cfg.grid_points)
+    _, grid, ends = plan_grid(report, cfg.grid_points)
     assert sampled == [n * (grid.size - 1 + ends.size) for n in engine]
 
 
@@ -839,6 +840,16 @@ def test_rk4_reference_matches_exact_channel():
 def test_rk4_reference_rejects_bad_steps(step):
     with pytest.raises(ArgumentError, match="step must be positive and finite"):
         rk4_reference(from_static(amplitude_damping()), np.diag([1.0, 0.0]), 1.0, step)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rk4_reference_matches_the_exact_frame_channel(n):
+    # d = 2 and 4 take the step-map path, d = 8 steps the state
+    fm = FrameModel(n, 2, seed=102)
+    rho0 = random_density(np.random.default_rng(n), fm.tl.dim)
+    rho = rk4_reference(fm.tl, rho0, 0.5, 1e-3)
+    assert (fm.tl.dim <= _RK4_MAP_DIM) == (n < 3)
+    assert np.abs(rho - unvec(fm.channel(0.5) @ vec(rho0))).max() <= 1e-12
 
 
 @pytest.mark.parametrize("step, calls", [(2e-6, "1000001"), (1e-300, "2e+300"), (1e-320, "inf")])

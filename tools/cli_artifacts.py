@@ -60,6 +60,10 @@ RUNS = [
     # a static model file, sampled through timedep.from_static
     ("td-simulate-amplitude.json",
      ["td-simulate", "--model", "amplitude_damping.json", "--time", "1", "--eps", "1e-4"]),
+    # a default grid count M of 366 uniform steps a segment; every other artifact
+    # and benchmark workload runs at M <= 256
+    ("td-simulate-driven-eps1e-8.json",
+     ["td-simulate", "--model", "driven_damped_qubit.json", "--time", "1", "--eps", "1e-8"]),
 ]
 
 
