@@ -152,19 +152,24 @@ def _analyze_row(name, lind, E, beta, t, K, Kp, q, timing):
 
 def _cmd_analyze_error(args) -> int:
     check_time(args.time)
-    check_count(args.max_order, "--max-order", 1)
+    check_count(args.max_order, "--max-order", 1, series.MAX_SEARCH_ORDER)
     check_count(args.random_models, "--random-models", 0)
     if args.workers < 1:
         raise ArgumentError(f"--workers must be at least 1, got {args.workers}")
     named = _sweep_models(args)
+    orders = [(K, max(1, math.ceil(K / 2)) + extra) for K in range(1, args.max_order + 1)
+              for extra in (0, 2)]
+    # every row's engine limits, as series_superop checks them, before any
+    # exact channel or row is built
+    for _, lind in named:
+        for K, q in orders:
+            series._check_engine(q, K if args.time else 0, lind.num_jumps, lind.dim)
     jobs = []
     for name, lind in named:
         E, beta = models.exact_channel(lind, args.time), models.be_norm(lind)
-        for K in range(1, args.max_order + 1):
-            qmin = max(1, math.ceil(K / 2))
-            for q in (qmin, qmin + 2):
-                for Kp in (K, 2 * K):
-                    jobs.append((name, lind, E, beta, args.time, K, Kp, q, args.timing))
+        for K, q in orders:
+            for Kp in (K, 2 * K):
+                jobs.append((name, lind, E, beta, args.time, K, Kp, q, args.timing))
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
         rows = list(pool.map(lambda j: _analyze_row(*j), jobs))
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[4]))

@@ -222,13 +222,18 @@ def ordered_propagator(tl: TimeDependentLindbladian, s: float, t: float,
                        cfg: DysonConfig) -> np.ndarray:
     """Order-truncated approximation of the ordered exponential on [s, t]: the
     graded product over M uniform steps, sampled at their midpoints and checked
-    as one stack. s and t must be finite, with s <= t; either may be negative."""
+    as one stack. s and t must be finite, with s <= t; either may be negative.
+    Raises ResourceLimitError before the first sample when its M sampled times
+    would exceed MAX_SAMPLER_CALLS."""
     check_finite(s, "propagator start")
     check_finite(t, "propagator end")
     if t < s:
         raise ArgumentError(f"propagator needs s <= t, got s={s}, t={t}")
     if t == s:
         return np.eye(tl.dim, dtype=complex)
+    if cfg.grid_points > MAX_SAMPLER_CALLS:
+        raise ResourceLimitError(f"ordered propagator would make {cfg.grid_points} > "
+                                 f"{MAX_SAMPLER_CALLS} sampler calls")
     grid = np.linspace(0.0, t - s, cfg.grid_points + 1)
     J = _drift_generator(*_checked_stack(tl, float(s) + (grid[:-1] + np.diff(grid) / 2)))
     PL, CR = _prefix_stacks(J[None], grid, grid[[0, -1]], cfg.order)
@@ -382,8 +387,11 @@ def td_simulate(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float, eps: f
         n_seg, delta = orders.num_segments, orders.segment_time
         K, q = orders.series_order, orders.quadrature_order
         if cfg is None:
+            # the root is bounded before ceil, so an overflowing count fails on
+            # the sampler guard's lower bound below
             first_order = delta ** 2 * tl.jdot_bound / (eps / n_seg)
-            points = 1 if tl.jdot_bound == 0.0 else max(16, math.ceil(math.sqrt(first_order)))
+            root = min(math.sqrt(first_order), MAX_SAMPLER_CALLS)
+            points = 1 if tl.jdot_bound == 0.0 else max(16, math.ceil(root))
             cfg = DysonConfig(order=orders.taylor_order, grid_points=points)
 
         def check_calls(gaps, n_ends, at_least=""):

@@ -16,7 +16,6 @@ from lindbladsim import (
     CPMapApprox,
     DysonConfig,
     Lindbladian,
-    TimeDependentLindbladian,
     amplitude_damping,
     be_norm,
     bound_duhamel,
@@ -33,8 +32,8 @@ from lindbladsim import (
     effective_generator,
     exact_channel,
     extend_with_ancilla,
+    f_k,
     g_K_quadrature,
-    jump_superoperator,
     kraus_superop,
     lcu_channel,
     liouvillian_matrix,
@@ -54,11 +53,9 @@ from lindbladsim import (
 from lindbladsim.cli import main as cli_main
 
 from duhamel_reference import duhamel_increments
+from fixtures import SM, SX, driven_damped, random_density
 
 EPS_MACH = float(np.finfo(float).eps)
-
-SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
 
 def model_corpus():
@@ -68,74 +65,6 @@ def model_corpus():
         n = 1 if seed < 10 else 2
         out.append(random_lindbladian(n, num_jumps=1 + seed % 2, seed=seed))
     return out
-
-
-def random_density(rng, d):
-    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = A @ A.conj().T
-    return rho / np.trace(rho).real
-
-
-# ---------------------------------------------------------------------------
-# nested Gauss-Legendre composition of the series terms in the drift eigenbasis,
-# independent of series_superop and NestedGrid.table. The k-fold ordered
-# integrals are evaluated outer to inner; the innermost level is contracted
-# analytically against the diagonalized drift, which keeps the largest batch at
-# q^(k-1) superoperators.
-
-
-def _drift_eigenbasis(lind, t):
-    J = effective_generator(lind)
-    mu, S = np.linalg.eig(J)
-    Sinv = np.linalg.inv(S)
-    R = np.kron(S.conj(), S)
-    Rinv = np.kron(Sinv.conj(), Sinv)
-    lam = np.add.outer(mu.conj(), mu).ravel()
-    for s in (t, t / 3.0):
-        resid = np.abs(R @ np.diag(np.exp(lam * s)) @ Rinv
-                       - drift_semigroup(lind, s)).max()
-        assert resid <= 1e-11, "drift eigendecomposition is ill conditioned"
-    T = Rinv @ jump_superoperator(lind) @ R
-    return R, Rinv, lam, T
-
-
-def _close_innermost(P, x, w, lam, T, nodes, weights, t, chunk=4096):
-    # remaining integral per row: sum_j (x w_j / t) V(x - x s_j/t) Lhat V(x s_j/t)
-    D = lam.size
-    out = np.zeros((D, D), dtype=complex)
-    for lo in range(0, x.size, chunk):
-        xs, ws = x[lo:lo + chunk], w[lo:lo + chunk]
-        inner = xs[:, None] * nodes[None, :] / t
-        gaps = xs[:, None] - inner
-        wfac = xs[:, None] * weights[None, :] / t
-        A = np.exp(gaps[:, :, None] * lam[None, None, :])
-        B = np.exp(inner[:, :, None] * lam[None, None, :])
-        M = np.einsum("bj,bju,bjv->buv", wfac, A, B, optimize=True)
-        wP = P[lo:lo + chunk] * ws[:, None, None]
-        out += np.einsum("buv,bvw->uw", wP, T[None, :, :] * M, optimize=True)
-    return out
-
-
-def _chain_superop_gauss(t, k, rule, R, Rinv, lam, T):
-    nodes, weights = rule.nodes, rule.weights
-    if k == 1:
-        A = np.exp((t - nodes)[:, None] * lam[None, :])
-        B = np.exp(nodes[:, None] * lam[None, :])
-        return R @ (T * np.einsum("j,ju,jv->uv", weights, A, B)) @ Rinv
-    q = nodes.size
-    x, w = nodes.copy(), weights.copy()
-    P = np.exp(np.outer(t - x, lam))[:, :, None] * T[None, :, :]
-    for _ in range(k - 2):
-        xr, wr = np.repeat(x, q), np.repeat(w, q)
-        child = xr * np.tile(nodes, x.size) / t
-        wfac = xr * np.tile(weights, x.size) / t
-        P = np.repeat(P, q, axis=0)
-        P = (P * np.exp(np.outer(xr - child, lam))[:, None, :]) @ T
-        x, w = child, wr * wfac
-    return R @ _close_innermost(P, x, w, lam, T, nodes, weights, t) @ Rinv
-
-
-# ---------------------------------------------------------------------------
 
 
 def test_01_series_truncation_bound_and_superlinear_decay():
@@ -166,14 +95,20 @@ def test_01_series_truncation_bound_and_superlinear_decay():
             # superlinear: log-error decrements grow on average
             assert np.diff(d1).mean() < 0.0, (bt, np.diff(d1))
 
-    # integrity: the engine's nested quadrature agrees with the eigenbasis composition
+    # integrity: the engine's nested quadrature is the definitional nested sum,
+    # the chain f_k at every ordered node tuple's times, outermost node first
     lind = model_corpus()[10]
     t = 0.5 / be_norm(lind)
-    R, Rinv, lam, T = _drift_eigenbasis(lind, t)
     rule = canonical_rule(4, t)
     G = drift_semigroup(lind, t)
     for k in (1, 2, 3):
-        G = G + _chain_superop_gauss(t, k, rule, R, Rinv, lam, T)
+        for js in itertools.product(range(4), repeat=k):
+            u, w, times = t, 1.0, []
+            for j in js:
+                w *= u * rule.weights[j] / t
+                u *= rule.nodes[j] / t
+                times.append(u)
+            G = G + w * f_k(lind, t, times[::-1])
     assert np.abs(G - g_K_quadrature(lind, t, 3, 4)).max() <= 1e-13
 
     elapsed = time.perf_counter() - t0
@@ -402,13 +337,7 @@ def test_09_amplification_identity():
 
 
 def test_10_time_ordered_reference_and_grid_convergence():
-    omega, freq, gamma = 1.5, 2.0, 0.4
-
-    def sampler(t):
-        return 0.5 * omega * math.cos(freq * t) * SX, [math.sqrt(gamma) * SM]
-
-    tl = TimeDependentLindbladian(sampler, 0.5 * omega, [math.sqrt(gamma)],
-                                  0.5 * omega * freq)
+    tl = driven_damped()
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     ref = rk4_reference(tl, rho0, 1.0, 1e-5)
 

@@ -1,6 +1,5 @@
 import csv
 import io
-import itertools
 import json
 import math
 import subprocess
@@ -10,8 +9,10 @@ import threading
 import numpy as np
 import pytest
 
-from lindbladsim import be_norm, cli, load_model, modelio, quadrature, series
+from lindbladsim import cli, load_model, modelio, quadrature, series
 from lindbladsim.cli import main
+
+from kraus_reference import per_term_rows
 
 
 def run_cli(argv, capsys):
@@ -255,10 +256,15 @@ def test_exit_code_bad_arguments(capsys):
     (["quadrature", "--max-q", "-3"], "--max-q must be an integer in [1, 64], got -3"),
     (["quadrature", "--max-q", "65"], "--max-q must be an integer in [1, 64], got 65"),
     (["analyze-error", "--random-models", "1", "--max-order", "0"],
-     "--max-order must be an integer >= 1, got 0"),
+     "--max-order must be an integer in [1, 40], got 0"),
+    # the planner's own order cap, series.MAX_SEARCH_ORDER: the job list grew
+    # by about 8 KB an order, with no engine guard firing at t = 0
+    (["analyze-error", "--random-models", "1", "--time", "0", "--max-order", "41"],
+     "--max-order must be an integer in [1, 40], got 41"),
     (["analyze-error", "--model", "models/amplitude_damping.json", "--random-models", "-1"],
      "--random-models must be an integer >= 0, got -1"),
-], ids=["max-q-0", "max-q-negative", "max-q-65", "max-order-0", "random-models-negative"])
+], ids=["max-q-0", "max-q-negative", "max-q-65", "max-order-0", "max-order-41",
+        "random-models-negative"])
 def test_exit_code_count_options(capsys, monkeypatch, argv, err):
     # refused before any rule, model or exact channel is built
     def unbuilt(*args, **kwargs):
@@ -414,6 +420,19 @@ def test_analyze_error_refuses_wide_random_models_before_building_them(capsys, m
     assert f"would hold {16 * 256 ** 4} > {2 ** 30} bytes" in cap.err
 
 
+def test_analyze_error_checks_every_row_before_building_one(capsys, monkeypatch):
+    # K = 13, q = 9 is the sweep's first row over the node cap; rows K = 1..12
+    # were once built first, about 5 s of work
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a row or exact channel was built before the sweep was checked")
+
+    monkeypatch.setattr(series.CPMapApprox, "as_superoperator", unbuilt)
+    monkeypatch.setattr(cli.models, "exact_channel", unbuilt)
+    code, cap = run_cli(["analyze-error", "--random-models", "1", "--max-order", "20"], capsys)
+    assert code == 3
+    assert "series engine would build 293930 > 262144 nodes" in cap.err
+
+
 def test_analyze_error_refuses_wide_model_files_before_building_them(tmp_path, capsys,
                                                                     monkeypatch):
     # at 7 qubits the order-0 term takes 16 * 128^4 bytes: refused before the
@@ -505,28 +524,18 @@ INLINE_MODELS = {
 
 
 def reference_kraus_csv(model, t, eps):
-    """kraus-dump's table written row by row through csv.writer, every jump path
-    walking its depth's grid afresh."""
+    """kraus-dump's table written row by row through csv.writer, from the
+    term-by-term reference rows of the planned segment."""
     lind = load_model(model).to_lindbladian()
     cfg = series._plan(lind, t, eps)
-    cp = series.CPMapApprox(lind, cfg.segment_time, cfg)
-    e_bt = math.exp(be_norm(lind) * cp.t)
+    # the read-out keeps the order-0 term alone at zero time or without jumps
+    K = cfg.series_order if lind.num_jumps and cfg.segment_time > 0 else 0
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["term", "k", "jump_path", "node_path", "coefficient", "normalizer"])
-    term = 0
-    for k in range(cp._series_order + 1):
-        for ells in itertools.product(range(lind.num_jumps), repeat=k):
-            alpha_prod = math.prod(lind.alphas[ell] for ell in ells)
-            chunks = (quadrature.NestedGrid(cp._rule, k).chunks() if k
-                      else [(np.empty((1, 0), dtype=np.int64), None, np.empty((1, 0)))])
-            for idx, _, weights in chunks:
-                coeff = np.sqrt(np.prod(weights, axis=1))
-                for js, c, s in zip(idx[:, ::-1].tolist(), coeff.tolist(),
-                                    (coeff * e_bt * alpha_prod).tolist()):
-                    writer.writerow([term, k, "-".join(map(str, ells[::-1])),
-                                     "-".join(map(str, js)), c, s])
-                    term += 1
+    for term, ((k, path, js), c, s) in enumerate(
+            per_term_rows(lind, cfg.segment_time, K, cfg.quadrature_order)):
+        writer.writerow([term, k, "-".join(map(str, path)), "-".join(map(str, js)), c, s])
     return buf.getvalue()
 
 

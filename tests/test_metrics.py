@@ -21,8 +21,7 @@ from lindbladsim import (
     trace_norm,
 )
 
-X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-Z = np.diag([1.0, -1.0]).astype(complex)
+from fixtures import SX, SZ
 
 
 def random_superop(rng, d):
@@ -39,7 +38,7 @@ def test_choi_identity_channel():
 
 
 def test_choi_pauli_x_conjugation():
-    C = choi(kraus_superop(X))
+    C = choi(kraus_superop(SX))
     eigs = np.linalg.eigvalsh((C + dag(C)) / 2)
     assert eigs.min() >= -1e-13
     assert abs(np.trace(C) - 2.0) <= 1e-13
@@ -90,14 +89,14 @@ def test_trace_norm_is_a_norm():
 
 
 def test_diamond_sandwich_equal_inputs():
-    S = kraus_superop(X)
+    S = kraus_superop(SX)
     lower, upper = diamond_sandwich(S, S)
     assert lower == 0.0 and upper == 0.0
 
 
 def test_diamond_sandwich_brackets_known_distance():
     # distance between the identity and Z-conjugation channels is exactly 2
-    lower, upper = diamond_sandwich(np.eye(4), kraus_superop(Z))
+    lower, upper = diamond_sandwich(np.eye(4), kraus_superop(SZ))
     assert lower <= 2.0 <= upper
     assert upper == pytest.approx(2 * lower)
 

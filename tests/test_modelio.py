@@ -16,8 +16,7 @@ from lindbladsim import (
 from lindbladsim.linalg import spectral_norm
 from lindbladsim.modelio import matrix_from_json, matrix_to_json
 
-SZ = np.diag([1.0, -1.0]).astype(complex)
-SM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+from fixtures import SM, SZ
 
 
 def m2j(mat):

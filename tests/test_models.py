@@ -30,13 +30,7 @@ from lindbladsim import (
 )
 from lindbladsim.models import _check_stack
 
-SZ = np.diag([1.0, -1.0]).astype(complex)
-
-
-def random_density(rng, d):
-    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = A @ dag(A)
-    return rho / np.trace(rho)
+from fixtures import SM, SZ, random_density
 
 
 def apply_lindblad_direct(lind, rho):
@@ -103,9 +97,6 @@ def test_rejects_undersized_declared_bounds():
         Lindbladian(np.zeros((2, 2)), alpha0=-1e-13)
     with pytest.raises(ModelError, match="nonnegative and finite"):
         Lindbladian(np.zeros((2, 2)), jumps=[np.zeros((2, 2))], alphas=[-1e-13])
-
-
-SM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
 
 @pytest.mark.parametrize("H, alpha0, jump_bound, ok", [

@@ -27,8 +27,7 @@ from lindbladsim import (
     verification_matrix,
 )
 
-X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-Z = np.diag([1.0, -1.0]).astype(complex)
+from fixtures import SX, SZ
 
 
 def unitarity_residual(U):
@@ -59,8 +58,8 @@ def test_dilate_scalar_closed_form():
 
 
 def test_dilate_unitary_exact_block():
-    enc = dilate(X, 1.0)
-    np.testing.assert_allclose(enc.block(), X, atol=1e-14)
+    enc = dilate(SX, 1.0)
+    np.testing.assert_allclose(enc.block(), SX, atol=1e-14)
     assert unitarity_residual(enc.unitary) <= 1e-12
 
 
@@ -75,15 +74,15 @@ def test_dilate_random_extraction():
 
 def test_dilate_rejects_oversized_target():
     with pytest.raises(ArgumentError):
-        dilate(2.0 * X, 1.0)
+        dilate(2.0 * SX, 1.0)
     with pytest.raises(ArgumentError):
-        dilate(X, 0.0)
+        dilate(SX, 0.0)
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf])
 def test_dilate_rejects_non_finite_normalizer(alpha):
     with pytest.raises(ArgumentError, match="normalizer must be positive and finite"):
-        dilate(X, alpha)
+        dilate(SX, alpha)
 
 
 @pytest.mark.parametrize("entry", [math.nan, math.inf])
@@ -97,16 +96,16 @@ def test_dilate_rejects_non_finite_target(entry):
 
 
 def test_lcu_sum_single_term():
-    enc = dilate(X, 1.0)
+    enc = dilate(SX, 1.0)
     combo = lcu_sum([enc], [1.0])
-    np.testing.assert_allclose(combo.block(), X, atol=1e-12)
+    np.testing.assert_allclose(combo.block(), SX, atol=1e-12)
     assert combo.alpha == pytest.approx(1.0)
 
 
 def test_lcu_sum_pauli_pair():
-    combo = lcu_sum([dilate(X, 1.0), dilate(Z, 1.0)], [1.0, 1.0])
+    combo = lcu_sum([dilate(SX, 1.0), dilate(SZ, 1.0)], [1.0, 1.0])
     assert combo.alpha == pytest.approx(2.0)
-    assert spectral_norm((X + Z) - combo.block()) <= 1e-12
+    assert spectral_norm((SX + SZ) - combo.block()) <= 1e-12
     assert unitarity_residual(combo.unitary) <= 1e-11
 
 
@@ -129,8 +128,8 @@ def test_lcu_sum_taylor_normalizer():
 
 
 def test_lcu_sum_rejects_mismatched_registers():
-    small = dilate(X, 1.0)
-    big = lcu_sum([dilate(X, 1.0), dilate(Z, 1.0)], [1.0, 1.0])
+    small = dilate(SX, 1.0)
+    big = lcu_sum([dilate(SX, 1.0), dilate(SZ, 1.0)], [1.0, 1.0])
     with pytest.raises(ArgumentError):
         lcu_sum([small, big], [1.0, 1.0])
     with pytest.raises(ArgumentError):
@@ -142,7 +141,7 @@ def test_lcu_sum_rejects_mismatched_registers():
 @pytest.mark.parametrize("c", [math.nan, math.inf])
 def test_lcu_sum_rejects_non_finite_coefficient(c):
     with pytest.raises(ArgumentError, match="coefficient must be nonnegative and finite"):
-        lcu_sum([dilate(X, 1.0)], [c])
+        lcu_sum([dilate(SX, 1.0)], [c])
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +161,8 @@ def test_lcu_channel_trace_preserving_pair():
     psi = random_state(rng, 2)
     half = 1.0 / math.sqrt(2.0)
     app = lcu_channel([dilate(half * np.eye(2, dtype=complex), half),
-                       dilate(half * X, half)], psi)
-    expected = np.stack([half * psi, half * (X @ psi)])
+                       dilate(half * SX, half)], psi)
+    expected = np.stack([half * psi, half * (SX @ psi)])
     np.testing.assert_allclose(app.branch, expected, atol=1e-12)
     assert app.success_amplitude == pytest.approx(1.0, abs=1e-12)
 
@@ -215,7 +214,7 @@ def test_lcu_channel_rejects_unnormalized_state():
 def test_lcu_channel_rejects_non_finite_state():
     # a NaN norm would pass a normalization check that compares with >
     with pytest.raises(ArgumentError, match="psi must be finite"):
-        lcu_channel([dilate(X, 1.0)], np.array([math.nan, 0.0]))
+        lcu_channel([dilate(SX, 1.0)], np.array([math.nan, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +331,7 @@ def test_oaa_on_diluted_channel():
     for declared in (half, 1.0):
         psi = random_state(rng, 2)
         encs = [dilate(half * np.eye(2, dtype=complex), declared),
-                dilate(half * X, declared)]
+                dilate(half * SX, declared)]
         app = lcu_channel(encs, psi)
         _, W = dilute(app.success_amplitude, app.select)
         P0, P1 = channel_projectors(app)
@@ -355,7 +354,7 @@ def test_dilution_hits_half_exactly():
     psi = random_state(rng, 2)
     half = 1.0 / math.sqrt(2.0)
     encs = [dilate(half * np.eye(2, dtype=complex), 0.9),
-            dilate(half * X, 0.8)]
+            dilate(half * SX, 0.8)]
     app = lcu_channel(encs, psi)
     assert 0.5 < app.success_amplitude <= 1.0
     _, W = dilute(app.success_amplitude, app.select)

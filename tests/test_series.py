@@ -1,4 +1,3 @@
-import itertools
 import math
 import sys
 import threading
@@ -56,14 +55,8 @@ from lindbladsim import series
 from lindbladsim.series import _TaylorPropagator, _budget_expression, series_superop
 
 from duhamel_reference import duhamel_increments
-
-SZ = np.diag([1.0, -1.0]).astype(complex)
-
-
-def random_density(rng, d):
-    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = A @ dag(A)
-    return rho / np.trace(rho)
+from fixtures import SZ
+from kraus_reference import per_term_rows
 
 
 def choi_lower(S1, S2):
@@ -295,24 +288,6 @@ def test_series_engine_matches_kraus_enumeration(n_qubits, m, K, q, seed, t):
     assert np.abs(cp.as_superoperator() - S).max() <= 1e-12
 
 
-def _per_term_rows(lind, t, K, q):
-    """(index, coefficient, normalizer) of every term, by the term-by-term loop
-    the read-out used before it was factored into blocks."""
-    e_bt = math.exp(be_norm(lind) * t)
-    rows = [((0, (), ()), 1.0, e_bt)]
-    for k in range(1, K + 1):
-        grid = nested_grid(k, q, t)
-        for ells in itertools.product(range(lind.num_jumps), repeat=k):
-            alpha_prod = math.prod(lind.alphas[ell] for ell in ells)
-            path = tuple(reversed(ells))
-            for idx, _, weights in grid.chunks():
-                coeff = np.sqrt(np.prod(weights, axis=1))
-                for r in range(idx.shape[0]):
-                    rows.append(((k, path, tuple(int(j) for j in idx[r, ::-1])),
-                                 float(coeff[r]), float(coeff[r] * e_bt * alpha_prod)))
-    return rows
-
-
 @settings(max_examples=40, deadline=None)
 @given(n_qubits=st.integers(1, 2), m=st.integers(1, 2), K=st.integers(0, 4),
        seed=st.integers(0, 2**16), t=st.floats(0.05, 0.8), data=st.data())
@@ -325,7 +300,7 @@ def test_term_blocks_match_the_per_term_loop(n_qubits, m, K, seed, t, data):
     rows = [((k, path, tuple(js)), c, s)
             for k, path, idx, _, coeff, norms in cp.term_blocks()
             for js, c, s in zip(idx[:, ::-1].tolist(), coeff.tolist(), norms.tolist())]
-    expected = _per_term_rows(lind, t, K, q)
+    expected = per_term_rows(lind, t, K, q)
     assert len(rows) == cp.term_count
     assert rows == expected
     s_vals = np.array([row[2] for row in expected])

@@ -40,19 +40,8 @@ from lindbladsim.quadrature import NestedGrid, canonical_rule
 from lindbladsim.timedep import (_RK4_MAP_DIM, _RK4_STEPS, _prefix_stacks, _segment_superops,
                                  _union_grid)
 
+from fixtures import SM, SX, SZ, driven_damped, random_density
 from frame_reference import FrameModel
-
-SZ = np.diag([1.0, -1.0]).astype(complex)
-SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-
-
-def driven_damped(omega=1.5, freq=2.0, gamma=0.4):
-    def sampler(t):
-        return 0.5 * omega * math.cos(freq * t) * SX, [math.sqrt(gamma) * SM]
-
-    jdot = 0.5 * omega * freq
-    return TimeDependentLindbladian(sampler, 0.5 * omega, [math.sqrt(gamma)], jdot)
 
 
 def phase_modulated():
@@ -66,25 +55,6 @@ def sampled_drift(tl, tau):
     # J at tau from sample()'s H and jump list, the list stacked as (m, d, d)
     H, Ls = tl.sample(tau)
     return _drift_generator(H, np.array(Ls, dtype=complex).reshape(-1, *H.shape))
-
-
-def rotating_model(d, m, seed):
-    # H(t) and L_j(t) rotate between two random matrices each; bounds are the sums
-    rng = np.random.default_rng(seed)
-
-    def mat(norm, herm=False):
-        A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        A = (A + A.conj().T) / 2 if herm else A
-        return A * (norm / np.linalg.norm(A, 2))
-
-    H0, H1 = mat(0.6, True), mat(0.4, True)
-    Ls = [(mat(0.5), mat(0.3)) for _ in range(m)]
-
-    def sampler(t):
-        c, s = math.cos(2 * t), math.sin(2 * t)
-        return c * H0 + s * H1, [c * A + s * B for A, B in Ls]
-
-    return TimeDependentLindbladian(sampler, 1.0, [0.8] * m, 4.0)
 
 
 def sequential_propagator(tl, a, grid, lo, hi, Kd):
@@ -118,12 +88,6 @@ def plan_superops(tl, plan, cfg, starts):
     # grid, as td_simulate builds them
     nested, grid, ends = plan_grid(plan, cfg.grid_points)
     return _segment_superops(tl, np.asarray(starts, dtype=float), nested, grid, ends, cfg.order)
-
-
-def random_density(rng, d):
-    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = A @ A.conj().T
-    return rho / np.trace(rho).real
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +149,7 @@ def test_propagator_composition():
 def test_prefix_quotient_matches_sequential_product(d, m, Kd, M, B, seed):
     # P(hi) P(lo)^-1 on a grid of M uniform steps and a few extra points, against
     # the graded product of the factors between lo and hi, over the same gaps
-    tl = rotating_model(d, m, seed)
+    tl = FrameModel(int(math.log2(d)), m, seed).tl
     rng = np.random.default_rng(seed)
     a, delta = rng.uniform(0.0, 0.5), rng.uniform(0.01, 0.6)
     grid = np.unique(np.concatenate([np.linspace(0.0, delta, M + 1),
@@ -206,7 +170,7 @@ def test_segment_groups_match_single_segments(monkeypatch):
     # under _WORK_BYTES, here shrunk to a few segments' worth; across group
     # boundaries it composes the segments built alone
     d, Kd, M, n = 4, 8, 64, 12
-    tl = rotating_model(d, 2, 7)
+    tl = FrameModel(2, 2, 7).tl
     rho0 = np.eye(d, dtype=complex) / d
     cfg = DysonConfig(order=Kd, grid_points=M)
     groups, prefix_stacks = [], timedep._prefix_stacks
@@ -317,7 +281,8 @@ def test_series_engine_columns_are_conjugate_mirrors(path, d, m):
         lind = random_lindbladian(int(math.log2(d)), num_jumps=m, seed=d + m)
         S = CPMapApprox(lind, 0.3, cfg).as_superoperator()
     else:
-        S = next(plan_superops(rotating_model(d, m, seed=d + m), cfg, DysonConfig(4, 3), [0.2]))
+        tl = FrameModel(int(math.log2(d)), m, d + m).tl
+        S = next(plan_superops(tl, cfg, DysonConfig(4, 3), [0.2]))
     for a in range(d):
         for b in range(a + 1, d):
             mirror = vec(unvec(S[:, b * d + a]).conj().T)
@@ -496,6 +461,31 @@ def test_td_simulate_engine_guard_takes_no_sample():
     with pytest.raises(ResourceLimitError, match="bytes of superoperators at once"):
         td_simulate(tl, np.eye(d) / d, 1.0, 1e-3)
     assert calls == []
+
+
+def test_td_simulate_overflowing_grid_count_fails_on_the_sampler_guard():
+    # delta^2 jdot n / eps overflows to inf at jdot_bound 1e300; the default M,
+    # its root, is bounded by MAX_SAMPLER_CALLS before ceil, so the guard's lower
+    # bound fails the run, with no sample taken
+    tl = TimeDependentLindbladian(lambda t: (0.5 * SZ, []), 0.5, [], 1e300)
+
+    def sampler(tau):
+        raise AssertionError(f"sampled at t={tau} before the guard")
+
+    tl.sampler = sampler
+    with pytest.raises(ResourceLimitError, match="would make at least 2000004 > 1000000 sampler"):
+        td_simulate(tl, np.diag([1.0, 0.0]), 1.0, 1e-10)
+
+
+def test_ordered_propagator_guard_fires_before_the_first_sample():
+    tl = driven_damped()
+
+    def sampler(tau):
+        raise AssertionError(f"sampled at t={tau} before the guard")
+
+    tl.sampler = sampler
+    with pytest.raises(ResourceLimitError, match="would make 1000005 > 1000000 sampler calls"):
+        ordered_propagator(tl, 0.0, 1.0, DysonConfig(2, series.MAX_SAMPLER_CALLS + 5))
 
 
 def table_model():
@@ -772,7 +762,7 @@ def test_rk4_reference_chunks_match_per_step_liouvillians(d):
     # n = 2 * _RK4_STEPS + 1 steps cross chunk boundaries on both paths (step
     # maps at d <= 4, stepping at d = 8), against RK4 with each step's
     # Liouvillians built on their own
-    tl = driven_damped() if d == 2 else rotating_model(d, 1, d)
+    tl = driven_damped() if d == 2 else FrameModel(int(math.log2(d)), 1, d).tl
     sampler, calls = tl.sampler, [0]
 
     def counting(tau):
@@ -789,9 +779,7 @@ def test_rk4_reference_chunks_match_per_step_liouvillians(d):
     tl.sampler = counting
     n, t = 2 * _RK4_STEPS + 1, 0.8
     h = t / n
-    rng = np.random.default_rng(d)
-    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho0 = A @ A.conj().T / np.trace(A @ A.conj().T)
+    rho0 = random_density(np.random.default_rng(d), d)
     v = rho0.reshape(-1, order="F").astype(complex)
     for i in range(n):
         tau = i * h
@@ -809,7 +797,7 @@ def test_rk4_reference_chunks_match_per_step_liouvillians(d):
 @pytest.mark.parametrize("d", [2, 8])
 def test_rk4_reference_at_time_zero_returns_the_checked_rho0(d):
     # h = 0: the step map is I exactly, and a step adds 0 to the state
-    tl = driven_damped() if d == 2 else rotating_model(d, 1, d)
+    tl = driven_damped() if d == 2 else FrameModel(int(math.log2(d)), 1, d).tl
     sampler, times = tl.sampler, []
 
     def counting(tau):

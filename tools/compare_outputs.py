@@ -60,31 +60,38 @@ def _csv_diffs(path_a, path_b):
     return diffs
 
 
+def max_diff(path_a: str, path_b: str) -> tuple[float, str]:
+    """The largest absolute difference over the numbers of two .npy, .json or
+    .csv files of one kind, and where it occurs ((0.0, "") when they hold no
+    numbers); ValueError where their shape or non-numeric content differs."""
+    if path_a.endswith(".npy"):
+        x, y = np.load(path_a), np.load(path_b)
+        if x.shape != y.shape:
+            raise ValueError(f"shape {x.shape} against {y.shape}")
+        err = np.abs(x - y)
+        pos = np.unravel_index(int(np.argmax(err)), err.shape) if err.size else ()
+        diffs = [(float(err[pos]), f"index {tuple(int(i) for i in pos)}")] if err.size else []
+    elif path_a.endswith(".json"):
+        with open(path_a) as fa, open(path_b) as fb:
+            diffs = []
+            _walk(json.load(fa), json.load(fb), "", diffs)
+    else:
+        diffs = _csv_diffs(path_a, path_b)
+    return max(diffs, default=(0.0, ""))
+
+
 def compare(path_a: str, path_b: str) -> tuple[str, bool]:
     """One line describing how the file at path_b differs from the one at path_a,
     and whether the two are comparable number for number."""
     with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
         if fa.read() == fb.read():
             return "identical", True
+    if not path_a.endswith((".npy", ".json", ".csv")):
+        return "bytes differ (not compared)", False
     try:
-        if path_a.endswith(".npy"):
-            x, y = np.load(path_a), np.load(path_b)
-            if x.shape != y.shape:
-                raise ValueError(f"shape {x.shape} against {y.shape}")
-            err = np.abs(x - y)
-            pos = np.unravel_index(int(np.argmax(err)), err.shape) if err.size else ()
-            diffs = [(float(err[pos]), f"index {tuple(int(i) for i in pos)}")] if err.size else []
-        elif path_a.endswith(".json"):
-            with open(path_a) as fa, open(path_b) as fb:
-                diffs = []
-                _walk(json.load(fa), json.load(fb), "", diffs)
-        elif path_a.endswith(".csv"):
-            diffs = _csv_diffs(path_a, path_b)
-        else:
-            return "bytes differ (not compared)", False
+        size, where = max_diff(path_a, path_b)
     except ValueError as ex:
         return f"not comparable: {ex}", False
-    size, where = max(diffs, default=(0.0, ""))
     if size == 0.0:
         return "bytes differ, numbers equal", True
     return f"max |diff| {size:.3g} at {where}", True
