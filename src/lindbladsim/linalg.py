@@ -7,7 +7,8 @@ Under this convention ``vec(A rho B) = (B^T kron A) vec(rho)``, so the conjugati
 A map rho -> sum c^2 A rho A^dag preserves Hermiticity, G(E_ba) = G(E_ab)^dag, so its
 superoperator is fixed by the d(d+1)/2 columns vec(E_ab) with a <= b, its half
 columns. kraus_superop builds those columns alone when asked for half=True,
-batched_kraus_sum builds only those columns, and expand_half fills in the rest.
+batched_kraus_sum and kraus_rows, a level of the series engine's recursion,
+build only those columns, and expand_half fills in the rest.
 
 This module is the one place that builds Kronecker products and weighted Kraus sums.
 """
@@ -67,14 +68,17 @@ def expand_half(H: np.ndarray) -> np.ndarray:
     return S.reshape(*lead, d2, d2)
 
 
-def kraus_superop(A: np.ndarray, half: bool = False) -> np.ndarray:
+def kraus_superop(A: np.ndarray, half: bool = False, out: np.ndarray | None = None) -> np.ndarray:
     """Superoperator matrix of rho -> A rho A^dag, batched over leading axes; with
-    half, only its half columns, from the same products conj(A)[y, b] A[x, a]."""
+    half, only its half columns, from the same products conj(A)[y, b] A[x, a],
+    written into out, a C-contiguous (..., d^2, d(d+1)/2) array, when given."""
     if not half:
         return kron(np.conj(A), A)
-    a, b = _half_pairs(np.shape(A)[-1])
-    out = np.conj(A)[..., :, None, b] * np.asarray(A)[..., None, :, a]
-    return out.reshape(out.shape[:-3] + (-1, a.size))
+    d = np.shape(A)[-1]
+    a, b = _half_pairs(d)
+    prod = np.multiply(np.conj(A)[..., :, None, b], np.asarray(A)[..., None, :, a],
+                       out=None if out is None else out.reshape(out.shape[:-2] + (d, d, -1)))
+    return prod.reshape(prod.shape[:-3] + (-1, a.size))
 
 
 def spectral_norm(mat: np.ndarray) -> float:
@@ -96,3 +100,31 @@ def batched_kraus_sum(weights: np.ndarray, mats: np.ndarray) -> np.ndarray:
         out[..., h:h + b + 1] = (wA[..., b].swapaxes(-1, -2) @ right).reshape(
             *lead, d, d, b + 1)
     return out.reshape(*lead, d * d, -1)
+
+
+def kraus_rows(level: np.ndarray, G: np.ndarray, B: np.ndarray, W: np.ndarray, ch: np.ndarray,
+               close: np.ndarray, by_child: bool, sl: slice) -> None:
+    """Rows sl of one level of series.series_superop's recursion, in half
+    columns: level[r] = K[close_r] + sum_j W[r, j] sum_l K[B[r, j, l]] G[ch[r, j]],
+    from the rows below, G, each row's children's rows ch, their weights W,
+    jump-side factors B (rows, q, m, d, d) and closing propagators close.
+    by_child gathers and multiplies one child at a time, which holds fewer
+    bytes and forms the same products."""
+    Bs = B[sl]
+    P, q, m, d, _ = Bs.shape
+    nh = G.shape[-1]
+    # the closing term first, while no product is held; the sum below commutes
+    kraus_superop(close[sl], half=True, out=level[sl])
+    # K[B] X as two d x d contractions per column: B on the ket index,
+    # then conj(B), weighted, on the bra index summed over (j, l)
+    if by_child:
+        Y = np.empty((P, q, m, d, d, nh), dtype=complex)
+        for j in range(q):
+            np.matmul(Bs[:, j, :, None], G[ch[sl, j]].reshape(P, 1, d, d, nh), out=Y[:, j])
+    else:
+        Y = Bs[:, :, :, None] @ G[ch[sl]].reshape(P, q, 1, d, d, nh)
+    # conj(B) weighted, laid out bra index first: (P, d, q, m, d)
+    Wc = np.conj(Bs.transpose(0, 3, 1, 2, 4), order="C")
+    Wc *= W[sl][:, None, :, None, None]
+    Z = Wc.reshape(P, d, q * m * d) @ Y.reshape(P, q * m * d, d * nh)
+    level[sl] += Z.reshape(P, d * d, nh)

@@ -25,11 +25,14 @@ quadrature-index multisets of quadrature.NestedGrid.table, the table that also
 gives the read-out its node times and weights. Every node of the recursion is
 a Kraus map and so preserves Hermiticity, G(E_ba) = G(E_ab)^dag; a node holds
 only the half columns vec(E_ab), a <= b, and only the root is expanded to d^2
-columns by that mirror. The term index set is enumerated in one place,
-CPMapApprox.term_blocks, which yields indices, coefficients and normalizers
-block by block without matrices; iter_terms attaches the chain products to
-those blocks where the operators themselves are needed. A level's chunks of
-parents write disjoint rows, so series_superop, called on the main thread,
+columns by that mirror. The widest level, the leaves' at depth K-1, is never
+held whole: it streams through a pool of rows, each built just before the
+first block of its parents that reads it and its row reused after the last.
+The term index set is enumerated in one place, CPMapApprox.term_blocks, which
+yields indices, coefficients and normalizers block by block without matrices;
+iter_terms attaches the chain products to those blocks where the operators
+themselves are needed. A level's chunks write disjoint rows, so
+series_superop, called on the main thread,
 runs the chunks of a call whose widest level is more than one chunk on every
 CPU the process may use, up to as many as fit the work size, each row from
 the same products, and so the same bits, as one chunk at a time; the sources
@@ -38,9 +41,10 @@ it samples stay on the calling thread.
 Each resource guard counts the work of the function that checks it, before
 that work starts: series_superop its nodes (MAX_SERIES_NODES) and held bytes
 (MAX_SUPEROP_BYTES), which _evolve also checks on its plan before the source
-builds or samples anything (series_superop counts the chunks in flight by a
-figure that holds at any number of them, so its verdict does not depend on
-the CPU count), term_blocks its terms (quadrature.TERM_GUARDRAIL), and
+builds or samples anything (series_superop counts the stage that holds most,
+its nodes, operators and indices, and the chunks in flight by a figure that
+holds at any number of them, so its verdict does not depend on the CPU
+count), term_blocks its terms (quadrature.TERM_GUARDRAIL), and
 timedep.td_simulate and
 timedep.rk4_reference their sampled times (MAX_SAMPLER_CALLS), one sampler
 call each for a pointwise sampler. The (m q)^k chain count sizes only the
@@ -62,7 +66,7 @@ from scipy.linalg import expm
 
 from .errors import (ArgumentError, InfeasiblePrecisionError, ModelError, ResourceLimitError,
                      check_count, check_time)
-from .linalg import batched_kraus_sum, expand_half, kraus_superop, unvec, vec
+from .linalg import batched_kraus_sum, expand_half, kraus_rows, kraus_superop, unvec, vec
 from .metrics import diamond_sandwich
 from .models import Lindbladian, be_norm, effective_generator, exact_channel, jump_superoperator
 from .quadrature import TERM_GUARDRAIL, NestedGrid, QuadratureRule, canonical_rule
@@ -207,6 +211,10 @@ MAX_SERIES_NODES = 2 ** 18
 MAX_SUPEROP_BYTES = 2 ** 30
 MAX_SAMPLER_CALLS = 10 ** 6
 _WORK_BYTES = 2 ** 23
+# what one series_superop call holds beyond its counted arrays (the
+# interpreter's objects and numpy's buffers), counted whole by its byte guard;
+# tracemalloc saw at most 18 KB of it at d = 2, 4 and 8, K <= 8
+_CALL_BYTES = 2 ** 16
 
 
 def _chain_count(m: int, q: int, K: int) -> int:
@@ -221,31 +229,128 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _node_bytes(d: int) -> int:
+    """Bytes of one node of series_superop: d(d+1)/2 half columns of d^2 entries."""
+    return 16 * d * d * (d * (d + 1) // 2)
+
+
 def _parent_work(q: int, m: int, d: int, parts: int = 1) -> int:
     """Bytes of one parent's gathered children and products in series_superop
     (see _engine_bytes for the arguments): 1 + q(m+1) nodes when one chunk runs
     at a time, and 2 + q m nodes when several do, as those gather one child at a
     time."""
-    node_bytes = 16 * d * d * (d * (d + 1) // 2)
-    return (1 + q * (m + 1) if parts == 1 else 2 + q * m) * node_bytes
+    return (1 + q * (m + 1) if parts == 1 else 2 + q * m) * _node_bytes(d)
 
 
-def _engine_bytes(q: int, K: int, m: int, d: int) -> tuple[int, int]:
-    """Bytes of superoperators that series_superop's order-K recursion over the
-    q-point rule, m jumps on d x d operators, holds at once: per segment, and
-    per call. K = 0 or m = 0 leaves the order-0 term alone, one d^2 x d^2
-    superoperator of 16 d^4 bytes per segment. Otherwise the two widest stored
-    levels, depths K-1 and K-2, are held per segment while the second is built,
-    and per call the chunks in flight (_engine_parts), which hold at most
-    max(_WORK_BYTES, one parent's work alone) at any number of parts: several
-    parts' chunks fit _WORK_BYTES at the per-child work, and one part's chunk
-    fits it or is one parent. That overcounts one chunk at a time by less than
-    one parent's work alone."""
+def _block(q: int, d: int) -> int:
+    """Parents of depth K-2 that series_superop runs per block: as many as fit
+    their q children's rows in _WORK_BYTES, and at least one."""
+    return max(1, _WORK_BYTES // (q * _node_bytes(d)))
+
+
+@functools.lru_cache(maxsize=32)
+def _leaf_schedule(q: int, K: int, segments: int, block: int):
+    """(bounds, slot, pool): how series_superop of order K >= 2 on segments
+    segments streams its leaves' level, depth K-1, through pool rows while the
+    depth K-2 parents run in blocks of block rows, in table order. Leaf rows
+    bounds[b] to bounds[b+1] are those block b reads first; they are built into
+    the pool rows slot[r] while the block before runs, and a pool row is reused
+    once every block that reads its leaf has run, so pool is the most leaves
+    held at once. Read-only, cached per shape."""
+    per_segment = math.comb(q + K - 2, K - 1)
+    n_leaf = segments * per_segment
+    ch = NestedGrid(canonical_rule(q, 1.0), K - 1).table[2][K - 2]
+    ch = (ch + per_segment * np.arange(segments)[:, None, None]).ravel()
+    blocks = np.arange(ch.size) // (q * block)  # the block of each (parent, child)
+    # a leaf's first parent is its multiset less its largest index, and the
+    # table lists the leaves by that parent, so first ascends with the leaf row
+    first, last = np.full(n_leaf, blocks[-1]), np.zeros(n_leaf, dtype=np.int64)
+    np.minimum.at(first, ch, blocks)
+    np.maximum.at(last, ch, blocks)
+    slot, pool = list(range(n_leaf)), n_leaf
+    if blocks[-1]:
+        # each leaf takes the row of a leaf that no block from the one before
+        # its first reads, or else a new row
+        dying, ends = np.argsort(last, kind="stable").tolist(), last.tolist()
+        free, k, pool = [], 0, 0
+        for r, f in enumerate(first.tolist()):
+            while ends[dying[k]] < f - 1:
+                free.append(slot[dying[k]])
+                k += 1
+            if free:
+                slot[r] = free.pop()
+            else:
+                slot[r], pool = pool, pool + 1
+    bounds, slot = np.searchsorted(first, np.arange(blocks[-1] + 3)), np.array(slot)
+    bounds.flags.writeable = slot.flags.writeable = False
+    return bounds, slot, pool
+
+
+def _engine_bytes(q: int, K: int, m: int, d: int, segments: int = 1) -> tuple[int, int]:
+    """(levels, chunks): series_superop's order-K recursion over the q-point
+    rule, m jumps on d x d operators, on segments segments holds at most
+    levels + chunks bytes at once, where chunks is the per-call figure.
+
+    K = 0 or m = 0 leaves the order-0 term alone, one d^2 x d^2 superoperator
+    of 16 d^4 bytes per segment. Otherwise levels are the bytes of the stage
+    that holds most, in nodes of 16 d^2 d(d+1)/2 bytes, operator matrices of
+    16 d^2 bytes and 8-byte times, weights and indices, counted from the P
+    parents and C children of a depth over all segments:
+    - forming depth i: its propagators and the copies of its closing and
+      jump-side ones with their gathered jumps, P(2 + 2q + qm) matrices, and
+      the more of the jumps, Cm, and the jump-side factors, Pqm. The leaves'
+      level, depth K-1, also makes their own propagators, C, and their
+      operators, 1 + qm a leaf, which are kept; making those holds up to
+      P(3 + q + 3qm) + C.
+    - running depth i: its propagators and jump-side factors, q + 2 + qm a
+      parent, its rows and the rows below. The leaves' level is never held
+      whole: while depth K-2 runs, with the leaves' operators, the rows held
+      are those of depth K-2 and the leaf pool's high-water mark
+      (_leaf_schedule); while K-3 runs, those of depths K-2 and K-3. At K = 1
+      the leaves' rows are the root's.
+    - expanding the root: its half columns twice and the full superoperator.
+    Only the running stages hold chunks in flight, so the others enter levels
+    less those.
+
+    The chunks in flight (_engine_parts) hold at most max(_WORK_BYTES, one
+    parent's work alone) at any number of parts: several parts' chunks fit
+    _WORK_BYTES at the per-child work, and one part's chunk fits it or is one
+    parent. That overcounts one chunk at a time by less than one parent's
+    work alone. chunks adds to them the nested table, the times of the widest
+    propagator call and _CALL_BYTES."""
     if not (K and m):
-        return 16 * d ** 4, 0
-    node_bytes = 16 * d * d * (d * (d + 1) // 2)
-    stored = math.comb(q + K - 2, K - 1) + (math.comb(q + K - 3, K - 2) if K > 1 else 0)
-    return stored * node_bytes, max(_WORK_BYTES, _parent_work(q, m, d))
+        return segments * 16 * d ** 4, 0
+    node, mat, flight = _node_bytes(d), 16 * d * d, max(_WORK_BYTES, _parent_work(q, m, d))
+
+    def rows(i: int) -> int:
+        return segments * math.comb(q + i - 1, i)
+
+    def formed(i: int) -> int:
+        P, C, leaf = rows(i), rows(i + 1), i == K - 1
+        most = P * (2 + 2 * q + q * m) + max(C * m, P * q * m)
+        if leaf:
+            most = C + max(most, P * (3 + q + 3 * q * m))
+        return most * mat + 16 * P * (q + leaf * (1 + q * m))
+
+    def kept(i: int) -> int:
+        return rows(i) * ((q + 2 + q * m) * mat + 24 * q)
+
+    kraus = rows(K - 1) * (1 + q * m) * (mat + 8)
+    alone = [formed(K - 1), segments * (2 * node + 16 * d ** 4)]
+    running = [node * rows(0) + kraus]
+    if K > 1:
+        block = _block(q, d)
+        pool = (rows(K - 1) if rows(K - 2) <= block  # one block reads every leaf first
+                else _leaf_schedule(q, K, segments, block)[2])
+        alone.append(kraus + formed(K - 2))
+        running = [node * (rows(K - 2) + pool) + kraus + kept(K - 2)]
+    if K > 2:
+        alone.append(node * rows(K - 2) + formed(K - 3))
+        running.append(node * (rows(K - 2) + rows(K - 3)) + kept(K - 3))
+    # the nested table, and the times of the widest propagator call twice over
+    table = 8 * (math.comb(q + K, K) + 2 * q * math.comb(q + K - 1, K - 1)
+                 + 4 * (q + 1) * math.comb(q + K - 2, K - 1) + 4 * math.comb(q + K - 1, K))
+    return max(max(running), max(alone) - flight), flight + table + _CALL_BYTES
 
 
 def _check_engine(q: int, K: int, m: int, d: int, segments: int = 1) -> None:
@@ -261,8 +366,7 @@ def _check_engine(q: int, K: int, m: int, d: int, segments: int = 1) -> None:
         if nodes > MAX_SERIES_NODES:
             raise ResourceLimitError(
                 f"series engine would build {nodes} > {MAX_SERIES_NODES} nodes")
-    per_segment, per_call = _engine_bytes(q, K, m, d)
-    held_bytes = segments * per_segment + per_call
+    held_bytes = sum(_engine_bytes(q, K, m, d, segments))
     if held_bytes > MAX_SUPEROP_BYTES:
         raise ResourceLimitError(
             f"series engine would hold {held_bytes} > {MAX_SUPEROP_BYTES} bytes "
@@ -271,8 +375,9 @@ def _check_engine(q: int, K: int, m: int, d: int, segments: int = 1) -> None:
 
 def _engine_parts(q: int, K: int, m: int, d: int, segments: int = 1) -> tuple[int, int]:
     """Chunks one series_superop call of order K >= 1 with m >= 1 jumps runs at
-    once, and parents per chunk (see _engine_bytes for the arguments). A call
-    whose widest level, depth K-1, is one chunk when run alone, or that runs off
+    once, and rows per chunk, parents or leaves (see _engine_bytes for the
+    arguments). A call whose widest level, the leaves' at depth K-1, which it
+    builds but never holds whole, is one chunk when run alone, or that runs off
     the main thread, runs one at a time and asks for no CPUs, so callers that
     run calls on threads of their own do not multiply them. Otherwise it runs
     one per CPU this process may use, but no more than fit one parent's
@@ -288,55 +393,43 @@ def _engine_parts(q: int, K: int, m: int, d: int, segments: int = 1) -> tuple[in
 def _segments_per_call(q: int, K: int, m: int, d: int, extra_bytes: int, budget: int) -> int:
     """The most segments one series_superop call may take (see _engine_bytes for
     the arguments) when each segment also holds extra_bytes: at least one, and no
-    more than keep those and the engine's bytes per segment within budget and the
-    call within MAX_SUPEROP_BYTES, so a call whose single segment passes
-    _check_engine passes it on this many."""
-    per_segment, per_call = _engine_bytes(q, K, m, d)
-    return max(1, min(budget // (extra_bytes + per_segment),
-                      (MAX_SUPEROP_BYTES - per_call) // per_segment))
+    more than keep those and the engine's levels within budget and the call
+    within MAX_SUPEROP_BYTES, so a call whose single segment passes
+    _check_engine passes it on this many. The levels grow with the segments, by
+    at least one node each, so the count is found by bisection."""
+    def fits(segments: int) -> bool:
+        stored, per_call = _engine_bytes(q, K, m, d, segments)
+        return (segments * extra_bytes + stored <= budget
+                and stored + per_call <= MAX_SUPEROP_BYTES)
+
+    lo, hi = 1, max(1, budget // (extra_bytes + _node_bytes(d)))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid - 1)
+    return lo
 
 
-def _run_shares(pool: ThreadPoolExecutor | None, parts: int, run, starts: range) -> None:
-    """run(start) for every start: the calling thread takes every parts-th one
-    from the first, and pool's threads take the rest (none when parts is 1,
+def _run_shares(pool: ThreadPoolExecutor | None, parts: int, run, starts) -> None:
+    """run(start) for every start of the sequence starts, in parts shares: the
+    calling thread takes every parts-th one from the first, and each of pool's
+    threads every parts-th one from one of the next (none when parts is 1,
     where pool may be None). Returns when all are done, or raises the first
     error met; the pool's owner then cancels the rest."""
-    tasks = [pool.submit(run, start) for k, start in enumerate(starts) if k % parts]
-    for start in starts[::parts]:
-        run(start)
-    for task in tasks:
-        task.result()
+    def run_share(share) -> None:
+        for start in share:
+            run(start)
+
+    shares = [pool.submit(run_share, starts[k::parts]) for k in range(1, parts)]
+    run_share(starts[::parts])
+    for share in shares:
+        share.result()
 
 
-def _leaf_rows(level: np.ndarray, wts: np.ndarray, A: np.ndarray, chunk: int,
-               start: int) -> None:
-    """Rows start to start + chunk of series_superop's deepest level, in Kraus
-    form: the leaves' operators A and weights wts."""
-    sl = slice(start, start + chunk)
-    level[sl] = batched_kraus_sum(wts[sl], A[sl])
-
-
-def _node_rows(level: np.ndarray, G: np.ndarray, B: np.ndarray, W: np.ndarray, ch: np.ndarray,
-               close: np.ndarray, chunk: int, by_child: bool, start: int) -> None:
-    """Rows start to start + chunk of a stored level of series_superop: from the
-    level below, G, each row's children ch, their weights W and jump-side
-    factors B, and its closing propagator close. by_child gathers and multiplies
-    one child at a time, which holds fewer bytes and forms the same products."""
-    sl = slice(start, start + chunk)
-    Bs = B[sl]
-    P, q, m, d, _ = Bs.shape
-    nh = G.shape[-1]
-    # K[B] X as two d x d contractions per column: B on the ket index,
-    # then conj(B), weighted, on the bra index summed over (j, l)
-    if by_child:
-        Y = np.empty((P, q, m, d, d, nh), dtype=complex)
-        for j in range(q):
-            np.matmul(Bs[:, j, :, None], G[ch[sl, j]].reshape(P, 1, d, d, nh), out=Y[:, j])
-    else:
-        Y = Bs[:, :, :, None] @ G[ch[sl]].reshape(P, q, 1, d, d, nh)
-    Wc = (W[sl][:, :, None, None, None] * Bs.conj()).reshape(P, q * m, d, d)
-    Z = Wc.transpose(0, 2, 1, 3).reshape(P, d, q * m * d) @ Y.reshape(P, q * m * d, d * nh)
-    np.add(Z.reshape(P, d * d, nh), kraus_superop(close[sl], half=True), out=level[sl])
+def _leaf_rows(out: np.ndarray, wts: np.ndarray, A: np.ndarray, slot: np.ndarray,
+               sl: slice) -> None:
+    """Leaf rows sl of series_superop, in Kraus form from the leaves' operators
+    A and weights wts, into the rows slot[sl] of out."""
+    out[slot[sl]] = batched_kraus_sum(wts[sl], A[sl])
 
 
 def series_superop(propagate, jumps, t: float, q: int, K: int, m: int,
@@ -356,9 +449,14 @@ def series_superop(propagate, jumps, t: float, q: int, K: int, m: int,
     G_0(u) = K[T(0, u)], evaluated as G_K(t). Its node times u, weights
     u w_j / t and children come from NestedGrid(rule, K).table, one node per
     index multiset, and each node is built once, deepest level first. Depth
-    K-1 is closed in Kraus form, so leaves are never stored; each stored level
-    is one array, from which a chunk of parents takes its children by indexed
-    gathers.
+    K-1 is closed in Kraus form, so leaves are never stored. Only its
+    operators and weights are kept: its rows stream through a pool while the
+    depth K-2 parents run in blocks of _block rows, in table order, each built
+    into a free pool row just before the first block that reads it, with the
+    block before, and its row freed after the last (_leaf_schedule). Every
+    other stored level is one array. A chunk of parents takes its children
+    from the rows below by indexed gathers; every row comes from the same
+    products, however the blocks fall.
     propagate(s, u) returns each segment's T(s_b, u_b) as an (S, B, d, d) array
     and jumps(u) its L_l(u_b) as an (S, B, m, d, d) array; both are called once
     per level for all S segments, on the calling thread. A level's rows are its
@@ -370,7 +468,8 @@ def series_superop(propagate, jumps, t: float, q: int, K: int, m: int,
 
     Chunks write disjoint rows, so a call whose widest level is more than one
     chunk run alone runs them on every CPU the process may use, within the work
-    size and on the main thread only (_engine_parts). Every level is one
+    size and on the main thread only (_engine_parts). Every level, and every
+    block of depth K-2 with the leaves the next block reads first, is one
     _run_shares call: the calling thread takes one share and a thread pool,
     opened for the call, the others. Such a call gathers one child at a time,
     which keeps the bytes of the chunks in flight near those of one chunk
@@ -406,14 +505,13 @@ def series_superop(propagate, jumps, t: float, q: int, K: int, m: int,
         for i in range(K - 1, -1, -1):
             up, uc, ch, W = u[i], u[i + 1], children[i], weights[i]
             n_p = up.size
-            lo = np.concatenate([np.zeros(n_p), uc[ch].ravel()])
-            hi = np.concatenate([up, np.repeat(up, q)])
+            lo, hi = [np.zeros(n_p), uc[ch].ravel()], [up, np.repeat(up, q)]
             if i == K - 1:
-                lo = np.concatenate([lo, np.zeros(uc.size)])
-                hi = np.concatenate([hi, uc])
+                lo.append(np.zeros(uc.size))
+                hi.append(uc)
+            T = propagate(np.concatenate(lo), np.concatenate(hi))
             # rows are parents segment by segment (views when S = 1), and each row's
             # children are offset into the rows of the level below by its segment
-            T = propagate(lo, hi)
             if segments > 1:
                 ch = (ch + uc.size * np.arange(segments)[:, None, None]).reshape(-1, q)
                 W = np.tile(W, (segments, 1))
@@ -427,14 +525,36 @@ def series_superop(propagate, jumps, t: float, q: int, K: int, m: int,
                                     (B @ T[:, n_p * (q + 1):].reshape(-1, d, d)[ch][:, :, None])
                                     .reshape(n_rows, q * m, d, d)], axis=1)
                 wts = np.concatenate([np.ones((n_rows, 1)), np.repeat(W, m, axis=1)], axis=1)
+                T = B = close = None
+                if K > 1:
+                    continue
             level = np.empty((n_rows, d * d, nh), dtype=complex)
-            # the rows' partial is not kept, so the level below is freed with G
-            _run_shares(pool, parts,
-                        functools.partial(_leaf_rows, level, wts, A, chunk) if i == K - 1
-                        else functools.partial(_node_rows, level, G, B, W, ch, close, chunk,
-                                               parts > 1),
-                        range(0, n_rows, chunk))
-            G = level
+            if i == K - 1:
+                # K = 1: the leaves' rows are the root's
+                G, slot, steps = level, np.arange(n_rows), [(range(0), range(n_rows))]
+            elif i == K - 2:
+                # the leaves' rows stream through a pool: each block of parents runs
+                # in one share with the leaves the next block reads first
+                block = _block(q, d)
+                bounds, slot, size = _leaf_schedule(q, K, segments, block)
+                G, ch = np.empty((size, d * d, nh), dtype=complex), slot[ch]
+                steps = ((range(max(0, b * block), min(b * block + block, n_rows)),
+                          range(bounds[b + 1], bounds[b + 2])) for b in range(-1, len(bounds) - 2))
+            else:
+                steps = [(range(n_rows), range(0))]
+            for parents, leaves in steps:
+                def run(x: int) -> None:
+                    # chunks of parent rows, then of leaf rows numbered on from them
+                    if x < parents.stop:
+                        kraus_rows(level, G, B, W, ch, close, parts > 1,
+                                   slice(x, min(x + chunk, parents.stop)))
+                    else:
+                        x += leaves.start - parents.stop
+                        _leaf_rows(G, wts, A, slot, slice(x, min(x + chunk, leaves.stop)))
+
+                _run_shares(pool, parts, run, [*parents[::chunk], *range(
+                    parents.stop, parents.stop + len(leaves), chunk)])
+            G, A, wts, T, B, close = level, None, None, None, None, None
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -489,15 +490,17 @@ def test_series_engine_chunk_errors_propagate_and_leave_no_thread(monkeypatch, o
 
 
 def test_series_engine_guard_verdict_does_not_depend_on_cpu_count(monkeypatch):
-    # d = 8, q = 2, K = 4, m = 1 stores 4 + 3 nodes a segment. A work size of 16
-    # nodes fits 4 parents' per-child work (4 nodes), and the widest level, 4
-    # rows, is 2 chunks of 3 run alone, so 1, 2, 4 and 256 CPUs run 1, 2, 4 and
-    # 4 parts. The guard counts 7 + 16 nodes at each of them
+    # d = 8, q = 2, K = 4, m = 1 holds 3 + 4 nodes a segment, depth 2 and its
+    # leaves in one block, with 30,960 bytes of operators and indices. A work
+    # size of 16 nodes fits 4 parents' per-child work (4 nodes), and the widest
+    # level, 4 rows, is 2 chunks of 3 run alone, so 1, 2, 4 and 256 CPUs run 1,
+    # 2, 4 and 4 parts. The guard counts those, 16 nodes, the 984 bytes of the
+    # table and times and the 64 KiB call allowance at each of them
     d, q, K, m = 8, 2, 4, 1
     node_bytes = 16 * d * d * d * (d + 1) // 2
     monkeypatch.setattr(series, "_WORK_BYTES", 16 * node_bytes)
     per_segment, per_call = series._engine_bytes(q, K, m, d)
-    assert (per_segment, per_call) == (7 * node_bytes, 16 * node_bytes)
+    assert (per_segment, per_call) == (7 * node_bytes + 30960, 16 * node_bytes + 984 + 2 ** 16)
     propagate, jumps = segment_sources(1, d, m, 7)
     opened = recording_pool(monkeypatch)
     results = []
@@ -512,6 +515,53 @@ def test_series_engine_guard_verdict_does_not_depend_on_cpu_count(monkeypatch):
     assert opened == [1, 3, 3]
     for other in results[1:]:
         np.testing.assert_array_equal(other, results[0])
+
+
+@pytest.mark.parametrize("d", [4, 8])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("S", [1, 3])
+def test_series_engine_streams_its_leaves_within_the_guard(monkeypatch, d, m, S):
+    # q = 4, K = 6: 35 depth-4 parents and 56 leaves a segment. A work size of 4
+    # parents' children runs them in blocks of 4, straddling segments; the
+    # traced peak of each call, its schedule built afresh, stays within the
+    # guard's figure, which is below that of one block holding every leaf, and
+    # every bit is that of one block at any CPU count
+    q, K, t = 4, 6, 0.4
+    node_bytes = 16 * d * d * d * (d + 1) // 2
+    monkeypatch.setattr(series, "_WORK_BYTES", 4 * q * node_bytes)
+    propagate, jumps = segment_sources(S, d, m, 30 + 10 * d + m)
+    held = sum(series._engine_bytes(q, K, m, d, S))
+    assert len(series._leaf_schedule(q, K, S, 4)[0]) - 2 == -(-35 * S // 4)
+    with monkeypatch.context() as patch:
+        patch.setattr(series, "_block", lambda q, d: 10 ** 6)
+        one_block = sum(series._engine_bytes(q, K, m, d, S))
+        whole = series_superop(propagate(range(S)), jumps(range(S)), t, q, K, m, d, segments=S)
+    assert held < one_block
+    for cpus in (1, 2, 4, 256):
+        monkeypatch.setattr(series, "_cpu_count", lambda: cpus)
+        series._leaf_schedule.cache_clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            streamed = series_superop(propagate(range(S)), jumps(range(S)), t, q, K, m, d,
+                                      segments=S)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= held
+        np.testing.assert_array_equal(streamed, whole)
+
+
+def test_check_engine_admits_a_shape_the_two_level_count_refused(monkeypatch):
+    # d = 32, q = 4, K = 7, m = 1: 84 leaves and 56 depth-5 parents of 8.65 MB
+    # each. Held whole with depth 5, as one block, they are over 1 GiB; streamed
+    # one parent a block, depths 5 and 4 (91 nodes) bound the peak, about 0.87 GB
+    series._check_engine(4, 7, 1, 32)
+    assert 0.86e9 < sum(series._engine_bytes(4, 7, 1, 32)) < 0.88e9
+    monkeypatch.setattr(series, "_block", lambda q, d: 10 ** 6)
+    assert sum(series._engine_bytes(4, 7, 1, 32)) > 1.29e9
+    with pytest.raises(ResourceLimitError, match="bytes of superoperators at once"):
+        series._check_engine(4, 7, 1, 32)
 
 
 @pytest.mark.parametrize("q, K, m, d", [(5, 4, 1, 16), (3, 4, 2, 16), (2, 3, 1, 8),

@@ -12,6 +12,8 @@ commits the result in the same diff.
 """
 from __future__ import annotations
 
+import ctypes
+import glob
 import hashlib
 import json
 import os
@@ -30,18 +32,35 @@ PINNED = os.path.join(ROOT, "tests", "pinned")
 TOOLS = ("cli_artifacts", "workload_outputs")
 
 
+def openblas_core(module, symbol: str) -> str:
+    """The kernel core that the OpenBLAS library bundled with module (in its
+    wheel's <module>.libs folder) selected on this CPU at load time, read from
+    its exported symbol; "unknown" where no bundled library exports it."""
+    site = os.path.dirname(os.path.dirname(module.__file__))
+    libs = os.path.join(site, f"{module.__name__}.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        corename = getattr(ctypes.CDLL(path), symbol, None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
+
+
 def environment() -> dict:
-    """What the pinned bytes were made with: the machine and CPU model (the
-    OpenBLAS builds pick their kernels by CPU), Python, numpy and scipy, and
-    the OpenBLAS build each of the two links."""
+    """What the pinned bytes were made with: the machine and CPU model, Python,
+    numpy and scipy, the OpenBLAS build each of the two links and the kernel
+    core each picked for this CPU at run time (a DYNAMIC_ARCH build picks its
+    kernels by the CPU's features, which a generic model name may not tell)."""
     def openblas(module):
         deps = getattr(module.__config__, "CONFIG", {}).get("Build Dependencies", {})
         return " ".join(deps.get("blas", {}).get("openblas configuration", "unknown").split())
 
     return {"machine": platform.machine(), "cpu": cpu_model(),
             "python": platform.python_version(), "numpy": numpy.__version__,
-            "numpy_blas": openblas(numpy), "scipy": scipy.__version__,
-            "scipy_blas": openblas(scipy)}
+            "numpy_blas": openblas(numpy),
+            "numpy_blas_core": openblas_core(numpy, "scipy_openblas_get_corename64_"),
+            "scipy": scipy.__version__, "scipy_blas": openblas(scipy),
+            "scipy_blas_core": openblas_core(scipy, "scipy_openblas_get_corename")}
 
 
 def remake(outdir: str) -> dict[str, dict[str, str]]:
