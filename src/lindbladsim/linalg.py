@@ -6,8 +6,7 @@ Under this convention ``vec(A rho B) = (B^T kron A) vec(rho)``, so the conjugati
 
 A map rho -> sum c^2 A rho A^dag preserves Hermiticity, G(E_ba) = G(E_ab)^dag, so its
 superoperator is fixed by the d(d+1)/2 columns vec(E_ab) with a <= b, its half
-columns. kraus_superop builds those columns alone when asked for half=True,
-batched_kraus_sum and kraus_rows, a level of the series engine's recursion,
+columns. batched_kraus_sum and kraus_rows, a level of the series engine's recursion,
 build only those columns, and expand_half fills in the rest.
 
 This module is the one place that builds Kronecker products and weighted Kraus sums.
@@ -68,17 +67,9 @@ def expand_half(H: np.ndarray) -> np.ndarray:
     return S.reshape(*lead, d2, d2)
 
 
-def kraus_superop(A: np.ndarray, half: bool = False, out: np.ndarray | None = None) -> np.ndarray:
-    """Superoperator matrix of rho -> A rho A^dag, batched over leading axes; with
-    half, only its half columns, from the same products conj(A)[y, b] A[x, a],
-    written into out, a C-contiguous (..., d^2, d(d+1)/2) array, when given."""
-    if not half:
-        return kron(np.conj(A), A)
-    d = np.shape(A)[-1]
-    a, b = _half_pairs(d)
-    prod = np.multiply(np.conj(A)[..., :, None, b], np.asarray(A)[..., None, :, a],
-                       out=None if out is None else out.reshape(out.shape[:-2] + (d, d, -1)))
-    return prod.reshape(prod.shape[:-3] + (-1, a.size))
+def kraus_superop(A: np.ndarray) -> np.ndarray:
+    """Superoperator matrix of rho -> A rho A^dag, batched over leading axes."""
+    return kron(np.conj(A), A)
 
 
 def spectral_norm(mat: np.ndarray) -> float:
@@ -110,11 +101,13 @@ def kraus_rows(level: np.ndarray, G: np.ndarray, B: np.ndarray, W: np.ndarray, c
     jump-side factors B (rows, q, m, d, d) and closing propagators close.
     by_child gathers and multiplies one child at a time, which holds fewer
     bytes and forms the same products."""
-    Bs = B[sl]
+    Bs, C = B[sl], close[sl]
     P, q, m, d, _ = Bs.shape
     nh = G.shape[-1]
-    # the closing term first, while no product is held; the sum below commutes
-    kraus_superop(close[sl], half=True, out=level[sl])
+    a, b = _half_pairs(d)
+    # the closing term's half columns conj(C)[y, b] C[x, a] first, while no
+    # product is held; the sum below commutes
+    np.multiply(np.conj(C)[..., :, None, b], C[..., None, :, a], out=level[sl].reshape(P, d, d, nh))
     # K[B] X as two d x d contractions per column: B on the ket index,
     # then conj(B), weighted, on the bra index summed over (j, l)
     if by_child:

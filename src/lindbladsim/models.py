@@ -240,8 +240,8 @@ def random_lindbladian(n_qubits: int, num_jumps: int = 1, seed=None,
                        h_norm: float | None = None,
                        jump_norm: float | None = None) -> Lindbladian:
     """Seeded random model: Hermitian H and dense jump operators with O(1) norms."""
-    if n_qubits < 1:
-        raise ArgumentError("n_qubits must be >= 1")
+    check_count(n_qubits, "n_qubits", 1)
+    check_count(num_jumps, "num_jumps", 0)
     if seed is not None:
         check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)

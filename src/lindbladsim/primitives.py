@@ -24,6 +24,7 @@ from scipy.linalg import block_diag
 from .errors import ArgumentError, ContractError, check_count, check_time
 from .linalg import dag, spectral_norm
 from .models import amplitude_damping, be_norm
+from .quadrature import canonical_rule
 from .series import CPMapApprox, choose_orders, segment_time
 
 
@@ -176,13 +177,13 @@ def mu_coefficients(cp: CPMapApprox) -> MuState:
     s_vals = np.concatenate([norms for *_, norms in cp.term_blocks()])
     total = float(np.sum(s_vals ** 2))
     factors = {}
-    t = cp.t
     alphas = np.asarray(cp.lind.alphas, dtype=float)
-    if cp._rule is not None:
-        shat, what = cp._rule.nodes, cp._rule.weights
+    if cp.term_count > 1:  # the family has terms of depth 1 or deeper
+        rule = canonical_rule(cp.config.quadrature_order, cp.t)
+        shat, what = rule.nodes, rule.weights
         for k in range(1, cp.config.series_order + 1):
             factors[k] = {
-                "k_factor": t ** (-k * (k - 1) / 4.0),
+                "k_factor": cp.t ** (-k * (k - 1) / 4.0),
                 "jump_factor": alphas.copy(),
                 "node_factors": [np.sqrt(what * shat ** (i - 1)) for i in range(1, k + 1)],
             }

@@ -235,11 +235,14 @@ def _node_bytes(d: int) -> int:
 
 
 def _parent_work(q: int, m: int, d: int, parts: int = 1) -> int:
-    """Bytes of one parent's gathered children and products in series_superop
-    (see _engine_bytes for the arguments): 1 + q(m+1) nodes when one chunk runs
-    at a time, and 2 + q m nodes when several do, as those gather one child at a
-    time."""
-    return (1 + q * (m + 1) if parts == 1 else 2 + q * m) * _node_bytes(d)
+    """Bytes of one parent's work in series_superop (see _engine_bytes for the
+    arguments): its gathered children and products, 1 + q(m+1) nodes when one
+    chunk runs at a time, and 2 + q m nodes when several do, as those gather one
+    child at a time; its q m conjugated, weighted jump factors; and 4 KiB for
+    the interpreter's objects and numpy's temporaries, which tracemalloc saw
+    take up to 3.6 KiB of a one-parent linalg.kraus_rows call at d = 2."""
+    nodes = 1 + q * (m + 1) if parts == 1 else 2 + q * m
+    return nodes * _node_bytes(d) + q * m * 16 * d * d + 4096
 
 
 def _block(q: int, d: int) -> int:
@@ -256,7 +259,9 @@ def _leaf_schedule(q: int, K: int, segments: int, block: int):
     bounds[b] to bounds[b+1] are those block b reads first; they are built into
     the pool rows slot[r] while the block before runs, and a pool row is reused
     once every block that reads its leaf has run, so pool is the most leaves
-    held at once. Read-only, cached per shape."""
+    held at once. With one block no row is freed before the last leaf is built,
+    so the slots are the leaf rows themselves and pool is every leaf. Read-only,
+    cached per shape."""
     per_segment = math.comb(q + K - 2, K - 1)
     n_leaf = segments * per_segment
     ch = NestedGrid(canonical_rule(q, 1.0), K - 1).table[2][K - 2]
@@ -267,20 +272,21 @@ def _leaf_schedule(q: int, K: int, segments: int, block: int):
     first, last = np.full(n_leaf, blocks[-1]), np.zeros(n_leaf, dtype=np.int64)
     np.minimum.at(first, ch, blocks)
     np.maximum.at(last, ch, blocks)
-    slot, pool = list(range(n_leaf)), n_leaf
-    if blocks[-1]:
-        # each leaf takes the row of a leaf that no block from the one before
-        # its first reads, or else a new row
-        dying, ends = np.argsort(last, kind="stable").tolist(), last.tolist()
-        free, k, pool = [], 0, 0
-        for r, f in enumerate(first.tolist()):
-            while ends[dying[k]] < f - 1:
-                free.append(slot[dying[k]])
-                k += 1
-            if free:
-                slot[r] = free.pop()
-            else:
-                slot[r], pool = pool, pool + 1
+    # each leaf takes the row of a leaf that no block from the one before its
+    # first reads, or else a new row; leaves die in the order of their last
+    # block (sorted, as np.argsort's code pages would add about 0.15 MB to the
+    # resident memory of a process whose calls are all one block)
+    ends = last.tolist()
+    dying = sorted(range(n_leaf), key=ends.__getitem__)
+    slot, free, k, pool = list(range(n_leaf)), [], 0, 0
+    for r, f in enumerate(first.tolist()):
+        while ends[dying[k]] < f - 1:
+            free.append(slot[dying[k]])
+            k += 1
+        if free:
+            slot[r] = free.pop()
+        else:
+            slot[r], pool = pool, pool + 1
     bounds, slot = np.searchsorted(first, np.arange(blocks[-1] + 3)), np.array(slot)
     bounds.flags.writeable = slot.flags.writeable = False
     return bounds, slot, pool
@@ -409,18 +415,18 @@ def _segments_per_call(q: int, K: int, m: int, d: int, extra_bytes: int, budget:
     return lo
 
 
-def _run_shares(pool: ThreadPoolExecutor | None, parts: int, run, starts) -> None:
-    """run(start) for every start of the sequence starts, in parts shares: the
-    calling thread takes every parts-th one from the first, and each of pool's
-    threads every parts-th one from one of the next (none when parts is 1,
-    where pool may be None). Returns when all are done, or raises the first
-    error met; the pool's owner then cancels the rest."""
+def _run_shares(pool: ThreadPoolExecutor | None, parts: int, tasks: list) -> None:
+    """Call every zero-argument task of tasks, in parts shares: the calling
+    thread runs tasks[::parts] and pool thread k runs tasks[k::parts], k = 1 ..
+    parts-1 (none when parts is 1, where pool may be None). Returns when all
+    are done, or raises the first error met; the pool's owner then cancels the
+    rest."""
     def run_share(share) -> None:
-        for start in share:
-            run(start)
+        for task in share:
+            task()
 
-    shares = [pool.submit(run_share, starts[k::parts]) for k in range(1, parts)]
-    run_share(starts[::parts])
+    shares = [pool.submit(run_share, tasks[k::parts]) for k in range(1, parts)]
+    run_share(tasks[::parts])
     for share in shares:
         share.result()
 
@@ -468,13 +474,15 @@ def series_superop(propagate, jumps, t: float, q: int, K: int, m: int,
 
     Chunks write disjoint rows, so a call whose widest level is more than one
     chunk run alone runs them on every CPU the process may use, within the work
-    size and on the main thread only (_engine_parts). Every level, and every
-    block of depth K-2 with the leaves the next block reads first, is one
-    _run_shares call: the calling thread takes one share and a thread pool,
-    opened for the call, the others. Such a call gathers one child at a time,
-    which keeps the bytes of the chunks in flight near those of one chunk
-    gathering all q; the products, and so every bit of the result, are the
-    same either way. Any other call runs its chunks in turn and starts no thread.
+    size and on the main thread only (_engine_parts). Each step, a level or a
+    block of depth K-2 with the leaves the next block reads first, is one task
+    list, its chunks of parents (linalg.kraus_rows) and then of leaves
+    (_leaf_rows), run by one _run_shares call: the calling thread takes one
+    share and a thread pool, opened for the call, the others. Such a call
+    gathers one child at a time, which keeps the bytes of the chunks in flight
+    near those of one chunk gathering all q; the products, and so every bit of
+    the result, are the same either way. Any other call runs its chunks in turn
+    and starts no thread.
 
     Every node is a Kraus map and so preserves Hermiticity, G(E_ba) =
     G(E_ab)^dag, and each column of G_r is fixed by the same column of its
@@ -510,11 +518,10 @@ def series_superop(propagate, jumps, t: float, q: int, K: int, m: int,
                 lo.append(np.zeros(uc.size))
                 hi.append(uc)
             T = propagate(np.concatenate(lo), np.concatenate(hi))
-            # rows are parents segment by segment (views when S = 1), and each row's
-            # children are offset into the rows of the level below by its segment
-            if segments > 1:
-                ch = (ch + uc.size * np.arange(segments)[:, None, None]).reshape(-1, q)
-                W = np.tile(W, (segments, 1))
+            # rows are parents segment by segment, and each row's children are
+            # offset into the rows of the level below by its segment
+            ch = np.add.outer(uc.size * np.arange(segments), ch).reshape(-1, q)
+            W = np.concatenate([W] * segments)
             close = T[:, :n_p].reshape(-1, d, d)
             B = (T[:, n_p:n_p * (q + 1)].reshape(-1, q, 1, d, d)
                  @ jumps(uc).reshape(-1, m, d, d)[ch])
@@ -543,17 +550,13 @@ def series_superop(propagate, jumps, t: float, q: int, K: int, m: int,
             else:
                 steps = [(range(n_rows), range(0))]
             for parents, leaves in steps:
-                def run(x: int) -> None:
-                    # chunks of parent rows, then of leaf rows numbered on from them
-                    if x < parents.stop:
-                        kraus_rows(level, G, B, W, ch, close, parts > 1,
-                                   slice(x, min(x + chunk, parents.stop)))
-                    else:
-                        x += leaves.start - parents.stop
-                        _leaf_rows(G, wts, A, slot, slice(x, min(x + chunk, leaves.stop)))
-
-                _run_shares(pool, parts, run, [*parents[::chunk], *range(
-                    parents.stop, parents.stop + len(leaves), chunk)])
+                _run_shares(pool, parts, [
+                    *(functools.partial(kraus_rows, level, G, B, W, ch, close, parts > 1,
+                                        slice(x, min(x + chunk, parents.stop)))
+                      for x in parents[::chunk]),
+                    *(functools.partial(_leaf_rows, G, wts, A, slot,
+                                        slice(x, min(x + chunk, leaves.stop)))
+                      for x in leaves[::chunk])])
             G, A, wts, T, B, close = level, None, None, None, None, None
     finally:
         if pool is not None:
@@ -565,7 +568,7 @@ def _static_superop(lind: Lindbladian, t: float, q: int, K: int, propagate) -> n
     """series_superop for one segment, with a static drift propagator
     propagate(s, u), (1, B, d, d), and constant jumps."""
     L = lind.jumps
-    return series_superop(propagate, lambda u: np.broadcast_to(L, (1, u.size) + L.shape),
+    return series_superop(propagate, lambda u: np.repeat(L[None, None], u.size, axis=1),
                           t, q, K, lind.num_jumps, lind.dim)[0]
 
 
@@ -705,10 +708,9 @@ class CPMapApprox:
         self._prop = _TaylorPropagator(J, config.taylor_order)
 
     @functools.cached_property
-    def _rule(self) -> QuadratureRule | None:
-        """The read-out's quadrature rule, built on first use; None at order 0."""
-        if self._series_order == 0:
-            return None
+    def _rule(self) -> QuadratureRule:
+        """The read-out's quadrature rule, built on first use, which only a
+        family with terms of depth 1 or deeper makes."""
         return canonical_rule(self.config.quadrature_order, self.t)
 
     @property

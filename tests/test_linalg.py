@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lindbladsim import ArgumentError
-from lindbladsim.linalg import batched_kraus_sum, expand_half, kraus_superop, kron, unvec
+from lindbladsim.linalg import (batched_kraus_sum, expand_half, kraus_rows, kraus_superop, kron,
+                                unvec)
 from lindbladsim.series import _TaylorPropagator
 
 
@@ -37,17 +38,24 @@ def test_kron_and_kraus_sum_are_bitwise_the_reference(d, P, seed):
 @given(d=st.sampled_from([2, 4, 8]), b=st.integers(2, 9), P=st.none() | st.integers(1, 5),
        seed=st.integers(0, 2**16))
 def test_half_columns_match_the_full_superoperators(d, b, P, seed):
-    # the half columns are vec(E_ab), a <= b, b-major; kraus_superop forms the
-    # same products either way, while the Kraus sum's matrix products differ in
-    # shape from einsum's, and the mirrored columns of expand_half are
+    # the half columns are vec(E_ab), a <= b, b-major; kraus_rows forms the
+    # closing term's from the same products as kraus_superop, and its children,
+    # at weight zero, add nothing, while the Kraus sum's matrix products differ
+    # in shape from einsum's, and the mirrored columns of expand_half are
     # conjugates, so both agree to rounding only
     rng = np.random.default_rng(seed)
     lead = () if P is None else (P,)
-    A = _complex(rng, lead + (d, d))
+    A = _complex(rng, (P or 1, d, d))
     mats, weights = _complex(rng, lead + (b, d, d)), rng.uniform(0.0, 2.0, lead + (b,))
     bi, ai = np.tril_indices(d)
     half_cols = bi * d + ai
-    assert np.array_equal(kraus_superop(A, half=True), kraus_superop(A)[..., half_cols])
+    nh = d * (d + 1) // 2
+    for by_child in (False, True):
+        level = np.full((P or 1, d * d, nh), np.nan, dtype=complex)
+        kraus_rows(level, _complex(rng, (2, d * d, nh)), _complex(rng, (P or 1, 2, 1, d, d)),
+                   np.zeros((P or 1, 2)), rng.integers(0, 2, (P or 1, 2)), A, by_child,
+                   slice(None))
+        assert np.array_equal(level, kraus_superop(A)[..., half_cols])
     full = np.stack([_einsum_kraus_sum(weights[n], mats[n]) for n in np.ndindex(lead)]
                     ).reshape(lead + (d * d, d * d))
     half = batched_kraus_sum(weights, mats)

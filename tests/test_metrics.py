@@ -108,6 +108,15 @@ def test_diamond_sandwich_ratio_is_dimension():
         assert upper == pytest.approx(d * lower)
 
 
+@pytest.mark.parametrize("S, message", [
+    (np.eye(4)[:, :3], r"superoperator must be square, got shape \(4, 3\)"),
+    (np.eye(3), "superoperator side 3 is not a perfect square"),
+], ids=["not-square", "side-not-square"])
+def test_choi_rejects_a_matrix_that_is_no_superoperator(S, message):
+    with pytest.raises(ArgumentError, match=message):
+        choi(S)
+
+
 def test_diamond_sandwich_rejects_dim_mismatch():
     with pytest.raises(ArgumentError):
         diamond_sandwich(np.eye(4), np.eye(9))

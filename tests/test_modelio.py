@@ -152,6 +152,18 @@ def test_table_validation():
     with pytest.raises(ModelError):
         parse_model(obj)
     obj = driven_model_obj()
+    obj["time_dependence"] = [0.0, 1.0]
+    with pytest.raises(ModelError, match="time_dependence must be an object"):
+        parse_model(obj)
+    obj = driven_model_obj()
+    obj["time_dependence"]["jumps"].append(obj["time_dependence"]["jumps"][0])
+    with pytest.raises(ModelError, match="time_dependence.jumps must have one table per jump"):
+        parse_model(obj)
+    obj = driven_model_obj()
+    del obj["time_dependence"]["jumps"][0][1]
+    with pytest.raises(ModelError, match=r"time_dependence.jumps\[0\] must have one matrix per time"):
+        parse_model(obj)
+    obj = driven_model_obj()
     obj["time_dependence"]["jumps"][0][1][0][1] = [math.nan, 0.0]
     with pytest.raises(ModelError, match=r"time_dependence.jumps\[0\]\[1\]: entry \(0,1\)"):
         parse_model(obj)
@@ -283,6 +295,15 @@ def test_save_load_round_trip(tmp_path):
     save_model(pm, path)
     again = load_model(path)
     assert serialize_model(again) == serialize_model(pm)
+    # declared bounds, the model's and the table's, are saved and read back
+    obj = driven_model_obj()
+    obj["alphas"] = {"hamiltonian": 3.0, "jumps": [2.0]}
+    obj["time_dependence"]["jdot_bound"] = 9.0
+    save_model(parse_model(obj), path)
+    again = load_model(path)
+    assert serialize_model(again) == obj
+    tl = again.to_time_dependent()
+    assert (tl.alpha0, tl.alphas, tl.jdot_bound) == (3.0, (2.0,), 9.0)
 
 
 def test_bundled_models_load():

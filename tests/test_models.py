@@ -75,6 +75,26 @@ def test_rejects_non_hermitian_hamiltonian():
         Lindbladian(H)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: random_lindbladian(0), "n_qubits must be an integer >= 1, got 0"),
+    (lambda: random_lindbladian(1.5), "n_qubits must be an integer >= 1, got 1.5"),
+    (lambda: random_lindbladian(1, 1.5), "num_jumps must be an integer >= 0, got 1.5"),
+    (lambda: random_lindbladian(1, -1), "num_jumps must be an integer >= 0, got -1"),
+    (lambda: amplitude_damping(-1.0), "gamma must be nonnegative"),
+], ids=["no-qubits", "fractional-qubits", "fractional-jumps", "negative-jumps",
+        "negative-gamma"])
+def test_model_constructors_reject_bad_counts_and_rates(call, message):
+    # a fractional count used to raise a bare TypeError, and a negative jump
+    # count to give a model with no jumps
+    with pytest.raises(ArgumentError, match=message):
+        call()
+
+
+def test_lindbladian_repr_names_its_shape_and_bounds():
+    lind = Lindbladian(0.5 * SZ, [SM], alpha0=0.75)
+    assert repr(lind) == "Lindbladian(dim=2, jumps=1, alpha0=0.75, alphas=['1'])"
+
+
 def test_symmetrizes_near_hermitian_hamiltonian():
     H = SZ + 1e-14 * np.array([[0, 1j], [0, 0]])
     lind = Lindbladian(H)

@@ -136,6 +136,10 @@ def test_lcu_sum_rejects_mismatched_registers():
         lcu_sum([small], [1.0, 2.0])
     with pytest.raises(ArgumentError):
         lcu_sum([small], [-1.0])
+    with pytest.raises(ArgumentError, match="lcu_sum needs at least one encoding"):
+        lcu_sum([], [])
+    with pytest.raises(ArgumentError, match="total normalizer must be positive"):
+        lcu_sum([small], [0.0])
 
 
 @pytest.mark.parametrize("c", [math.nan, math.inf])
@@ -209,6 +213,13 @@ def test_lcu_channel_rejects_unnormalized_state():
     with pytest.raises(ArgumentError):
         lcu_channel([dilate(np.eye(2, dtype=complex), 1.0)],
                     np.array([1.0, 1.0]))
+
+
+def test_lcu_channel_rejects_a_state_of_another_size_and_no_encodings():
+    with pytest.raises(ArgumentError, match="psi has dimension 4, expected 2"):
+        lcu_channel([dilate(SX, 1.0)], np.array([1.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(ArgumentError, match="lcu_channel needs at least one encoding"):
+        lcu_channel([], np.array([1.0, 0.0]))
 
 
 def test_lcu_channel_rejects_non_finite_state():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import threading
@@ -53,6 +54,7 @@ from lindbladsim import (
     vec,
 )
 from lindbladsim import series
+from lindbladsim.linalg import kraus_rows
 from lindbladsim.series import _TaylorPropagator, _budget_expression, series_superop
 
 from duhamel_reference import duhamel_increments
@@ -413,13 +415,14 @@ def recording_pool(monkeypatch):
 @pytest.mark.parametrize("d", [8, 16])
 @pytest.mark.parametrize("shrunk", [False, True])
 def test_series_engine_is_bitwise_equal_across_worker_counts(monkeypatch, d, shrunk):
-    # levels of 3, 6 and 9 rows on 3 segments; shrunk, chunks are 4, 3 and 2
-    # parents at 1, 2 and 3 workers, straddling segments. At d = 8 and the
-    # default work size every level is one chunk, so only d = 16 threads there.
-    # Threads switch often, so a chunk read before it is written shows
+    # levels of 3, 6 and 9 rows on 3 segments; shrunk to 6 parents' per-child
+    # work, chunks are 4, 3 and 2 parents at 1, 2 and 3 workers, straddling
+    # segments. At d = 8 and the default work size every level is one chunk, so
+    # only d = 16 threads there. Threads switch often, so a chunk read before it
+    # is written shows
     S, t, q, K, m = 3, 0.4, 2, 3, 1
     if shrunk:
-        monkeypatch.setattr(series, "_WORK_BYTES", 24 * 16 * d * d * d * (d + 1) // 2)
+        monkeypatch.setattr(series, "_WORK_BYTES", 6 * series._parent_work(q, m, d, 2))
     propagate, jumps = segment_sources(S, d, m, d + shrunk)
     opened = recording_pool(monkeypatch)
     results, interval = [], sys.getswitchinterval()
@@ -441,22 +444,23 @@ def test_series_engine_single_chunk_levels_start_no_thread(monkeypatch):
         raise AssertionError("asked for CPUs or opened a thread pool")
 
     # d = 4, q = 3, K = 4, m = 2 on 3 segments: levels of 3, 9, 18 and 30 rows
-    # against chunks of 327 parents run alone, so no level needs a thread
+    # against chunks of 268 parents run alone, so no level needs a thread
+    assert series._engine_parts(3, 4, 2, 4, 3) == (1, 268)
     propagate, jumps = segment_sources(3, 4, 2, 5)
     with monkeypatch.context() as patch:
         patch.setattr(series, "_cpu_count", unused)
         patch.setattr(series, "ThreadPoolExecutor", unused)
         series_superop(propagate(range(3)), jumps(range(3)), 0.4, 3, 4, 2, 4, segments=3)
-    # one segment and a work size of 40 nodes: the widest level, 10 rows, is 3
-    # chunks of 4 alone, so the call runs 2 at once, of 2 parents each; the levels
-    # of 10, 6, 3 and 1 rows are shared out in 5, 3, 2 and 1 chunks. On one CPU
-    # every level is one share, in chunks of 4
-    monkeypatch.setattr(series, "_WORK_BYTES", 40 * 16 * 4 * 4 * 10)
+    # one segment and a work size of 4 parents' work: the widest level, 10 rows,
+    # is 3 chunks of 4 alone, so the call runs 2 at once, of 2 parents each; the
+    # levels of 10, 6, 3 and 1 rows are shared out in 5, 3, 2 and 1 chunks. On
+    # one CPU every level is one share, in chunks of 4
+    monkeypatch.setattr(series, "_WORK_BYTES", 4 * series._parent_work(3, 2, 4))
     shared, real = [], series._run_shares
 
-    def recording(pool, parts, run, starts):
-        shared.append((parts, len(starts)))
-        real(pool, parts, run, starts)
+    def recording(pool, parts, tasks):
+        shared.append((parts, len(tasks)))
+        real(pool, parts, tasks)
 
     monkeypatch.setattr(series, "_run_shares", recording)
     monkeypatch.setattr(series, "_cpu_count", lambda: 2)
@@ -472,7 +476,8 @@ def test_series_engine_single_chunk_levels_start_no_thread(monkeypatch):
 def test_series_engine_chunk_errors_propagate_and_leave_no_thread(monkeypatch, on_worker):
     # the deepest level's chunks fail on a pool thread, or on the calling thread
     d, m = 8, 1
-    monkeypatch.setattr(series, "_WORK_BYTES", 8 * 16 * d * d * d * (d + 1) // 2)
+    # a work size of 2 parents' per-child work: 2 parts of one parent each
+    monkeypatch.setattr(series, "_WORK_BYTES", 2 * series._parent_work(2, m, d, 2))
     monkeypatch.setattr(series, "_cpu_count", lambda: 2)
     real = series.batched_kraus_sum
 
@@ -492,15 +497,17 @@ def test_series_engine_chunk_errors_propagate_and_leave_no_thread(monkeypatch, o
 def test_series_engine_guard_verdict_does_not_depend_on_cpu_count(monkeypatch):
     # d = 8, q = 2, K = 4, m = 1 holds 3 + 4 nodes a segment, depth 2 and its
     # leaves in one block, with 30,960 bytes of operators and indices. A work
-    # size of 16 nodes fits 4 parents' per-child work (4 nodes), and the widest
-    # level, 4 rows, is 2 chunks of 3 run alone, so 1, 2, 4 and 256 CPUs run 1,
-    # 2, 4 and 4 parts. The guard counts those, 16 nodes, the 984 bytes of the
-    # table and times and the 64 KiB call allowance at each of them
+    # size of 4 parents' per-child work (4 nodes, 2 jump factors and 4 KiB each)
+    # makes the widest level, 4 rows, 2 chunks of 3 run alone, so 1, 2, 4 and
+    # 256 CPUs run 1, 2, 4 and 4 parts. The guard counts those, the 984 bytes
+    # of the table and times and the 64 KiB call allowance at each of them
     d, q, K, m = 8, 2, 4, 1
     node_bytes = 16 * d * d * d * (d + 1) // 2
-    monkeypatch.setattr(series, "_WORK_BYTES", 16 * node_bytes)
+    work = 4 * (4 * node_bytes + 2 * 16 * d * d + 4096)
+    assert series._parent_work(q, m, d, 2) == work // 4
+    monkeypatch.setattr(series, "_WORK_BYTES", work)
     per_segment, per_call = series._engine_bytes(q, K, m, d)
-    assert (per_segment, per_call) == (7 * node_bytes + 30960, 16 * node_bytes + 984 + 2 ** 16)
+    assert (per_segment, per_call) == (7 * node_bytes + 30960, work + 984 + 2 ** 16)
     propagate, jumps = segment_sources(1, d, m, 7)
     opened = recording_pool(monkeypatch)
     results = []
@@ -552,6 +559,32 @@ def test_series_engine_streams_its_leaves_within_the_guard(monkeypatch, d, m, S)
         np.testing.assert_array_equal(streamed, whole)
 
 
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_parent_work_covers_every_traced_kraus_rows_call(d):
+    # one linalg.kraus_rows call on P parents, gathering all children or one at
+    # a time, holds no more than P parents' work: at d = 2 its conjugated jump
+    # factors and the interpreter's objects are as large as its nodes
+    rng = np.random.default_rng(d)
+    nh = d * (d + 1) // 2
+
+    def normal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    for q, m, P, parts in itertools.product((1, 2, 7), (1, 3), (1, 40), (1, 2)):
+        level, G = np.empty((P, d * d, nh), dtype=complex), normal(q * P, d * d, nh)
+        args = (level, G, normal(P, q, m, d, d), rng.random((P, q)),
+                rng.integers(0, q * P, (P, q)), normal(P, d, d), parts > 1, slice(0, P))
+        kraus_rows(*args)  # warm numpy's and the engine's caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            kraus_rows(*args)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= P * series._parent_work(q, m, d, parts), (q, m, P, parts)
+
+
 def test_check_engine_admits_a_shape_the_two_level_count_refused(monkeypatch):
     # d = 32, q = 4, K = 7, m = 1: 84 leaves and 56 depth-5 parents of 8.65 MB
     # each. Held whole with depth 5, as one block, they are over 1 GiB; streamed
@@ -585,7 +618,8 @@ def test_series_engine_chunks_in_flight_fit_the_work_size_on_any_host(monkeypatc
 def test_series_engine_off_the_main_thread_runs_one_chunk_at_a_time(monkeypatch):
     # callers that run engine calls on threads of their own start no more
     d, m = 8, 1
-    monkeypatch.setattr(series, "_WORK_BYTES", 8 * 16 * d * d * d * (d + 1) // 2)
+    # a work size of 2 parents' per-child work: 2 parts of one parent each
+    monkeypatch.setattr(series, "_WORK_BYTES", 2 * series._parent_work(2, m, d, 2))
     monkeypatch.setattr(series, "_cpu_count", lambda: 2)
     opened = recording_pool(monkeypatch)
     propagate, jumps = segment_sources(1, d, m, 4)

@@ -725,7 +725,8 @@ def test_samples_keep_the_size_of_the_sample_at_time_zero(switch, call):
     (np.eye(4) / 4, r"rho0 must have shape \(2, 2\)"),
     (np.eye(2), "rho0 must have unit trace"),
     (np.diag([math.nan, 1.0]), "rho0 contains non-finite entries"),
-], ids=["shape", "trace-2", "nan"])
+    (np.array([[0.5, 0.1], [0.0, 0.5]]), "rho0 is not Hermitian"),
+], ids=["shape", "trace-2", "nan", "not-hermitian"])
 def test_rk4_reference_checks_rho0_as_td_simulate_does(rho0, message):
     tl = driven_damped()
     for run in (td_simulate, rk4_reference):

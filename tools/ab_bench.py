@@ -3,7 +3,9 @@
     python tools/ab_bench.py PARENT_CHECKOUT --workload W --pairs N --seconds S
 
 Each pair runs `perfbench/run.py --trace 0` once from PARENT_CHECKOUT and once
-from this checkout, with the same seed, one after the other. The side that
+from this checkout, with the same seed, one after the other, each compiling
+every module from source (PYTHONDONTWRITEBYTECODE=1 and a fresh, empty
+PYTHONPYCACHEPREFIX). The side that
 goes first alternates from pair to pair, and no two runs overlap. For each
 end-to-end metric in this checkout's BENCHMARK.json it prints both medians,
 their ratio (change / parent), the pairs the change won (ties count for
@@ -25,15 +27,22 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run(checkout: str, workload: str, seed: int, seconds: int) -> dict:
-    """The summary line of one benchmark run from checkout."""
+    """The summary line of one benchmark run from checkout. Every module is
+    compiled from source, as on a host that checks out afresh: the run writes
+    no bytecode and reads it only from an empty cache directory, so neither a
+    checkout's stale __pycache__ nor an earlier run's bytecode is used."""
     cmd = [sys.executable, os.path.join(checkout, "perfbench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=checkout, check=True, stdout=subprocess.PIPE, text=True).stdout
+    with tempfile.TemporaryDirectory() as cache:
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=cache)
+        out = subprocess.run(cmd, cwd=checkout, env=env, check=True, stdout=subprocess.PIPE,
+                             text=True).stdout
     return json.loads(out.strip().splitlines()[-1])
 
 
