@@ -12,6 +12,7 @@ column-stacking convention from :mod:`lindbladsim.linalg`.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 from scipy.linalg import expm
@@ -239,9 +240,17 @@ def amplitude_damping(gamma: float = 1.0) -> Lindbladian:
 def random_lindbladian(n_qubits: int, num_jumps: int = 1, seed=None,
                        h_norm: float | None = None,
                        jump_norm: float | None = None) -> Lindbladian:
-    """Seeded random model: Hermitian H and dense jump operators with O(1) norms."""
+    """Seeded random model: Hermitian H and dense jump operators with O(1) norms,
+    or the spectral norms h_norm and jump_norm where given.
+
+    Raises ArgumentError unless n_qubits >= 1, num_jumps >= 0 and seed >= 0
+    are integers and each given norm is a nonnegative, finite real number."""
     check_count(n_qubits, "n_qubits", 1)
     check_count(num_jumps, "num_jumps", 0)
+    for name, norm in (("h_norm", h_norm), ("jump_norm", jump_norm)):
+        if norm is not None and (isinstance(norm, bool) or not isinstance(norm, numbers.Real)
+                                 or not 0 <= norm < math.inf):
+            raise ArgumentError(f"{name} must be a nonnegative, finite real number, got {norm!r}")
     if seed is not None:
         check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)

@@ -31,21 +31,23 @@ first block of its parents that reads it and its row reused after the last.
 The term index set is enumerated in one place, CPMapApprox.term_blocks, which
 yields indices, coefficients and normalizers block by block without matrices;
 iter_terms attaches the chain products to those blocks where the operators
-themselves are needed. A level's chunks write disjoint rows, so
-series_superop, called on the main thread,
-runs the chunks of a call whose widest level is more than one chunk on every
-CPU the process may use, up to as many as fit the work size, each row from
-the same products, and so the same bits, as one chunk at a time; the sources
-it samples stay on the calling thread.
+themselves are needed. One value, _engine_plan, describes a series_superop
+call: its nodes, the bytes it holds at once, its chunks and its blocks; the
+call's guard checks that plan and the call runs it. A level's chunks write
+disjoint rows, so series_superop, called on the main thread, runs the chunks
+of a call whose widest level is more than one chunk on every CPU the process
+may use, up to as many as fit the work size, each row from the same
+products, and so the same bits, as one chunk at a time; the sources it
+samples stay on the calling thread.
 
 Each resource guard counts the work of the function that checks it, before
-that work starts: series_superop its nodes (MAX_SERIES_NODES) and held bytes
-(MAX_SUPEROP_BYTES), which _evolve also checks on its plan before the source
-builds or samples anything (series_superop counts the stage that holds most,
-its nodes, operators and indices, and the chunks in flight by a figure that
-holds at any number of them, so its verdict does not depend on the CPU
-count), term_blocks its terms (quadrature.TERM_GUARDRAIL), and
-timedep.td_simulate and
+that work starts: series_superop its plan's nodes (MAX_SERIES_NODES) and
+held bytes (MAX_SUPEROP_BYTES), which _evolve also checks for the planned
+orders before the source builds or samples anything (the plan counts the
+stage that holds most, its nodes, operators and indices, and the chunks in
+flight by a figure that holds at any number of them, so its verdict does
+not depend on the CPU count), term_blocks its terms
+(quadrature.TERM_GUARDRAIL), and timedep.td_simulate and
 timedep.rk4_reference their sampled times (MAX_SAMPLER_CALLS), one sampler
 call each for a pointwise sampler. The (m q)^k chain count sizes only the
 read-out, so it bounds no superoperator path.
@@ -229,26 +231,22 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _node_bytes(d: int) -> int:
-    """Bytes of one node of series_superop: d(d+1)/2 half columns of d^2 entries."""
-    return 16 * d * d * (d * (d + 1) // 2)
-
-
 def _parent_work(q: int, m: int, d: int, parts: int = 1) -> int:
-    """Bytes of one parent's work in series_superop (see _engine_bytes for the
-    arguments): its gathered children and products, 1 + q(m+1) nodes when one
-    chunk runs at a time, and 2 + q m nodes when several do, as those gather one
-    child at a time; its q m conjugated, weighted jump factors; and 4 KiB for
-    the interpreter's objects and numpy's temporaries, which tracemalloc saw
-    take up to 3.6 KiB of a one-parent linalg.kraus_rows call at d = 2."""
+    """Bytes of one parent's work in series_superop (see _engine_plan for the
+    arguments): its gathered children and products, 1 + q(m+1) nodes of
+    8 d^3 (d+1) bytes when one chunk runs at a time, and 2 + q m nodes when
+    several do, as those gather one child at a time; its q m conjugated,
+    weighted jump factors; and 4 KiB for the interpreter's objects and numpy's
+    temporaries, which tracemalloc saw take up to 3.6 KiB of a one-parent
+    linalg.kraus_rows call at d = 2."""
     nodes = 1 + q * (m + 1) if parts == 1 else 2 + q * m
-    return nodes * _node_bytes(d) + q * m * 16 * d * d + 4096
+    return nodes * 8 * d ** 3 * (d + 1) + q * m * 16 * d * d + 4096
 
 
 def _block(q: int, d: int) -> int:
     """Parents of depth K-2 that series_superop runs per block: as many as fit
     their q children's rows in _WORK_BYTES, and at least one."""
-    return max(1, _WORK_BYTES // (q * _node_bytes(d)))
+    return max(1, _WORK_BYTES // (q * 8 * d ** 3 * (d + 1)))
 
 
 @functools.lru_cache(maxsize=32)
@@ -292,16 +290,20 @@ def _leaf_schedule(q: int, K: int, segments: int, block: int):
     return bounds, slot, pool
 
 
-def _engine_bytes(q: int, K: int, m: int, d: int, segments: int = 1) -> tuple[int, int]:
-    """(levels, chunks): series_superop's order-K recursion over the q-point
-    rule, m jumps on d x d operators, on segments segments holds at most
-    levels + chunks bytes at once, where chunks is the per-call figure.
+def _engine_plan(q: int, K: int, m: int, d: int, segments: int = 1) -> tuple[int, ...]:
+    """(nodes, levels, per_call, parts, chunk, block), the plan of one
+    series_superop call of order K over the q-point rule, m jumps on d x d
+    operators, on segments segments: the nodes it builds per segment, the
+    C(q+K-1, K-1) of depths 0..K-1 (0 at order 0); levels + per_call, the
+    most bytes it holds at once; the chunks it runs at once, parts, of chunk
+    rows each, parents or leaves; and block, the rows per block of its depth
+    K-2 parents (_block).
 
     K = 0 or m = 0 leaves the order-0 term alone, one d^2 x d^2 superoperator
-    of 16 d^4 bytes per segment. Otherwise levels are the bytes of the stage
-    that holds most, in nodes of 16 d^2 d(d+1)/2 bytes, operator matrices of
-    16 d^2 bytes and 8-byte times, weights and indices, counted from the P
-    parents and C children of a depth over all segments:
+    of 16 d^4 bytes per segment, in one chunk. Otherwise levels are the bytes
+    of the stage that holds most, in nodes of 16 d^2 d(d+1)/2 bytes, operator
+    matrices of 16 d^2 bytes and 8-byte times, weights and indices, counted
+    from the P parents and C children of a depth over all segments:
     - forming depth i: its propagators and the copies of its closing and
       jump-side ones with their gathered jumps, P(2 + 2q + qm) matrices, and
       the more of the jumps, Cm, and the jump-side factors, Pqm. The leaves'
@@ -318,15 +320,22 @@ def _engine_bytes(q: int, K: int, m: int, d: int, segments: int = 1) -> tuple[in
     Only the running stages hold chunks in flight, so the others enter levels
     less those.
 
-    The chunks in flight (_engine_parts) hold at most max(_WORK_BYTES, one
-    parent's work alone) at any number of parts: several parts' chunks fit
+    A call whose widest level, the leaves' at depth K-1, which it builds but
+    never holds whole, is one chunk when run alone, or that runs off the main
+    thread, runs one chunk at a time and asks for no CPUs, so callers that run
+    calls on threads of their own do not multiply them. Otherwise it runs one
+    per CPU this process may use, but no more than fit one parent's per-child
+    work each in _WORK_BYTES; its widest level is then more than one chunk at
+    any number of parts. The chunks in flight hold at most max(_WORK_BYTES,
+    one parent's work alone) at any number of parts: several parts' chunks fit
     _WORK_BYTES at the per-child work, and one part's chunk fits it or is one
     parent. That overcounts one chunk at a time by less than one parent's
-    work alone. chunks adds to them the nested table, the times of the widest
-    propagator call and _CALL_BYTES."""
+    work alone. per_call adds to them the nested table, the times of the
+    widest propagator call and _CALL_BYTES."""
     if not (K and m):
-        return segments * 16 * d ** 4, 0
-    node, mat, flight = _node_bytes(d), 16 * d * d, max(_WORK_BYTES, _parent_work(q, m, d))
+        return 0, segments * 16 * d ** 4, 0, 1, 1, 1
+    node, mat, work, block = 8 * d ** 3 * (d + 1), 16 * d * d, _parent_work(q, m, d), _block(q, d)
+    nodes, flight = math.comb(q + K - 1, K - 1), max(_WORK_BYTES, work)
 
     def rows(i: int) -> int:
         return segments * math.comb(q + i - 1, i)
@@ -345,8 +354,9 @@ def _engine_bytes(q: int, K: int, m: int, d: int, segments: int = 1) -> tuple[in
     alone = [formed(K - 1), segments * (2 * node + 16 * d ** 4)]
     running = [node * rows(0) + kraus]
     if K > 1:
-        block = _block(q, d)
-        pool = (rows(K - 1) if rows(K - 2) <= block  # one block reads every leaf first
+        # one block reads every leaf first; a shape over the node cap, refused
+        # on its nodes, builds no schedule
+        pool = (rows(K - 1) if rows(K - 2) <= block or nodes > MAX_SERIES_NODES
                 else _leaf_schedule(q, K, segments, block)[2])
         alone.append(kraus + formed(K - 2))
         running = [node * (rows(K - 2) + pool) + kraus + kept(K - 2)]
@@ -356,59 +366,44 @@ def _engine_bytes(q: int, K: int, m: int, d: int, segments: int = 1) -> tuple[in
     # the nested table, and the times of the widest propagator call twice over
     table = 8 * (math.comb(q + K, K) + 2 * q * math.comb(q + K - 1, K - 1)
                  + 4 * (q + 1) * math.comb(q + K - 2, K - 1) + 4 * math.comb(q + K - 1, K))
-    return max(max(running), max(alone) - flight), flight + table + _CALL_BYTES
-
-
-def _check_engine(q: int, K: int, m: int, d: int, segments: int = 1) -> None:
-    """Check the resource limits of one series_superop call on segments segments
-    (see _engine_bytes for the arguments).
-
-    Raises ResourceLimitError when the C(q+K-1, K-1) nodes of depths
-    0..K-1 exceed MAX_SERIES_NODES, or when the superoperators held at once
-    would exceed MAX_SUPEROP_BYTES.
-    """
-    if K and m:
-        nodes = math.comb(q + K - 1, K - 1)
-        if nodes > MAX_SERIES_NODES:
-            raise ResourceLimitError(
-                f"series engine would build {nodes} > {MAX_SERIES_NODES} nodes")
-    held_bytes = sum(_engine_bytes(q, K, m, d, segments))
-    if held_bytes > MAX_SUPEROP_BYTES:
-        raise ResourceLimitError(
-            f"series engine would hold {held_bytes} > {MAX_SUPEROP_BYTES} bytes "
-            "of superoperators at once")
-
-
-def _engine_parts(q: int, K: int, m: int, d: int, segments: int = 1) -> tuple[int, int]:
-    """Chunks one series_superop call of order K >= 1 with m >= 1 jumps runs at
-    once, and rows per chunk, parents or leaves (see _engine_bytes for the
-    arguments). A call whose widest level, the leaves' at depth K-1, which it
-    builds but never holds whole, is one chunk when run alone, or that runs off
-    the main thread, runs one at a time and asks for no CPUs, so callers that
-    run calls on threads of their own do not multiply them. Otherwise it runs
-    one per CPU this process may use, but no more than fit one parent's
-    per-child work each in _WORK_BYTES; its widest level is then more than one
-    chunk at any number of parts."""
     parts = 1
-    if (segments * math.comb(q + K - 2, K - 1) > max(1, _WORK_BYTES // _parent_work(q, m, d))
+    if (rows(K - 1) > max(1, _WORK_BYTES // work)
             and threading.current_thread() is threading.main_thread()):
         parts = min(_cpu_count(), max(1, _WORK_BYTES // _parent_work(q, m, d, 2)))
-    return parts, max(1, _WORK_BYTES // (parts * _parent_work(q, m, d, parts)))
+    return (nodes, max(max(running), max(alone) - flight), flight + table + _CALL_BYTES, parts,
+            max(1, _WORK_BYTES // (parts * _parent_work(q, m, d, parts))), block)
 
 
-def _segments_per_call(q: int, K: int, m: int, d: int, extra_bytes: int, budget: int) -> int:
-    """The most segments one series_superop call may take (see _engine_bytes for
+def _check_engine(q: int, K: int, m: int, d: int, segments: int = 1) -> tuple[int, ...]:
+    """Check the resource limits of one series_superop call on segments segments
+    and return its plan, _engine_plan(q, K, m, d, segments).
+
+    Raises ResourceLimitError when its nodes exceed MAX_SERIES_NODES, or when
+    the bytes it holds at once would exceed MAX_SUPEROP_BYTES.
+    """
+    plan = _engine_plan(q, K, m, d, segments)
+    if plan[0] > MAX_SERIES_NODES:
+        raise ResourceLimitError(f"series engine would build {plan[0]} > {MAX_SERIES_NODES} nodes")
+    if plan[1] + plan[2] > MAX_SUPEROP_BYTES:
+        raise ResourceLimitError(
+            f"series engine would hold {plan[1] + plan[2]} > {MAX_SUPEROP_BYTES} bytes "
+            "of superoperators at once")
+    return plan
+
+
+def _segments_per_call(q: int, K: int, m: int, d: int, extra_bytes: int) -> int:
+    """The most segments one series_superop call may take (see _engine_plan for
     the arguments) when each segment also holds extra_bytes: at least one, and no
-    more than keep those and the engine's levels within budget and the call
+    more than keep those and the engine's levels within _WORK_BYTES and the call
     within MAX_SUPEROP_BYTES, so a call whose single segment passes
     _check_engine passes it on this many. The levels grow with the segments, by
     at least one node each, so the count is found by bisection."""
     def fits(segments: int) -> bool:
-        stored, per_call = _engine_bytes(q, K, m, d, segments)
-        return (segments * extra_bytes + stored <= budget
-                and stored + per_call <= MAX_SUPEROP_BYTES)
+        _, levels, per_call = _engine_plan(q, K, m, d, segments)[:3]
+        return (segments * extra_bytes + levels <= _WORK_BYTES
+                and levels + per_call <= MAX_SUPEROP_BYTES)
 
-    lo, hi = 1, max(1, budget // (extra_bytes + _node_bytes(d)))
+    lo, hi = 1, max(1, _WORK_BYTES // (extra_bytes + 8 * d ** 3 * (d + 1)))
     while lo < hi:
         mid = (lo + hi + 1) // 2
         lo, hi = (mid, hi) if fits(mid) else (lo, mid - 1)
@@ -457,9 +452,9 @@ def series_superop(propagate, jumps, t: float, q: int, K: int, m: int,
     index multiset, and each node is built once, deepest level first. Depth
     K-1 is closed in Kraus form, so leaves are never stored. Only its
     operators and weights are kept: its rows stream through a pool while the
-    depth K-2 parents run in blocks of _block rows, in table order, each built
-    into a free pool row just before the first block that reads it, with the
-    block before, and its row freed after the last (_leaf_schedule). Every
+    depth K-2 parents run in blocks, in table order, each built into a free
+    pool row just before the first block that reads it, with the block
+    before, and its row freed after the last (_leaf_schedule). Every
     other stored level is one array. A chunk of parents takes its children
     from the rows below by indexed gathers; every row comes from the same
     products, however the blocks fall.
@@ -474,11 +469,14 @@ def series_superop(propagate, jumps, t: float, q: int, K: int, m: int,
 
     Chunks write disjoint rows, so a call whose widest level is more than one
     chunk run alone runs them on every CPU the process may use, within the work
-    size and on the main thread only (_engine_parts). Each step, a level or a
-    block of depth K-2 with the leaves the next block reads first, is one task
-    list, its chunks of parents (linalg.kraus_rows) and then of leaves
-    (_leaf_rows), run by one _run_shares call: the calling thread takes one
-    share and a thread pool, opened for the call, the others. Such a call
+    size and on the main thread only. The parts, the rows per chunk and the
+    block come from the plan (_engine_plan) that the call's own guard checks
+    first, so the call runs the schedule whose bytes were counted. Each step,
+    a level or a block of depth K-2 with the leaves the next block reads
+    first, is one task list, its chunks of parents (linalg.kraus_rows) and
+    then of leaves (_leaf_rows), run by one _run_shares call: the calling
+    thread takes one share and a thread pool, opened for the call, the
+    others. Such a call
     gathers one child at a time, which keeps the bytes of the chunks in flight
     near those of one chunk gathering all q; the products, and so every bit of
     the result, are the same either way. Any other call runs its chunks in turn
@@ -492,11 +490,12 @@ def series_superop(propagate, jumps, t: float, q: int, K: int, m: int,
     mirror.
 
     Raises ArgumentError unless K >= 0 and q >= 1 are integers, and
-    ResourceLimitError from _check_engine before building anything.
+    ResourceLimitError from _check_engine, on the plan, before building
+    anything.
     """
     check_count(K, "series order", 0)
     check_count(q, "quadrature order", 1)
-    _check_engine(q, K if t else 0, m, d, segments)
+    *_, parts, chunk, block = _check_engine(q, K if t else 0, m, d, segments)
     if K == 0 or m == 0 or t == 0.0:
         return kraus_superop(propagate(np.zeros(1), np.array([t]))[:, 0])
     nh = d * (d + 1) // 2
@@ -505,8 +504,7 @@ def series_superop(propagate, jumps, t: float, q: int, K: int, m: int,
         nested = NestedGrid(canonical_rule(q, t), K)
     u, weights, children = nested.table
 
-    # with more than one part the deepest level is more than one chunk (_engine_parts)
-    parts, chunk = _engine_parts(q, K, m, d, segments)
+    # with more than one part the deepest level is more than one chunk (_engine_plan)
     pool = ThreadPoolExecutor(parts - 1) if parts > 1 else None
     G = None
     try:
@@ -542,7 +540,6 @@ def series_superop(propagate, jumps, t: float, q: int, K: int, m: int,
             elif i == K - 2:
                 # the leaves' rows stream through a pool: each block of parents runs
                 # in one share with the leaves the next block reads first
-                block = _block(q, d)
                 bounds, slot, size = _leaf_schedule(q, K, segments, block)
                 G, ch = np.empty((size, d * d, nh), dtype=complex), slot[ch]
                 steps = ((range(max(0, b * block), min(b * block + block, n_rows)),

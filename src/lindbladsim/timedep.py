@@ -363,13 +363,14 @@ def td_simulate(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float, eps: f
     read by the grid and the series engine alike. Each propagator the engine
     asks for is a quotient of that grid's prefix products, kept at the
     interval ends only. Segments go in groups whose samples, prefix stacks and
-    series engine levels stay under _WORK_BYTES, and whose engine call stays
-    within MAX_SUPEROP_BYTES (series._segments_per_call), so no engine limit
-    can fire once sampling has begun. Each group is sampled once, at its gap
-    midpoints and interval ends (one sampler call when the sampler is
-    batched), and that one stack is checked against the declared bounds
-    before anything is built from it; every propagator and jump is read from
-    it, and the group's superoperators come from one series_superop call.
+    series engine levels stay under series._WORK_BYTES, and whose engine call
+    stays within MAX_SUPEROP_BYTES: series._segments_per_call bisects on the
+    engine's plan (series._engine_plan), so no engine limit can fire once
+    sampling has begun. Each group is sampled once, at its gap midpoints and
+    interval ends (one sampler call when the sampler is batched), and that
+    one stack is checked against the declared bounds before anything is built
+    from it; every propagator and jump is read from it, and the group's
+    superoperators come from one series_superop call.
 
     No sample is taken before the guards: the driver checks the series
     engine's node and byte caps on the plan, and then, since sampling is most
@@ -411,7 +412,7 @@ def td_simulate(tl: TimeDependentLindbladian, rho0: np.ndarray, t: float, eps: f
         # ends, and its levels in the group's one series engine call
         m = tl.num_jumps
         held = (2 + m) * grid.size + (1 + m + 2 * (cfg.order + 1)) * ends.size
-        group = _segments_per_call(q, K, m, tl.dim, 16 * tl.dim ** 2 * held, _WORK_BYTES)
+        group = _segments_per_call(q, K, m, tl.dim, 16 * tl.dim ** 2 * held)
         starts = np.arange(n_seg) * delta
         superops = (S for first in range(0, n_seg, group)
                     for S in _segment_superops(tl, starts[first:first + group], nested, grid,

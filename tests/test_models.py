@@ -81,11 +81,26 @@ def test_rejects_non_hermitian_hamiltonian():
     (lambda: random_lindbladian(1, 1.5), "num_jumps must be an integer >= 0, got 1.5"),
     (lambda: random_lindbladian(1, -1), "num_jumps must be an integer >= 0, got -1"),
     (lambda: amplitude_damping(-1.0), "gamma must be nonnegative"),
+    (lambda: random_lindbladian(1, 1, seed=1, h_norm=-0.5),
+     r"h_norm must be a nonnegative, finite real number, got -0\.5"),
+    (lambda: random_lindbladian(1, 1, seed=1, jump_norm=-2.0),
+     r"jump_norm must be a nonnegative, finite real number, got -2\.0"),
+    (lambda: random_lindbladian(1, 1, seed=1, h_norm="x"),
+     "h_norm must be a nonnegative, finite real number, got 'x'"),
+    (lambda: random_lindbladian(1, 1, seed=1, h_norm=True),
+     "h_norm must be a nonnegative, finite real number, got True"),
+    (lambda: random_lindbladian(1, 1, seed=1, h_norm=math.inf),
+     "h_norm must be a nonnegative, finite real number, got inf"),
+    (lambda: random_lindbladian(1, 1, seed=1, jump_norm=math.nan),
+     "jump_norm must be a nonnegative, finite real number, got nan"),
 ], ids=["no-qubits", "fractional-qubits", "fractional-jumps", "negative-jumps",
-        "negative-gamma"])
+        "negative-gamma", "negative-h-norm", "negative-jump-norm", "string-h-norm",
+        "bool-h-norm", "infinite-h-norm", "nan-jump-norm"])
 def test_model_constructors_reject_bad_counts_and_rates(call, message):
     # a fractional count used to raise a bare TypeError, and a negative jump
-    # count to give a model with no jumps
+    # count to give a model with no jumps; a negative norm gave a model with a
+    # negated operator, a string a bare TypeError, and a non-finite one a
+    # ModelError that blamed the model for the argument
     with pytest.raises(ArgumentError, match=message):
         call()
 

@@ -392,7 +392,7 @@ def test_segment_axis_chunks_straddle_segments(monkeypatch, d, m):
     S, t, q, K = 3, 0.4, 2, 4
     monkeypatch.setattr(series, "_WORK_BYTES", 3 * series._parent_work(q, m, d))
     monkeypatch.setattr(series, "_cpu_count", lambda: 1)  # one chunk at a time
-    assert series._engine_parts(q, K, m, d, S) == (1, 3)
+    assert series._engine_plan(q, K, m, d, S)[3:5] == (1, 3)
     propagate, jumps = segment_sources(S, d, m, 20 * d + m)
     group = series_superop(propagate(range(S)), jumps(range(S)), t, q, K, m, d, segments=S)
     for s in range(S):
@@ -445,7 +445,7 @@ def test_series_engine_single_chunk_levels_start_no_thread(monkeypatch):
 
     # d = 4, q = 3, K = 4, m = 2 on 3 segments: levels of 3, 9, 18 and 30 rows
     # against chunks of 268 parents run alone, so no level needs a thread
-    assert series._engine_parts(3, 4, 2, 4, 3) == (1, 268)
+    assert series._engine_plan(3, 4, 2, 4, 3)[3:5] == (1, 268)
     propagate, jumps = segment_sources(3, 4, 2, 5)
     with monkeypatch.context() as patch:
         patch.setattr(series, "_cpu_count", unused)
@@ -506,7 +506,7 @@ def test_series_engine_guard_verdict_does_not_depend_on_cpu_count(monkeypatch):
     work = 4 * (4 * node_bytes + 2 * 16 * d * d + 4096)
     assert series._parent_work(q, m, d, 2) == work // 4
     monkeypatch.setattr(series, "_WORK_BYTES", work)
-    per_segment, per_call = series._engine_bytes(q, K, m, d)
+    per_segment, per_call = series._engine_plan(q, K, m, d)[1:3]
     assert (per_segment, per_call) == (7 * node_bytes + 30960, work + 984 + 2 ** 16)
     propagate, jumps = segment_sources(1, d, m, 7)
     opened = recording_pool(monkeypatch)
@@ -537,11 +537,11 @@ def test_series_engine_streams_its_leaves_within_the_guard(monkeypatch, d, m, S)
     node_bytes = 16 * d * d * d * (d + 1) // 2
     monkeypatch.setattr(series, "_WORK_BYTES", 4 * q * node_bytes)
     propagate, jumps = segment_sources(S, d, m, 30 + 10 * d + m)
-    held = sum(series._engine_bytes(q, K, m, d, S))
+    held = sum(series._engine_plan(q, K, m, d, S)[1:3])
     assert len(series._leaf_schedule(q, K, S, 4)[0]) - 2 == -(-35 * S // 4)
     with monkeypatch.context() as patch:
         patch.setattr(series, "_block", lambda q, d: 10 ** 6)
-        one_block = sum(series._engine_bytes(q, K, m, d, S))
+        one_block = sum(series._engine_plan(q, K, m, d, S)[1:3])
         whole = series_superop(propagate(range(S)), jumps(range(S)), t, q, K, m, d, segments=S)
     assert held < one_block
     for cpus in (1, 2, 4, 256):
@@ -557,6 +557,33 @@ def test_series_engine_streams_its_leaves_within_the_guard(monkeypatch, d, m, S)
             tracemalloc.stop()
         assert peak <= held
         np.testing.assert_array_equal(streamed, whole)
+
+
+@pytest.mark.parametrize("q, K, m, d, S, blocks", [
+    (2, 1, 1, 2, 1, 0), (3, 1, 2, 4, 3, 0), (3, 2, 1, 2, 1, 1), (2, 2, 2, 4, 3, 1),
+    (1, 2, 1, 8, 3, 1), (2, 3, 2, 2, 3, 1), (2, 3, 1, 4, 1, 1), (3, 3, 1, 8, 1, 2),
+    (3, 4, 1, 4, 3, 9)])
+def test_series_engine_traced_peak_is_within_its_plan(monkeypatch, q, K, m, d, S, blocks):
+    # at a work size of one parent's work, so that the chunks in flight are a
+    # small part of the figure: whole calls at K <= 3, from the forming of the
+    # leaves to the root's expansion, and two calls whose depth K-2 parents run
+    # in several blocks. Each call, its leaf schedule built afresh, holds no
+    # more than its plan's levels + per_call
+    monkeypatch.setattr(series, "_WORK_BYTES", series._parent_work(q, m, d))
+    _, levels, per_call, parts, chunk, block = series._engine_plan(q, K, m, d, S)
+    assert (parts, chunk) == (1, 1)
+    assert blocks == (-(-S * math.comb(q + K - 3, K - 2) // block) if K > 1 else 0)
+    propagate, jumps = segment_sources(S, d, m, 50 + 10 * d + K)
+    series_superop(propagate(range(S)), jumps(range(S)), 0.4, q, K, m, d, segments=S)
+    series._leaf_schedule.cache_clear()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        series_superop(propagate(range(S)), jumps(range(S)), 0.4, q, K, m, d, segments=S)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= levels + per_call
 
 
 @pytest.mark.parametrize("d", [2, 4, 8])
@@ -590,11 +617,27 @@ def test_check_engine_admits_a_shape_the_two_level_count_refused(monkeypatch):
     # each. Held whole with depth 5, as one block, they are over 1 GiB; streamed
     # one parent a block, depths 5 and 4 (91 nodes) bound the peak, about 0.87 GB
     series._check_engine(4, 7, 1, 32)
-    assert 0.86e9 < sum(series._engine_bytes(4, 7, 1, 32)) < 0.88e9
+    assert 0.86e9 < sum(series._engine_plan(4, 7, 1, 32)[1:3]) < 0.88e9
     monkeypatch.setattr(series, "_block", lambda q, d: 10 ** 6)
-    assert sum(series._engine_bytes(4, 7, 1, 32)) > 1.29e9
+    assert sum(series._engine_plan(4, 7, 1, 32)[1:3]) > 1.29e9
     with pytest.raises(ResourceLimitError, match="bytes of superoperators at once"):
         series._check_engine(4, 7, 1, 32)
+
+
+@pytest.mark.parametrize("shape, parts, chunk, held", [
+    ((3, 6, 2, 4, 1), 1, 268, 8_635_376),  # static-deep
+    ((4, 8, 1, 2, 1), 1, 1379, 8_647_896),  # static-deep
+    ((4, 7, 1, 8, 1), 2, 18, 14_660_720),  # static-wide
+    ((4, 7, 1, 16, 1), 2, 1, 60_974_192),  # static-wide
+    ((2, 3, 1, 2, 32), 1, 1618, 8_533_936),  # timedep-drive
+    ((2, 4, 1, 2, 48), 1, 1618, 8_623_320),  # timedep-drive
+])
+def test_benchmark_engine_calls_keep_their_schedule(monkeypatch, shape, parts, chunk, held):
+    # the (q, K, m, d, segments) of the benchmark's engine calls on 2 CPUs: a
+    # change to their parts, rows per chunk or guard bytes fails here on any host
+    monkeypatch.setattr(series, "_cpu_count", lambda: 2)
+    plan = series._engine_plan(*shape)
+    assert (plan[3:5], plan[1] + plan[2]) == ((parts, chunk), held)
 
 
 @pytest.mark.parametrize("q, K, m, d", [(5, 4, 1, 16), (3, 4, 2, 16), (2, 3, 1, 8),
@@ -607,9 +650,9 @@ def test_series_engine_chunks_in_flight_fit_the_work_size_on_any_host(monkeypatc
     for shrunk in (False, True):
         if shrunk:
             monkeypatch.setattr(series, "_WORK_BYTES", 9 * series._parent_work(q, m, d, 2))
-        parts, chunk = series._engine_parts(q, K, m, d, segments=4)
+        parts, chunk = series._engine_plan(q, K, m, d, segments=4)[3:5]
         in_flight = parts * chunk * series._parent_work(q, m, d, parts)
-        assert in_flight <= series._engine_bytes(q, K, m, d)[1]
+        assert in_flight <= series._engine_plan(q, K, m, d)[2]
         if series._parent_work(q, m, d) <= series._WORK_BYTES:
             assert in_flight <= series._WORK_BYTES
         assert parts == 9 or not shrunk
@@ -626,7 +669,7 @@ def test_series_engine_off_the_main_thread_runs_one_chunk_at_a_time(monkeypatch)
     threaded = series_superop(propagate([0]), jumps([0]), 0.4, 2, 3, m, d)
     assert opened == [1]
     with ThreadPoolExecutor(1) as pool:
-        assert pool.submit(series._engine_parts, 2, 3, m, d).result()[0] == 1
+        assert pool.submit(series._engine_plan, 2, 3, m, d).result()[3] == 1
         serial = pool.submit(series_superop, propagate([0]), jumps([0]), 0.4, 2, 3, m,
                              d).result()
     assert opened == [1]

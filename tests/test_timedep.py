@@ -180,7 +180,7 @@ def test_segment_groups_match_single_segments(monkeypatch):
         return prefix_stacks(J, *args)
 
     monkeypatch.setattr(timedep, "_prefix_stacks", recording)
-    monkeypatch.setattr(timedep, "_WORK_BYTES", 2 ** 19)
+    monkeypatch.setattr(series, "_WORK_BYTES", 2 ** 19)
     rho, report, _ = td_simulate(tl, rho0, 0.5, 1e-3, cfg=cfg, segments=n)
     assert sum(groups) == n and len(groups) > 1 and max(groups) > 1
     v = vec(rho0)
@@ -533,7 +533,7 @@ def test_table_groups_take_one_engine_call_and_one_sampler_call(monkeypatch):
     tl.sampler = counting
     monkeypatch.setattr(timedep, "series_superop", engine_call)
     monkeypatch.setattr(timedep, "_prefix_stacks", prefix_call)
-    monkeypatch.setattr(timedep, "_WORK_BYTES", 2 ** 17)
+    monkeypatch.setattr(series, "_WORK_BYTES", 2 ** 17)
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     _, report, cfg = td_simulate(tl, rho0, 0.7, 1e-5)
     assert tl.batched and len(engine) > 1
@@ -549,8 +549,8 @@ def test_td_simulate_splits_groups_at_the_engine_byte_cap(monkeypatch):
     tl = driven_damped()
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     rho, report, _ = td_simulate(tl, rho0, 1.0, 1e-4)
-    per_segment, per_call = series._engine_bytes(report.quadrature_order,
-                                                 report.series_order, 1, 2)
+    per_segment, per_call = series._engine_plan(report.quadrature_order,
+                                                report.series_order, 1, 2)[1:3]
     groups, real = [], timedep.series_superop
 
     def recording(*args):
