@@ -6,7 +6,7 @@ from .errors import (ArgumentError, ContractError, InfeasiblePrecisionError,
                      LindbladSimError, ModelError, PauliParseError,
                      ResourceLimitError)
 from .linalg import batched_kraus_sum, dag, kraus_superop, spectral_norm, unvec, vec
-from .metrics import choi, choi_to_superop, cptp_report, diamond_sandwich, trace_norm
+from .metrics import choi, diamond_sandwich, trace_norm
 from .modelio import ParsedModel, load_density, load_model, parse_model, save_model, serialize_model
 from .models import (Lindbladian, amplitude_damping, be_norm, drift_generator_matrix,
                      drift_semigroup, effective_generator, exact_channel,

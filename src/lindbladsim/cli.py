@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import itertools
 import json
 import math
@@ -23,6 +24,10 @@ from . import metrics, modelio, models, primitives, series, timedep
 from .errors import (ArgumentError, InfeasiblePrecisionError, LindbladSimError,
                      ResourceLimitError, check_count, check_time)
 from .quadrature import MAX_ORDER, canonical_rule
+
+# analyze-error's --workers cap: a pool starts one thread per submitted row, up
+# to its size, so the count is checked before any row is listed
+MAX_WORKERS = 64
 
 
 @contextlib.contextmanager
@@ -156,6 +161,8 @@ def _cmd_analyze_error(args) -> int:
     check_count(args.random_models, "--random-models", 0)
     if args.workers < 1:
         raise ArgumentError(f"--workers must be at least 1, got {args.workers}")
+    if args.workers > MAX_WORKERS:
+        raise ArgumentError(f"--workers must be at most {MAX_WORKERS}, got {args.workers}")
     named = _sweep_models(args)
     orders = [(K, max(1, math.ceil(K / 2)) + extra) for K in range(1, args.max_order + 1)
               for extra in (0, 2)]
@@ -170,8 +177,11 @@ def _cmd_analyze_error(args) -> int:
         for K, q in orders:
             for Kp in (K, 2 * K):
                 jobs.append((name, lind, E, beta, args.time, K, Kp, q, args.timing))
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        rows = list(pool.map(lambda j: _analyze_row(*j), jobs))
+    if args.workers == 1:
+        rows = [_analyze_row(*j) for j in jobs]
+    else:
+        with ThreadPoolExecutor(max_workers=args.workers) as pool:
+            rows = list(pool.map(lambda j: _analyze_row(*j), jobs))
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[4]))
     _write_csv(args.out,
                ["model", "t", "K", "Kp", "q", "bound_duhamel", "bound_quadrature",
@@ -243,7 +253,9 @@ def _cmd_kraus_dump(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: every main call parses with it."""
     p = argparse.ArgumentParser(
         prog="lindbladsim",
         description="Desk-scale Lindblad simulation via a completely positive "
@@ -301,8 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (InfeasiblePrecisionError, ResourceLimitError) as ex:

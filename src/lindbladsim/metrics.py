@@ -13,7 +13,6 @@ the lower member of the sandwich against the closed-form bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,13 +36,6 @@ def choi(superop: np.ndarray) -> np.ndarray:
     return np.einsum("lkji->kilj", S4).reshape(d * d, d * d)
 
 
-def choi_to_superop(C: np.ndarray) -> np.ndarray:
-    """Inverse reshuffle; choi_to_superop(choi(S)) == S."""
-    d = _dim_of_superop(C)
-    C4 = np.asarray(C).reshape(d, d, d, d)
-    return np.einsum("kilj->lkji", C4).reshape(d * d, d * d)
-
-
 def trace_norm(mat: np.ndarray) -> float:
     """Sum of singular values."""
     return float(np.linalg.svd(np.asarray(mat), compute_uv=False).sum())
@@ -58,27 +50,3 @@ def diamond_sandwich(S1: np.ndarray, S2: np.ndarray):
     d = _dim_of_superop(S1)
     nrm = trace_norm(choi(S1 - S2))
     return nrm / d, nrm
-
-
-@dataclass(frozen=True)
-class CPTPReport:
-    min_choi_eigenvalue: float
-    tp_residual: float
-    hermiticity_residual: float
-    choi_trace: float
-
-
-def cptp_report(superop: np.ndarray) -> CPTPReport:
-    """Complete-positivity and trace-preservation diagnostics of a superoperator."""
-    d = _dim_of_superop(superop)
-    C = choi(superop)
-    herm = float(np.abs(C - C.conj().T).max())
-    Ch = (C + C.conj().T) / 2
-    eigs = np.linalg.eigvalsh(Ch)
-    C4 = C.reshape(d, d, d, d)
-    tr_out = np.einsum("kikj->ij", C4)
-    tp = float(np.linalg.norm(tr_out - np.eye(d), 2))
-    return CPTPReport(min_choi_eigenvalue=float(eigs.min()),
-                      tp_residual=tp,
-                      hermiticity_residual=herm,
-                      choi_trace=float(C.trace().real))

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import ArgumentError, ContractError, check_count, check_time
 from .linalg import dag, spectral_norm
@@ -82,9 +81,12 @@ def dilate(A: np.ndarray, alpha: float) -> BlockEncoding:
         raise ArgumentError(
             f"cannot encode: ||A|| = {sv[0] * alpha:.6g} exceeds alpha = {alpha:.6g}")
     c = np.sqrt(np.clip(1.0 - sv * sv, 0.0, None))
-    S_top = (Wl * c) @ dag(Wl)
-    S_bot = (dag(Vh) * c) @ Vh
-    U = np.block([[B, S_top], [S_bot, -dag(B)]])
+    d = B.shape[0]
+    U = np.empty((2 * d, 2 * d), dtype=complex)
+    U[:d, :d] = B
+    U[:d, d:] = (Wl * c) @ dag(Wl)
+    U[d:, :d] = (dag(Vh) * c) @ Vh
+    U[d:, d:] = -dag(B)
     return BlockEncoding(unitary=U, alpha=float(alpha), ancilla_dim=2,
                          target=A, epsilon=0.0)
 
@@ -109,8 +111,13 @@ def _pad_pow2(n: int) -> int:
 
 def _select_unitary(encodings, pad_to: int) -> np.ndarray:
     """sum_j |j><j| kron U_j, identity on padding slots."""
-    pad = np.eye(encodings[0].ancilla_dim * encodings[0].dim, dtype=complex)
-    return block_diag(*[e.unitary for e in encodings], *[pad] * (pad_to - len(encodings)))
+    n = encodings[0].ancilla_dim * encodings[0].dim
+    sel = np.zeros((pad_to * n, pad_to * n), dtype=complex)
+    for j, e in enumerate(encodings):
+        sel[j * n:(j + 1) * n, j * n:(j + 1) * n] = e.unitary
+    pad = np.arange(len(encodings) * n, pad_to * n)
+    sel[pad, pad] = 1.0
+    return sel
 
 
 def _shared_registers(encodings, caller: str) -> tuple[int, int]:

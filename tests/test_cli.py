@@ -403,6 +403,41 @@ def test_analyze_error_deterministic_across_runs_and_workers(tmp_path, capsys):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_analyze_error_runs_one_worker_on_the_calling_thread(capsys, monkeypatch):
+    # one worker runs every row inline; two or more run them on a pool
+    row = cli._analyze_row
+    for workers in (1, 2):
+        threads = []
+        monkeypatch.setattr(cli, "_analyze_row",
+                            lambda *job: threads.append(threading.current_thread()) or row(*job))
+        code, _ = run_cli(["analyze-error", "--random-models", "1", "--max-order", "1",
+                           "--workers", str(workers)], capsys)
+        assert code == 0 and len(threads) == 4
+        on_caller = [t is threading.current_thread() for t in threads]
+        assert on_caller == [workers == 1] * 4
+
+
+def test_analyze_error_caps_workers_before_any_thread_starts(capsys, monkeypatch):
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("work started before --workers was checked")
+
+    for name in ("random_lindbladian", "exact_channel"):
+        monkeypatch.setattr(cli.models, name, unbuilt)
+    before = threading.active_count()
+    code, cap = run_cli(["analyze-error", "--random-models", "1",
+                         "--workers", str(cli.MAX_WORKERS + 1)], capsys)
+    assert (code, threading.active_count()) == (2, before)
+    assert "--workers must be at most 64, got 65" in cap.err
+    assert cli.MAX_WORKERS == 64
+
+
+def test_analyze_error_admits_the_worker_cap(capsys):
+    # four rows: the pool starts at most one thread per row, not 64
+    code, _ = run_cli(["analyze-error", "--random-models", "1", "--max-order", "1",
+                       "--workers", str(cli.MAX_WORKERS)], capsys)
+    assert code == 0
+
+
 def test_analyze_error_needs_some_model(capsys):
     code, _ = run_cli(["analyze-error"], capsys)
     assert code == 2
@@ -602,6 +637,39 @@ def test_td_simulate_driven_model(capsys):
     assert out["report"]["segments"] >= 1
     assert out["dyson"]["grid_points"] >= 1
     assert out["dyson"]["declared_contract"] > 0.0
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_one_parser_serves_many_calls(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    outs = []
+    for times in ([], ["--times", "0.5"], []):
+        code, cap = run_cli(["quadrature", "--max-q", "2", *times], capsys)
+        assert code == 0
+        outs.append(cap.out)
+    # the default --times list is the same on every call
+    assert outs[0] == outs[2] != outs[1]
+    a, b = "models/amplitude_damping.json", "models/heisenberg_pair.json"
+    for argv in (["--model", a, "--model", b], ["--model", a]):
+        out = tmp_path / "sweep.csv"
+        code, _ = run_cli(["analyze-error", *argv, "--max-order", "1", "--out", str(out)],
+                          capsys)
+        assert code == 0
+    # the appended --model list starts empty on each call
+    _, rows = read_csv(out)
+    assert len(rows) == 4 and {row[0] for row in rows} == {"amplitude_damping"}
+
+
+def test_a_call_after_an_argparse_failure_parses_afresh(capsys):
+    with pytest.raises(SystemExit) as ex:
+        main(["simulate"])
+    assert ex.value.code == 2
+    assert "--model" in capsys.readouterr().err
+    code, cap = run_cli(["quadrature", "--max-q", "1", "--times", "2.0"], capsys)
+    assert code == 0 and cap.out.startswith("q,t,ell,")
 
 
 def test_module_entry_point():

@@ -1,3 +1,6 @@
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -7,8 +10,6 @@ from lindbladsim import (
     TruncationConfig,
     amplitude_damping,
     choi,
-    choi_to_superop,
-    cptp_report,
     dag,
     diamond_sandwich,
     exact_channel,
@@ -22,6 +23,30 @@ from lindbladsim import (
 )
 
 from fixtures import SX, SZ
+
+
+def choi_to_superop(C):
+    """Inverse reshuffle of choi; choi_to_superop(choi(S)) == S."""
+    d = math.isqrt(C.shape[0])
+    return np.einsum("kilj->lkji", C.reshape(d, d, d, d)).reshape(d * d, d * d)
+
+
+@dataclass(frozen=True)
+class CPTPReport:
+    min_choi_eigenvalue: float
+    tp_residual: float
+    hermiticity_residual: float
+
+
+def cptp_report(superop):
+    """Complete-positivity and trace-preservation diagnostics of a superoperator."""
+    C = choi(superop)
+    d = math.isqrt(C.shape[0])
+    Ch = (C + C.conj().T) / 2
+    tr_out = np.einsum("kikj->ij", C.reshape(d, d, d, d))
+    return CPTPReport(min_choi_eigenvalue=float(np.linalg.eigvalsh(Ch).min()),
+                      tp_residual=float(np.linalg.norm(tr_out - np.eye(d), 2)),
+                      hermiticity_residual=float(np.abs(C - C.conj().T).max()))
 
 
 def random_superop(rng, d):

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from lindbladsim import (
     ArgumentError,
@@ -26,6 +27,8 @@ from lindbladsim import (
     taylor_drift,
     verification_matrix,
 )
+
+from lindbladsim.primitives import _pad_pow2, _select_unitary
 
 from fixtures import SX, SZ
 
@@ -70,6 +73,36 @@ def test_dilate_random_extraction():
         enc = dilate(A, spectral_norm(A))
         assert unitarity_residual(enc.unitary) <= 1e-11
         assert enc.extraction_error() <= 1e-12
+
+
+def random_operator(rng, d):
+    return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+
+def test_dilate_diagonal_blocks_are_the_scaled_target_bitwise():
+    rng = np.random.default_rng(3)
+    for d in (1, 2, 4):
+        A = random_operator(rng, d)
+        alpha = 1.5 * spectral_norm(A)
+        U = dilate(A, alpha).unitary
+        assert U.dtype == complex and U.shape == (2 * d, 2 * d)
+        assert U[:d, :d].tobytes() == (A / alpha).tobytes()
+        assert U[d:, d:].tobytes() == (-dag(A / alpha)).tobytes()
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2])
+@pytest.mark.parametrize("count", [1, 3, 4, 5])
+def test_select_unitary_matches_block_diag_bitwise(count, n_qubits):
+    # each unitary on the diagonal, then the identity on each padding slot
+    rng = np.random.default_rng([count, n_qubits])
+    d = 2 ** n_qubits
+    encs = [dilate(A, spectral_norm(A)) for A in (random_operator(rng, d) for _ in range(count))]
+    Mp = _pad_pow2(count)
+    ref = block_diag(*[e.unitary for e in encs],
+                     *[np.eye(2 * d, dtype=complex)] * (Mp - count))
+    sel = _select_unitary(encs, Mp)
+    assert (sel.dtype, sel.shape) == (ref.dtype, ref.shape) == (complex, (2 * d * Mp,) * 2)
+    assert sel.tobytes() == ref.tobytes()
 
 
 def test_dilate_rejects_oversized_target():
