@@ -42,11 +42,16 @@ def trace_norm(mat: np.ndarray) -> float:
 
 
 def diamond_sandwich(S1: np.ndarray, S2: np.ndarray):
-    """(lower, upper) bounds on ||S1 - S2||_diamond from the Choi trace norm."""
+    """(lower, upper) bounds on ||S1 - S2||_diamond from the Choi trace norm.
+
+    Raises ArgumentError, before the SVD, unless the shapes match and every
+    entry of S1 - S2 is finite."""
     S1 = np.asarray(S1)
     S2 = np.asarray(S2)
     if S1.shape != S2.shape:
         raise ArgumentError("superoperators must have identical shapes")
     d = _dim_of_superop(S1)
-    nrm = trace_norm(choi(S1 - S2))
+    if not np.isfinite(diff := S1 - S2).all():
+        raise ArgumentError("superoperators have a non-finite entry or difference")
+    nrm = trace_norm(choi(diff))
     return nrm / d, nrm

@@ -171,26 +171,16 @@ def _drift_generator(H: np.ndarray, L: np.ndarray) -> np.ndarray:
     return J
 
 
-def _drift_part(J: np.ndarray) -> np.ndarray:
-    """Vectorized drift part I kron J + conj(J) kron I, batched over J's leading axes."""
-    eye = np.eye(J.shape[-1])
-    return kron(eye, J) + kron(J.conj(), eye)
-
-
-def _jump_part(L: np.ndarray) -> np.ndarray:
-    """Vectorized jump part sum_j conj(L_j) kron L_j for jumps L (..., m, d, d); the
-    sum runs over j in order."""
-    d = L.shape[-1]
+def _liouvillian(H: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """Vectorized generator, for H (..., d, d) and jumps L (..., m, d, d) as in
+    _drift_generator: the drift part I kron J + conj(J) kron I plus the jump part
+    sum_j conj(L_j) kron L_j, whose sum runs over j in order."""
+    J, d = _drift_generator(H, L), L.shape[-1]
     S = np.zeros(L.shape[:-3] + (d * d, d * d), dtype=complex)
     for j in range(L.shape[-3]):
         S += kraus_superop(L[..., j, :, :])
-    return S
-
-
-def _liouvillian(H: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """Vectorized generator: drift part plus jump part, for H (..., d, d) and
-    jumps L (..., m, d, d) as in _drift_generator."""
-    return _drift_part(_drift_generator(H, L)) + _jump_part(L)
+    eye = np.eye(d)
+    return kron(eye, J) + kron(J.conj(), eye) + S
 
 
 def effective_generator(lind: Lindbladian) -> np.ndarray:
@@ -202,16 +192,6 @@ def effective_generator(lind: Lindbladian) -> np.ndarray:
     return _drift_generator(lind.hamiltonian, lind.jumps)
 
 
-def jump_superoperator(lind: Lindbladian) -> np.ndarray:
-    """Vectorized jump part: sum_j conj(L_j) kron L_j."""
-    return _jump_part(lind.jumps)
-
-
-def drift_generator_matrix(lind: Lindbladian) -> np.ndarray:
-    """Vectorized drift part: rho -> J rho + rho J^dag."""
-    return _drift_part(effective_generator(lind))
-
-
 def liouvillian_matrix(lind: Lindbladian) -> np.ndarray:
     """Vectorized full generator; equals drift + jump parts by construction."""
     return _liouvillian(lind.hamiltonian, lind.jumps)
@@ -221,12 +201,6 @@ def exact_channel(lind: Lindbladian, t: float) -> np.ndarray:
     """Superoperator matrix of exp(L t), the exact channel at time t."""
     check_time(t)
     return expm(liouvillian_matrix(lind) * t)
-
-
-def drift_semigroup(lind: Lindbladian, t: float) -> np.ndarray:
-    """Superoperator of rho -> exp(Jt) rho exp(Jt)^dag (the no-jump semigroup)."""
-    check_time(t)
-    return kraus_superop(expm(effective_generator(lind) * t))
 
 
 def amplitude_damping(gamma: float = 1.0) -> Lindbladian:

@@ -41,10 +41,6 @@ class PauliSumExpr:
     n: int
     terms: tuple
 
-    @property
-    def num_terms(self) -> int:
-        return len(self.terms)
-
 
 def _tokenize(text: str):
     """Full token list with positions; raises on any bad character."""

@@ -31,12 +31,11 @@ read-out sees the engine's numbers bit for bit.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError, check_count, check_time
+from .errors import check_count, check_time
 
 MAX_ORDER = 64
 TERM_GUARDRAIL = 2 ** 20
@@ -162,32 +161,3 @@ class NestedGrid:
                 p = children[pos].ravel()[flat]
                 nodes[:, pos] = u[pos + 1][p]
             yield idx, nodes, weights
-
-
-def nested_grid(k: int, q: int, t: float) -> NestedGrid:
-    check_count(k, "nesting depth", 1)
-    if q ** k > TERM_GUARDRAIL:
-        raise ResourceLimitError(
-            f"nested grid would enumerate q^k = {q ** k} > {TERM_GUARDRAIL} tuples")
-    return NestedGrid(rule=canonical_rule(q, t), depth=int(k))
-
-
-def nested_weight_sum(k: int, q: int, t: float) -> float:
-    """Sum of chain-weight products over all q^k tuples; equals t^k/k! for q >= ceil(k/2).
-
-    Accumulated with compensated (exact) summation per chunk so the result does
-    not depend on how iteration is partitioned.
-    """
-    grid = nested_grid(k, q, t)
-    partials = []
-    for _, _, weights in grid.chunks():
-        partials.append(math.fsum(np.prod(weights, axis=1).tolist()))
-    return math.fsum(partials)
-
-
-def quadrature_error_bound(q: int, t: float, f2q_bound: float) -> float:
-    """|E_q[f]| <= f2q_bound * t^(2q+1) * q / ((2q)! * 2^(4q-1)) on [0, t]."""
-    check_count(q, "quadrature order", 1)
-    check_time(t, "interval length")
-    check_time(f2q_bound, "derivative bound")
-    return f2q_bound * t ** (2 * q + 1) * q / (math.factorial(2 * q) * 2.0 ** (4 * q - 1))

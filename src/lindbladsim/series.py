@@ -64,13 +64,12 @@ from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (ArgumentError, InfeasiblePrecisionError, ModelError, ResourceLimitError,
                      check_count, check_time)
 from .linalg import batched_kraus_sum, expand_half, kraus_rows, kraus_superop, unvec, vec
 from .metrics import diamond_sandwich
-from .models import Lindbladian, be_norm, effective_generator, exact_channel, jump_superoperator
+from .models import Lindbladian, be_norm, effective_generator, exact_channel
 from .quadrature import TERM_GUARDRAIL, NestedGrid, QuadratureRule, canonical_rule
 
 MAX_SEARCH_ORDER = 40
@@ -85,6 +84,21 @@ def _check_bound_args(t: float, beta: float) -> None:
     check_time(beta, "beta")
 
 
+def _inf_on_overflow(bound):
+    """bound, returning math.inf where an intermediate leaves the float range,
+    which is still an upper bound: on an OverflowError, or on the nan of an
+    overflowed factor times an underflowed one. In-range values are bound's own."""
+    @functools.wraps(bound)
+    def checked(*args):
+        try:
+            value = bound(*args)
+        except OverflowError:
+            return math.inf
+        return math.inf if math.isnan(value) else value
+    return checked
+
+
+@_inf_on_overflow
 def bound_duhamel(K: int, t: float, beta: float) -> float:
     """Diamond-norm error of the K-fold Duhamel truncation with exact integrals."""
     check_count(K, "series order", 0)
@@ -92,6 +106,7 @@ def bound_duhamel(K: int, t: float, beta: float) -> float:
     return (2.0 * beta * t) ** (K + 1) / math.factorial(K + 1)
 
 
+@_inf_on_overflow
 def bound_taylor(Kp: int, t: float, beta: float) -> float:
     """Diamond-norm error of replacing the drift conjugation by its Taylor map."""
     check_count(Kp, "Taylor order", 0)
@@ -104,12 +119,14 @@ def taylor_premise_holds(Kp: int, t: float, beta: float) -> bool:
     return math.factorial(Kp + 1) >= 2.0 * (beta * t) ** (Kp + 1)
 
 
+@_inf_on_overflow
 def bound_composite(k: int, Kp: int, t: float, beta: float) -> float:
     """Pointwise error of the depth-k chain with all drifts Taylor-substituted."""
     check_count(k, "chain depth", 0)
     return bound_taylor(Kp, t, beta) * (4.0 * beta) ** k
 
 
+@_inf_on_overflow
 def bound_quadrature(k: int, q: int, t: float, beta: float) -> float:
     """Error of the depth-k nested Gauss-Legendre sum against the exact integral."""
     check_count(k, "chain depth", 1)
@@ -125,6 +142,7 @@ def quadrature_total_bound(K: int, q: int, t: float, beta: float) -> float:
     return sum((bound_quadrature(k, q, t, beta) for k in range(1, K + 1)), 0.0)
 
 
+@_inf_on_overflow
 def taylor_total_bound(Kp: int, t: float, beta: float) -> float:
     """Total Taylor-substitution error across all chain depths, plus the k=0 term."""
     tail = 32.0 * math.exp(5.0 * beta * t) * (beta * t) ** (Kp + 2) / math.factorial(Kp + 1)
@@ -190,14 +208,6 @@ class _TaylorPropagator:
         Kp = self.powers.shape[0] - 1
         coeff = deltas[:, None] ** np.arange(Kp + 1)[None, :] * self.inv_fact[None, :]
         return (coeff @ self.powers.reshape(Kp + 1, -1)).reshape(-1, *self.powers.shape[1:])
-
-
-def taylor_drift(lind: Lindbladian, s: float, Kp: int) -> np.ndarray:
-    """Matrix sum_{ell<=Kp} (J s)^ell / ell!."""
-    check_time(s, "duration")
-    check_count(Kp, "Taylor order", 0)
-    J = effective_generator(lind)
-    return _TaylorPropagator(J, Kp).batch(np.array([s]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -561,46 +571,6 @@ def series_superop(propagate, jumps, t: float, q: int, K: int, m: int,
     return expand_half(G)
 
 
-def _static_superop(lind: Lindbladian, t: float, q: int, K: int, propagate) -> np.ndarray:
-    """series_superop for one segment, with a static drift propagator
-    propagate(s, u), (1, B, d, d), and constant jumps."""
-    L = lind.jumps
-    return series_superop(propagate, lambda u: np.repeat(L[None, None], u.size, axis=1),
-                          t, q, K, lind.num_jumps, lind.dim)[0]
-
-
-# ---------------------------------------------------------------------------
-# series maps
-
-
-def f_k(lind: Lindbladian, t: float, s) -> np.ndarray:
-    """Integrand superoperator at the ordered times s = (s_1 <= ... <= s_k).
-
-    K[exp(J(t-s_k))] . L_jump . K[exp(J(s_k-s_{k-1}))] ... L_jump . K[exp(J s_1)].
-    An empty s gives the drift semigroup conjugation.
-    """
-    s = np.asarray(s, dtype=float).reshape(-1)
-    check_time(t)
-    if not np.all(np.isfinite(s)):
-        raise ArgumentError(f"jump times must be finite, got {s.tolist()}")
-    if s.size and (np.any(np.diff(s) < 0) or s[0] < 0 or s[-1] > t):
-        raise ArgumentError("jump times must satisfy 0 <= s_1 <= ... <= s_k <= t")
-    J = effective_generator(lind)
-    LJ = jump_superoperator(lind)
-    S = kraus_superop(expm(J * (t - (s[-1] if s.size else 0.0))))
-    for i in range(s.size - 1, -1, -1):
-        lower = s[i - 1] if i > 0 else 0.0
-        S = S @ LJ @ kraus_superop(expm(J * (s[i] - lower)))
-    return S
-
-
-def g_K_quadrature(lind: Lindbladian, t: float, K: int, q: int) -> np.ndarray:
-    """Order-K series superoperator with exact drifts and nested quadrature sums."""
-    check_time(t)
-    J = effective_generator(lind)
-    return _static_superop(lind, t, q, K, lambda s, u: expm((u - s)[None, :, None, None] * J))
-
-
 # ---------------------------------------------------------------------------
 # truncation configuration and order selection
 
@@ -652,8 +622,8 @@ def choose_orders(model, seg_t: float, eps: float) -> TruncationConfig:
         0, lambda k: bound_duhamel(k, seg_t, beta) <= budget, "series")
     q = least(max(1, math.ceil(K / 2)),
               lambda qq: quadrature_total_bound(K, qq, seg_t, beta) <= budget, "quadrature")
-    Kp = least(0, lambda kp: taylor_premise_holds(kp, seg_t, beta)
-               and taylor_total_bound(kp, seg_t, beta) <= budget, "Taylor")
+    Kp = least(0, lambda kp: taylor_total_bound(kp, seg_t, beta) <= budget
+               and taylor_premise_holds(kp, seg_t, beta), "Taylor")
     return TruncationConfig(K, Kp, q, seg_t)
 
 
@@ -757,11 +727,14 @@ class CPMapApprox:
                                 matrix=A[r], normalizer=float(norms[r]))
 
     def as_superoperator(self) -> np.ndarray:
+        """series_superop for one segment, with the Taylor drift propagator and
+        constant jumps; built on first use and cached."""
         if self._superop is None:
-            cfg = self.config
-            self._superop = _static_superop(self.lind, self.t, cfg.quadrature_order,
-                                            cfg.series_order,
-                                            lambda s, u: self._prop.batch(u - s)[None])
+            cfg, L = self.config, self.lind.jumps
+            self._superop = series_superop(lambda s, u: self._prop.batch(u - s)[None],
+                                           lambda u: np.repeat(L[None, None], u.size, axis=1),
+                                           self.t, cfg.quadrature_order, cfg.series_order,
+                                           self.lind.num_jumps, self.lind.dim)[0]
         return self._superop
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -839,19 +812,21 @@ def _plan(model, t: float, eps: float, counts=lambda n0: (n0,)) -> TruncationCon
     """Equal segments and their orders for a run of model over [0, t] at precision eps.
 
     n0 is the fewest equal segments no longer than segment_time allows (1 at
-    t = 0); a segment_time of 0.0, from a be-norm above about 5e11, raises
-    ResourceLimitError at t > 0. Every count at or above n0 keeps the
-    normalizer budget, and a count in counts(n0) below it raises
-    ArgumentError. Each count n gets orders at precision eps / n, and the
-    feasible count with the least n times chain count wins, the first on
-    ties. When no count is feasible, the first count's
-    InfeasiblePrecisionError is raised.
+    t = 0); a segment_time of 0.0, from a be-norm above about 5e11, or a
+    t / segment_time past the float range raises ResourceLimitError at t > 0.
+    Every count at or above n0 keeps the normalizer budget, and a count in
+    counts(n0) below it raises ArgumentError. Each count n gets orders at
+    precision eps / n, and the feasible count with the least n times chain
+    count wins, the first on ties. When no count is feasible, the first
+    count's InfeasiblePrecisionError is raised.
     """
     check_time(t)
     seg = segment_time(model)
     if seg == 0.0 and t > 0:
         raise ResourceLimitError(f"be-norm {be_norm(model)!r} leaves no segment length "
                                  "within the normalizer budget")
+    if t > 0 and t / seg == math.inf:
+        raise ResourceLimitError(f"time {t!r} is more segments of length {seg!r} than floats count")
     n0 = max(1, math.ceil(t / seg - 1e-12)) if t > 0 else 1
     best, first_error = None, None
     for n in counts(n0):

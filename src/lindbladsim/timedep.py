@@ -67,8 +67,8 @@ from .linalg import unvec, vec
 from .models import (Lindbladian, _check_bounds, _check_stack, _drift_generator, _liouvillian,
                      _stack, be_norm)
 from .quadrature import NestedGrid, canonical_rule
-from .series import (MAX_SAMPLER_CALLS, _WORK_BYTES, _evolve, _segments_per_call,
-                     _validate_rho0, series_superop)
+from .series import (MAX_SAMPLER_CALLS, _WORK_BYTES, _evolve, _inf_on_overflow,
+                     _segments_per_call, _validate_rho0, series_superop)
 
 
 @dataclass(frozen=True)
@@ -240,11 +240,13 @@ def ordered_propagator(tl: TimeDependentLindbladian, s: float, t: float,
     return PL[0, 1] @ CR[0, 0]
 
 
+@_inf_on_overflow
 def dyson_contract(tl: TimeDependentLindbladian, delta: float, cfg: DysonConfig) -> float:
     """Stated error contract of ordered_propagator on an interval of length delta,
     and of every propagator td_simulate reads from a segment of length delta:
     each step of its union grid is at most delta / M. delta must be nonnegative
-    and finite; at delta = 0 the contract is 0."""
+    and finite; at delta = 0 the contract is 0, and where an intermediate
+    leaves the float range it is inf."""
     check_time(delta, "segment length")
     beta = be_norm(tl)
     return ((beta * delta) ** (cfg.order + 1) / math.factorial(cfg.order + 1)

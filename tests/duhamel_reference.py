@@ -1,9 +1,34 @@
 """Exact Duhamel increments of a static model, a reference that shares no code
-with the series engine or the nested quadrature grid."""
+with the series engine or the nested quadrature grid, and the vectorized drift
+and jump parts and drift semigroup it and the tests build them from."""
 import numpy as np
 from scipy.linalg import expm
 
-from lindbladsim import drift_generator_matrix, jump_superoperator
+from lindbladsim import effective_generator, kraus_superop
+from lindbladsim.errors import check_time
+from lindbladsim.linalg import kron
+
+
+def drift_generator_matrix(lind):
+    """Vectorized drift part: rho -> J rho + rho J^dag."""
+    J = effective_generator(lind)
+    eye = np.eye(J.shape[-1])
+    return kron(eye, J) + kron(J.conj(), eye)
+
+
+def jump_superoperator(lind):
+    """Vectorized jump part: sum_j conj(L_j) kron L_j, summed over j in order."""
+    d = lind.dim
+    S = np.zeros((d * d, d * d), dtype=complex)
+    for L in lind.jumps:
+        S += kraus_superop(L)
+    return S
+
+
+def drift_semigroup(lind, t):
+    """Superoperator of rho -> exp(Jt) rho exp(Jt)^dag (the no-jump semigroup)."""
+    check_time(t)
+    return kraus_superop(expm(effective_generator(lind) * t))
 
 
 def duhamel_increments(lind, t, K):

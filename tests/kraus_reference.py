@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from lindbladsim import be_norm, nested_grid
+from lindbladsim import NestedGrid, be_norm, canonical_rule
 
 
 def per_term_rows(lind, t, K, q):
@@ -17,7 +17,7 @@ def per_term_rows(lind, t, K, q):
     e_bt = math.exp(be_norm(lind) * t)
     rows = [((0, (), ()), 1.0, e_bt)]
     for k in range(1, K + 1):
-        grid = nested_grid(k, q, t)
+        grid = NestedGrid(canonical_rule(q, t), k)
         for ells in itertools.product(range(lind.num_jumps), repeat=k):
             alpha_prod = math.prod(lind.alphas[ell] for ell in ells)
             path = tuple(reversed(ells))

@@ -27,24 +27,18 @@ from lindbladsim import (
     diamond_sandwich,
     dilate,
     dilute,
-    drift_generator_matrix,
-    drift_semigroup,
     effective_generator,
     exact_channel,
     extend_with_ancilla,
-    f_k,
-    g_K_quadrature,
     kraus_superop,
     lcu_channel,
     liouvillian_matrix,
-    nested_weight_sum,
     oaa_step,
     random_lindbladian,
     rk4_reference,
     segment_time,
     simulate,
     spectral_norm,
-    taylor_drift,
     td_simulate,
     trace_norm,
     unvec,
@@ -52,8 +46,9 @@ from lindbladsim import (
 )
 from lindbladsim.cli import main as cli_main
 
-from duhamel_reference import duhamel_increments
+from duhamel_reference import drift_generator_matrix, drift_semigroup, duhamel_increments
 from fixtures import SM, SX, driven_damped, random_density
+from series_reference import f_k, g_K_quadrature, nested_weight_sum, taylor_drift
 
 EPS_MACH = float(np.finfo(float).eps)
 

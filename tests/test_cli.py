@@ -314,6 +314,31 @@ def test_exit_code_huge_be_norm(tmp_path, capsys):
     assert code == 0
 
 
+def test_exit_code_horizons_past_the_float_range(tmp_path, capsys):
+    # time 1e300 over segments of 3.1e-12 is no float count of segments: the run
+    # commands exit 3. A sweep at time 1e3 has Taylor bounds past the float
+    # range, written as inf; at 1e100 its Taylor factors overflow, and the
+    # non-finite superoperator is refused before the SVD with exit 2
+    model = tmp_path / "fast.json"
+    model.write_text(json.dumps({"n_qubits": 1, "hamiltonian": {"pauli_sum": "1e11*Z"}}))
+    for command in ("simulate", "td-simulate", "kraus-dump"):
+        code, cap = run_cli([command, "--model", str(model), "--time", "1e300", "--eps", "1e-3",
+                             "--out", str(tmp_path / command)], capsys)
+        assert code == 3
+        assert "time 1e+300 is more segments of length" in cap.err
+    sweep = ["analyze-error", "--random-models", "1", "--max-order", "1", "--out",
+             str(tmp_path / "sweep.csv")]
+    code, _ = run_cli(sweep + ["--time", "1e3"], capsys)
+    assert code == 0
+    header, rows = read_csv(tmp_path / "sweep.csv")
+    assert len(rows) == 4
+    assert all(row[header.index("bound_taylor")] == "inf" for row in rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, cap = run_cli(sweep + ["--time", "1e100"], capsys)
+    assert code == 2
+    assert "non-finite" in cap.err
+
+
 def test_exit_code_order_zero_superoperator_bytes(tmp_path, capsys):
     # with no jumps only the order-0 term is left, one d^2 x d^2 superoperator:
     # 16 * 256^4 bytes = 64 GiB at 8 qubits, refused before anything is built

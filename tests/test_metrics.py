@@ -147,6 +147,18 @@ def test_diamond_sandwich_rejects_dim_mismatch():
         diamond_sandwich(np.eye(4), np.eye(9))
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_diamond_sandwich_rejects_non_finite_entries(bad):
+    # an SVD of a non-finite Choi matrix does not converge; the check comes first
+    S = np.eye(4, dtype=complex)
+    S[1, 2] = bad
+    for pair in ((S, np.eye(4)), (np.eye(4), S)):
+        with pytest.raises(ArgumentError, match="non-finite"):
+            diamond_sandwich(*pair)
+    with np.errstate(over="ignore"), pytest.raises(ArgumentError, match="non-finite"):
+        diamond_sandwich(np.full((4, 4), 1e308), np.full((4, 4), -1e308))
+
+
 def test_cptp_report_on_exact_channel():
     lind = random_lindbladian(2, num_jumps=2, seed=12)
     rep = cptp_report(exact_channel(lind, 0.9))

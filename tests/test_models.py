@@ -14,11 +14,8 @@ from lindbladsim import (
     be_norm,
     choi,
     dag,
-    drift_generator_matrix,
-    drift_semigroup,
     effective_generator,
     exact_channel,
-    jump_superoperator,
     kraus_superop,
     liouvillian_matrix,
     random_lindbladian,
@@ -30,6 +27,7 @@ from lindbladsim import (
 )
 from lindbladsim.models import _check_stack
 
+from duhamel_reference import drift_generator_matrix, drift_semigroup, jump_superoperator
 from fixtures import SM, SZ, random_density
 
 

@@ -29,7 +29,7 @@ def test_parse_two_term_sum():
     expr = parse_pauli_sum("0.5*XX + 1.0*ZI", 2)
     assert expr.n == 2
     assert expr.terms == ((0.5, "XX"), (1.0, "ZI"))
-    assert expr.num_terms == 2
+    assert len(expr.terms) == 2
 
 
 def test_parse_cancellation_leaves_empty_sum():

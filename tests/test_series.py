@@ -18,6 +18,7 @@ from lindbladsim import (
     CPMapApprox,
     InfeasiblePrecisionError,
     Lindbladian,
+    NestedGrid,
     ResourceLimitError,
     TruncationConfig,
     amplitude_damping,
@@ -31,24 +32,18 @@ from lindbladsim import (
     choose_orders,
     dag,
     diamond_sandwich,
-    drift_generator_matrix,
-    drift_semigroup,
     effective_generator,
     exact_channel,
-    f_k,
     from_static,
-    g_K_quadrature,
-    jump_superoperator,
     kraus_superop,
     mu_coefficients,
-    nested_grid,
-    quadrature_error_bound,
     random_lindbladian,
     rk4_reference,
     segment_time,
     simulate,
     spectral_norm,
-    taylor_drift,
+    taylor_total_bound,
+    td_simulate,
     trace_norm,
     unvec,
     vec,
@@ -57,9 +52,11 @@ from lindbladsim import series
 from lindbladsim.linalg import kraus_rows
 from lindbladsim.series import _TaylorPropagator, _budget_expression, series_superop
 
-from duhamel_reference import duhamel_increments
+from duhamel_reference import (drift_generator_matrix, drift_semigroup, duhamel_increments,
+                                jump_superoperator)
 from fixtures import SZ
 from kraus_reference import per_term_rows
+from series_reference import f_k, g_K_quadrature, quadrature_error_bound, taylor_drift
 
 
 def choi_lower(S1, S2):
@@ -203,7 +200,7 @@ def test_assembly_equivalence_with_manual_chains():
     ref = kraus_superop(taylor_drift(lind, t, Kp))
     m = lind.num_jumps
     for k in range(1, K + 1):
-        (_, nodes, weights), = nested_grid(k, q, t).chunks()
+        (_, nodes, weights), = NestedGrid(canonical_rule(q, t), k).chunks()
         for s_desc, w in zip(nodes.tolist(), np.prod(weights, axis=1)):  # s_k >= ... >= s_1
             gaps = [t - s_desc[0]]
             gaps += [s_desc[i] - s_desc[i + 1] for i in range(k - 1)]
@@ -231,7 +228,7 @@ def test_kraus_term_coefficients_and_normalizers():
     beta = be_norm(lind)
     grids = {}
     for k in (1, 2):
-        (idx, _, weights), = nested_grid(k, q, t).chunks()
+        (idx, _, weights), = NestedGrid(canonical_rule(q, t), k).chunks()
         grids[k] = dict(zip(map(tuple, idx.tolist()), np.prod(weights, axis=1)))
     for term in cp.iter_terms():
         k, ells, js = term.index
@@ -884,6 +881,36 @@ def test_bound_composite_dominates_hybrid_chains():
                 pos += 1
                 hybrid = kraus_superop(taylor_drift(lind, g, Kp)) @ jump_superoperator(lind) @ hybrid
             assert choi_lower(exact_chain, hybrid) <= bound_composite(k, Kp, t, beta)
+
+
+def test_bounds_past_the_float_range_are_inf():
+    # an intermediate that overflows makes the bound inf, still an upper bound;
+    # in-range arguments keep their values bit for bit
+    assert bound_duhamel(40, 1e200, 0.91) == math.inf
+    assert bound_taylor(1, 1e3, 1.0) == math.inf
+    # bound_taylor is finite at beta t = 1; (4 beta)^3 overflows
+    assert bound_composite(3, 1, 1e-200, 1e200) == math.inf
+    assert taylor_total_bound(1, 1e3, 1.0) == math.inf
+    assert bound_quadrature(1, 2, 1e200, 1.0) == math.inf
+    # (2t)^2 * 8 overflows to inf, times beta^3, which underflows to 0
+    assert bound_quadrature(3, 1, 5e153, 1e-200) == math.inf
+    assert bound_duhamel(3, 0.5, 1.0) == 1.0 / 24.0
+    assert bound_taylor(9, 0.5, 1.0) == 8 * math.exp(0.5) * 0.5 ** 10 / math.factorial(10)
+    with pytest.raises(ArgumentError, match="must be nonnegative and finite"):
+        bound_duhamel(40, math.inf, 0.91)
+
+
+def test_horizons_past_the_float_range_are_refused():
+    # t / segment_time overflows: no float count of segments covers the run
+    lind = Lindbladian(1e11 * SZ)
+    assert segment_time(lind) == pytest.approx(3.125e-12)
+    with pytest.raises(ResourceLimitError, match="is more segments of length"):
+        simulate(lind, np.diag([1.0, 0.0]).astype(complex), 1e300, 1e-3)
+    with pytest.raises(ResourceLimitError, match="is more segments of length"):
+        td_simulate(from_static(lind), np.diag([1.0, 0.0]).astype(complex), 1e300, 1e-3)
+    # a segment past the Taylor bounds' range meets no order
+    with pytest.raises(InfeasiblePrecisionError, match="no Taylor order"):
+        choose_orders(Lindbladian(SZ), 1e300, 1e-3)
 
 
 def test_bound_quadrature_plug_in_and_ratio():

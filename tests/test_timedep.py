@@ -28,7 +28,6 @@ from lindbladsim import (
     rk4_reference,
     segment_time,
     simulate,
-    taylor_drift,
     td_simulate,
     trace_norm,
     unvec,
@@ -42,6 +41,7 @@ from lindbladsim.timedep import (_RK4_MAP_DIM, _RK4_STEPS, _prefix_stacks, _segm
 
 from fixtures import SM, SX, SZ, driven_damped, random_density
 from frame_reference import FrameModel
+from series_reference import taylor_drift
 
 
 def phase_modulated():
@@ -240,6 +240,12 @@ def test_dyson_contract_plugin():
     cfg = DysonConfig(order=2, grid_points=4)
     expected = (beta * 0.5) ** 3 / 6 + 0.25 * tl.jdot_bound / 4
     assert dyson_contract(tl, 0.5, cfg) == pytest.approx(expected, rel=1e-12)
+
+
+def test_dyson_contract_past_the_float_range_is_inf():
+    # delta^2 overflows: the contract is inf, still an upper bound
+    tl = driven_damped(omega=1.0, freq=2.0, gamma=1.0)
+    assert dyson_contract(tl, 1e200, DysonConfig(order=2, grid_points=4)) == math.inf
 
 
 # ---------------------------------------------------------------------------
